@@ -6,7 +6,8 @@
     secwitness oracle   <file> [--trials N] [--depth N] [--seed N]
 
 Exit codes: 0 when the criterion holds on every row, 2 when some row gives
-no decision, 1 on unreadable or unparsable input, 64 on usage errors.
+no decision, 1 on unreadable or unparsable input, 64 on usage errors
+(--trials below 1 and a negative --depth among them).
 """
 
 from __future__ import annotations
@@ -160,6 +161,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "oracle" and (args.trials < 1 or args.depth < 0):
+            parser.error("oracle needs --trials of at least 1 and --depth of at least 0")
     except _Usage as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

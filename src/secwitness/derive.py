@@ -10,7 +10,7 @@ view can only tighten the answer.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .context import TOP, SecurityLevel, VerificationContext, meet_all
 from .errors import OccurrenceNotFound
@@ -60,10 +60,11 @@ def derive_keeping(m: Message, keep: Atom) -> Message:
     return derive(m, variables_of(m) - {keep})
 
 
-def contribution_of(F: ValueFunction, alpha: Atom, source: Message,
-                    sigma: Substitution, ctx: VerificationContext) -> Optional[SecurityLevel]:
-    """The candidate's value for the queried atom, or None when this
-    candidate says nothing about it.
+def contribution_of(F: ValueFunction, alphas: Sequence[Atom], source: Message,
+                    sigma: Substitution, ctx: VerificationContext,
+                    views: Optional[dict] = None) -> Optional[dict[Atom, SecurityLevel]]:
+    """The candidate's value for each queried atom it says something about,
+    or None when it says nothing about any of them.
 
     Static view: parameters of the source take their matched images (atomic
     images only ever arise there); all variables are erased; if the queried
@@ -71,43 +72,62 @@ def contribution_of(F: ValueFunction, alpha: Atom, source: Message,
     atom in the pruned source counts.  Dynamic view: each source variable
     whose image contains the queried atom contributes the bound of the
     variable in the source pruned down to it.
+
+    Both views depend only on the unifier's parameter bindings and one atom
+    of the instance, not on the queried atom.  A caller valuing several
+    unifiers of the same source passes one `views` dict to all of them, so
+    that each such level is computed once for the source.
     """
-    param_only = sigma.restrict(lambda a: a.sort is Sort.PARAMETER)
-    inst = substitute(source, param_only)
-    values: list[SecurityLevel] = []
+    params = frozenset((a, m) for a, m in sigma.items() if a.sort is Sort.PARAMETER)
+    if views is None:
+        views = {}
+    entry = views.get(params)
+    if entry is None:
+        inst = substitute(source, dict(params))
+        static_view = derive_all(inst)
+        entry = views[params] = (inst, static_view, atoms(static_view), {})
+    inst, static_view, static_atoms, levels = entry
 
-    # A fixed queried atom may have been matched by one of the source's own
-    # names; the source then speaks about it under that name.  A queried
-    # variable gets no such transfer: renaming it tells us nothing about
-    # what it carries, only the dynamic view below does.
-    probe = alpha
-    if alpha.sort is not Sort.VARIABLE:
-        image = sigma.image_of(alpha)
-        if isinstance(image, Atomic):
-            probe = image.atom
-    static_view = derive_all(inst)
-    if probe in atoms(static_view):
-        values.append(F(probe, static_view, ctx))
+    def level(a: Atom) -> SecurityLevel:
+        # the bound of one atom in the instance pruned down to it; keeping a
+        # non-variable erases every variable, which is the static view
+        value = levels.get(a)
+        if value is None:
+            view = derive_keeping(inst, a) if a.sort is Sort.VARIABLE else static_view
+            value = levels[a] = F(a, view, ctx)
+        return value
 
+    carried = []
     for var in sorted(variables_of(source), key=lambda a: a.name):
         image = sigma.image_of(var)
-        if image is None:
-            continue
-        if alpha in atoms(image):
-            values.append(F(var, derive(inst, variables_of(inst) - {var}), ctx))
+        if image is not None:
+            carried.append((var, atoms(image)))
 
-    if not values:
-        return None
-    return meet_all(values)
+    found: dict[Atom, SecurityLevel] = {}
+    for alpha in alphas:
+        # A fixed queried atom may have been matched by one of the source's
+        # own names; the source then speaks about it under that name.  A
+        # queried variable gets no such transfer: renaming it tells us
+        # nothing about what it carries, only the dynamic view does.
+        probe = alpha
+        if alpha.sort is not Sort.VARIABLE:
+            image = sigma.image_of(alpha)
+            if isinstance(image, Atomic):
+                probe = image.atom
+        values = [level(probe)] if probe in static_atoms else []
+        values.extend(level(var) for var, inside in carried if alpha in inside)
+        if values:
+            found[alpha] = meet_all(values)
+    return found or None
 
 
 def f_derivative(F: ValueFunction, alpha: Atom, source: Message,
                  sigma: Substitution, ctx: VerificationContext) -> SecurityLevel:
     """Valuation of one candidate; the queried atom must occur once the
     match is applied."""
-    value = contribution_of(F, alpha, source, sigma, ctx)
-    if value is not None:
-        return value
+    found = contribution_of(F, (alpha,), source, sigma, ctx)
+    if found is not None:
+        return found[alpha]
     if alpha not in atoms(substitute(source, sigma)):
         raise OccurrenceNotFound(alpha.display(), str(source))
     return TOP

@@ -67,12 +67,15 @@ class RewriteRule:
 _CANCEL_M = Atom("M", Sort.VARIABLE)
 _CANCEL_K = Atom("k", Sort.PARAMETER)
 _CANCEL_KINV = Atom("k-1", Sort.PARAMETER)
+_DEFAULT_RULES = (
+    RewriteRule(Enc(Enc(Atomic(_CANCEL_M), _CANCEL_KINV), _CANCEL_K), Atomic(_CANCEL_M),
+                name="cancel-enc-dec"),
+)
 
 
 def default_rules() -> tuple[RewriteRule, ...]:
     """The built-in cancellation rule; always active."""
-    lhs = Enc(Enc(Atomic(_CANCEL_M), _CANCEL_KINV), _CANCEL_K)
-    return (RewriteRule(lhs, Atomic(_CANCEL_M), name="cancel-enc-dec"),)
+    return _DEFAULT_RULES
 
 
 def _inverse_pairs(bindings: dict[Atom, Message]) -> Iterable[tuple[Atom, Atom]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .context import VerificationContext
+from .context import SecurityLevel, VerificationContext
 from .derive import ValueFunction, contribution_of
 from .terms import (
     Atom,
@@ -169,12 +169,15 @@ def _close(b: Bindings) -> Substitution:
 def unify_all(pattern: Message, target: Message) -> list[Substitution]:
     """Every unifier, one per inequivalent segmentation, in a deterministic
     order; duplicates collapsed."""
-    seen = []
+    seen: set[frozenset] = set()
+    out = []
     for b in _unify(pattern, target, {}):
         s = _close(b)
-        if s not in seen:
-            seen.append(s)
-    return seen
+        key = frozenset(s.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(s)
+    return out
 
 
 def unify(pattern: Message, target: Message) -> Optional[Substitution]:
@@ -196,20 +199,24 @@ def candidate_sources(target: Message, pool: Sequence[Message],
     for pattern in pool:
         for sigma in unify_all(pattern, target):
             if for_atom is not None and F is not None:
-                if contribution_of(F, for_atom, pattern, sigma, ctx) is None:
+                if contribution_of(F, (for_atom,), pattern, sigma, ctx) is None:
                     continue
             out.append((pattern, sigma))
     return out
 
 
 def candidate_values(target: Message, pool: Sequence[Message],
-                     ctx: VerificationContext, alpha: Atom,
-                     F: ValueFunction) -> list:
-    """The contributions themselves, for folding by meet."""
-    values = []
+                     ctx: VerificationContext, alphas: Sequence[Atom],
+                     F: ValueFunction) -> dict[Atom, list[SecurityLevel]]:
+    """The contributions themselves, for folding by meet: for each queried
+    atom, in pool and unifier order.  Each pattern is unified with the
+    target once, and each unifier valued once for all the atoms."""
+    values: dict[Atom, list[SecurityLevel]] = {alpha: [] for alpha in alphas}
     for pattern in pool:
+        views: dict = {}
         for sigma in unify_all(pattern, target):
-            v = contribution_of(F, alpha, pattern, sigma, ctx)
-            if v is not None:
-                values.append(v)
+            found = contribution_of(F, alphas, pattern, sigma, ctx, views)
+            if found is not None:
+                for alpha, v in found.items():
+                    values[alpha].append(v)
     return values

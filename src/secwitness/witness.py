@@ -47,6 +47,7 @@ from .terms import (
     Substitution,
     atoms,
     body_atoms_in_order,
+    concat,
     flatten,
     print_message,
     substitute,
@@ -66,22 +67,47 @@ class _SymbolicUnknown:
 SYMBOLIC_UNKNOWN = _SymbolicUnknown()
 
 
-def lower_bound(alpha: Atom, sent: Message, pool: Sequence[Message],
-                F: ValueFunction, ctx: VerificationContext) -> SecurityLevel:
-    """Who the sent occurrence of the atom could be addressed to, folded
-    over every pattern the protecting part might instantiate."""
-    values: list[SecurityLevel] = []
+def _guarded(alpha: Atom, ctx: VerificationContext) -> bool:
+    """Whether a sent occurrence of the atom needs a protecting pattern."""
+    return alpha.sort is Sort.VARIABLE or not level_of(ctx, alpha).is_bottom
+
+
+def lower_bounds(sent: Message, alphas: Sequence[Atom], pool: Sequence[Message],
+                 F: ValueFunction, ctx: VerificationContext) -> dict[Atom, Optional[SecurityLevel]]:
+    """Who the sent occurrences of each atom could be addressed to, folded
+    over every pattern the protecting parts might instantiate.
+
+    The atoms share one candidate search per distinct protecting part.  An
+    atom that stands bare in the send, with a level to protect, maps to
+    None: no pattern protects it, and later parts are not searched for it.
+    """
+    values: dict[Atom, list[SecurityLevel]] = {alpha: [] for alpha in alphas}
+    bare: set[Atom] = set()
+    searched: set[Message] = set()
     for part in flatten(sent):
         if isinstance(part, Atomic):
-            if part.atom != alpha:
-                continue
-            if alpha.sort is Sort.VARIABLE or not level_of(ctx, alpha).is_bottom:
-                raise NoProtectivePattern(alpha.display(), print_message(sent))
+            if part.atom in values and _guarded(part.atom, ctx):
+                bare.add(part.atom)
             continue
-        if alpha not in atoms(part):
+        if part in searched:
             continue
-        values.extend(candidate_values(part, pool, ctx, alpha, F))
-    return meet_all(values)
+        searched.add(part)
+        inside = atoms(part)
+        query = [alpha for alpha in alphas if alpha not in bare and alpha in inside]
+        if query:
+            for alpha, found in candidate_values(part, pool, ctx, query, F).items():
+                values[alpha].extend(found)
+    return {alpha: None if alpha in bare else meet_all(values[alpha]) for alpha in alphas}
+
+
+def lower_bound(alpha: Atom, sent: Message, pool: Sequence[Message],
+                F: ValueFunction, ctx: VerificationContext) -> SecurityLevel:
+    """The bound of one atom of a send; raises NoProtectivePattern when the
+    atom stands bare in it."""
+    bound = lower_bounds(sent, [alpha], pool, F, ctx)[alpha]
+    if bound is None:
+        raise NoProtectivePattern(alpha.display(), print_message(sent))
+    return bound
 
 
 def upper_bound(alpha: Atom, m: Union[Message, Iterable[Message]],
@@ -127,14 +153,8 @@ def witness_value(alpha: Atom, source: Message, sigma: Substitution,
         pool = list(space)
     assert ctx is not None, "a context is required with an explicit pattern pool"
     closed = substitute(source, sigma)
-    values: list[SecurityLevel] = []
-    for part in flatten(closed):
-        if alpha not in atoms(part):
-            continue
-        if isinstance(part, Atomic):
-            continue
-        values.extend(candidate_values(part, pool, ctx, alpha, F))
-    return meet_all(values)
+    protected = concat(*(part for part in flatten(closed) if not isinstance(part, Atomic)))
+    return lower_bounds(protected, [alpha], pool, F, ctx)[alpha]
 
 
 @dataclass(frozen=True)
@@ -167,7 +187,7 @@ class AnalysisReport:
 
 def _row_for(alpha: Atom, role: GeneralizedRole, position: int,
              sent: Message, received: tuple[Message, ...],
-             pool: Sequence[Message], F: ValueFunction,
+             lower: Optional[SecurityLevel], F: ValueFunction,
              ctx: VerificationContext) -> CriterionRow:
     estimate = reception_estimate(alpha, received, F, ctx)
     if alpha.sort is Sort.VARIABLE:
@@ -176,19 +196,18 @@ def _row_for(alpha: Atom, role: GeneralizedRole, position: int,
     else:
         atom_level = level_of(ctx, alpha)
         required = meet(atom_level, estimate)
-    try:
-        lower = lower_bound(alpha, sent, pool, F, ctx)
+    if lower is None:  # bare in the send: no protective pattern
+        lower = BOTTOM
+        fulfilled = False
+        blame: frozenset[str] = frozenset({alpha.display()})
+    else:
         fulfilled = geq(lower, required)
         if fulfilled:
-            blame: frozenset[str] = frozenset()
+            blame = frozenset()
         elif lower.is_bottom or required.is_bottom:
             blame = frozenset({alpha.display()})
         else:
             blame = frozenset(lower.members - required.members)
-    except NoProtectivePattern:
-        lower = BOTTOM
-        fulfilled = False
-        blame = frozenset({alpha.display()})
     step = role.steps[position]
     return CriterionRow(
         atom=alpha,
@@ -206,11 +225,7 @@ def _row_for(alpha: Atom, role: GeneralizedRole, position: int,
 
 
 def _eligible(sent: Message, ctx: VerificationContext) -> list[Atom]:
-    out = []
-    for a in body_atoms_in_order(sent):
-        if a.sort is Sort.VARIABLE or not level_of(ctx, a).is_bottom:
-            out.append(a)
-    return out
+    return [a for a in body_atoms_in_order(sent) if _guarded(a, ctx)]
 
 
 def analyze(protocol: Protocol, function: str = "fmax",
@@ -232,13 +247,16 @@ def analyze(protocol: Protocol, function: str = "fmax",
         for position, st in enumerate(role.steps):
             if st.direction is not SEND:
                 continue
+            fresh = [alpha for alpha in _eligible(st.message, ctx)
+                     if (role.agent.name, position, alpha) not in seen]
+            if not fresh:
+                continue
+            seen.update((role.agent.name, position, alpha) for alpha in fresh)
             received = role.received_before(position)
-            for alpha in _eligible(st.message, ctx):
-                key = (role.agent.name, position, alpha)
-                if key in seen:
-                    continue
-                seen.add(key)
-                rows.append(_row_for(alpha, role, position, st.message, received, pool, F, ctx))
+            bounds = lower_bounds(st.message, fresh, pool, F, ctx)
+            for alpha in fresh:
+                rows.append(_row_for(alpha, role, position, st.message, received,
+                                     bounds[alpha], F, ctx))
 
     return AnalysisReport(
         protocol=protocol.name,

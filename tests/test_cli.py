@@ -135,3 +135,21 @@ def test_oracle_subcommand(nsl_file, capsys):
     assert "full-invariance[fek]: ok" in out
     assert "full-invariance[fn]: ok" in out
     assert "non-disclosure[one honest session]: ok" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trials", "-3", "--depth", "-1"],
+    ["--trials", "-1"],
+    ["--depth", "-1"],
+    ["--trials", "0"],
+])
+def test_oracle_rejects_negative_or_zero_counts(nsl_file, capsys, flags):
+    assert main(["oracle", nsl_file, *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err
+    assert captured.out == ""
+
+
+def test_oracle_accepts_depth_zero(nsl_file, capsys):
+    assert main(["oracle", nsl_file, "--trials", "1", "--depth", "0"]) in (EXIT_OK, EXIT_UNDECIDED)
+    assert "full-invariance[fmax]" in capsys.readouterr().out

@@ -129,7 +129,7 @@ def test_no_contribution_is_none(ns, ns_roles, ns_pool):
     alpha = next(iter(variables_of(target)))
     sigma = unify(source, target)
     assert sigma is not None
-    assert contribution_of(FMAX, alpha, source, sigma, ns.context) is None
+    assert contribution_of(FMAX, [alpha], source, sigma, ns.context) is None
 
 
 def test_renaming_a_queried_variable_is_no_claim(ns, ns_roles, ns_pool):
@@ -139,7 +139,7 @@ def test_renaming_a_queried_variable_is_no_claim(ns, ns_roles, ns_pool):
     alpha = next(iter(variables_of(target)))
     sigma = unify(source, target)
     assert sigma is not None
-    assert contribution_of(FMAX, alpha, source, sigma, ns.context) is None
+    assert contribution_of(FMAX, [alpha], source, sigma, ns.context) is None
 
 
 def test_overlapping_occurrences_meet(witness_ctx, witness_pool):
@@ -150,6 +150,6 @@ def test_overlapping_occurrences_meet(witness_ctx, witness_pool):
     sigma = Substitution({x: concat(atomic(alpha), atomic(Atom("B")))})
     static_only = FMAX(alpha, derive_all(source), witness_ctx)
     dynamic_only = FMAX(x, source, witness_ctx)
-    got = contribution_of(FMAX, alpha, source, sigma, witness_ctx)
+    got = contribution_of(FMAX, [alpha], source, sigma, witness_ctx)[alpha]
     from secwitness.context import meet
     assert got == meet(static_only, dynamic_only)

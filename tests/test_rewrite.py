@@ -103,6 +103,10 @@ def test_validator_accepts_default_rules():
     assert validate_rewrite_system(default_rules()).ok
 
 
+def test_default_rules_are_built_once():
+    assert default_rules() is default_rules()
+
+
 def test_validator_rejects_key_adding_rule():
     mv = Atom("M", Sort.VARIABLE)
     wrap = RewriteRule(atomic(mv), enc(atomic(mv), Atom("k")), name="wrap")

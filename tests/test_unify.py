@@ -170,6 +170,7 @@ def test_candidate_values_match_contributions(ns, ns_roles, ns_pool):
     from secwitness.derive import contribution_of
     target = _send(ns_roles, "A_G1", 0)
     alpha = next(a for a in atoms(target) if a.base_name == "Na")
-    values = candidate_values(target, ns_pool, ns.context, alpha, FMAX)
+    values = candidate_values(target, ns_pool, ns.context, [alpha], FMAX)
     pairs = candidate_sources(target, ns_pool, ns.context, for_atom=alpha, F=FMAX)
-    assert values == [contribution_of(FMAX, alpha, m, s, ns.context) for m, s in pairs]
+    assert values == {alpha: [contribution_of(FMAX, [alpha], m, s, ns.context)[alpha]
+                              for m, s in pairs]}
