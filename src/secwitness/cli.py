@@ -86,6 +86,8 @@ def _load(path: str) -> Protocol:
         return load_protocol(path)
     except OSError as err:
         raise AnalyzerError(f"cannot read {path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise AnalyzerError(f"cannot read {path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
 
 
 def _cmd_analyze(args) -> int:

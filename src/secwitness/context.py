@@ -11,10 +11,10 @@ parameter and the same identity declared as a constant agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import ContextError, MismatchedUniverse, NotAKey, UnleveledKey
+from .errors import ContextError, MismatchedUniverse, NotAKey
 from .terms import Atom, Mode, Sort
 
 
@@ -175,11 +175,6 @@ def level_of(ctx: VerificationContext, x: Union[Atom, str]) -> SecurityLevel:
 def intruder_allowed(ctx: VerificationContext, x: Union[Atom, str]) -> bool:
     lv = level_of(ctx, x)
     return lv.is_bottom or ctx.intruder.name in lv.members
-
-
-def is_key(ctx: VerificationContext, x: Union[Atom, str]) -> bool:
-    name = x.base_name if isinstance(x, Atom) else Atom(x.split("^", 1)[0]).base_name
-    return name in ctx.keys
 
 
 def inverse_key(ctx: VerificationContext, k: Atom) -> Atom:

@@ -12,19 +12,16 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .context import TOP, SecurityLevel, VerificationContext, meet_all
-from .errors import OccurrenceNotFound
+from .context import SecurityLevel, VerificationContext, meet_all
 from .terms import (
     EMPTY,
     Atom,
     Atomic,
-    Concat,
-    Enc,
     Message,
     Sort,
     Substitution,
     atoms,
-    concat,
+    map_atoms,
     substitute,
     variables_of,
 )
@@ -37,17 +34,7 @@ def derive(m: Message, remove: Iterable[Atom]) -> Message:
     gone = {a for a in remove if a.sort is Sort.VARIABLE}
     if not gone:
         return m
-
-    def go(t: Message) -> Message:
-        if isinstance(t, Atomic):
-            return EMPTY if t.atom in gone else t
-        if isinstance(t, Concat):
-            return concat(*(go(p) for p in t.parts))
-        if isinstance(t, Enc):
-            return Enc(go(t.body), t.key, t.mode)
-        return t
-
-    return go(m)
+    return map_atoms(m, lambda a: EMPTY if a in gone else None)
 
 
 def derive_all(m: Message) -> Message:
@@ -120,14 +107,3 @@ def contribution_of(F: ValueFunction, alphas: Sequence[Atom], source: Message,
             found[alpha] = meet_all(values)
     return found or None
 
-
-def f_derivative(F: ValueFunction, alpha: Atom, source: Message,
-                 sigma: Substitution, ctx: VerificationContext) -> SecurityLevel:
-    """Valuation of one candidate; the queried atom must occur once the
-    match is applied."""
-    found = contribution_of(F, (alpha,), source, sigma, ctx)
-    if found is not None:
-        return found[alpha]
-    if alpha not in atoms(substitute(source, sigma)):
-        raise OccurrenceNotFound(alpha.display(), str(source))
-    return TOP

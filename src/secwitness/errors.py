@@ -71,11 +71,6 @@ class NoProtectivePattern(AnalyzerError):
         super().__init__(f"{atom} occurs in clear in sent message {message}")
 
 
-class OccurrenceNotFound(AnalyzerError):
-    def __init__(self, atom: str, source: str):
-        super().__init__(f"{atom} has no occurrence in the instantiated source {source}")
-
-
 class WellProtectionViolation(AnalyzerError):
     def __init__(self, atom: str, message: str):
         self.atom = atom

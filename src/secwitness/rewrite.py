@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .context import VerificationContext, geq, inverse_key, level_of
-from .errors import NonTermination, NotAKey
+from .errors import AnalyzerError, NonTermination, NotAKey
 from .terms import (
-    EMPTY,
     Atom,
     Atomic,
     Concat,
@@ -29,6 +28,7 @@ from .terms import (
     atoms,
     concat,
     flatten,
+    members,
     print_message,
     substitute,
 )
@@ -200,33 +200,21 @@ def normalize(m: Message, ctx: VerificationContext, budget: int = 10_000) -> Mes
 def keys_of(alpha: Atom, m: Union[Message, Iterable[Message]]) -> KeySetFamily:
     """For every occurrence of alpha, the set of keys wrapped around it;
     key positions themselves are not occurrences."""
-    if not isinstance(m, Message):
-        out: frozenset = EMPTY_FAMILY
-        for member in m:
-            out |= keys_of(alpha, member)
-        return out
-    if isinstance(m, Atomic):
-        return family(()) if m.atom == alpha else EMPTY_FAMILY
-    if isinstance(m, Concat):
-        out = EMPTY_FAMILY
-        for p in m.parts:
-            out |= keys_of(alpha, p)
-        return out
-    if isinstance(m, Enc):
-        inner = keys_of(alpha, m.body)
-        return frozenset(s | {m.key} for s in inner)
-    return EMPTY_FAMILY
+    out = EMPTY_FAMILY
+    for t in members(m):
+        if isinstance(t, Atomic) and t.atom == alpha:
+            out |= family(())
+        elif isinstance(t, Concat):
+            out |= keys_of(alpha, t.parts)
+        elif isinstance(t, Enc):
+            out |= frozenset(s | {t.key} for s in keys_of(alpha, t.body))
+    return out
 
 
 def access(alpha: Atom, m: Union[Message, Iterable[Message]],
            ctx: VerificationContext) -> KeySetFamily:
     """Like keys_of but over the inverse keys needed to reach alpha, computed
     on the normal form."""
-    if not isinstance(m, Message):
-        out: frozenset = EMPTY_FAMILY
-        for member in m:
-            out |= access(alpha, member, ctx)
-        return out
 
     def go(t: Message) -> KeySetFamily:
         if isinstance(t, Atomic):
@@ -241,20 +229,17 @@ def access(alpha: Atom, m: Union[Message, Iterable[Message]],
             return frozenset(s | {inverse_key(ctx, t.key)} for s in inner)
         return EMPTY_FAMILY
 
-    return go(normalize(m, ctx))
+    out = EMPTY_FAMILY
+    for t in members(m):
+        out |= go(normalize(t, ctx))
+    return out
 
 
 def clear_atoms(m: Union[Message, Iterable[Message]], ctx: VerificationContext) -> frozenset[Atom]:
     """Atoms reachable without any key."""
-    if not isinstance(m, Message):
-        out: set[Atom] = set()
-        for member in m:
-            out |= clear_atoms(member, ctx)
-        return frozenset(out)
-    out = set()
-    for a in atoms(m):
-        if frozenset() in access(a, m, ctx):
-            out.add(a)
+    out: set[Atom] = set()
+    for t in members(m):
+        out.update(a for a in atoms(t) if frozenset() in access(a, t, ctx))
     return frozenset(out)
 
 
@@ -272,9 +257,8 @@ def check_well_protected(target: Union[Message, Iterable[Message]],
     """Every occurrence of a non-public atom must sit under at least one key
     whose level dominates the atom's.  Variables are exempt (their treatment
     belongs to the criterion layer)."""
-    messages = [target] if isinstance(target, Message) else list(target)
     violations: list[tuple[Atom, Message, frozenset]] = []
-    for m in messages:
+    for m in members(target):
         for a in atoms(m):
             if a.sort is Sort.VARIABLE:
                 continue
@@ -354,7 +338,7 @@ def validate_rewrite_system(rules: Sequence[RewriteRule],
                     try:
                         sel_r = set(selection(probe, r_s))
                         sel_l = set(selection(probe, l_s))
-                    except Exception:
+                    except AnalyzerError:
                         continue
                     if not sel_r <= sel_l:
                         notes.append(f"selection grows for {probe.display()}")

@@ -43,6 +43,7 @@ from .terms import (
     SymbolTable,
     atoms,
     concat,
+    map_atoms,
     parse_message,
     subterms,
 )
@@ -161,16 +162,7 @@ def _to_role_view(m: Message, agent: Atom, fresh_owners: Mapping[str, str]) -> M
             tag = tag or "i"
         return Atom(a.name, Sort.PARAMETER, tag)
 
-    def go(t: Message) -> Message:
-        if isinstance(t, Atomic):
-            return Atomic(gen_atom(t.atom))
-        if isinstance(t, Concat):
-            return concat(*(go(p) for p in t.parts))
-        if isinstance(t, Enc):
-            return Enc(go(t.body), gen_atom(t.key), t.mode)
-        return t
-
-    return go(m)
+    return map_atoms(m, lambda a: Atomic(gen_atom(a)))
 
 
 def parse_protocol(text: str) -> Protocol:
@@ -451,16 +443,6 @@ def _owner(a: Atom, ctx: VerificationContext, fresh_owners: Mapping[str, str]) -
     return base
 
 
-def _rename(m: Message, pick: Mapping[Atom, Atom]) -> Message:
-    if isinstance(m, Atomic):
-        return Atomic(pick[m.atom])
-    if isinstance(m, Concat):
-        return concat(*(_rename(p, pick) for p in m.parts))
-    if isinstance(m, Enc):
-        return Enc(_rename(m.body, pick), pick[m.key], m.mode)
-    return m
-
-
 def _shape(m: Message, var_order: dict[str, int]) -> tuple:
     if isinstance(m, Atomic):
         a = m.atom
@@ -531,7 +513,7 @@ def generalized_message_space(roles: Sequence[GeneralizedRole],
             else:
                 o = _owner(a, ctx, fresh_owners)
                 pick[a] = Atom(f"{a.base_name}_{owner_counts[o]}", Sort.PARAMETER)
-        space.append(_rename(pat, pick))
+        space.append(map_atoms(pat, lambda a: Atomic(pick[a])))
 
     seen: set[tuple] = set()
     final: list[Message] = []

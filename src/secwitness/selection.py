@@ -29,7 +29,7 @@ from .context import (
 )
 from .errors import NotAKey, UnleveledKey, WellProtectionViolation
 from .rewrite import normalize
-from .terms import Atom, Atomic, Concat, Enc, Message, Sort, atoms
+from .terms import Atom, Atomic, Concat, Enc, Message, Sort, atoms, members
 
 CandidateFilter = Callable[[Atom, frozenset, Atom, VerificationContext], frozenset]
 
@@ -97,17 +97,6 @@ def select(inst: SelectionInstance, alpha: Atom,
            m: Union[Message, Iterable[Message]],
            ctx: VerificationContext) -> SelectionResult:
     """Selection for one occurrence-carrying message or a set (union)."""
-    if not isinstance(m, Message):
-        out = NO_ATOMS
-        for member in m:
-            out = out | select(inst, alpha, member, ctx)
-        return out
-
-    m = normalize(m, ctx)
-    if isinstance(m, Atomic) and m.atom == alpha:
-        return ALL_ATOMS
-    if alpha not in atoms(m):
-        return NO_ATOMS
     alpha_level = level_of(ctx, alpha)
 
     def protective(key: Atom) -> bool:
@@ -142,7 +131,14 @@ def select(inst: SelectionInstance, alpha: Atom,
             return walk(t.body)
         return NO_ATOMS
 
-    return walk(m)
+    out = NO_ATOMS
+    for t in members(m):
+        t = normalize(t, ctx)
+        if isinstance(t, Atomic) and t.atom == alpha:
+            out = ALL_ATOMS
+        elif alpha in atoms(t):
+            out = out | walk(t)
+    return out
 
 
 def psi(ctx: VerificationContext, result: SelectionResult) -> SecurityLevel:
@@ -162,9 +158,8 @@ def psi(ctx: VerificationContext, result: SelectionResult) -> SecurityLevel:
 def interpret(inst: SelectionInstance, alpha: Atom,
               m: Union[Message, Iterable[Message]],
               ctx: VerificationContext) -> SecurityLevel:
-    """The composed bound: valuation of the selection; sets combine by meet."""
-    if not isinstance(m, Message):
-        return meet_all([interpret(inst, alpha, member, ctx) for member in m])
+    """The composed bound: valuation of the selection.  A set's selection
+    is the union of its members', whose valuation is the meet of theirs."""
     return psi(ctx, select(inst, alpha, m, ctx))
 
 

@@ -9,9 +9,9 @@ well defined.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     MessageSyntaxError,
@@ -182,11 +182,9 @@ def atoms(m: Message) -> frozenset[Atom]:
     return frozenset(out)
 
 
-def atoms_of_set(ms: Sequence[Message]) -> frozenset[Atom]:
-    out: set[Atom] = set()
-    for m in ms:
-        out |= atoms(m)
-    return frozenset(out)
+def members(m: Union[Message, Iterable[Message]]) -> Iterable[Message]:
+    """One message read as a one-element set; a set of messages unchanged."""
+    return (m,) if isinstance(m, Message) else m
 
 
 def body_atoms_in_order(m: Message) -> list[Atom]:
@@ -252,22 +250,30 @@ class Substitution(Mapping[Atom, Message]):
 EMPTY_SUBSTITUTION = Substitution()
 
 
-def substitute(m: Message, sigma: Mapping[Atom, Message]) -> Message:
-    """Simultaneous replacement; the result is rebuilt through the smart
-    constructors so empty parts vanish and concatenations stay flat."""
+def map_atoms(m: Message, f: Callable[[Atom], Optional[Message]]) -> Message:
+    """Rebuilds the message through the smart constructors, replacing each
+    atom occurrence by f(atom); None keeps the occurrence.  A key's image
+    must be a non-variable atom."""
     if isinstance(m, Atomic):
-        return sigma.get(m.atom, m)
+        image = f(m.atom)
+        return m if image is None else image
     if isinstance(m, Concat):
-        return concat(*(substitute(p, sigma) for p in m.parts))
+        return concat(*(map_atoms(p, f) for p in m.parts))
     if isinstance(m, Enc):
-        image = sigma.get(m.key)
         key = m.key
+        image = f(key)
         if image is not None:
             if not isinstance(image, Atomic) or image.atom.sort is Sort.VARIABLE:
-                raise SubstitutedIntoKeyPosition(m.key.display(), print_message(image))
+                raise SubstitutedIntoKeyPosition(key.display(), print_message(image))
             key = image.atom
-        return Enc(substitute(m.body, sigma), key, m.mode)
+        return Enc(map_atoms(m.body, f), key, m.mode)
     return m
+
+
+def substitute(m: Message, sigma: Mapping[Atom, Message]) -> Message:
+    """Simultaneous replacement; empty parts vanish and concatenations stay
+    flat."""
+    return map_atoms(m, sigma.get)
 
 
 def encryption_patterns(ms: Sequence[Message]) -> list[Message]:
@@ -292,6 +298,11 @@ def encryption_patterns(ms: Sequence[Message]) -> list[Message]:
 # tokens.  A session tag is written with ^ and split off during resolution.
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_^-]*")
+
+# Deepest nesting of {...} or d(...) the parser accepts; every bundled
+# protocol nests one level, and the bound keeps deeper input from
+# exhausting the interpreter's stack.
+MAX_NESTING = 100
 
 
 class SymbolTable:
@@ -328,6 +339,7 @@ class _Cursor:
     def __init__(self, text: str, pos: int = 0):
         self.text = text
         self.pos = pos
+        self.depth = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
@@ -369,10 +381,19 @@ def _parse_key(cur: _Cursor, symbols: SymbolTable) -> Atom:
     return key
 
 
+def _parse_nested(cur: _Cursor, symbols: SymbolTable, allow_dec: bool) -> Message:
+    if cur.depth == MAX_NESTING:
+        raise MessageSyntaxError(cur.text, cur.pos, f"at most {MAX_NESTING} nested levels")
+    cur.depth += 1
+    body = _parse_msg(cur, symbols, allow_dec)
+    cur.depth -= 1
+    return body
+
+
 def _parse_part(cur: _Cursor, symbols: SymbolTable, allow_dec: bool) -> Message:
     if cur.peek() == "{":
         cur.expect("{")
-        body = _parse_msg(cur, symbols, allow_dec)
+        body = _parse_nested(cur, symbols, allow_dec)
         cur.expect("}")
         cur.expect("_")
         return Enc(body, _parse_key(cur, symbols))
@@ -384,7 +405,7 @@ def _parse_part(cur: _Cursor, symbols: SymbolTable, allow_dec: bool) -> Message:
         cur.expect("(")
         key_name = cur.ident()
         cur.expect(",")
-        body = _parse_msg(cur, symbols, allow_dec)
+        body = _parse_nested(cur, symbols, allow_dec)
         cur.expect(")")
         key = symbols.resolve_key(key_name)
         if key.sort is Sort.VARIABLE:

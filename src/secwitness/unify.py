@@ -13,7 +13,7 @@ final bound.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .context import SecurityLevel, VerificationContext
 from .derive import ValueFunction, contribution_of
@@ -29,7 +29,7 @@ from .terms import (
     atoms,
     concat,
     flatten,
-    substitute,
+    map_atoms,
 )
 
 Bindings = dict[Atom, Message]
@@ -42,14 +42,7 @@ def _chase(m: Message, b: Bindings) -> Message:
 
 
 def _resolve(m: Message, b: Bindings) -> Message:
-    m = _chase(m, b)
-    if isinstance(m, Concat):
-        return concat(*(_resolve(p, b) for p in m.parts))
-    if isinstance(m, Enc):
-        key = _chase(Atomic(m.key), b)
-        assert isinstance(key, Atomic)
-        return Enc(_resolve(m.body, b), key.atom, m.mode)
-    return m
+    return map_atoms(m, lambda a: _resolve(b[a], b) if a in b else None)
 
 
 def _occurs(a: Atom, m: Message, b: Bindings) -> bool:
@@ -185,24 +178,6 @@ def unify(pattern: Message, target: Message) -> Optional[Substitution]:
     for b in _unify(pattern, target, {}):
         return _close(b)
     return None
-
-
-def candidate_sources(target: Message, pool: Sequence[Message],
-                      ctx: VerificationContext,
-                      for_atom: Optional[Atom] = None,
-                      F: Optional[ValueFunction] = None,
-                      ) -> list[tuple[Message, Substitution]]:
-    """All (pattern, unifier) pairs from the pool that the target could be an
-    instance-mate of, in pool order; with a queried atom and a bound given,
-    pairs that say nothing about the atom are dropped."""
-    out: list[tuple[Message, Substitution]] = []
-    for pattern in pool:
-        for sigma in unify_all(pattern, target):
-            if for_atom is not None and F is not None:
-                if contribution_of(F, (for_atom,), pattern, sigma, ctx) is None:
-                    continue
-            out.append((pattern, sigma))
-    return out
 
 
 def candidate_values(target: Message, pool: Sequence[Message],

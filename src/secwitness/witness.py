@@ -13,7 +13,7 @@ justify are reported; a failure means no decision, not a proven leak.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .context import (
@@ -26,11 +26,10 @@ from .context import (
     meet,
     meet_all,
 )
-from .derive import ValueFunction, derive, derive_all, derive_keeping
+from .derive import ValueFunction, derive_all, derive_keeping
 from .errors import NoProtectivePattern, WellProtectionViolation
 from .rewrite import check_well_protected
 from .roles import (
-    RECV,
     SEND,
     GeneralizedRole,
     Protocol,
@@ -41,7 +40,6 @@ from .selection import value_function
 from .terms import (
     Atom,
     Atomic,
-    Enc,
     Message,
     Sort,
     Substitution,
@@ -49,6 +47,7 @@ from .terms import (
     body_atoms_in_order,
     concat,
     flatten,
+    members,
     print_message,
     substitute,
     variables_of,
@@ -114,13 +113,11 @@ def upper_bound(alpha: Atom, m: Union[Message, Iterable[Message]],
                 F: ValueFunction, ctx: VerificationContext) -> SecurityLevel:
     """Who could have authored the atom's occurrences in a reception,
     with the other variables erased."""
-    if not isinstance(m, Message):
-        return meet_all([upper_bound(alpha, member, F, ctx) for member in m])
-    if alpha.sort is Sort.VARIABLE:
-        pruned = derive_keeping(m, alpha)
-    else:
-        pruned = derive_all(m)
-    return F(alpha, pruned, ctx)
+
+    def pruned(t: Message) -> Message:
+        return derive_keeping(t, alpha) if alpha.sort is Sort.VARIABLE else derive_all(t)
+
+    return meet_all([F(alpha, pruned(t), ctx) for t in members(m)])
 
 
 def reception_estimate(alpha: Atom, received: Sequence[Message],
@@ -307,98 +304,35 @@ def render_table(report: AnalysisReport) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True, eq=True)
-class RowRecord:
-    """JSON-faithful image of a criterion row."""
-
-    atom: str
-    variable: bool
-    role: str
-    agent: str
-    step: int
-    received: tuple
-    sent: str
-    lowerBound: tuple
-    atomLevel: tuple
-    receptionEstimate: tuple
-    verdict: str
-    blame: tuple
-
-    def to_json(self) -> str:
-        def level_obj(t: tuple) -> dict:
-            kind, payload = t
-            return {kind: payload if kind == "members" else True}
-
-        return json.dumps({
-            "atom": self.atom,
-            "variable": self.variable,
-            "role": self.role,
-            "agent": self.agent,
-            "step": self.step,
-            "received": list(self.received),
-            "sent": self.sent,
-            "lowerBound": level_obj(self.lowerBound),
-            "atomLevel": level_obj(self.atomLevel),
-            "receptionEstimate": level_obj(self.receptionEstimate),
-            "verdict": self.verdict,
-            "blame": list(self.blame),
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, line: str) -> "RowRecord":
-        data = json.loads(line)
-
-        def level_tuple(obj: dict) -> tuple:
-            if obj.get("bottom"):
-                return ("bottom", True)
-            if obj.get("unknown"):
-                return ("unknown", True)
-            return ("members", tuple(obj.get("members", ())))
-
-        return cls(
-            atom=data["atom"],
-            variable=data["variable"],
-            role=data["role"],
-            agent=data["agent"],
-            step=data["step"],
-            received=tuple(data["received"]),
-            sent=data["sent"],
-            lowerBound=level_tuple(data["lowerBound"]),
-            atomLevel=level_tuple(data["atomLevel"]),
-            receptionEstimate=level_tuple(data["receptionEstimate"]),
-            verdict=data["verdict"],
-            blame=tuple(data["blame"]),
-        )
-
-
-def _level_tuple(level: Union[SecurityLevel, _SymbolicUnknown]) -> tuple:
+def _level_json(level: Union[SecurityLevel, _SymbolicUnknown]) -> dict:
     if isinstance(level, _SymbolicUnknown):
-        return ("unknown", True)
+        return {"unknown": True}
     if level.is_bottom:
-        return ("bottom", True)
-    return ("members", tuple(sorted(level.members)))
+        return {"bottom": True}
+    return {"members": sorted(level.members)}
 
 
-def row_record(r: CriterionRow) -> RowRecord:
-    return RowRecord(
-        atom=r.atom.display(),
-        variable=r.is_variable,
-        role=r.role_id,
-        agent=r.agent,
-        step=r.step,
-        received=tuple(print_message(m) for m in r.received),
-        sent=print_message(r.sent),
-        lowerBound=_level_tuple(r.lower),
-        atomLevel=_level_tuple(r.atom_level),
-        receptionEstimate=_level_tuple(r.estimate),
-        verdict="Fulfilled" if r.fulfilled else "NotFulfilled",
-        blame=tuple(sorted(r.blame)),
-    )
+def row_record(r: CriterionRow) -> dict:
+    """The json-lines object of a criterion row."""
+    return {
+        "atom": r.atom.display(),
+        "variable": r.is_variable,
+        "role": r.role_id,
+        "agent": r.agent,
+        "step": r.step,
+        "received": [print_message(m) for m in r.received],
+        "sent": print_message(r.sent),
+        "lowerBound": _level_json(r.lower),
+        "atomLevel": _level_json(r.atom_level),
+        "receptionEstimate": _level_json(r.estimate),
+        "verdict": "Fulfilled" if r.fulfilled else "NotFulfilled",
+        "blame": sorted(r.blame),
+    }
 
 
 def to_json_lines(report: AnalysisReport) -> str:
-    return "\n".join(row_record(r).to_json() for r in report.rows)
+    return "\n".join(json.dumps(row_record(r), sort_keys=True) for r in report.rows)
 
 
-def from_json_lines(text: str) -> list[RowRecord]:
-    return [RowRecord.from_json(line) for line in text.splitlines() if line.strip()]
+def from_json_lines(text: str) -> list[dict]:
+    return [json.loads(line) for line in text.splitlines() if line.strip()]

@@ -61,6 +61,27 @@ def test_unparsable_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_invalid_utf8_file(tmp_path, capsys):
+    f = tmp_path / "bad.proto"
+    f.write_bytes(b"protocol Bad;\n\xff\xfe\n")
+    assert main(["analyze", str(f)]) == EXIT_FILE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {f}")
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_message(tmp_path, capsys):
+    deep = "{" * 3000 + "A.Na" + "}_kb" * 3000
+    text = bundled("ns").replace("step 1: A -> B : {A.Na}_kb;", f"step 1: A -> B : {deep};")
+    assert deep in text
+    f = tmp_path / "deep.proto"
+    f.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(f)]) == EXIT_FILE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate", "x"]) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err

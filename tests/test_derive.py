@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from secwitness.context import BOTTOM, TOP, finite
-from secwitness.derive import contribution_of, derive, derive_all, derive_keeping, f_derivative
-from secwitness.errors import OccurrenceNotFound
+from secwitness.derive import contribution_of, derive, derive_all, derive_keeping
 from secwitness.selection import value_function
 from secwitness.terms import (
     Atom,
@@ -79,7 +76,7 @@ def test_static_case_initial_pattern(ns, ns_roles, ns_pool):
     alpha = next(a for a in atoms(target) if a.base_name == "Na")
     sigma = unify(source, target)
     assert sigma is not None
-    assert f_derivative(FMAX, alpha, source, sigma, ns.context) == finite(["A", "B"])
+    assert contribution_of(FMAX, [alpha], source, sigma, ns.context)[alpha] == finite(["A", "B"])
 
 
 def test_dynamic_case_own_variable(ns, ns_roles, ns_pool):
@@ -87,7 +84,7 @@ def test_dynamic_case_own_variable(ns, ns_roles, ns_pool):
     target = _role_send(ns_roles, "A_G2", 2)           # {X}_kb
     alpha = next(iter(variables_of(target)))
     sigma = unify(source, target)
-    assert f_derivative(FMAX, alpha, source, sigma, ns.context) == finite(["B"])
+    assert contribution_of(FMAX, [alpha], source, sigma, ns.context)[alpha] == finite(["B"])
 
 
 def test_dynamic_case_absorbed_occurrence(ns, ns_roles, ns_pool):
@@ -97,7 +94,7 @@ def test_dynamic_case_absorbed_occurrence(ns, ns_roles, ns_pool):
     alpha = next(a for a in atoms(target) if a.base_name == "Nb")
     sigma = unify(source, target)
     assert sigma is not None
-    got = f_derivative(FMAX, alpha, source, sigma, ns.context)
+    got = contribution_of(FMAX, [alpha], source, sigma, ns.context)[alpha]
     assert got == finite(["A", "A_3"])
 
 
@@ -111,15 +108,8 @@ def test_value_ignores_variable_bindings(ns, ns_roles, ns_pool):
         **{a: m for a, m in sigma.items() if a != x2},
         x2: concat(atomic(alpha), atomic(Atom("C"))),
     })
-    assert (f_derivative(FMAX, alpha, source, resigned, ns.context)
-            == f_derivative(FMAX, alpha, source, sigma, ns.context))
-
-
-def test_occurrence_not_found(ns, ns_pool):
-    source = _pattern(ns_pool, "{A_1.Na_1}_kb_1")
-    ghost = Atom("Nc")
-    with pytest.raises(OccurrenceNotFound):
-        f_derivative(FMAX, ghost, source, Substitution(), ns.context)
+    assert (contribution_of(FMAX, [alpha], source, resigned, ns.context)[alpha]
+            == contribution_of(FMAX, [alpha], source, sigma, ns.context)[alpha])
 
 
 def test_no_contribution_is_none(ns, ns_roles, ns_pool):

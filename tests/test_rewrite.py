@@ -7,7 +7,7 @@ import random
 import pytest
 
 from secwitness.context import Mode, make_context
-from secwitness.errors import NonTermination
+from secwitness.errors import NonTermination, WellProtectionViolation
 from secwitness.oracle import random_message
 from secwitness.rewrite import (
     EMPTY_FAMILY,
@@ -125,6 +125,32 @@ def test_validator_flags_split_rule_for_selection_review():
     assert report.ok
     assert report.findings[0].keys_monotone
     assert any("selection review" in n for n in report.findings[0].notes)
+
+
+def _probe_split_rule(selection):
+    av, bv = Atom("a", Sort.VARIABLE), Atom("b", Sort.VARIABLE)
+    kp = Atom("k", Sort.PARAMETER)
+    split = RewriteRule(
+        enc(concat(atomic(av), atomic(bv)), kp),
+        concat(enc(atomic(av), kp), enc(atomic(bv), kp)), name="split")
+    return validate_rewrite_system([split], [Atom("A"), Atom("B")], selection)
+
+
+def test_validator_propagates_a_faulty_selection():
+    def faulty(probe, m):
+        raise KeyError(probe)
+
+    with pytest.raises(KeyError):
+        _probe_split_rule(faulty)
+
+
+def test_validator_skips_a_selection_that_rejects_the_probe():
+    def strict(probe, m):
+        raise WellProtectionViolation(probe.display(), str(m))
+
+    report = _probe_split_rule(strict)
+    assert report.ok
+    assert not any("selection grows" in n for n in report.findings[0].notes)
 
 
 # --- guard families -------------------------------------------------------

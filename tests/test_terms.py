@@ -17,6 +17,7 @@ from secwitness.errors import (
 from secwitness.terms import (
     EMPTY,
     EMPTY_SUBSTITUTION,
+    MAX_NESTING,
     Atom,
     Atomic,
     Concat,
@@ -75,6 +76,23 @@ def test_parse_syntax_error_has_position():
     with pytest.raises(MessageSyntaxError) as e:
         parse_message("{A.}_kb", SYMS)
     assert "position" in str(e.value) or any(ch.isdigit() for ch in str(e.value))
+
+
+def _nested(depth):
+    return "{" * depth + "A.Na" + "}_kb" * depth
+
+
+def test_parse_at_nesting_limit():
+    m = parse_message(_nested(MAX_NESTING), SYMS)
+    assert print_message(m) == _nested(MAX_NESTING)
+
+
+def test_parse_past_nesting_limit():
+    with pytest.raises(MessageSyntaxError):
+        parse_message(_nested(MAX_NESTING + 1), SYMS)
+    with pytest.raises(MessageSyntaxError):
+        parse_message("d(kb, " * (MAX_NESTING + 1) + "A" + ")" * (MAX_NESTING + 1),
+                      SYMS, allow_dec=True)
 
 
 def test_parse_session_tag():

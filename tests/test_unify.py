@@ -16,7 +16,8 @@ from secwitness.terms import (
     substitute,
     variables_of,
 )
-from secwitness.unify import candidate_sources, candidate_values, unify, unify_all
+from secwitness.derive import contribution_of
+from secwitness.unify import candidate_values, unify, unify_all
 
 FMAX = value_function("fmax")
 
@@ -27,6 +28,13 @@ def _pattern(pool, text):
 
 def _send(roles, role_id, index):
     return next(r for r in roles if r.role_id == role_id).steps[index].message
+
+
+def _sources(target, pool, ctx, alpha=None):
+    """(pattern, unifier) pairs in pool order; with a queried atom, only the
+    pairs that say something about it."""
+    return [(m, s) for m in pool for s in unify_all(m, target)
+            if alpha is None or contribution_of(FMAX, [alpha], m, s, ctx) is not None]
 
 
 def test_initial_pattern_binding(ns, ns_roles, ns_pool):
@@ -138,8 +146,8 @@ def test_mgu_factoring_small_universe():
 
 def test_candidate_search_stable_across_calls(ns, ns_roles, ns_pool):
     target = _send(ns_roles, "A_G1", 0)
-    first = candidate_sources(target, ns_pool, ns.context)
-    second = candidate_sources(target, ns_pool, ns.context)
+    first = _sources(target, ns_pool, ns.context)
+    second = _sources(target, ns_pool, ns.context)
     assert [(str(m), sorted((a.display(), str(v)) for a, v in s.items()))
             for m, s in first] == \
            [(str(m), sorted((a.display(), str(v)) for a, v in s.items()))
@@ -149,28 +157,27 @@ def test_candidate_search_stable_across_calls(ns, ns_roles, ns_pool):
 def test_candidates_for_first_send(ns, ns_roles, ns_pool):
     target = _send(ns_roles, "A_G1", 0)               # {A.Na^i}_kb
     alpha = next(a for a in atoms(target) if a.base_name == "Na")
-    got = candidate_sources(target, ns_pool, ns.context, for_atom=alpha, F=FMAX)
+    got = _sources(target, ns_pool, ns.context, alpha)
     assert [str(m) for m, _ in got] == ["{A_1.Na_1}_kb_1", "{X_2}_kb_3", "{A_3.Y_1}_kb_4"]
 
 
 def test_candidates_for_forwarded_variable(ns, ns_roles, ns_pool):
     target = _send(ns_roles, "A_G2", 2)               # {X}_kb
     alpha = next(iter(variables_of(target)))
-    got = candidate_sources(target, ns_pool, ns.context, for_atom=alpha, F=FMAX)
+    got = _sources(target, ns_pool, ns.context, alpha)
     assert [str(m) for m, _ in got] == ["{X_2}_kb_3"]
 
 
 def test_no_candidates_for_foreign_constant_key(ns):
     ground_pool = [enc(concat(atomic(Atom("A")), atomic(Atom("Na"))), Atom("kb"))]
     target = enc(concat(atomic(Atom("A")), atomic(Atom("Na"))), Atom("kc"))
-    assert candidate_sources(target, ground_pool, ns.context) == []
+    assert _sources(target, ground_pool, ns.context) == []
 
 
 def test_candidate_values_match_contributions(ns, ns_roles, ns_pool):
-    from secwitness.derive import contribution_of
     target = _send(ns_roles, "A_G1", 0)
     alpha = next(a for a in atoms(target) if a.base_name == "Na")
     values = candidate_values(target, ns_pool, ns.context, [alpha], FMAX)
-    pairs = candidate_sources(target, ns_pool, ns.context, for_atom=alpha, F=FMAX)
+    pairs = _sources(target, ns_pool, ns.context, alpha)
     assert values == {alpha: [contribution_of(FMAX, [alpha], m, s, ns.context)[alpha]
                               for m, s in pairs]}
