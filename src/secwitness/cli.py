@@ -7,7 +7,8 @@
 
 Exit codes: 0 when the criterion holds on every row, 2 when some row gives
 no decision, 1 on unreadable or unparsable input, 64 on usage errors
-(--trials below 1 and a negative --depth among them).
+(--trials below 1, a negative --depth and an unknown $SECWITNESS_FUNCTION
+among them).
 """
 
 from __future__ import annotations
@@ -48,30 +49,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_function() -> str:
-    return os.environ.get(FUNCTION_ENV, "fmax")
+    name = os.environ.get(FUNCTION_ENV, "fmax")
+    if name not in INSTANCES:
+        raise _Usage(f"{FUNCTION_ENV}={name!r} is not a bound; choose one of "
+                     f"{', '.join(sorted(INSTANCES))}")
+    return name
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="secwitness", description="Protocol secrecy criterion checker")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, function=True):
+    def add_common(sp):
         sp.add_argument("file", help="protocol description")
         sp.add_argument("--roles", choices=("auto", "manual"), default=None,
                         help="force computed or declared roles (default: declared when present)")
-        if function:
-            sp.add_argument("--function", choices=sorted(INSTANCES), default=None,
-                            help=f"bound to use (default from ${FUNCTION_ENV} or fmax)")
 
     sp = sub.add_parser("analyze", help="run the criterion on every send")
     add_common(sp)
+    sp.add_argument("--function", choices=sorted(INSTANCES), default=None,
+                    help=f"bound to use (default from ${FUNCTION_ENV} or fmax)")
     sp.add_argument("--format", choices=("table", "json-lines"), default="table")
 
     sp = sub.add_parser("check-wp", help="check the pattern space is well protected")
-    add_common(sp, function=False)
+    add_common(sp)
 
     sp = sub.add_parser("roles", help="print role views and the pattern space")
-    add_common(sp, function=False)
+    add_common(sp)
 
     sp = sub.add_parser("oracle", help="randomized checks against the attacker model")
     add_common(sp)
@@ -92,8 +96,7 @@ def _load(path: str) -> Protocol:
 
 def _cmd_analyze(args) -> int:
     protocol = _load(args.file)
-    function = args.function or _default_function()
-    report = analyze(protocol, function=function, roles=roles_for(protocol, args.roles))
+    report = analyze(protocol, function=args.function, roles=roles_for(protocol, args.roles))
     if args.format == "json-lines":
         print(to_json_lines(report))
     else:
@@ -165,6 +168,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "oracle" and (args.trials < 1 or args.depth < 0):
             parser.error("oracle needs --trials of at least 1 and --depth of at least 0")
+        if args.command == "analyze" and args.function is None:
+            args.function = _default_function()
     except _Usage as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,7 +9,7 @@ well defined.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -30,7 +30,14 @@ class Sort(Enum):
 _INDEX_RE = re.compile(r"^(.*)_([0-9]+)$")
 
 
-@dataclass(frozen=True)
+def _by_constructor(node):
+    """Pickles and copies a node as a constructor call, so the receiving
+    process recomputes the cached hash; string hashes differ between
+    processes."""
+    return type(node), tuple(getattr(node, f.name) for f in fields(node) if f.init)
+
+
+@dataclass(frozen=True, slots=True)
 class Atom:
     """An atomic name.  (name, session_tag) identifies the atom; sort is fixed
     at construction and never changes."""
@@ -38,10 +45,17 @@ class Atom:
     name: str
     sort: Sort = Sort.CONSTANT
     session_tag: Optional[str] = None
+    _h: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("atom name must be non-empty")
+        object.__setattr__(self, "_h", hash((self.name, self.sort._value_, self.session_tag)))
+
+    def __hash__(self) -> int:
+        return self._h
+
+    __reduce__ = _by_constructor
 
     @property
     def base_name(self) -> str:
@@ -71,25 +85,38 @@ class Mode(Enum):
 
 
 class Message:
-    """Base class; concrete nodes are Atomic, Concat, Enc and Empty."""
+    """Base class; concrete nodes are Atomic, Concat, Enc and Empty.
+
+    Nodes are slotted and carry their structural hash, computed once at
+    construction from the children's hashes."""
 
     __slots__ = ()
+
+    __reduce__ = _by_constructor
 
     def __str__(self) -> str:
         return print_message(self)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Atomic(Message):
     atom: Atom
+    _h: int = field(init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_h", hash((self.atom._h,)))
+
+    def __hash__(self) -> int:
+        return self._h
 
     def __repr__(self) -> str:
         return f"Atomic({self.atom!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Concat(Message):
     parts: tuple[Message, ...]
+    _h: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if len(self.parts) < 2:
@@ -97,27 +124,46 @@ class Concat(Message):
         for p in self.parts:
             if isinstance(p, (Concat, Empty)):
                 raise ValueError("Concat parts must be flattened and non-empty")
+        # hash(parts) reads each part's cached hash; a generator expression
+        # here kept the collector's count climbing and raised the peak heap
+        object.__setattr__(self, "_h", hash(self.parts))
+
+    def __hash__(self) -> int:
+        return self._h
 
     def __repr__(self) -> str:
         return f"Concat({', '.join(map(repr, self.parts))})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Enc(Message):
     body: Message
     key: Atom
     mode: Mode = Mode.ASYMMETRIC
+    _h: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if self.key.sort is Sort.VARIABLE:
             raise VariableInKeyPosition(self.key.display())
+        object.__setattr__(self, "_h", hash((self.body._h, self.key._h, self.mode._value_)))
+
+    def __hash__(self) -> int:
+        return self._h
 
     def __repr__(self) -> str:
         return f"Enc({self.body!r}, {self.key!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class Empty(Message):
+    _h: int = field(init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_h", hash(()))
+
+    def __hash__(self) -> int:
+        return self._h
+
     def __repr__(self) -> str:
         return "Empty()"
 
@@ -174,11 +220,16 @@ def subterms(m: Message) -> Iterator[Message]:
 def atoms(m: Message) -> frozenset[Atom]:
     """Every atom of the tree, encryption keys included."""
     out: set[Atom] = set()
-    for t in subterms(m):
+    stack = [m]
+    while stack:
+        t = stack.pop()
         if isinstance(t, Atomic):
             out.add(t.atom)
+        elif isinstance(t, Concat):
+            stack.extend(t.parts)
         elif isinstance(t, Enc):
             out.add(t.key)
+            stack.append(t.body)
     return frozenset(out)
 
 

@@ -60,7 +60,8 @@ def _bind(a: Atom, m: Message, b: Bindings) -> Optional[Bindings]:
 
 
 def _rank(sort: Sort) -> int:
-    return {Sort.VARIABLE: 2, Sort.PARAMETER: 1, Sort.CONSTANT: 0}[sort]
+    # by identity: a dict keyed by Sort would hash the member on every call
+    return 2 if sort is Sort.VARIABLE else 1 if sort is Sort.PARAMETER else 0
 
 
 def _unify_atoms(x: Atom, y: Atom, b: Bindings) -> Iterator[Bindings]:

@@ -120,6 +120,19 @@ def test_function_env_default(ns_file, capsys, monkeypatch):
     assert "function fmax" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["bogus", "", "FEK"])
+def test_function_env_unknown_is_a_usage_error(ns_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("SECWITNESS_FUNCTION", value)
+    assert main(["analyze", ns_file]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert "SECWITNESS_FUNCTION" in captured.err
+    assert "fek, fmax, fn" in captured.err
+    # the variable is only consulted when no flag is given
+    assert main(["analyze", ns_file, "--function", "fek"]) == EXIT_UNDECIDED
+
+
 def test_check_wp_accepts_the_handshakes(ns_file, nsl_file, capsys):
     assert main(["check-wp", ns_file]) == EXIT_OK
     assert "well protected" in capsys.readouterr().out
@@ -166,6 +179,14 @@ def test_oracle_subcommand(nsl_file, capsys):
 ])
 def test_oracle_rejects_negative_or_zero_counts(nsl_file, capsys, flags):
     assert main(["oracle", nsl_file, *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err
+    assert captured.out == ""
+
+
+def test_oracle_rejects_a_function_flag(nsl_file, capsys):
+    # oracle checks every bound, so a --function there would be ignored
+    assert main(["oracle", nsl_file, "--trials", "1", "--function", "fek"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert "usage error" in captured.err
     assert captured.out == ""

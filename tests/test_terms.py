@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
+import random
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +22,7 @@ from secwitness.errors import (
     UndeclaredIdentifier,
     VariableInKeyPosition,
 )
+from secwitness.oracle import random_message
 from secwitness.terms import (
     EMPTY,
     EMPTY_SUBSTITUTION,
@@ -21,6 +30,7 @@ from secwitness.terms import (
     Atom,
     Atomic,
     Concat,
+    Empty,
     Enc,
     Sort,
     Substitution,
@@ -31,9 +41,11 @@ from secwitness.terms import (
     enc,
     encryption_patterns,
     flatten,
+    map_atoms,
     parse_message,
     print_message,
     substitute,
+    subterms,
     variables_of,
 )
 
@@ -245,3 +257,117 @@ def test_parse_is_inverse_on_printed_forms(m):
     # printing twice through a parse is stable
     once = print_message(parse_message(print_message(m), SYMS))
     assert once == print_message(m)
+
+
+# --- slotted nodes with a cached hash ---------------------------------------
+
+
+def _reference_atoms(m):
+    """atoms() as a filter over the pre-order subterm walk: the
+    straightforward form the explicit-stack loop must agree with."""
+    out = set()
+    for t in subterms(m):
+        if isinstance(t, Atomic):
+            out.add(t.atom)
+        elif isinstance(t, Enc):
+            out.add(t.key)
+    return frozenset(out)
+
+
+NA_I = Atom("Na", Sort.CONSTANT, "i")
+RANDOM_POOL = [A, B, NA, NA_I, NB, X, Y, A1, NA1]
+RANDOM_KEYS = [KA, KB, KB1, Atom("kab")]
+RANDOM_SYMS = SymbolTable({a.name: a for a in RANDOM_POOL + RANDOM_KEYS if a.session_tag is None})
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _random(seed):
+    return random_message(random.Random(seed), RANDOM_POOL, RANDOM_KEYS, max_depth=4)
+
+
+def _same(m, other):
+    assert other == m
+    assert hash(other) == hash(m)
+    assert {m: 1}[other] == 1
+
+
+@given(seeds)
+@settings(max_examples=300)
+def test_atoms_matches_the_subterm_walk(seed):
+    m = _random(seed)
+    assert atoms(m) == _reference_atoms(m)
+
+
+@given(seeds)
+@settings(max_examples=200)
+def test_rebuilt_message_is_equal_with_equal_hash(seed):
+    m = _random(seed)
+    _same(m, map_atoms(m, lambda a: None))
+    fresh = map_atoms(m, lambda a: atomic(Atom(a.name, a.sort, a.session_tag)))
+    _same(m, fresh)
+    _same(m, parse_message(print_message(m), RANDOM_SYMS))
+
+
+@given(seeds)
+@settings(max_examples=100)
+def test_copies_keep_equality_and_hash(seed):
+    m = _random(seed)
+    _same(m, copy.copy(m))
+    _same(m, copy.deepcopy(m))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        _same(m, pickle.loads(pickle.dumps(m, protocol)))
+
+
+def test_pickle_across_processes_recomputes_the_hash():
+    # string hashes differ between interpreters started with different
+    # seeds, so an unpickled node must not keep the hash it was saved with
+    text = "{A.Na^i}_kb.{X}_{ka}.A_1"
+    load = ("import pickle, sys\n"
+            "from secwitness.terms import *\n"
+            "A, NA, KA, KB = Atom('A'), Atom('Na'), Atom('ka'), Atom('kb')\n"
+            "X, A1 = Atom('X', Sort.VARIABLE), Atom('A_1', Sort.PARAMETER)\n"
+            "m = parse_message(%r, SymbolTable.of(A, NA, KA, KB, X, A1))\n" % text)
+    dump = load + "sys.stdout.buffer.write(pickle.dumps([m, m.parts[0].key, EMPTY]))\n"
+    check = load + ("m2, key, empty = pickle.loads(sys.stdin.buffer.read())\n"
+                    "assert m2 == m and hash(m2) == hash(m)\n"
+                    "assert key == KB and hash(key) == hash(KB)\n"
+                    "assert empty == EMPTY and hash(empty) == hash(EMPTY)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    saved = subprocess.run([sys.executable, "-c", dump], capture_output=True, check=True,
+                           env=dict(env, PYTHONHASHSEED="1")).stdout
+    subprocess.run([sys.executable, "-c", check], input=saved, check=True,
+                   env=dict(env, PYTHONHASHSEED="2"))
+
+
+NODES = [A, atomic(A), concat(atomic(A), atomic(B)), enc(atomic(A), KB), EMPTY]
+FIRST_FIELD = {Atom: "name", Atomic: "atom", Concat: "parts", Enc: "body", Empty: "_h"}
+
+
+def node_ids(node):
+    return type(node).__name__
+
+
+@pytest.mark.parametrize("node", NODES, ids=node_ids)
+def test_fields_cannot_be_assigned(node):
+    before = hash(node)
+    for name in (FIRST_FIELD[type(node)], "_h"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, None)
+    # an unknown name is refused too: the frozen __setattr__ of a slotted
+    # dataclass raises TypeError for it on CPython 3.10-3.13
+    with pytest.raises((FrozenInstanceError, TypeError)):
+        node.extra = None
+    assert not hasattr(node, "extra")
+    assert hash(node) == before
+
+
+@pytest.mark.parametrize("node", NODES, ids=node_ids)
+def test_nodes_have_no_instance_dict(node):
+    assert not hasattr(node, "__dict__")
+
+
+def test_mode_takes_part_in_equality_and_hash():
+    sym, asym = enc(atomic(NA), KB, Mode.SYMMETRIC), enc(atomic(NA), KB)
+    assert sym != asym
+    assert len({sym, asym}) == 2
+    _same(sym, enc(atomic(NA), KB, Mode.SYMMETRIC))
