@@ -143,32 +143,31 @@ def make_context(
     )
 
 
-def _name_chain(x: Union[Atom, str]) -> list[str]:
-    """Lookup candidates for a name: as-is, tag stripped, index stripped."""
-    if isinstance(x, Atom):
-        chain = [x.name, x.base_name]
-    else:
-        base = x.split("^", 1)[0]
-        chain = [x, base]
-        stripped = Atom(base).base_name
-        chain.append(stripped)
-    out: list[str] = []
-    for c in chain:
-        if c not in out:
-            out.append(c)
-    return out
+def _name_chain(name: str) -> tuple[str, str, str]:
+    """Lookup candidates for a written name: as-is, tag stripped, index
+    stripped."""
+    base = name.split("^", 1)[0]
+    return name, base, Atom(base).base_name
 
 
 def level_of(ctx: VerificationContext, x: Union[Atom, str]) -> SecurityLevel:
     """Declared level, or the public default.
 
-    Variables have no declared level; the selection and criterion layers give
-    them their own treatment, and the public default here is what makes every
-    key protective for them.
+    An atom is looked up by its name, then by its name with the index
+    stripped; its session tag is not part of its name.  Variables have no
+    declared level; the selection and criterion layers give them their own
+    treatment, and the public default here is what makes every key protective
+    for them.
     """
+    levels = ctx.levels
+    if isinstance(x, Atom):
+        if x.name in levels:
+            return levels[x.name]
+        base = x.base_name
+        return levels[base] if base in levels else BOTTOM
     for name in _name_chain(x):
-        if name in ctx.levels:
-            return ctx.levels[name]
+        if name in levels:
+            return levels[name]
     return BOTTOM
 
 

@@ -31,7 +31,19 @@ from .context import (
 from .errors import NotAKey, WellProtectionViolation
 from .rewrite import check_well_protected, normalize
 from .selection import SelectionResult
-from .terms import Atom, Atomic, Concat, Empty, Enc, Message, atoms, concat, enc
+from .terms import (
+    Atom,
+    Atomic,
+    Concat,
+    Empty,
+    Enc,
+    Message,
+    atoms,
+    concat,
+    enc,
+    flatten,
+    print_message,
+)
 
 
 @dataclass(frozen=True)
@@ -39,13 +51,12 @@ class DeductionResult:
     terms: frozenset[Message]
     truncated: bool
     depth_budget: int
+    # the terms by size (atoms, plus one for a pair or a ciphertext), then
+    # by printed text, ties in the order the closure found them
+    sample_order: tuple[Message, ...]
 
     def __contains__(self, m: Message) -> bool:
         return m in self.terms
-
-
-def _term_size(m: Message) -> int:
-    return len(atoms(m)) + (1 if isinstance(m, (Enc, Concat)) else 0)
 
 
 def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
@@ -53,21 +64,67 @@ def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
                    round_cap: int = 1500) -> DeductionResult:
     """Depth-tagged closure: a full take-apart pass to a fixpoint, one
     recombination round over what that produced, then take-apart again."""
-    known: dict[Message, int] = {}
+    known, sample_order, truncated = _deduce(M, ctx, depth_budget, atom_cap, round_cap)
+    return DeductionResult(frozenset(known), truncated, depth_budget, sample_order)
+
+
+def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
+            atom_cap: int, round_cap: int,
+            ) -> tuple[dict[Message, int], tuple[Message, ...], bool]:
+    """The closure's depth table in the order terms were found, its sample
+    order and whether a cap cut it short.
+
+    Each take-apart pass visits terms by (depth, text), ties in the order
+    they were found, but only those whose visit can still change something:
+    a pair is split again only when its depth fell since it was last split,
+    and a ciphertext is opened again only when that would give its body a
+    smaller depth.  A repeated split or opening would add nothing, so the
+    passes add the same terms at the same depths, in the same order, as
+    visiting every term on every pass.  A term is walked for its atom count
+    and printed once, when it is first found; recombined terms take both
+    from their halves."""
+    known: dict[Message, int] = {}     # term -> depth, in the order found
+    text: dict[Message, str] = {}      # term -> printed form
+    size: dict[Message, int] = {}      # term -> atoms, plus one for a pair or a ciphertext
+    pending: set[Concat] = set()       # pairs not split at their current depth
+    opened: dict[Enc, int] = {}        # ciphertext -> body depth it was last opened for
+    inverses: dict[Atom, Optional[Atomic]] = {}   # key -> its inverse, None if not a key
     truncated = False
 
-    def add(t: Message, d: int) -> bool:
+    def add(t: Message, d: int, n: int = -1, txt: str = "") -> bool:
+        """Records t at depth d and says whether t is new.  A caller that
+        knows t's atom count n and its text passes them."""
         nonlocal truncated
+        old = known.get(t)
+        if old is not None:
+            if d < old:
+                known[t] = d
+                if type(t) is Concat:
+                    pending.add(t)
+            return False
         if d > depth_budget:
             return False
-        if len(atoms(t)) > atom_cap:
+        if n < 0:
+            n = len(atoms(t))
+        if n > atom_cap:
             truncated = True
             return False
-        old = known.get(t)
-        if old is None or d < old:
-            known[t] = d
-            return old is None
-        return False
+        known[t] = d
+        text[t] = txt or print_message(t)
+        if type(t) is Concat:
+            pending.add(t)
+            size[t] = n + 1
+        else:
+            size[t] = n + (type(t) is Enc)
+        return True
+
+    def inverse_of(k: Atom) -> Optional[Atomic]:
+        if k not in inverses:
+            try:
+                inverses[k] = Atomic(inverse_key(ctx, k))
+            except NotAKey:
+                inverses[k] = None
+        return inverses[k]
 
     for m in M:
         add(normalize(m, ctx), 0)
@@ -78,53 +135,80 @@ def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
         changed = True
         while changed:
             changed = False
-            for t, d in sorted(known.items(), key=lambda kv: (kv[1], str(kv[0]))):
-                if isinstance(t, Concat):
+            batch = [t for t in known if t in pending or type(t) is Enc]
+            batch.sort(key=text.__getitem__)
+            batch.sort(key=known.__getitem__)
+            pending.clear()
+            for t, d in [(t, known[t]) for t in batch]:
+                if type(t) is Concat:
                     for p in t.parts:
                         changed |= add(p, d + 1)
-                elif isinstance(t, Enc):
-                    try:
-                        inv = inverse_key(ctx, t.key)
-                    except NotAKey:
-                        continue
-                    di = known.get(Atomic(inv))
-                    if di is not None:
-                        changed |= add(t.body, max(d, di) + 1)
+                    continue
+                inv = inverse_of(t.key)
+                di = None if inv is None else known.get(inv)
+                if di is None:
+                    continue
+                e = (d if d > di else di) + 1
+                if opened.get(t) != e:
+                    opened[t] = e
+                    changed |= add(t.body, e)
+
+    def by_size() -> list[Message]:
+        order = list(known)
+        order.sort(key=text.__getitem__)
+        order.sort(key=size.__getitem__)
+        return order
 
     decompose()
 
-    snapshot = sorted(known.items(), key=lambda kv: (_term_size(kv[0]), str(kv[0])))
+    order = by_size()
+    bits: dict[Atom, int] = {}
+
+    def mask(t: Message) -> int:
+        out = 0
+        for a in atoms(t):
+            b = bits.get(a)
+            if b is None:
+                b = bits[a] = 1 << len(bits)
+            out |= b
+        return out
+
+    # (term, depth, top-level parts or None for the empty message, atom mask, text)
+    snapshot = [(t, known[t], None if type(t) is Empty else flatten(t), mask(t), text[t])
+                for t in order]
     enc_keys = []
-    for t, _ in snapshot:
-        if isinstance(t, Atomic) and t.atom.name in ctx.keys:
-            try:
-                inv = inverse_key(ctx, t.atom)
-            except NotAKey:
-                continue
-            if Atomic(inv) in known:
-                enc_keys.append(t.atom)
+    for t in order:
+        if type(t) is Atomic and t.atom.name in ctx.keys:
+            inv = inverse_of(t.atom)
+            if inv is not None and inv in known:
+                k = t.atom
+                enc_keys.append((k, t, key_mode(ctx, k), bits[k], "}_" + k.display()))
     fresh = 0
-    for a, da in snapshot:
+    for a, da, pa, ma, ta in snapshot:
         if fresh > round_cap:
             truncated = True
             break
-        for b, db in snapshot:
+        for b, db, pb, mb, tb in snapshot:
             if fresh > round_cap:
                 truncated = True
                 break
-            if isinstance(a, Empty) or isinstance(b, Empty):
+            if pa is None or pb is None:
                 continue
-            if add(concat(a, b), max(da, db) + 1):
+            d = (da if da > db else db) + 1
+            if d <= depth_budget and add(Concat(pa + pb), d, (ma | mb).bit_count(),
+                                         ta + "." + tb):
                 fresh += 1
-        for k in enc_keys:
-            if isinstance(a, Empty):
-                continue
-            dk = known[Atomic(k)]
-            if add(enc(a, k, key_mode(ctx, k)), max(da, dk) + 1):
+        if pa is None:
+            continue
+        for k, kt, mode, kb, suffix in enc_keys:
+            dk = known[kt]
+            d = (da if da > dk else dk) + 1
+            if d <= depth_budget and add(Enc(a, k, mode), d, (ma | kb).bit_count(),
+                                         "{" + ta + suffix):
                 fresh += 1
 
     decompose()
-    return DeductionResult(frozenset(known), truncated, depth_budget)
+    return known, tuple(by_size()), truncated
 
 
 def derivable(m: Message, ctx: VerificationContext, closure: DeductionResult) -> bool:
@@ -168,18 +252,6 @@ def random_well_protected_set(rng: random.Random, ctx: VerificationContext,
     """Random message sets with every non-public atom under a key strong
     enough for it; checked, not merely constructed."""
     public, secret, enc_keys = _classify(ctx)
-
-    def qualifying(s: Atom) -> list[Atom]:
-        lvl = level_of(ctx, s)
-        out = []
-        for k in enc_keys:
-            try:
-                inv = inverse_key(ctx, k)
-            except NotAKey:
-                continue
-            if geq(level_of(ctx, inv), lvl):
-                out.append(k)
-        return out
 
     def build(depth: int, guards: tuple[SecurityLevel, ...]) -> Message:
         roll = rng.random()
@@ -272,7 +344,7 @@ def check_full_invariance(func: BoundOrSelection, ctx: VerificationContext,
         closure = deduce_closure(M, ctx, depth_budget=depth, round_cap=400)
         if closure.truncated:
             truncated += 1
-        terms = sorted(closure.terms, key=lambda t: (_term_size(t), str(t)))
+        terms = closure.sample_order
         if len(terms) > sample_terms:
             terms = rng.sample(terms, sample_terms)
         base_cache: dict[Atom, Union[SecurityLevel, SelectionResult]] = {}
@@ -309,10 +381,10 @@ def check_non_disclosure(M: Sequence[Message], ctx: VerificationContext,
         pre = tuple(f"{a.display()} unprotected in {m}" for a, m, _ in wp.violations)
         return PropertyReport("non-disclosure", False, 0, (), pre, 0)
     closure = deduce_closure(M, ctx, depth_budget=depth)
-    failures = []
-    for t in sorted(closure.terms, key=str):
-        if isinstance(t, Atomic) and not intruder_allowed(ctx, t.atom):
-            failures.append(Failure(tuple(str(m) for m in M), str(t),
-                                    t.atom.display(), "secret atom in the clear"))
+    disclosed = [t for t in closure.terms
+                 if isinstance(t, Atomic) and not intruder_allowed(ctx, t.atom)]
+    failures = [Failure(tuple(str(m) for m in M), str(t), t.atom.display(),
+                        "secret atom in the clear")
+                for t in sorted(disclosed, key=str)]
     return PropertyReport("non-disclosure", not failures, 1, tuple(failures),
                           (), 1 if closure.truncated else 0)

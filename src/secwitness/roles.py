@@ -113,6 +113,7 @@ _KEY_RE = re.compile(
     re.S,
 )
 _ROLE_RE = re.compile(r"^role\s+([A-Za-z][A-Za-z0-9_^-]*)\s+(\d+)\s*:\s*(.*)$", re.S)
+_INTRUDER_RE = re.compile(r"^intruder\s+([A-Za-z][A-Za-z0-9_^-]*)$", re.S)
 
 
 class _RuleSymbols(SymbolTable):
@@ -190,9 +191,12 @@ def parse_protocol(text: str) -> Protocol:
         elif head == "principal":
             principal_names.extend(_names(rest))
         elif head == "intruder":
-            intruder_name = rest
-            if rest not in principal_names:
-                principal_names.append(rest)
+            m = _INTRUDER_RE.match(stmt)
+            if m is None:
+                raise MessageSyntaxError(stmt, 0, "intruder declaration")
+            intruder_name = m.group(1)
+            if intruder_name not in principal_names:
+                principal_names.append(intruder_name)
         elif head == "key":
             m = _KEY_RE.match(stmt)
             if m is None:

@@ -1,0 +1,118 @@
+"""The pass-by-pass attacker closure, kept as the reference for the one in
+`secwitness.oracle`.
+
+This is the straightforward form: every take-apart pass sorts all known
+terms by (depth, printed text) and splits or opens each of them again, the
+atom cap walks every candidate term before looking it up, and the
+recombination round sorts by a size that walks each term once more.
+`secwitness.oracle.deduce_closure` computes the same terms, depths,
+insertion order and truncation flag while walking, printing and splitting
+each term at most once per depth; the tests check the two against each
+other.  `sample_order` is the order `check_full_invariance` used to sort a
+closure in before it sampled from it.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from secwitness.context import VerificationContext, intruder_knowledge, inverse_key, key_mode
+from secwitness.errors import NotAKey
+from secwitness.oracle import DeductionResult
+from secwitness.rewrite import normalize
+from secwitness.terms import Atomic, Concat, Empty, Enc, Message, atoms, concat, enc
+
+
+def _term_size(m: Message) -> int:
+    return len(atoms(m)) + (1 if isinstance(m, (Enc, Concat)) else 0)
+
+
+def sample_order(terms: Iterable[Message]) -> list[Message]:
+    return sorted(terms, key=lambda t: (_term_size(t), str(t)))
+
+
+def deduce_closure_with_depths(M: Iterable[Message], ctx: VerificationContext,
+                               depth_budget: int = 5, atom_cap: int = 24,
+                               round_cap: int = 1500) -> tuple[dict[Message, int], bool]:
+    """The reference closure's depth table, in insertion order, and its
+    truncation flag."""
+    known: dict[Message, int] = {}
+    truncated = False
+
+    def add(t: Message, d: int) -> bool:
+        nonlocal truncated
+        if d > depth_budget:
+            return False
+        if len(atoms(t)) > atom_cap:
+            truncated = True
+            return False
+        old = known.get(t)
+        if old is None or d < old:
+            known[t] = d
+            return old is None
+        return False
+
+    for m in M:
+        add(normalize(m, ctx), 0)
+    for a in intruder_knowledge(ctx):
+        add(Atomic(a), 0)
+
+    def decompose() -> None:
+        changed = True
+        while changed:
+            changed = False
+            for t, d in sorted(known.items(), key=lambda kv: (kv[1], str(kv[0]))):
+                if isinstance(t, Concat):
+                    for p in t.parts:
+                        changed |= add(p, d + 1)
+                elif isinstance(t, Enc):
+                    try:
+                        inv = inverse_key(ctx, t.key)
+                    except NotAKey:
+                        continue
+                    di = known.get(Atomic(inv))
+                    if di is not None:
+                        changed |= add(t.body, max(d, di) + 1)
+
+    decompose()
+
+    snapshot = sorted(known.items(), key=lambda kv: (_term_size(kv[0]), str(kv[0])))
+    enc_keys = []
+    for t, _ in snapshot:
+        if isinstance(t, Atomic) and t.atom.name in ctx.keys:
+            try:
+                inv = inverse_key(ctx, t.atom)
+            except NotAKey:
+                continue
+            if Atomic(inv) in known:
+                enc_keys.append(t.atom)
+    fresh = 0
+    for a, da in snapshot:
+        if fresh > round_cap:
+            truncated = True
+            break
+        for b, db in snapshot:
+            if fresh > round_cap:
+                truncated = True
+                break
+            if isinstance(a, Empty) or isinstance(b, Empty):
+                continue
+            if add(concat(a, b), max(da, db) + 1):
+                fresh += 1
+        for k in enc_keys:
+            if isinstance(a, Empty):
+                continue
+            dk = known[Atomic(k)]
+            if add(enc(a, k, key_mode(ctx, k)), max(da, dk) + 1):
+                fresh += 1
+
+    decompose()
+    return known, truncated
+
+
+def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
+                   depth_budget: int = 5, atom_cap: int = 24,
+                   round_cap: int = 1500) -> DeductionResult:
+    known, truncated = deduce_closure_with_depths(M, ctx, depth_budget, atom_cap, round_cap)
+    terms = frozenset(known)
+    return DeductionResult(terms, truncated, depth_budget, tuple(sample_order(terms)))

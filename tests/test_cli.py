@@ -61,6 +61,20 @@ def test_unparsable_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "check-wp", "roles", "oracle"])
+@pytest.mark.parametrize("declaration", ["intruder ;", "intruder I J;"])
+def test_intruder_declaration_names_one_principal(tmp_path, capsys, command, declaration):
+    text = bundled("ns").replace("intruder I;", declaration)
+    assert declaration in text
+    f = tmp_path / "bad.proto"
+    f.write_text(text, encoding="utf-8")
+    argv = [command, str(f)] + (["--trials", "1", "--depth", "1"] if command == "oracle" else [])
+    assert main(argv) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "intruder declaration" in captured.err
+    assert captured.out == ""
+
+
 def test_invalid_utf8_file(tmp_path, capsys):
     f = tmp_path / "bad.proto"
     f.write_bytes(b"protocol Bad;\n\xff\xfe\n")

@@ -1,0 +1,167 @@
+"""The attacker closure against the pass-by-pass reference.
+
+`oracle.deduce_closure` splits and opens a term again only when that can
+change something, and walks and prints each term once.  These tests check
+that it finds the same terms at the same depths, in the same order, with
+the same truncation flag and sample order as `reference_closure`, the
+closure it replaced, and that the property checks built on it report the
+same.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import reference_closure
+import secwitness.oracle
+from secwitness.context import finite, is_identity, make_context
+from secwitness.oracle import (
+    _deduce,
+    check_full_invariance,
+    check_non_disclosure,
+    deduce_closure,
+    random_well_protected_set,
+)
+from secwitness.protocols import load_bundled
+from secwitness.selection import INSTANCES, value_function
+from secwitness.terms import (
+    Atom,
+    Atomic,
+    Enc,
+    Message,
+    Mode,
+    Sort,
+    SymbolTable,
+    atoms,
+    parse_message,
+)
+
+PROTOCOLS = ("ns", "nsl")
+CAPS = [(round_cap, atom_cap) for round_cap in (3, 400, 1500) for atom_cap in (6, 24)]
+
+
+def assert_same_closure(M, ctx, depth_budget, round_cap, atom_cap) -> None:
+    ref_known, ref_truncated = reference_closure.deduce_closure_with_depths(
+        M, ctx, depth_budget=depth_budget, atom_cap=atom_cap, round_cap=round_cap)
+    known, order, truncated = _deduce(M, ctx, depth_budget, atom_cap, round_cap)
+    assert list(known.items()) == list(ref_known.items())
+    assert truncated == ref_truncated
+    assert list(order) == reference_closure.sample_order(ref_known)
+    result = deduce_closure(M, ctx, depth_budget=depth_budget, atom_cap=atom_cap,
+                            round_cap=round_cap)
+    assert result.terms == frozenset(ref_known)
+    assert result.truncated == ref_truncated
+    assert result.sample_order == order
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("depth_budget", [2, 3, 4, 5])
+def test_seeded_sets_match_the_reference(protocol, depth_budget):
+    ctx = load_bundled(protocol).context
+    rng = random.Random(depth_budget)
+    for round_cap, atom_cap in CAPS:
+        for _ in range(5):
+            M = random_well_protected_set(rng, ctx)
+            assert_same_closure(M, ctx, depth_budget, round_cap, atom_cap)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_honest_sessions_match_the_reference(protocol):
+    p = load_bundled(protocol)
+    M = [s.message for s in p.steps]
+    for depth_budget in range(6):
+        assert_same_closure(M, p.context, depth_budget, 1500, 24)
+
+
+def test_terms_that_print_alike_keep_the_order_they_were_found(valuation_ctx, valuation_symbols):
+    # two ciphertexts that differ only in mode print alike, as do a
+    # constant and a parameter of the same name
+    body = parse_message("C.alpha", valuation_symbols)
+    kab = Atom("kab")
+    M = [Enc(body, kab, Mode.SYMMETRIC), Enc(body, kab, Mode.ASYMMETRIC),
+         parse_message("kab-1", valuation_symbols), Atomic(Atom("C", Sort.PARAMETER))]
+    for depth_budget in (1, 2, 3, 4):
+        for round_cap in (3, 40, 1500):
+            assert_same_closure(M, valuation_ctx, depth_budget, round_cap, 24)
+    closure = deduce_closure(M, valuation_ctx, depth_budget=3)
+    texts = [str(t) for t in closure.sample_order]
+    assert len(set(texts)) < len(texts)
+
+
+def test_depths_that_fall_are_split_and_opened_again():
+    # pass 1 finds k4-1.x1 at depth 3, through k1-1 and k2-1; pass 2 finds
+    # it again at depth 2 before it is split, so pass 3 splits it again and
+    # k4-1 falls from 4 to 3, and pass 4 opens {y}_k4 again, giving y
+    # depth 4 instead of 5
+    ctx = make_context(
+        principals=["A", "B", "I"], intruder="I",
+        levels={"k1-1": ["A"], "k2-1": ["A"], "k3-1": ["A", "B", "I"], "k4-1": ["A"],
+                "x1": ["A"], "y": ["A"]},
+        keys=[(f"k{i}", f"k{i}-1", Mode.ASYMMETRIC) for i in range(1, 5)],
+    )
+    names = ["A", "B", "I", "x1", "y"] + [f"k{i}{s}" for i in range(1, 5) for s in ("", "-1")]
+    symbols = SymbolTable({n: Atom(n) for n in names})
+    M = [parse_message(m, symbols)
+         for m in ("k1-1.A", "{k2-1}_k1", "{k4-1.x1}_k2", "{k4-1.x1}_k3.B", "{y}_k4")]
+    known, _, _ = _deduce(M, ctx, 6, 24, 3)
+    assert known[Atomic(Atom("k4-1"))] == 3
+    assert known[Atomic(Atom("y"))] == 4
+    for depth_budget in range(3, 8):
+        assert_same_closure(M, ctx, depth_budget, 3, 24)
+        assert_same_closure(M, ctx, depth_budget, 1500, 24)
+
+
+@pytest.fixture()
+def reference_oracle(monkeypatch):
+    """Runs the property checks on the reference closure, sampling in the
+    order the reference sorted a closure's term set into."""
+
+    def use_reference():
+        monkeypatch.setattr(secwitness.oracle, "deduce_closure", reference_closure.deduce_closure)
+
+    return use_reference
+
+
+def _leaky(alpha, m, ctx):
+    ms = [m] if isinstance(m, Message) else list(m)
+    names = set()
+    for mm in ms:
+        for a in atoms(mm):
+            if is_identity(ctx, a) and a != alpha:
+                names.add(a.display())
+    return finite(names)
+
+
+FUNCTIONS = [(name, value_function(name)) for name in sorted(INSTANCES)] + [("leaky", _leaky)]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("name,func", FUNCTIONS, ids=[f for f, _ in FUNCTIONS])
+def test_full_invariance_reports_match_the_reference(protocol, name, func, reference_oracle):
+    ctx = load_bundled(protocol).context
+    runs = [dict(trials=30, depth=4, seed=0), dict(trials=15, depth=3, seed=7, sample_terms=10)]
+    if name == "leaky":
+        runs = [dict(trials=500, depth=4, seed=1)]
+    new = [check_full_invariance(func, ctx, **kw) for kw in runs]
+    reference_oracle()
+    old = [check_full_invariance(func, ctx, **kw) for kw in runs]
+    assert new == old
+    if name == "leaky" and protocol == "ns":
+        assert new[0].failures
+
+
+def test_non_disclosure_reports_match_the_reference(ns, nsl, valuation_ctx, valuation_symbols,
+                                                    reference_oracle):
+    cases = [([s.message for s in p.steps], p.context, depth) for p in (ns, nsl)
+             for depth in (3, 5)]
+    rng = random.Random(11)
+    cases += [(random_well_protected_set(rng, p.context), p.context, 4)
+              for p in (ns, nsl) for _ in range(5)]
+    cases.append(([parse_message("alpha", valuation_symbols)], valuation_ctx, 5))
+    new = [check_non_disclosure(M, ctx, depth=depth) for M, ctx, depth in cases]
+    reference_oracle()
+    old = [check_non_disclosure(M, ctx, depth=depth) for M, ctx, depth in cases]
+    assert new == old
+    assert not new[-1].ok and new[-1].precondition_failures

@@ -56,6 +56,42 @@ def test_level_of_undeclared_constant_is_public(ctx):
     assert level_of(ctx, Atom("D")) == BOTTOM
 
 
+def _level_by_name_chain(ctx, x):
+    """level_of as it looked names up before atoms took a direct path."""
+    if isinstance(x, Atom):
+        chain = [x.name, x.base_name]
+    else:
+        base = x.split("^", 1)[0]
+        chain = [x, base]
+        stripped = Atom(base).base_name
+        chain.append(stripped)
+    out = []
+    for c in chain:
+        if c not in out:
+            out.append(c)
+    for name in out:
+        if name in ctx.levels:
+            return ctx.levels[name]
+    return BOTTOM
+
+
+def test_level_of_matches_the_name_chain_lookup(ctx):
+    indexed = make_context(principals=["A", "I"], intruder="I",
+                           levels={"Na_2": ["A"], "Nb": ["A", "I"], "kb-1": ["A"]},
+                           keys=[("kb", "kb-1", Mode.ASYMMETRIC)])
+    names = ["Na", "Na_3", "Na_2", "Na_2_5", "Nb_7", "kb-1", "kb-1_4", "ka-1_0", "A", "A_3",
+             "pub", "Q", "Q_1", "_2"]
+    atoms_ = [Atom(n, sort, tag) for n in names
+              for sort in (Sort.CONSTANT, Sort.PARAMETER, Sort.VARIABLE)
+              for tag in (None, "i", "G1")]
+    strings = names + [f"{n}^{t}" for n in names for t in ("i", "G1", "")] + ["Na^i^j"]
+    for c in (ctx, indexed):
+        for x in atoms_ + strings:
+            assert level_of(c, x) == _level_by_name_chain(c, x), x
+    assert level_of(indexed, Atom("Na_2", session_tag="i")) == finite(["A"])
+    assert level_of(indexed, "Na_2^i") == finite(["A"])
+
+
 def test_level_of_strips_index_and_tag(ctx):
     assert level_of(ctx, Atom("Na_3", Sort.PARAMETER)) == finite(["A", "B"])
     assert level_of(ctx, Atom("Na", session_tag="i")) == finite(["A", "B"])
