@@ -6,9 +6,9 @@
     secwitness oracle   <file> [--trials N] [--depth N] [--seed N]
 
 Exit codes: 0 when the criterion holds on every row, 2 when some row gives
-no decision, 1 on unreadable or unparsable input, 64 on usage errors
-(--trials below 1, a negative --depth and an unknown $SECWITNESS_FUNCTION
-among them).
+no decision, 1 on unreadable, unparsable or inconsistent input, 64 on usage
+errors (--trials below 1, a negative --depth and an unknown
+$SECWITNESS_FUNCTION among them).
 """
 
 from __future__ import annotations

@@ -171,9 +171,14 @@ def level_of(ctx: VerificationContext, x: Union[Atom, str]) -> SecurityLevel:
     return BOTTOM
 
 
-def intruder_allowed(ctx: VerificationContext, x: Union[Atom, str]) -> bool:
+def may_read(ctx: VerificationContext, name: str, x: Union[Atom, str]) -> bool:
+    """Whether the named principal is among the atom's readers."""
     lv = level_of(ctx, x)
-    return lv.is_bottom or ctx.intruder.name in lv.members
+    return lv.is_bottom or name in lv.members
+
+
+def intruder_allowed(ctx: VerificationContext, x: Union[Atom, str]) -> bool:
+    return may_read(ctx, ctx.intruder.name, x)
 
 
 def inverse_key(ctx: VerificationContext, k: Atom) -> Atom:

@@ -76,3 +76,37 @@ class WellProtectionViolation(AnalyzerError):
         self.atom = atom
         self.message = message
         super().__init__(f"{atom} is not protected by any qualifying key in {message}")
+
+
+class NonMonotoneRule(AnalyzerError):
+    """A declared rewrite rule can put a value under more keys than its
+    redex had, which the well-protection argument does not allow."""
+
+    def __init__(self, rule: str):
+        self.rule = rule
+        super().__init__(f"rule {rule} is not keys-monotone: its result adds a guarding key")
+
+
+class UnreceivedVariable(AnalyzerError):
+    """A declared role sends a variable before any of its receives binds it."""
+
+    def __init__(self, role_id: str):
+        self.role_id = role_id
+        super().__init__(f"role {role_id} sends a variable it has not received")
+
+
+class UnboundRuleVariable(AnalyzerError):
+    """A rewrite rule's right-hand side uses a metavariable that its
+    left-hand side does not bind."""
+
+    def __init__(self, rule: str):
+        self.rule = rule
+        super().__init__(f"rule {rule}: rhs introduces metavariables")
+
+
+class NoWellProtectedSample(AnalyzerError):
+    """The oracle found no well-protected message set to start from: the
+    context leaves too few public names or strong enough keys."""
+
+    def __init__(self):
+        super().__init__("could not build a well-protected sample; context too restrictive")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .context import (
     SecurityLevel,
@@ -28,9 +28,9 @@ from .context import (
     key_mode,
     level_of,
 )
-from .errors import NotAKey, WellProtectionViolation
+from .derive import ValueFunction
+from .errors import NotAKey, NoWellProtectedSample, WellProtectionViolation
 from .rewrite import check_well_protected, normalize
-from .selection import SelectionResult
 from .terms import (
     Atom,
     Atomic,
@@ -279,7 +279,7 @@ def random_well_protected_set(rng: random.Random, ctx: VerificationContext,
                 out.append(m)
         if check_well_protected(out, ctx).ok:
             return out
-    raise RuntimeError("could not build a well-protected sample; context too restrictive")
+    raise NoWellProtectedSample()
 
 
 def random_message(rng: random.Random, pool: Sequence[Atom], keys: Sequence[Atom],
@@ -319,16 +319,7 @@ class PropertyReport:
         return self.ok
 
 
-BoundOrSelection = Callable[..., Union[SecurityLevel, SelectionResult]]
-
-
-def _dominates(on_derived, on_base) -> bool:
-    if isinstance(on_derived, SelectionResult):
-        return on_derived.subset_of(on_base)
-    return geq(on_derived, on_base)
-
-
-def check_full_invariance(func: BoundOrSelection, ctx: VerificationContext,
+def check_full_invariance(func: ValueFunction, ctx: VerificationContext,
                           trials: int = 500, depth: int = 4,
                           seed: int = 0, max_messages: int = 5,
                           sample_terms: int = 40,
@@ -347,7 +338,7 @@ def check_full_invariance(func: BoundOrSelection, ctx: VerificationContext,
         terms = closure.sample_order
         if len(terms) > sample_terms:
             terms = rng.sample(terms, sample_terms)
-        base_cache: dict[Atom, Union[SecurityLevel, SelectionResult]] = {}
+        base_cache: dict[Atom, SecurityLevel] = {}
         for t in terms:
             for a in sorted(atoms(t), key=lambda x: x.display()):
                 if intruder_allowed(ctx, a):
@@ -362,7 +353,7 @@ def check_full_invariance(func: BoundOrSelection, ctx: VerificationContext,
                         tuple(str(m) for m in M), str(t), a.display(),
                         f"protection violated on derived term: {err}"))
                     continue
-                if not _dominates(on_derived, on_base):
+                if not geq(on_derived, on_base):
                     failures.append(Failure(
                         tuple(str(m) for m in M), str(t), a.display(),
                         f"derived value {on_derived!r} below base value {on_base!r}"))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .context import VerificationContext, geq, inverse_key, level_of
-from .errors import AnalyzerError, NonTermination, NotAKey
+from .errors import AnalyzerError, NonTermination, NotAKey, UnboundRuleVariable
 from .terms import (
     Atom,
     Atomic,
@@ -61,7 +61,7 @@ class RewriteRule:
             return frozenset(a for a in atoms(m) if a.sort is not Sort.CONSTANT)
 
         if not metavars(self.rhs) <= metavars(self.lhs):
-            raise ValueError(f"rule {self.name or print_message(self.lhs)}: rhs introduces metavariables")
+            raise UnboundRuleVariable(self.name or print_message(self.lhs))
 
 
 _CANCEL_M = Atom("M", Sort.VARIABLE)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
@@ -29,10 +30,19 @@ from .context import (
     is_identity,
     level_of,
     make_context,
+    may_read,
 )
-from .errors import AnalyzerError, ContextError, MessageSyntaxError, UndeclaredIdentifier
-from .rewrite import RewriteRule
+from .errors import (
+    AnalyzerError,
+    ContextError,
+    MessageSyntaxError,
+    NonMonotoneRule,
+    UndeclaredIdentifier,
+    UnreceivedVariable,
+)
+from .rewrite import RewriteRule, validate_rewrite_system
 from .terms import (
+    IDENT,
     Atom,
     Atomic,
     Concat,
@@ -103,17 +113,25 @@ class Protocol:
 # ---------------------------------------------------------------------------
 # File parsing
 
-_STEP_RE = re.compile(
-    r"^step\s+(\d+)\s*:\s*([A-Za-z][A-Za-z0-9_^-]*)\s*->\s*([A-Za-z][A-Za-z0-9_^-]*)\s*:\s*(.*)$",
-    re.S,
-)
-_LEVEL_RE = re.compile(r"^level\s+([A-Za-z][A-Za-z0-9_^-]*)\s*=\s*\{([^}]*)\}$", re.S)
-_KEY_RE = re.compile(
-    r"^key\s+([A-Za-z][A-Za-z0-9_^-]*)\s*(?:inv\s+([A-Za-z][A-Za-z0-9_^-]*))?\s*(sym|asym)?$",
-    re.S,
-)
-_ROLE_RE = re.compile(r"^role\s+([A-Za-z][A-Za-z0-9_^-]*)\s+(\d+)\s*:\s*(.*)$", re.S)
-_INTRUDER_RE = re.compile(r"^intruder\s+([A-Za-z][A-Za-z0-9_^-]*)$", re.S)
+_ID = f"({IDENT})"
+
+# keyword -> (pattern of the statement after its keyword, what a mismatch
+# expected); names in lists are checked one by one in _names
+_STATEMENTS = {
+    keyword: (re.compile(pattern, re.S), expected)
+    for keyword, pattern, expected in (
+        ("protocol", r"(.*)", "protocol name"),
+        ("principal", r"(.*)", "principal names"),
+        ("intruder", _ID, "intruder declaration"),
+        ("key", rf"{_ID}(?:\s+inv\s+{_ID})?(?:\s+(sym|asym))?", "key declaration"),
+        ("fresh", rf"{_ID}\s+by\s+{_ID}", "fresh declaration"),
+        ("var", r"(.*)", "variable names"),
+        ("level", rf"{_ID}\s*=\s*\{{([^}}]*)\}}", "level declaration"),
+        ("rule", r"(.*?)\s*->\s*(.*)", "'->' in rule"),
+        ("step", rf"(\d+)\s*:\s*{_ID}\s*->\s*{_ID}\s*:\s*(.*)", "step declaration"),
+        ("role", rf"{_ID}\s+(\d+)\s*:\s*(.*)", "role declaration"),
+    )
+}
 
 
 class _RuleSymbols(SymbolTable):
@@ -125,30 +143,28 @@ class _RuleSymbols(SymbolTable):
         self._base = base
         self._meta: dict[str, Atom] = {}
 
-    def resolve(self, ident: str) -> Atom:
+    def resolve(self, ident: str, sort: Sort = Sort.VARIABLE) -> Atom:
         try:
             return self._base.resolve(ident)
         except UndeclaredIdentifier:
             if ident not in self._meta:
-                self._meta[ident] = Atom(ident, Sort.VARIABLE)
+                self._meta[ident] = Atom(ident, sort)
             return self._meta[ident]
 
     def resolve_key(self, ident: str) -> Atom:
-        try:
-            return self._base.resolve(ident)
-        except UndeclaredIdentifier:
-            cached = self._meta.get(ident)
-            if cached is None:
-                cached = self._meta[ident] = Atom(ident, Sort.PARAMETER)
-            return cached
+        return self.resolve(ident, Sort.PARAMETER)
 
 
 def _strip_comments(text: str) -> str:
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
-def _names(csv: str) -> list[str]:
-    return [n.strip() for n in csv.split(",") if n.strip()]
+def _names(csv: str, stmt: str) -> list[str]:
+    """The identifiers of a comma-separated list; empty entries are skipped."""
+    names = [n.strip() for n in csv.split(",") if n.strip()]
+    if not all(re.fullmatch(IDENT, n) for n in names):
+        raise MessageSyntaxError(stmt, 0, "identifier")
+    return names
 
 
 def _to_role_view(m: Message, agent: Atom, fresh_owners: Mapping[str, str]) -> Message:
@@ -167,8 +183,8 @@ def _to_role_view(m: Message, agent: Atom, fresh_owners: Mapping[str, str]) -> M
 
 
 def parse_protocol(text: str) -> Protocol:
-    """Parses a whole protocol description; raises MessageSyntaxError or
-    ContextError with the offending statement."""
+    """Parses a whole protocol description; raises an AnalyzerError on
+    malformed or inconsistent input."""
     name = ""
     principal_names: list[str] = []
     intruder_name: Optional[str] = None
@@ -185,93 +201,63 @@ def parse_protocol(text: str) -> Protocol:
         if not stmt:
             continue
         head = stmt.split(None, 1)[0]
-        rest = stmt[len(head):].strip()
+        if head not in _STATEMENTS:
+            raise MessageSyntaxError(stmt, 0, "statement keyword")
+        pattern, expected = _STATEMENTS[head]
+        m = pattern.fullmatch(stmt[len(head):].strip())
+        if m is None:
+            raise MessageSyntaxError(stmt, 0, expected)
+        g = m.groups()
         if head == "protocol":
-            name = rest
+            name = g[0]
         elif head == "principal":
-            principal_names.extend(_names(rest))
+            principal_names.extend(_names(g[0], stmt))
         elif head == "intruder":
-            m = _INTRUDER_RE.match(stmt)
-            if m is None:
-                raise MessageSyntaxError(stmt, 0, "intruder declaration")
-            intruder_name = m.group(1)
+            intruder_name = g[0]
             if intruder_name not in principal_names:
                 principal_names.append(intruder_name)
         elif head == "key":
-            m = _KEY_RE.match(stmt)
-            if m is None:
-                raise MessageSyntaxError(stmt, 0, "key declaration")
-            key, inv, mode = m.group(1), m.group(2), m.group(3)
-            if inv is None:
-                if mode != "sym":
-                    raise MessageSyntaxError(stmt, 0, "inverse key or 'sym'")
-                key_decls.append((key, key, Mode.SYMMETRIC))
-            else:
-                key_decls.append((key, inv, Mode.SYMMETRIC if mode == "sym" else Mode.ASYMMETRIC))
+            key, inv, mode = g
+            if inv is None and mode != "sym":
+                raise MessageSyntaxError(stmt, 0, "inverse key or 'sym'")
+            key_decls.append((key, inv or key, Mode.SYMMETRIC if mode == "sym" else Mode.ASYMMETRIC))
         elif head == "fresh":
-            m = re.match(r"^fresh\s+([A-Za-z][A-Za-z0-9_^-]*)\s+by\s+([A-Za-z][A-Za-z0-9_^-]*)$", stmt)
-            if m is None:
-                raise MessageSyntaxError(stmt, 0, "fresh declaration")
-            fresh_owners[m.group(1)] = m.group(2)
+            fresh_owners[g[0]] = g[1]
         elif head == "var":
-            var_names.extend(_names(rest))
+            var_names.extend(_names(g[0], stmt))
         elif head == "level":
-            m = _LEVEL_RE.match(stmt)
-            if m is None:
-                raise MessageSyntaxError(stmt, 0, "level declaration")
-            levels[m.group(1)] = frozenset(_names(m.group(2)))
+            levels[g[0]] = frozenset(_names(g[1], stmt))
         elif head == "rule":
-            if "->" not in rest:
-                raise MessageSyntaxError(stmt, 0, "'->' in rule")
-            lhs_text, rhs_text = rest.split("->", 1)
-            rule_specs.append((lhs_text.strip(), rhs_text.strip()))
+            rule_specs.append(g)
         elif head == "step":
-            m = _STEP_RE.match(stmt)
-            if m is None:
-                raise MessageSyntaxError(stmt, 0, "step declaration")
-            step_specs.append((int(m.group(1)), m.group(2), m.group(3), m.group(4).strip()))
-        elif head == "role":
-            m = _ROLE_RE.match(stmt)
-            if m is None:
-                raise MessageSyntaxError(stmt, 0, "role declaration")
-            role_specs.append((m.group(1), int(m.group(2)), m.group(3)))
+            step_specs.append((int(g[0]), g[1], g[2], g[3]))
         else:
-            raise MessageSyntaxError(stmt, 0, "statement keyword")
+            role_specs.append((g[0], int(g[1]), g[2]))
 
     if intruder_name is None:
         raise ContextError("no intruder declared")
 
     named: dict[str, Atom] = {}
-    for n in principal_names:
-        named[n] = Atom(n)
-    for key, inv, _mode in key_decls:
-        named.setdefault(key, Atom(key))
-        named.setdefault(inv, Atom(inv))
-    for n in fresh_owners:
-        named.setdefault(n, Atom(n))
-    for n in levels:
+    for n in itertools.chain(principal_names, *(decl[:2] for decl in key_decls), fresh_owners, levels):
         named.setdefault(n, Atom(n))
     for v in var_names:
         if v in named:
             raise ContextError(f"{v} declared both as a name and a variable")
         named[v] = Atom(v, Sort.VARIABLE)
 
-    symbols = SymbolTable({n: a for n, a in named.items()})
+    symbols = SymbolTable(named)
 
     parsed_rules: list[RewriteRule] = []
     for lhs_text, rhs_text in rule_specs:
         rsyms = _RuleSymbols(symbols)
-        lhs = parse_message(lhs_text, rsyms, allow_dec=True)
-        rhs = parse_message(rhs_text, rsyms, allow_dec=True)
-        parsed_rules.append(RewriteRule(lhs, rhs))
+        rule = RewriteRule(parse_message(lhs_text, rsyms, allow_dec=True),
+                           parse_message(rhs_text, rsyms, allow_dec=True))
+        if not validate_rewrite_system([rule]).ok:
+            raise NonMonotoneRule(f"{lhs_text} -> {rhs_text}")
+        parsed_rules.append(rule)
 
-    ctx = make_context(
-        principals=principal_names,
-        intruder=intruder_name,
-        levels=levels,
-        keys=key_decls,
-        rewrite_rules=tuple(parsed_rules),
-    )
+    ctx = make_context(principals=principal_names, intruder=intruder_name, levels=levels,
+                       keys=key_decls, rewrite_rules=tuple(parsed_rules))
 
     steps = []
     for sid, snd, rcv, mtext in sorted(step_specs, key=lambda s: s[0]):
@@ -296,7 +282,10 @@ def parse_protocol(text: str) -> Protocol:
                 raise MessageSyntaxError(item, 0, "'send' or 'recv'")
             msg = _to_role_view(parse_message(mtext.strip(), symbols), agent, fresh_owners)
             role_steps.append(RoleStep(SEND if kind == "send" else RECV, msg))
-        declared.append(GeneralizedRole(f"{agent_name}_G{num}", agent, tuple(role_steps)))
+        role = GeneralizedRole(f"{agent_name}_G{num}", agent, tuple(role_steps))
+        if not check_role_variables(role):
+            raise UnreceivedVariable(role.role_id)
+        declared.append(role)
 
     return Protocol(
         name=name,
@@ -325,11 +314,6 @@ def _var_name_stream() -> Iterable[str]:
             yield f"{n}{i}"
 
 
-def _holds_key(ctx: VerificationContext, agent: Atom, key: Atom) -> bool:
-    lvl = level_of(ctx, key)
-    return lvl.is_bottom or agent.name in (lvl.members or frozenset())
-
-
 def _knows(p: Protocol, agent: Atom, a: Atom) -> bool:
     ctx = p.context
     if is_identity(ctx, a):
@@ -337,7 +321,7 @@ def _knows(p: Protocol, agent: Atom, a: Atom) -> bool:
     if p.fresh_owners.get(a.base_name) == agent.name:
         return True
     if a.base_name in ctx.keys:
-        return _holds_key(ctx, agent, a)
+        return may_read(ctx, agent.name, a)
     return level_of(ctx, a).is_bottom
 
 
@@ -367,7 +351,7 @@ def extract_generalized_roles(p: Protocol) -> tuple[GeneralizedRole, ...]:
             if isinstance(t, Concat):
                 return concat(*(read(part) for part in t.parts))
             if isinstance(t, Enc):
-                if _holds_key(ctx, agent, inverse_key(ctx, t.key)):
+                if may_read(ctx, agent.name, inverse_key(ctx, t.key)):
                     return Enc(read(t.body), t.key, t.mode)
                 return opaque(t)
             return t
@@ -447,25 +431,23 @@ def _owner(a: Atom, ctx: VerificationContext, fresh_owners: Mapping[str, str]) -
     return base
 
 
-def _shape(m: Message, var_order: dict[str, int]) -> tuple:
-    if isinstance(m, Atomic):
-        a = m.atom
+def pattern_shape(m: Message) -> Message:
+    """Structural identity modulo numbering: each parameter becomes its
+    base name and each variable v0, v1, ... by order of first appearance;
+    constants and encryption modes are kept (the parser makes every
+    encryption asymmetric)."""
+    order: dict[str, Atomic] = {}
+
+    def canonical(a: Atom) -> Optional[Atomic]:
         if a.sort is Sort.VARIABLE:
-            return ("V", var_order.setdefault(a.name, len(var_order)))
+            if a.name not in order:
+                order[a.name] = Atomic(Atom(f"v{len(order)}", Sort.VARIABLE))
+            return order[a.name]
         if a.sort is Sort.PARAMETER:
-            return ("P", a.base_name)
-        return ("C", a.name, a.session_tag)
-    if isinstance(m, Concat):
-        return ("cat",) + tuple(_shape(p, var_order) for p in m.parts)
-    if isinstance(m, Enc):
-        return ("enc", _shape(m.body, var_order), _shape(Atomic(m.key), var_order))
-    return ("eps",)
+            return Atomic(Atom(a.base_name, Sort.PARAMETER))
+        return None
 
-
-def pattern_shape(m: Message) -> tuple:
-    """Structural identity modulo numbering: parameters by base name,
-    variables by position of first appearance."""
-    return _shape(m, {})
+    return map_atoms(m, canonical)
 
 
 def generalized_message_space(roles: Sequence[GeneralizedRole],
@@ -477,56 +459,35 @@ def generalized_message_space(roles: Sequence[GeneralizedRole],
     shape keeping the first."""
     fresh_owners = fresh_owners or {}
     fullest: dict[str, GeneralizedRole] = {}
-    order: list[str] = []
     for r in roles:
-        key = r.agent.name
-        if key not in fullest:
-            order.append(key)
-        if key not in fullest or len(r.steps) > len(fullest[key].steps):
-            fullest[key] = r
+        held = fullest.get(r.agent.name)
+        if held is None or len(r.steps) > len(held.steps):
+            fullest[r.agent.name] = r
 
-    raw: list[Message] = []
-    for agent_name in order:
-        for st in fullest[agent_name].steps:
+    owner_counts: Counter[str] = Counter()
+    var_counts: Counter[str] = Counter()
+
+    def renumbered(pat: Enc) -> Message:
+        pat_atoms = atoms(pat)
+        owners = {a: _owner(a, ctx, fresh_owners) for a in pat_atoms if a.sort is not Sort.VARIABLE}
+        owner_counts.update(set(owners.values()))
+        var_counts.update({a.base_name for a in pat_atoms if a.sort is Sort.VARIABLE})
+
+        def pick(a: Atom) -> Atomic:
+            if a.sort is Sort.VARIABLE:
+                return Atomic(Atom(f"{a.base_name}_{var_counts[a.base_name]}", Sort.VARIABLE))
+            return Atomic(Atom(f"{a.base_name}_{owner_counts[owners[a]]}", Sort.PARAMETER))
+
+        return map_atoms(pat, pick)
+
+    by_shape: dict[Message, Message] = {}
+    for role in fullest.values():
+        for st in role.steps:
             for t in subterms(st.message):
                 if isinstance(t, Enc):
-                    raw.append(t)
-
-    owner_counts: dict[str, int] = {}
-    var_counts: dict[str, int] = {}
-    space: list[Message] = []
-    for pat in raw:
-        pat_atoms = sorted(atoms(pat), key=lambda a: (a.base_name, a.name))
-        bumped: list[str] = []
-        for a in pat_atoms:
-            if a.sort is Sort.VARIABLE:
-                continue
-            o = _owner(a, ctx, fresh_owners)
-            if o not in bumped:
-                bumped.append(o)
-                owner_counts[o] = owner_counts.get(o, 0) + 1
-        vbumped: list[str] = []
-        for a in pat_atoms:
-            if a.sort is Sort.VARIABLE and a.base_name not in vbumped:
-                vbumped.append(a.base_name)
-                var_counts[a.base_name] = var_counts.get(a.base_name, 0) + 1
-        pick: dict[Atom, Atom] = {}
-        for a in pat_atoms:
-            if a.sort is Sort.VARIABLE:
-                pick[a] = Atom(f"{a.base_name}_{var_counts[a.base_name]}", Sort.VARIABLE)
-            else:
-                o = _owner(a, ctx, fresh_owners)
-                pick[a] = Atom(f"{a.base_name}_{owner_counts[o]}", Sort.PARAMETER)
-        space.append(map_atoms(pat, lambda a: Atomic(pick[a])))
-
-    seen: set[tuple] = set()
-    final: list[Message] = []
-    for pat in space:
-        shape = pattern_shape(pat)
-        if shape not in seen:
-            seen.add(shape)
-            final.append(pat)
-    return final
+                    pat = renumbered(t)
+                    by_shape.setdefault(pattern_shape(pat), pat)
+    return list(by_shape.values())
 
 
 def pattern_space(p: Protocol, roles: Optional[Sequence[GeneralizedRole]] = None) -> list[Message]:

@@ -46,13 +46,6 @@ class SelectionResult:
             return ALL_ATOMS
         return SelectionResult(False, self.members | other.members)
 
-    def subset_of(self, other: "SelectionResult") -> bool:
-        if other.all_atoms:
-            return True
-        if self.all_atoms:
-            return False
-        return self.members <= other.members
-
 
 ALL_ATOMS = SelectionResult(all_atoms=True)
 NO_ATOMS = SelectionResult()

@@ -68,9 +68,6 @@ class Atom:
         m = _INDEX_RE.match(self.name)
         return int(m.group(2)) if m else None
 
-    def with_index(self, index: int) -> "Atom":
-        return Atom(f"{self.base_name}_{index}", self.sort, self.session_tag)
-
     def display(self) -> str:
         return self.name + (f"^{self.session_tag}" if self.session_tag else "")
 
@@ -345,10 +342,12 @@ def encryption_patterns(ms: Sequence[Message]) -> list[Message]:
 #   part := IDENT | "{" msg "}" "_" key
 #   key  := IDENT | "{" IDENT "}"
 #
-# Identifiers match [A-Za-z][A-Za-z0-9_^-]*, so ka-1, Na^i and A_3 are single
-# tokens.  A session tag is written with ^ and split off during resolution.
+# Identifiers match IDENT, so ka-1, Na^i and A_3 are single tokens.  A
+# session tag is written with ^ and split off during resolution.  Protocol
+# statements name principals, keys and variables with the same pattern.
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_^-]*")
+IDENT = r"[A-Za-z][A-Za-z0-9_^-]*"
+_IDENT_RE = re.compile(IDENT)
 
 # Deepest nesting of {...} or d(...) the parser accepts; every bundled
 # protocol nests one level, and the bound keeps deeper input from

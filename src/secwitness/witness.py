@@ -137,18 +137,10 @@ def reception_estimate(alpha: Atom, received: Sequence[Message],
 
 
 def witness_value(alpha: Atom, source: Message, sigma: Substitution,
-                  space: Union[Protocol, Sequence[Message]],
-                  F: ValueFunction, ctx: Optional[VerificationContext] = None) -> SecurityLevel:
+                  pool: Sequence[Message], F: ValueFunction,
+                  ctx: VerificationContext) -> SecurityLevel:
     """The bound of the atom in a closed instance of a sent message, folded
     over the patterns the instance matches."""
-    if isinstance(space, Protocol):
-        from .roles import pattern_space
-
-        ctx = ctx or space.context
-        pool = pattern_space(space)
-    else:
-        pool = list(space)
-    assert ctx is not None, "a context is required with an explicit pattern pool"
     closed = substitute(source, sigma)
     protected = concat(*(part for part in flatten(closed) if not isinstance(part, Atomic)))
     return lower_bounds(protected, [alpha], pool, F, ctx)[alpha]

@@ -75,6 +75,67 @@ def test_intruder_declaration_names_one_principal(tmp_path, capsys, command, dec
     assert captured.out == ""
 
 
+def _run_bad(tmp_path, text, command="analyze"):
+    f = tmp_path / "bad.proto"
+    f.write_text(text, encoding="utf-8")
+    argv = [command, str(f)] + (["--trials", "1", "--depth", "1"] if command == "oracle" else [])
+    return main(argv)
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-wp", "roles", "oracle"])
+@pytest.mark.parametrize("declaration,statement", [
+    ("principal A, B;", "principal A, B, C D;"),
+    ("level Nb = {A,B};", "level Nb = {A,B, Q R};"),
+    ("var X, Y;", "var X Y;"),
+])
+def test_declared_names_must_be_identifiers(tmp_path, capsys, command, declaration, statement):
+    text = bundled("ns").replace(declaration, statement)
+    assert statement in text
+    assert _run_bad(tmp_path, text, command) == EXIT_FILE
+    captured = capsys.readouterr()
+    # the message quotes the start of the statement that holds the bad name
+    assert captured.err == (f"error: at offset 0: expected identifier, "
+                            f"found {statement.rstrip(';')[:12]!r}\n")
+    assert captured.out == ""
+
+
+def test_rule_that_adds_a_guarding_key_is_rejected(tmp_path, capsys):
+    text = bundled("ns") + "rule {X}_kb -> {X}_ki;\n"
+    assert _run_bad(tmp_path, text) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.err == ("error: rule {X}_kb -> {X}_ki is not keys-monotone: "
+                            "its result adds a guarding key\n")
+    assert captured.out == ""
+
+
+def test_rule_with_an_unbound_right_hand_side_is_rejected(tmp_path, capsys):
+    # Z is undeclared, so the rule reads it as a metavariable the left side never binds
+    text = bundled("ns") + "rule A -> Z;\n"
+    assert _run_bad(tmp_path, text) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.err == "error: rule A: rhs introduces metavariables\n"
+    assert captured.out == ""
+
+
+def test_declared_role_sending_an_unreceived_variable_is_rejected(tmp_path, capsys):
+    text = bundled("ns").replace("role A 1: send {A.Na^i}_kb;", "role A 1: send {A.Na^i.Y}_kb;")
+    assert "{A.Na^i.Y}_kb;" in text
+    assert _run_bad(tmp_path, text) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.err == "error: role A_G1 sends a variable it has not received\n"
+    assert captured.out == ""
+
+
+def test_oracle_without_a_well_protected_sample(tmp_path, capsys):
+    # the only principal's own name is secret from it, so every sample
+    # puts a secret in the clear
+    assert _run_bad(tmp_path, "intruder I;\nlevel I = {A};\n", "oracle") == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.err == ("error: could not build a well-protected sample; "
+                            "context too restrictive\n")
+    assert captured.out == ""
+
+
 def test_invalid_utf8_file(tmp_path, capsys):
     f = tmp_path / "bad.proto"
     f.write_bytes(b"protocol Bad;\n\xff\xfe\n")

@@ -18,6 +18,7 @@ from secwitness.context import (
     join,
     level_of,
     make_context,
+    may_read,
     meet,
     meet_all,
 )
@@ -117,6 +118,14 @@ def test_intruder_allowed(ctx):
     assert not intruder_allowed(ctx, Atom("Na"))
     assert intruder_allowed(ctx, Atom("D"))          # public by default
     assert intruder_allowed(ctx, Atom("pub"))        # I is a member
+
+
+def test_may_read(ctx):
+    assert may_read(ctx, "A", Atom("ka-1")) and not may_read(ctx, "B", Atom("ka-1"))
+    assert may_read(ctx, "B", Atom("Na_3", Sort.PARAMETER, "i"))   # index and tag ignored
+    assert may_read(ctx, "C", Atom("D"))                           # public by default
+    for name in ("Na", "ka-1", "kb-1", "D", "pub"):
+        assert may_read(ctx, "I", name) == intruder_allowed(ctx, name)
 
 
 def test_mismatched_operand():

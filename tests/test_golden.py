@@ -1,11 +1,18 @@
-"""Pinned command-line output: `analyze` on the bundled NS and NSL
-handshakes under every bound and in both formats, compared byte for byte
-with the files in tests/golden/.
+"""Pinned command-line output, compared byte for byte with the files in
+tests/golden/:
+
+- `analyze` on the bundled NS and NSL handshakes under every bound and in
+  both formats (cases.json);
+- `roles`, `roles --roles auto` and `check-wp` on NS and NSL, and `roles`
+  and `analyze` under every bound on the n-party chains n=2…10
+  (front-end-cases.json).  These pin the role listing and the pattern
+  space, its renumbering and its deduplication included.
 
 Each case pins stdout (in tests/golden/<case>.stdout) and the exit code and
-stderr (in tests/golden/cases.json).  The files were written by the
-analyzer before its candidate search was restructured; a change that is
-meant to alter the output rewrites them with
+stderr (in its cases file).  The analyze files on NS and NSL were written
+by the analyzer before its candidate search was restructured, the others
+before the protocol parser and the pattern space were rewritten; a change
+that is meant to alter the output rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -23,48 +30,72 @@ import pytest
 
 from secwitness.cli import FUNCTION_ENV, main
 from secwitness.protocols import bundled
+from test_shared_search import chain_text
 
 GOLDEN = Path(__file__).parent / "golden"
-CASES = [(p, f, fmt) for p in ("ns", "nsl") for f in ("fmax", "fek", "fn")
-         for fmt in ("table", "json-lines")]
+FUNCTIONS = ("fmax", "fek", "fn")
+CHAINS = range(2, 11)
+
+# case name -> (protocol, command line without the file)
+ANALYZE = {f"{p}-{f}-{fmt}": (p, ["analyze", "--function", f, "--format", fmt])
+           for p in ("ns", "nsl") for f in FUNCTIONS for fmt in ("table", "json-lines")}
+FRONT_END = {
+    **{f"{cmd}-{p}": (p, argv) for p in ("ns", "nsl")
+       for cmd, argv in (("roles", ["roles"]), ("roles-auto", ["roles", "--roles", "auto"]),
+                         ("check-wp", ["check-wp"]))},
+    **{f"roles-chain{n}": (f"chain{n}", ["roles"]) for n in CHAINS},
+    **{f"chain{n}-{f}-table": (f"chain{n}", ["analyze", "--function", f])
+       for n in CHAINS for f in FUNCTIONS},
+}
+SUITES = {"cases.json": ANALYZE, "front-end-cases.json": FRONT_END}
 
 
-def _case_name(protocol: str, function: str, fmt: str) -> str:
-    return f"{protocol}-{function}-{fmt}"
+def _text(protocol: str) -> str:
+    if protocol.startswith("chain"):
+        return chain_text(int(protocol[len("chain"):]))
+    return bundled(protocol)
 
 
-def _run(protocol: str, function: str, fmt: str, directory: Path) -> tuple[int, bytes, str]:
+def _run(protocol: str, argv: list[str], directory: Path) -> tuple[int, bytes, str]:
     path = directory / f"{protocol}.proto"
-    path.write_text(bundled(protocol), encoding="utf-8")
+    path.write_text(_text(protocol), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["analyze", str(path), "--function", function, "--format", fmt])
+        code = main([argv[0], str(path), *argv[1:]])
     return code, out.getvalue().encode("utf-8"), err.getvalue()
 
 
-@pytest.mark.parametrize("protocol,function,fmt", CASES,
-                         ids=[_case_name(*c) for c in CASES])
-def test_analyze_output_matches_golden(protocol, function, fmt, tmp_path, monkeypatch):
-    monkeypatch.delenv(FUNCTION_ENV, raising=False)
-    name = _case_name(protocol, function, fmt)
-    expected = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))[name]
-    code, stdout, stderr = _run(protocol, function, fmt, tmp_path)
+def _check(cases_file: str, name: str, directory: Path) -> None:
+    expected = json.loads((GOLDEN / cases_file).read_text(encoding="utf-8"))[name]
+    code, stdout, stderr = _run(*SUITES[cases_file][name], directory)
     assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
     assert stderr == expected["stderr"]
     assert code == expected["exit"]
 
 
+@pytest.mark.parametrize("name", list(ANALYZE))
+def test_analyze_output_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(FUNCTION_ENV, raising=False)
+    _check("cases.json", name, tmp_path)
+
+
+@pytest.mark.parametrize("name", list(FRONT_END))
+def test_front_end_output_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(FUNCTION_ENV, raising=False)
+    _check("front-end-cases.json", name, tmp_path)
+
+
 def _write() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    cases = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for protocol, function, fmt in CASES:
-            name = _case_name(protocol, function, fmt)
-            code, stdout, stderr = _run(protocol, function, fmt, Path(tmp))
-            (GOLDEN / f"{name}.stdout").write_bytes(stdout)
-            cases[name] = {"exit": code, "stderr": stderr}
-    (GOLDEN / "cases.json").write_text(json.dumps(cases, indent=2, sort_keys=True) + "\n",
-                                       encoding="utf-8")
+        for cases_file, suite in SUITES.items():
+            cases = {}
+            for name, (protocol, argv) in suite.items():
+                code, stdout, stderr = _run(protocol, argv, Path(tmp))
+                (GOLDEN / f"{name}.stdout").write_bytes(stdout)
+                cases[name] = {"exit": code, "stderr": stderr}
+            (GOLDEN / cases_file).write_text(json.dumps(cases, indent=2, sort_keys=True) + "\n",
+                                             encoding="utf-8")
 
 
 if __name__ == "__main__":

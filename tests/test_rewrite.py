@@ -7,7 +7,7 @@ import random
 import pytest
 
 from secwitness.context import Mode, make_context
-from secwitness.errors import NonTermination, WellProtectionViolation
+from secwitness.errors import NonTermination, UnboundRuleVariable, WellProtectionViolation
 from secwitness.oracle import random_message
 from secwitness.rewrite import (
     EMPTY_FAMILY,
@@ -95,7 +95,7 @@ def test_normalize_idempotent_on_random_terms(simple_ctx):
 def test_rule_rejects_unbound_rhs_metavariable():
     mv = Atom("M", Sort.VARIABLE)
     nv = Atom("N", Sort.VARIABLE)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnboundRuleVariable):
         RewriteRule(atomic(mv), atomic(nv))
 
 

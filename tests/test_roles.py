@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from secwitness.errors import MessageSyntaxError, UndeclaredIdentifier
+from secwitness.protocols import bundled
 from secwitness.roles import (
     RECV,
     SEND,
@@ -17,6 +18,8 @@ from secwitness.roles import (
     roles_for,
 )
 from secwitness.terms import Sort, atoms, variables_of
+
+NS_TEXT = bundled("ns")
 
 NS_POOL = [
     "{A_1.Na_1}_kb_1",
@@ -77,6 +80,23 @@ step 1: B -> A : {A.Na}_kb;
 """)
 
 
+@pytest.mark.parametrize("declaration,expected", [
+    ("key kbinv kb-1;", "key declaration"),      # no space before inv
+    ("key kb inv kb-1 asym;", None),
+    ("key kb inv kb-1 sym;", None),
+    ("key kb;", "inverse key or 'sym'"),
+    ("key kbsym;", "inverse key or 'sym'"),
+])
+def test_key_declarations(declaration, expected):
+    text = NS_TEXT.replace("key kb inv kb-1;", declaration)
+    if expected is None:
+        assert "kb" in parse_protocol(text).context.keys
+        return
+    with pytest.raises(MessageSyntaxError) as err:
+        parse_protocol(text)
+    assert err.value.expected == expected
+
+
 def test_extract_ns_role_family(ns):
     got = extract_generalized_roles(ns)
     assert [r.role_id for r in got] == ["A_G1", "A_G2", "B_G1", "B_G2"]
@@ -134,8 +154,8 @@ def test_received_before(ns):
 
 def test_variables_first_appear_in_receives(ns, nsl):
     for p in (ns, nsl):
-        for r in roles_for(p):
-            check_role_variables(r)
+        for r in roles_for(p) + extract_generalized_roles(p):
+            assert check_role_variables(r)
 
 
 def test_prefix_family_shape(ns):
