@@ -5,18 +5,17 @@ a key and then under its inverse (in either order) is the identity.  In the
 free algebra "decrypt with k" is written as encryption with k's inverse, so
 the cancellation redex is a double encryption whose keys are mutually
 inverse.  User-supplied rules extend the system and must pass the
-keys-monotonicity validator: a rewrite may strip guards that the inverse key
+keys-monotonicity check: a rewrite may strip guards that the inverse key
 already discharges, but may never invent new ones on the right-hand side.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .context import VerificationContext, geq, inverse_key, level_of
-from .errors import AnalyzerError, NonTermination, NotAKey, UnboundRuleVariable
+from .errors import NonTermination, NotAKey, UnboundRuleVariable
 from .terms import (
     Atom,
     Atomic,
@@ -29,6 +28,7 @@ from .terms import (
     concat,
     flatten,
     members,
+    occurrences,
     print_message,
     substitute,
 )
@@ -86,7 +86,7 @@ def _inverse_pairs(bindings: dict[Atom, Message]) -> Iterable[tuple[Atom, Atom]]
             yield a, partner
 
 
-def _match(pattern: Message, term: Message, ctx: VerificationContext,
+def _match(pattern: Message, term: Message,
            bindings: dict[Atom, Message]) -> Optional[dict[Atom, Message]]:
     """One-way structural matching of a rule pattern against a term."""
     if isinstance(pattern, Atomic):
@@ -104,20 +104,20 @@ def _match(pattern: Message, term: Message, ctx: VerificationContext,
     if isinstance(pattern, Enc):
         if not isinstance(term, Enc):
             return None
-        b = _match(Atomic(pattern.key), Atomic(term.key), ctx, bindings)
+        b = _match(Atomic(pattern.key), Atomic(term.key), bindings)
         if b is None:
             return None
-        return _match(pattern.body, term.body, ctx, b)
+        return _match(pattern.body, term.body, b)
     if isinstance(pattern, Concat):
         if not isinstance(term, Concat):
             return None
-        return _match_lists(list(pattern.parts), list(term.parts), ctx, bindings)
+        return _match_lists(list(pattern.parts), list(term.parts), bindings)
     if isinstance(pattern, Empty):
         return bindings if isinstance(term, Empty) else None
     return None
 
 
-def _match_lists(ps: list[Message], ts: list[Message], ctx: VerificationContext,
+def _match_lists(ps: list[Message], ts: list[Message],
                  bindings: dict[Atom, Message]) -> Optional[dict[Atom, Message]]:
     if not ps:
         return bindings if not ts else None
@@ -127,26 +127,26 @@ def _match_lists(ps: list[Message], ts: list[Message], ctx: VerificationContext,
         if bound is not None:
             k = len(flatten(bound))
             if len(ts) >= k and concat(*ts[:k]) == bound:
-                return _match_lists(ps[1:], ts[k:], ctx, bindings)
+                return _match_lists(ps[1:], ts[k:], bindings)
             return None
         # a variable metavariable may absorb one or more consecutive parts
         for k in range(1, len(ts) - len(ps) + 2):
             out = dict(bindings)
             out[head.atom] = concat(*ts[:k])
-            res = _match_lists(ps[1:], ts[k:], ctx, out)
+            res = _match_lists(ps[1:], ts[k:], out)
             if res is not None:
                 return res
         return None
     if not ts:
         return None
-    b = _match(head, ts[0], ctx, bindings)
+    b = _match(head, ts[0], bindings)
     if b is None:
         return None
-    return _match_lists(ps[1:], ts[1:], ctx, b)
+    return _match_lists(ps[1:], ts[1:], b)
 
 
 def _try_rule(rule: RewriteRule, term: Message, ctx: VerificationContext) -> Optional[Message]:
-    b = _match(rule.lhs, term, ctx, {})
+    b = _match(rule.lhs, term, {})
     if b is None:
         return None
     for a, partner in _inverse_pairs(b):
@@ -200,47 +200,17 @@ def normalize(m: Message, ctx: VerificationContext, budget: int = 10_000) -> Mes
 def keys_of(alpha: Atom, m: Union[Message, Iterable[Message]]) -> KeySetFamily:
     """For every occurrence of alpha, the set of keys wrapped around it;
     key positions themselves are not occurrences."""
-    out = EMPTY_FAMILY
-    for t in members(m):
-        if isinstance(t, Atomic) and t.atom == alpha:
-            out |= family(())
-        elif isinstance(t, Concat):
-            out |= keys_of(alpha, t.parts)
-        elif isinstance(t, Enc):
-            out |= frozenset(s | {t.key} for s in keys_of(alpha, t.body))
-    return out
+    return frozenset(frozenset(e.key for e in around)
+                     for t in members(m) for a, around in occurrences(t) if a == alpha)
 
 
 def access(alpha: Atom, m: Union[Message, Iterable[Message]],
            ctx: VerificationContext) -> KeySetFamily:
     """Like keys_of but over the inverse keys needed to reach alpha, computed
     on the normal form."""
-
-    def go(t: Message) -> KeySetFamily:
-        if isinstance(t, Atomic):
-            return family(()) if t.atom == alpha else EMPTY_FAMILY
-        if isinstance(t, Concat):
-            out = EMPTY_FAMILY
-            for p in t.parts:
-                out |= go(p)
-            return out
-        if isinstance(t, Enc):
-            inner = go(t.body)
-            return frozenset(s | {inverse_key(ctx, t.key)} for s in inner)
-        return EMPTY_FAMILY
-
-    out = EMPTY_FAMILY
-    for t in members(m):
-        out |= go(normalize(t, ctx))
-    return out
-
-
-def clear_atoms(m: Union[Message, Iterable[Message]], ctx: VerificationContext) -> frozenset[Atom]:
-    """Atoms reachable without any key."""
-    out: set[Atom] = set()
-    for t in members(m):
-        out.update(a for a in atoms(t) if frozenset() in access(a, t, ctx))
-    return frozenset(out)
+    return frozenset(frozenset(inverse_key(ctx, e.key) for e in around)
+                     for t in members(m)
+                     for a, around in occurrences(normalize(t, ctx)) if a == alpha)
 
 
 @dataclass(frozen=True)
@@ -256,18 +226,26 @@ def check_well_protected(target: Union[Message, Iterable[Message]],
                          ctx: VerificationContext) -> WellProtectedReport:
     """Every occurrence of a non-public atom must sit under at least one key
     whose level dominates the atom's.  Variables are exempt (their treatment
-    belongs to the criterion layer)."""
+    belongs to the criterion layer).  The atoms of each member as written are
+    checked on its normal form; violations come in occurrence order, one per
+    distinct (atom, inverse-key set) of a member."""
     violations: list[tuple[Atom, Message, frozenset]] = []
     for m in members(target):
-        for a in atoms(m):
-            if a.sort is Sort.VARIABLE:
+        levels = {a: lvl for a in atoms(m) if a.sort is not Sort.VARIABLE
+                  and not (lvl := level_of(ctx, a)).is_bottom}
+        if not levels:
+            continue
+        seen: set[tuple[Atom, frozenset]] = set()
+        for a, around in occurrences(normalize(m, ctx)):
+            lvl = levels.get(a)
+            if lvl is None:
                 continue
-            lvl = level_of(ctx, a)
-            if lvl.is_bottom:
+            keyset = frozenset(inverse_key(ctx, e.key) for e in around)
+            if (a, keyset) in seen:
                 continue
-            for keyset in access(a, m, ctx):
-                if not any(geq(level_of(ctx, k), lvl) for k in keyset):
-                    violations.append((a, m, keyset))
+            seen.add((a, keyset))
+            if not any(geq(level_of(ctx, k), lvl) for k in keyset):
+                violations.append((a, m, keyset))
     return WellProtectedReport(not violations, tuple(violations))
 
 
@@ -275,73 +253,16 @@ def check_well_protected(target: Union[Message, Iterable[Message]],
 # Rule validation
 
 
-@dataclass(frozen=True)
-class RuleFinding:
-    rule: RewriteRule
-    keys_monotone: bool
-    notes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[RuleFinding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(f.keys_monotone for f in self.findings)
-
-
-def _family_shrinks(after: KeySetFamily, before: KeySetFamily) -> bool:
-    """Every guard set of the result must be contained in some guard set the
-    redex already had: rewriting may remove keys, never add them."""
-    return all(any(sa <= sb for sb in before) for sa in after)
-
-
-def _count_enc(m: Message) -> int:
-    from .terms import subterms
-
-    return sum(1 for t in subterms(m) if isinstance(t, Enc))
-
-
-def validate_rewrite_system(rules: Sequence[RewriteRule],
-                            sample_atoms: Sequence[Atom] = (),
-                            selection: Optional[Callable[[Atom, Message], Iterable[Atom]]] = None,
-                            ) -> ValidationReport:
-    """Checks each rule's keys-monotonicity by probing every metavariable
-    with a fresh constant; optionally compares a selection on sample
-    instantiations (its result on the rhs must not exceed the lhs)."""
-    findings = []
-    for rule in rules:
-        metas = sorted(
-            {a for a in atoms(rule.lhs) | atoms(rule.rhs) if a.sort is not Sort.CONSTANT},
-            key=lambda a: a.name,
-        )
-        probes = {a: Atom(f"probe-{i}") for i, a in enumerate(metas)}
-        inst = {a: Atomic(p) for a, p in probes.items()}
-        lhs_i = substitute(rule.lhs, inst)
-        rhs_i = substitute(rule.rhs, inst)
-        monotone = True
-        notes: list[str] = []
-        for probe in list(probes.values()) + [a for a in atoms(rule.lhs) if a.sort is Sort.CONSTANT]:
-            if not _family_shrinks(keys_of(probe, rhs_i), keys_of(probe, lhs_i)):
-                monotone = False
-                notes.append(f"guard family grows for {probe.display()}")
-                break
-        if monotone and _count_enc(rule.rhs) > _count_enc(rule.lhs):
-            notes.append("selection review: right-hand side splits or multiplies encryptions")
-        if monotone and selection is not None and sample_atoms:
-            for combo in itertools.islice(itertools.product(sample_atoms, repeat=len(metas)), 16):
-                smap = {a: Atomic(c) for a, c in zip(metas, combo)}
-                l_s = substitute(rule.lhs, smap)
-                r_s = substitute(rule.rhs, smap)
-                for probe in combo:
-                    try:
-                        sel_r = set(selection(probe, r_s))
-                        sel_l = set(selection(probe, l_s))
-                    except AnalyzerError:
-                        continue
-                    if not sel_r <= sel_l:
-                        notes.append(f"selection grows for {probe.display()}")
-                        break
-        findings.append(RuleFinding(rule, monotone, tuple(notes)))
-    return ValidationReport(tuple(findings))
+def keys_monotone(rule: RewriteRule) -> bool:
+    """Probes every metavariable with a fresh constant: each guard set the
+    result gives an atom of the redex must be contained in one the redex
+    already gave it, since rewriting may remove keys, never add them."""
+    metas = sorted({a for a in atoms(rule.lhs) if a.sort is not Sort.CONSTANT},
+                   key=lambda a: a.name)
+    inst = {a: Atomic(Atom(f"probe-{i}")) for i, a in enumerate(metas)}
+    lhs, rhs = substitute(rule.lhs, inst), substitute(rule.rhs, inst)
+    for probe in atoms(lhs):
+        before = keys_of(probe, lhs)
+        if not all(any(sa <= sb for sb in before) for sa in keys_of(probe, rhs)):
+            return False
+    return True

@@ -40,7 +40,7 @@ from .errors import (
     UndeclaredIdentifier,
     UnreceivedVariable,
 )
-from .rewrite import RewriteRule, validate_rewrite_system
+from .rewrite import RewriteRule, keys_monotone
 from .terms import (
     IDENT,
     Atom,
@@ -159,11 +159,19 @@ def _strip_comments(text: str) -> str:
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
-def _names(csv: str, stmt: str) -> list[str]:
-    """The identifiers of a comma-separated list; empty entries are skipped."""
-    names = [n.strip() for n in csv.split(",") if n.strip()]
-    if not all(re.fullmatch(IDENT, n) for n in names):
-        raise MessageSyntaxError(stmt, 0, "identifier")
+def _names(m: re.Match, group: int) -> list[str]:
+    """The identifiers of a comma-separated list in one group of a statement's
+    match; empty entries are skipped.  A bad name is reported at its offset
+    in the statement."""
+    names = []
+    pos = m.start(group)
+    for entry in m.group(group).split(","):
+        name = entry.strip()
+        if name:
+            if not re.fullmatch(IDENT, name):
+                raise MessageSyntaxError(m.string, pos + entry.index(name), "identifier")
+            names.append(name)
+        pos += len(entry) + 1
     return names
 
 
@@ -204,14 +212,14 @@ def parse_protocol(text: str) -> Protocol:
         if head not in _STATEMENTS:
             raise MessageSyntaxError(stmt, 0, "statement keyword")
         pattern, expected = _STATEMENTS[head]
-        m = pattern.fullmatch(stmt[len(head):].strip())
+        m = pattern.fullmatch(stmt, len(stmt) - len(stmt[len(head):].lstrip()))
         if m is None:
             raise MessageSyntaxError(stmt, 0, expected)
         g = m.groups()
         if head == "protocol":
             name = g[0]
         elif head == "principal":
-            principal_names.extend(_names(g[0], stmt))
+            principal_names.extend(_names(m, 1))
         elif head == "intruder":
             intruder_name = g[0]
             if intruder_name not in principal_names:
@@ -224,9 +232,9 @@ def parse_protocol(text: str) -> Protocol:
         elif head == "fresh":
             fresh_owners[g[0]] = g[1]
         elif head == "var":
-            var_names.extend(_names(g[0], stmt))
+            var_names.extend(_names(m, 1))
         elif head == "level":
-            levels[g[0]] = frozenset(_names(g[1], stmt))
+            levels[g[0]] = frozenset(_names(m, 2))
         elif head == "rule":
             rule_specs.append(g)
         elif head == "step":
@@ -252,7 +260,7 @@ def parse_protocol(text: str) -> Protocol:
         rsyms = _RuleSymbols(symbols)
         rule = RewriteRule(parse_message(lhs_text, rsyms, allow_dec=True),
                            parse_message(rhs_text, rsyms, allow_dec=True))
-        if not validate_rewrite_system([rule]).ok:
+        if not keys_monotone(rule):
             raise NonMonotoneRule(f"{lhs_text} -> {rhs_text}")
         parsed_rules.append(rule)
 

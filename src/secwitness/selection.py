@@ -1,13 +1,13 @@
 """Candidate selection and its valuation.
 
-For a queried atom the selector walks the normal form outside-in and stops at
-the first encryption whose inverse key is strong enough to read the queried
-atom's level.  What it keeps from that spot is the instance's policy: the
-broad instance keeps the principal names beside the atom plus the inverse
-key, the key-only instance keeps just the inverse key, the neighbor instance
-keeps just the principal names.  The valuation maps a selection to a level:
-names stand for themselves, other atoms stand for their declared level, and
-choices combine by meet.
+For each occurrence of a queried atom in the normal form, the selector looks
+at the encryptions around it outside-in and stops at the first whose inverse
+key is strong enough to read the queried atom's level.  What it keeps from
+that spot is the instance's policy: the broad instance keeps the principal
+names beside the atom plus the inverse key, the key-only instance keeps just
+the inverse key, the neighbor instance keeps just the principal names.  The
+valuation maps a selection to a level: names stand for themselves, other
+atoms stand for their declared level, and choices combine by meet.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .context import (
 )
 from .errors import NotAKey, UnleveledKey, WellProtectionViolation
 from .rewrite import normalize
-from .terms import Atom, Atomic, Concat, Enc, Message, Sort, atoms, members
+from .terms import Atom, Atomic, Message, Sort, atoms, members, occurrences
 
 CandidateFilter = Callable[[Atom, frozenset, Atom, VerificationContext], frozenset]
 
@@ -89,48 +89,33 @@ def instance(name: str) -> SelectionInstance:
 def select(inst: SelectionInstance, alpha: Atom,
            m: Union[Message, Iterable[Message]],
            ctx: VerificationContext) -> SelectionResult:
-    """Selection for one occurrence-carrying message or a set (union)."""
+    """Selection for one occurrence-carrying message or a set (union).  Each
+    occurrence of alpha selects at its outermost protective encryption;
+    key-position occurrences select nothing."""
     alpha_level = level_of(ctx, alpha)
-
-    def protective(key: Atom) -> bool:
-        try:
-            inv = inverse_key(ctx, key)
-        except NotAKey:
-            raise UnleveledKey(key.display())
-        return geq(level_of(ctx, inv), alpha_level)
-
-    def walk(t: Message) -> SelectionResult:
-        if isinstance(t, Atomic):
-            if t.atom != alpha:
-                return NO_ATOMS
-            if alpha.sort is not Sort.VARIABLE and not alpha_level.is_bottom:
-                raise WellProtectionViolation(alpha.display(), str(t))
-            return ALL_ATOMS
-        if isinstance(t, Concat):
-            out = NO_ATOMS
-            for p in t.parts:
-                if alpha in atoms(p):
-                    out = out | walk(p)
-            return out
-        if isinstance(t, Enc):
-            in_body = alpha in atoms(t.body)
-            if not in_body:
-                return NO_ATOMS  # key-position occurrences select nothing
-            if protective(t.key):
-                inv = inverse_key(ctx, t.key)
-                neighbors = atoms(t.body) - {alpha}
-                chosen = inst.candidate_filter(alpha, neighbors, inv, ctx)
-                return finite_selection(frozenset(chosen) & (neighbors | {inv}) - {alpha})
-            return walk(t.body)
-        return NO_ATOMS
-
     out = NO_ATOMS
     for t in members(m):
         t = normalize(t, ctx)
         if isinstance(t, Atomic) and t.atom == alpha:
             out = ALL_ATOMS
-        elif alpha in atoms(t):
-            out = out | walk(t)
+            continue
+        for a, around in occurrences(t):
+            if a != alpha:
+                continue
+            for e in around:
+                try:
+                    inv = inverse_key(ctx, e.key)
+                except NotAKey:
+                    raise UnleveledKey(e.key.display())
+                if geq(level_of(ctx, inv), alpha_level):
+                    neighbors = atoms(e.body) - {alpha}
+                    chosen = inst.candidate_filter(alpha, neighbors, inv, ctx)
+                    out = out | finite_selection(frozenset(chosen) & (neighbors | {inv}) - {alpha})
+                    break
+            else:
+                if alpha.sort is not Sort.VARIABLE and not alpha_level.is_bottom:
+                    raise WellProtectionViolation(alpha.display(), alpha.display())
+                out = ALL_ATOMS
     return out
 
 

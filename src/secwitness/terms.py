@@ -235,22 +235,23 @@ def members(m: Union[Message, Iterable[Message]]) -> Iterable[Message]:
     return (m,) if isinstance(m, Message) else m
 
 
+def occurrences(m: Message) -> Iterator[tuple[Atom, tuple[Enc, ...]]]:
+    """Each atom occurrence outside key positions, left to right, with the
+    encryptions around it, outermost first."""
+    stack: list[tuple[Message, tuple[Enc, ...]]] = [(m, ())]
+    while stack:
+        t, around = stack.pop()
+        if isinstance(t, Atomic):
+            yield t.atom, around
+        elif isinstance(t, Concat):
+            stack.extend((p, around) for p in reversed(t.parts))
+        elif isinstance(t, Enc):
+            stack.append((t.body, around + (t,)))
+
+
 def body_atoms_in_order(m: Message) -> list[Atom]:
     """Atoms in first-occurrence order, skipping key positions."""
-    seen: list[Atom] = []
-
-    def walk(t: Message) -> None:
-        if isinstance(t, Atomic):
-            if t.atom not in seen:
-                seen.append(t.atom)
-        elif isinstance(t, Concat):
-            for p in t.parts:
-                walk(p)
-        elif isinstance(t, Enc):
-            walk(t.body)
-
-    walk(m)
-    return seen
+    return list(dict.fromkeys(a for a, _ in occurrences(m)))
 
 
 def variables_of(m: Message) -> frozenset[Atom]:

@@ -1,0 +1,151 @@
+"""The guard-family walkers as they were before one occurrence walk
+(`secwitness.terms.occurrences`) replaced them, kept as the reference for
+`secwitness.rewrite` and `secwitness.selection`.
+
+Each function walks the message tree itself.  `check_well_protected` runs
+`access`, and so a fresh normal form, once per atom of a member, iterating
+the member's atoms as a frozenset, so its violations come in set order,
+which changes from one process to the next.  `select` tests `alpha in atoms(...)`,
+which counts an atom in a key position as an occurrence; on query atoms that
+never occur as keys it agrees with the walk it was replaced by.  The tests
+compare the two on random messages.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Union
+
+from secwitness.context import VerificationContext, geq, inverse_key, level_of
+from secwitness.errors import NotAKey, UnleveledKey, WellProtectionViolation
+from secwitness.rewrite import EMPTY_FAMILY, KeySetFamily, WellProtectedReport, family, normalize
+from secwitness.selection import (
+    ALL_ATOMS,
+    NO_ATOMS,
+    SelectionInstance,
+    SelectionResult,
+    finite_selection,
+)
+from secwitness.terms import Atom, Atomic, Concat, Enc, Message, Sort, atoms, members
+
+
+def keys_of(alpha: Atom, m: Union[Message, Iterable[Message]]) -> KeySetFamily:
+    """For every occurrence of alpha, the set of keys wrapped around it;
+    key positions themselves are not occurrences."""
+    out = EMPTY_FAMILY
+    for t in members(m):
+        if isinstance(t, Atomic) and t.atom == alpha:
+            out |= family(())
+        elif isinstance(t, Concat):
+            out |= keys_of(alpha, t.parts)
+        elif isinstance(t, Enc):
+            out |= frozenset(s | {t.key} for s in keys_of(alpha, t.body))
+    return out
+
+
+def access(alpha: Atom, m: Union[Message, Iterable[Message]],
+           ctx: VerificationContext) -> KeySetFamily:
+    """Like keys_of but over the inverse keys needed to reach alpha, computed
+    on the normal form."""
+
+    def go(t: Message) -> KeySetFamily:
+        if isinstance(t, Atomic):
+            return family(()) if t.atom == alpha else EMPTY_FAMILY
+        if isinstance(t, Concat):
+            out = EMPTY_FAMILY
+            for p in t.parts:
+                out |= go(p)
+            return out
+        if isinstance(t, Enc):
+            inner = go(t.body)
+            return frozenset(s | {inverse_key(ctx, t.key)} for s in inner)
+        return EMPTY_FAMILY
+
+    out = EMPTY_FAMILY
+    for t in members(m):
+        out |= go(normalize(t, ctx))
+    return out
+
+
+def check_well_protected(target: Union[Message, Iterable[Message]],
+                         ctx: VerificationContext) -> WellProtectedReport:
+    """Every occurrence of a non-public atom must sit under at least one key
+    whose level dominates the atom's.  Variables are exempt (their treatment
+    belongs to the criterion layer)."""
+    violations: list[tuple[Atom, Message, frozenset]] = []
+    for m in members(target):
+        for a in atoms(m):
+            if a.sort is Sort.VARIABLE:
+                continue
+            lvl = level_of(ctx, a)
+            if lvl.is_bottom:
+                continue
+            for keyset in access(a, m, ctx):
+                if not any(geq(level_of(ctx, k), lvl) for k in keyset):
+                    violations.append((a, m, keyset))
+    return WellProtectedReport(not violations, tuple(violations))
+
+
+def select(inst: SelectionInstance, alpha: Atom,
+           m: Union[Message, Iterable[Message]],
+           ctx: VerificationContext) -> SelectionResult:
+    """Selection for one occurrence-carrying message or a set (union)."""
+    alpha_level = level_of(ctx, alpha)
+
+    def protective(key: Atom) -> bool:
+        try:
+            inv = inverse_key(ctx, key)
+        except NotAKey:
+            raise UnleveledKey(key.display())
+        return geq(level_of(ctx, inv), alpha_level)
+
+    def walk(t: Message) -> SelectionResult:
+        if isinstance(t, Atomic):
+            if t.atom != alpha:
+                return NO_ATOMS
+            if alpha.sort is not Sort.VARIABLE and not alpha_level.is_bottom:
+                raise WellProtectionViolation(alpha.display(), str(t))
+            return ALL_ATOMS
+        if isinstance(t, Concat):
+            out = NO_ATOMS
+            for p in t.parts:
+                if alpha in atoms(p):
+                    out = out | walk(p)
+            return out
+        if isinstance(t, Enc):
+            in_body = alpha in atoms(t.body)
+            if not in_body:
+                return NO_ATOMS  # key-position occurrences select nothing
+            if protective(t.key):
+                inv = inverse_key(ctx, t.key)
+                neighbors = atoms(t.body) - {alpha}
+                chosen = inst.candidate_filter(alpha, neighbors, inv, ctx)
+                return finite_selection(frozenset(chosen) & (neighbors | {inv}) - {alpha})
+            return walk(t.body)
+        return NO_ATOMS
+
+    out = NO_ATOMS
+    for t in members(m):
+        t = normalize(t, ctx)
+        if isinstance(t, Atomic) and t.atom == alpha:
+            out = ALL_ATOMS
+        elif alpha in atoms(t):
+            out = out | walk(t)
+    return out
+
+
+def body_atoms_in_order(m: Message) -> list[Atom]:
+    """Atoms in first-occurrence order, skipping key positions."""
+    seen: list[Atom] = []
+
+    def walk(t: Message) -> None:
+        if isinstance(t, Atomic):
+            if t.atom not in seen:
+                seen.append(t.atom)
+        elif isinstance(t, Concat):
+            for p in t.parts:
+                walk(p)
+        elif isinstance(t, Enc):
+            walk(t.body)
+
+    walk(m)
+    return seen

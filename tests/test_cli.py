@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from secwitness.cli import EXIT_FILE, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE, main
@@ -82,6 +86,14 @@ def _run_bad(tmp_path, text, command="analyze"):
     return main(argv)
 
 
+# where each statement's bad name starts, and what the error quotes from there
+_BAD_NAME = {
+    "principal A, B, C D;": (16, "C D"),
+    "level Nb = {A,B, Q R};": (17, "Q R}"),
+    "var X Y;": (4, "X Y"),
+}
+
+
 @pytest.mark.parametrize("command", ["analyze", "check-wp", "roles", "oracle"])
 @pytest.mark.parametrize("declaration,statement", [
     ("principal A, B;", "principal A, B, C D;"),
@@ -93,9 +105,8 @@ def test_declared_names_must_be_identifiers(tmp_path, capsys, command, declarati
     assert statement in text
     assert _run_bad(tmp_path, text, command) == EXIT_FILE
     captured = capsys.readouterr()
-    # the message quotes the start of the statement that holds the bad name
-    assert captured.err == (f"error: at offset 0: expected identifier, "
-                            f"found {statement.rstrip(';')[:12]!r}\n")
+    offset, found = _BAD_NAME[statement]
+    assert captured.err == f"error: at offset {offset}: expected identifier, found {found!r}\n"
     assert captured.out == ""
 
 
@@ -270,3 +281,38 @@ def test_oracle_rejects_a_function_flag(nsl_file, capsys):
 def test_oracle_accepts_depth_zero(nsl_file, capsys):
     assert main(["oracle", nsl_file, "--trials", "1", "--depth", "0"]) in (EXIT_OK, EXIT_UNDECIDED)
     assert "full-invariance[fmax]" in capsys.readouterr().out
+
+
+# NS with a second secret of A's sent beside Na under the intruder's key:
+# two violations in one pattern
+TWO_VIOLATIONS = (bundled("ns")
+                  .replace("fresh Nb by B;", "fresh Nb by B;\nfresh Nc by A;")
+                  .replace("level Nb = {A,B};", "level Nb = {A,B};\nlevel Nc = {A,B};")
+                  .replace("step 1: A -> B : {A.Na}_kb;", "step 1: A -> B : {A.Na.Nc}_ki;"))
+WP_EXPECTED = {
+    "check-wp": (EXIT_UNDECIDED,
+                 "  {A_1.Na_1.Nc_1}_ki_1\n"
+                 "  {Na_2.X_1.B_1}_ka_2\n"
+                 "  {X_2}_kb_2\n"
+                 "  {Na_3.Nb_3.B_3}_ka_3\n"
+                 "  {Nb_4}_kb_4\n"
+                 "unprotected: Na_1 in {A_1.Na_1.Nc_1}_ki_1 (guards: ki-1_1)\n"
+                 "unprotected: Nc_1 in {A_1.Na_1.Nc_1}_ki_1 (guards: ki-1_1)\n",
+                 ""),
+    "analyze": (EXIT_FILE, "",
+                "error: Na_1 is not protected by any qualifying key in {A_1.Na_1.Nc_1}_ki_1\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WP_EXPECTED))
+def test_well_protection_report_is_independent_of_hash_seed(tmp_path, command):
+    # violations come in occurrence order, whatever order a set of atoms
+    # iterates in under the interpreter's string hash seed
+    f = tmp_path / "two.proto"
+    f.write_text(TWO_VIOLATIONS, encoding="utf-8")
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run([sys.executable, "-m", "secwitness.cli", command, str(f),
+                              "--roles", "auto"],
+                             capture_output=True, text=True, env=env)
+        assert (run.returncode, run.stdout, run.stderr) == WP_EXPECTED[command], seed

@@ -1,4 +1,4 @@
-"""Normalization, guard families, protection checks, rule validation."""
+"""Normalization, guard families, protection checks, keys-monotonicity."""
 
 from __future__ import annotations
 
@@ -7,19 +7,18 @@ import random
 import pytest
 
 from secwitness.context import Mode, make_context
-from secwitness.errors import NonTermination, UnboundRuleVariable, WellProtectionViolation
+from secwitness.errors import NonTermination, UnboundRuleVariable
 from secwitness.oracle import random_message
 from secwitness.rewrite import (
     EMPTY_FAMILY,
     RewriteRule,
     access,
     check_well_protected,
-    clear_atoms,
     default_rules,
     family,
+    keys_monotone,
     keys_of,
     normalize,
-    validate_rewrite_system,
 )
 from secwitness.terms import Atom, Sort, atomic, concat, enc, parse_message
 
@@ -100,7 +99,7 @@ def test_rule_rejects_unbound_rhs_metavariable():
 
 
 def test_validator_accepts_default_rules():
-    assert validate_rewrite_system(default_rules()).ok
+    assert all(keys_monotone(rule) for rule in default_rules())
 
 
 def test_default_rules_are_built_once():
@@ -110,47 +109,17 @@ def test_default_rules_are_built_once():
 def test_validator_rejects_key_adding_rule():
     mv = Atom("M", Sort.VARIABLE)
     wrap = RewriteRule(atomic(mv), enc(atomic(mv), Atom("k")), name="wrap")
-    report = validate_rewrite_system([wrap])
-    assert not report.ok
-    assert not report.findings[0].keys_monotone
+    assert not keys_monotone(wrap)
 
 
 def test_validator_flags_split_rule_for_selection_review():
+    # splitting one encryption into two keeps every guard set: monotone
     av, bv = Atom("a", Sort.VARIABLE), Atom("b", Sort.VARIABLE)
     kp = Atom("k", Sort.PARAMETER)
     split = RewriteRule(
         enc(concat(atomic(av), atomic(bv)), kp),
         concat(enc(atomic(av), kp), enc(atomic(bv), kp)), name="split")
-    report = validate_rewrite_system([split])
-    assert report.ok
-    assert report.findings[0].keys_monotone
-    assert any("selection review" in n for n in report.findings[0].notes)
-
-
-def _probe_split_rule(selection):
-    av, bv = Atom("a", Sort.VARIABLE), Atom("b", Sort.VARIABLE)
-    kp = Atom("k", Sort.PARAMETER)
-    split = RewriteRule(
-        enc(concat(atomic(av), atomic(bv)), kp),
-        concat(enc(atomic(av), kp), enc(atomic(bv), kp)), name="split")
-    return validate_rewrite_system([split], [Atom("A"), Atom("B")], selection)
-
-
-def test_validator_propagates_a_faulty_selection():
-    def faulty(probe, m):
-        raise KeyError(probe)
-
-    with pytest.raises(KeyError):
-        _probe_split_rule(faulty)
-
-
-def test_validator_skips_a_selection_that_rejects_the_probe():
-    def strict(probe, m):
-        raise WellProtectionViolation(probe.display(), str(m))
-
-    report = _probe_split_rule(strict)
-    assert report.ok
-    assert not any("selection grows" in n for n in report.findings[0].notes)
+    assert keys_monotone(split)
 
 
 # --- guard families -------------------------------------------------------
@@ -202,21 +171,6 @@ def test_access_on_sets_unions(access_ctx, access_symbols):
     m2 = parse_message("{alpha}_kac", access_symbols)
     got = access(Atom("alpha"), [m1, m2], access_ctx)
     assert got == family((Atom("kab-1"),), (Atom("kac-1"),))
-
-
-def test_clear_atoms_bare_concat(access_ctx, access_symbols):
-    m = parse_message("alpha.B", access_symbols)
-    assert clear_atoms(m, access_ctx) == {Atom("alpha"), Atom("B")}
-
-
-def test_clear_atoms_encrypted(access_ctx, access_symbols):
-    assert clear_atoms(parse_message("{alpha}_kab", access_symbols), access_ctx) == frozenset()
-
-
-def test_clear_atoms_mixed_occurrence(access_ctx, access_symbols):
-    # one guarded copy, one bare copy: the bare one decides
-    m = parse_message("{alpha}_kab.alpha", access_symbols)
-    assert clear_atoms(m, access_ctx) == {Atom("alpha")}
 
 
 def test_well_protected_single_level(simple_ctx, simple_syms):

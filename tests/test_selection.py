@@ -109,6 +109,18 @@ def test_variable_alpha_any_key_protects():
     assert value_function("fmax")(x, enc(atomic(x), Atom("kb")), ctx) == finite(["B"])
 
 
+def test_key_positions_are_not_occurrences():
+    ka, kb = Atom("ka"), Atom("kb")
+    ctx = make_context(["A", "B", "I"], "I", {"ka-1": ["A"], "kb-1": ["B"]},
+                       [("ka", "ka-1", Mode.ASYMMETRIC), ("kb", "kb-1", Mode.ASYMMETRIC)])
+    nested_key = enc(concat(enc(atomic(Atom("A")), ka), atomic(Atom("B"))), kb)
+    assert select(BROAD, ka, nested_key, ctx) == NO_ATOMS
+    assert interpret(BROAD, ka, nested_key, ctx) == TOP
+    # the outer encryption is under a non-key, but ka is not below it
+    under_non_key = enc(enc(atomic(Atom("A")), ka), Atom("kzz"))
+    assert select(BROAD, ka, under_non_key, ctx) == NO_ATOMS
+
+
 def test_instance_lookup():
     assert instance("fmax") is BROAD
     assert instance("fek") is KEY_ONLY

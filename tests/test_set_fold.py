@@ -1,5 +1,5 @@
-"""A set of messages folds over its members: selections, guard families and
-clear atoms by union, bounds by meet."""
+"""A set of messages folds over its members: selections and guard families
+by union, bounds by meet."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from secwitness.context import Mode, make_context, meet
 from secwitness.errors import WellProtectionViolation
 from secwitness.oracle import random_message
-from secwitness.rewrite import access, clear_atoms, keys_of
+from secwitness.rewrite import access, keys_of
 from secwitness.selection import BROAD, KEY_ONLY, NEIGHBORS, interpret, psi, select, value_function
 from secwitness.terms import Atom, Sort
 from secwitness.witness import upper_bound
@@ -43,7 +43,6 @@ def _folds(f, combine, m1, m2):
 def test_set_arguments_fold_over_members(inst, rng):
     m1, m2 = (random_message(rng, POOL, KEYS, max_depth=3) for _ in range(2))
     F = value_function(inst.name)
-    _folds(lambda m: clear_atoms(m, CTX), operator.or_, m1, m2)
     for a in POOL:
         _folds(lambda m: select(inst, a, m, CTX), operator.or_, m1, m2)
         _folds(lambda m: keys_of(a, m), operator.or_, m1, m2)
