@@ -166,31 +166,33 @@ def normalize(m: Message, ctx: VerificationContext, budget: int = 10_000) -> Mes
     context's extra rules; deterministic; raises NonTermination past the
     step budget."""
     rules = default_rules() + tuple(ctx.rewrite_rules)
-    steps = [0]
-
-    def norm(t: Message) -> Message:
-        while True:
-            if isinstance(t, Concat):
-                t = concat(*(norm(p) for p in t.parts))
-            elif isinstance(t, Enc):
-                t = Enc(norm(t.body), t.key, t.mode)
-            for rule in rules:
-                reduced = _try_rule(rule, t, ctx)
-                if reduced is not None:
-                    steps[0] += 1
-                    if steps[0] > budget:
-                        raise NonTermination(budget)
-                    t = reduced
-                    break
-            else:
-                return t
-
     try:
-        return norm(m)
+        return _norm(m, rules, ctx, [0], budget)
     except RecursionError:
         # runaway nesting from a growing rule set; same diagnosis as the
         # step budget, reached through depth instead of count
         raise NonTermination(budget) from None
+
+
+def _norm(t: Message, rules: tuple, ctx: VerificationContext, steps: list[int],
+          budget: int) -> Message:
+    # module level: a nested function that calls itself is a reference
+    # cycle, which every call would leave behind for the collector
+    while True:
+        if isinstance(t, Concat):
+            t = concat(*(_norm(p, rules, ctx, steps, budget) for p in t.parts))
+        elif isinstance(t, Enc):
+            t = Enc(_norm(t.body, rules, ctx, steps, budget), t.key, t.mode)
+        for rule in rules:
+            reduced = _try_rule(rule, t, ctx)
+            if reduced is not None:
+                steps[0] += 1
+                if steps[0] > budget:
+                    raise NonTermination(budget)
+                t = reduced
+                break
+        else:
+            return t
 
 
 # ---------------------------------------------------------------------------

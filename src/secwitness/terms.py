@@ -50,7 +50,11 @@ class Atom:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("atom name must be non-empty")
-        object.__setattr__(self, "_h", hash((self.name, self.sort._value_, self.session_tag)))
+        # an untagged atom hashes "" for its tag: hash(None) follows the
+        # object's address before Python 3.12, and sets of atoms would then
+        # iterate in a different order in every process, whatever the seed
+        tag = self.session_tag
+        object.__setattr__(self, "_h", hash((self.name, self.sort._value_, "" if tag is None else tag)))
 
     def __hash__(self) -> int:
         return self._h

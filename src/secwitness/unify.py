@@ -9,14 +9,19 @@ parameters, parameters before constants, and on sort ties the left
 abstract side's names in the unifier whenever a concrete name could have
 been chosen instead, which is what lets a mismatched identity surface in the
 final bound.
+
+The candidate search does not list the unifiers where it can avoid it: for
+a linear flat pair, `linear_facts` reads what the bound needs off the match
+states in polynomial time, and `unify_all` is the fallback for every other
+pair.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .context import SecurityLevel, VerificationContext
-from .derive import ValueFunction, contribution_of
+from .context import SecurityLevel, VerificationContext, meet_all
+from .derive import ValueFunction, contribution_of, fact_levels
 from .terms import (
     Atom,
     Atomic,
@@ -181,15 +186,132 @@ def unify(pattern: Message, target: Message) -> Optional[Substitution]:
     return None
 
 
+# ---------------------------------------------------------------------------
+# Facts of a linear flat pair
+
+Params = frozenset  # of (parameter, Atomic image), closed, as in _close
+State = tuple[int, int, Params]
+Carried = tuple[Params, Atom, frozenset[Atom]]
+
+
+def _body_atoms(m: Message) -> Optional[tuple[Atom, ...]]:
+    if not isinstance(m, Enc):
+        return None
+    parts = flatten(m.body)
+    if not parts or not all(isinstance(p, Atomic) for p in parts):
+        return None
+    return tuple(p.atom for p in parts)
+
+
+def _root(a: Atom, images: dict) -> Atom:
+    image = images.get(a)
+    return a if image is None else image.atom
+
+
+def _rebind(pi: Params, x: Atom, to: Atomic) -> Params:
+    """The closed bindings after the root parameter x binds to the root `to`."""
+    return frozenset([(p, to if r.atom == x else r) for p, r in pi] + [(x, to)])
+
+
+def _edges(xs: tuple[Atom, ...], ys: tuple[Atom, ...],
+           state: State) -> list[tuple[State, Optional[Atom], tuple[Atom, ...]]]:
+    """The branches of `_unify_lists` from a state, in its order: (next
+    state, the pattern variable bound on the way or None, the target run
+    it takes)."""
+    i, j, pi = state
+    m, n = len(xs), len(ys)
+    if i == m or j == n:
+        return []
+    images = dict(pi)
+    x, y = _root(xs[i], images), _root(ys[j], images)
+    var = x if x.sort is Sort.VARIABLE else None
+    out = []
+    if var is not None or y.sort is Sort.VARIABLE:
+        # a variable binds, the pattern's first when both are variables
+        out.append(((i + 1, j + 1, pi), var, ys[j:j + 1]))
+    else:
+        for bound in _unify_atoms(x, y, {}):  # {} when x == y, else one parameter's binding
+            after = pi
+            for a, to in bound.items():
+                after = _rebind(pi, a, to)
+            out.append(((i + 1, j + 1, after), None, ()))
+    if var is not None:
+        for k in range(2, (n - j) - (m - i) + 2):
+            out.append(((i + 1, j + k, pi), var, ys[j:j + k]))
+    if y.sort is Sort.VARIABLE:
+        for k in range(2, (m - i) - (n - j) + 2):
+            out.append(((i + k, j + 1, pi), None, ()))
+    return out
+
+
+def linear_facts(pattern: Message, target: Message) -> Optional[tuple[list[Params], list[Carried]]]:
+    """What the bound needs of the unifiers `unify_all` would list, without
+    listing them: their distinct closed parameter bindings, and the distinct
+    (bindings, pattern variable, atoms of its image).  None when the pair is
+    not a linear flat pair: two encryptions under one mode whose bodies are
+    atoms only, with no variable twice across the two bodies.
+
+    Such a pair is unified by a walk over states (i, j, bindings), i parts
+    of the pattern and j of the target matched: variables are bound once
+    and never read again, and parameters only ever bind to atoms.  The
+    reachable states are collected forwards; then, by decreasing i + j,
+    each gets the final bindings reachable from it, and a pattern variable
+    bound on the way from s to s2 gives one fact for each of those of s2.
+    """
+    if not isinstance(pattern, Enc) or not isinstance(target, Enc) or pattern.mode is not target.mode:
+        return None
+    xs, ys = _body_atoms(pattern), _body_atoms(target)
+    if xs is None or ys is None:
+        return None
+    variables = [a for a in xs + ys if a.sort is Sort.VARIABLE]
+    if len(variables) != len(set(variables)):
+        return None
+    start = next(_unify_atoms(pattern.key, target.key, {}), None)
+    if start is None:
+        return [], []
+
+    first: State = (0, 0, frozenset(start.items()))
+    edges: dict[State, list] = {}
+    todo = [first]
+    while todo:
+        state = todo.pop()
+        if state not in edges:
+            edges[state] = out = _edges(xs, ys, state)
+            todo.extend(nxt for nxt, _, _ in out)
+    finals: dict[State, dict[Params, None]] = {}
+    for state in sorted(edges, key=lambda s: s[0] + s[1], reverse=True):
+        reached = {state[2]: None} if state[:2] == (len(xs), len(ys)) else {}
+        for nxt, _, _ in edges[state]:
+            reached.update(finals[nxt])
+        finals[state] = reached
+
+    carried: dict[Carried, None] = {}
+    images = {pi: dict(pi) for pi in finals[first]}  # every reachable state's finals are here
+    for out in edges.values():
+        for nxt, var, run in out:
+            if var is not None:
+                for pi in finals[nxt]:
+                    carried[(pi, var, frozenset([_root(a, images[pi]) for a in run]))] = None
+    return list(finals[first]), list(carried)
+
+
 def candidate_values(target: Message, pool: Sequence[Message],
                      ctx: VerificationContext, alphas: Sequence[Atom],
                      F: ValueFunction) -> dict[Atom, list[SecurityLevel]]:
     """The contributions themselves, for folding by meet: for each queried
-    atom, in pool and unifier order.  Each pattern is unified with the
-    target once, and each unifier valued once for all the atoms."""
+    atom, in pool order.  A linear flat pair gives one contribution per
+    pattern, the meet over its facts (`linear_facts`); any other pair is
+    unified with `unify_all` and gives one per unifier, each valued once for
+    all the atoms."""
     values: dict[Atom, list[SecurityLevel]] = {alpha: [] for alpha in alphas}
     for pattern in pool:
         views: dict = {}
+        facts = linear_facts(pattern, target)
+        if facts is not None:
+            for alpha, found in fact_levels(F, alphas, pattern, *facts, ctx, views).items():
+                if found:
+                    values[alpha].append(meet_all(found))
+            continue
         for sigma in unify_all(pattern, target):
             found = contribution_of(F, alphas, pattern, sigma, ctx, views)
             if found is not None:

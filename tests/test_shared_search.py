@@ -85,7 +85,8 @@ def cases(draw):
     return ctx, sub_pool, concat(*parts), value_function(function)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 def test_random_pools_and_sends_match_the_per_atom_reference(case):
     ctx, pool, sent, F = case
@@ -138,27 +139,53 @@ def test_unify_all_matches_the_linear_scan():
 
 @pytest.mark.parametrize("name", SUBJECTS)
 def test_unify_all_runs_once_per_distinct_pair_of_each_send(name, monkeypatch):
+    # Each distinct (pattern, protecting part) pair of a send is searched
+    # once, by `linear_facts`; only a pair it turns down goes on to
+    # `unify_all`, once.  The name is kept from when every pair went there.
     protocol, pool, _ = subject(name)
-    per_send: list[tuple[object, list, Counter]] = []
+    per_send: list[tuple[object, list, Counter, Counter]] = []
+    original_linear_facts = secwitness.unify.linear_facts
     original_unify_all = secwitness.unify.unify_all
     original_lower_bounds = secwitness.witness.lower_bounds
 
-    def counting_unify_all(pattern, target):
+    def counting_linear_facts(pattern, target):
         per_send[-1][2][(pattern, target)] += 1
+        return original_linear_facts(pattern, target)
+
+    def counting_unify_all(pattern, target):
+        per_send[-1][3][(pattern, target)] += 1
         return original_unify_all(pattern, target)
 
     def recording_lower_bounds(sent, alphas, *rest):
-        per_send.append((sent, list(alphas), Counter()))
+        per_send.append((sent, list(alphas), Counter(), Counter()))
         return original_lower_bounds(sent, alphas, *rest)
 
+    monkeypatch.setattr(secwitness.unify, "linear_facts", counting_linear_facts)
     monkeypatch.setattr(secwitness.unify, "unify_all", counting_unify_all)
     monkeypatch.setattr(secwitness.witness, "lower_bounds", recording_lower_bounds)
     analyze(protocol, "fmax")
     assert per_send
-    for sent, alphas, calls in per_send:
+    for sent, alphas, searched, unified in per_send:
         parts = {p for p in flatten(sent)
                  if not isinstance(p, Atomic) and any(a in atoms(p) for a in alphas)}
-        assert set(calls) == {(pattern, p) for pattern in pool for p in parts}
-        assert set(calls.values()) == {1}
+        assert set(searched) == {(pattern, p) for pattern in pool for p in parts}
+        assert set(searched.values()) == {1}
+        assert set(unified) == {pair for pair in searched if original_linear_facts(*pair) is None}
+        assert set(unified.values()) <= {1}
     if name == "chain6":
-        assert sum(sum(c.values()) for _, _, c in per_send) == 6 * len(pool)
+        assert sum(sum(c.values()) for _, _, c, _ in per_send) == 6 * len(pool)
+
+
+@pytest.mark.parametrize("name", ["ns", "nsl"] + [f"chain{n}" for n in range(2, 13)])
+def test_analyze_never_falls_back_to_unify_all(name, monkeypatch):
+    # every pair these protocols search is a linear flat pair
+    protocol, _, _ = subject(name)
+    calls = []
+
+    def counting_unify_all(pattern, target):
+        calls.append((pattern, target))
+        return []
+
+    monkeypatch.setattr(secwitness.unify, "unify_all", counting_unify_all)
+    analyze(protocol, "fmax")
+    assert calls == []

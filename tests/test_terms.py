@@ -339,6 +339,19 @@ def test_pickle_across_processes_recomputes_the_hash():
                    env=dict(env, PYTHONHASHSEED="2"))
 
 
+def test_a_set_of_atoms_iterates_in_the_same_order_under_one_seed():
+    # an untagged atom's hash must not follow an address, which differs
+    # between processes
+    show = ("from secwitness.terms import Atom, Sort\n"
+            "names = ['A', 'B', 'Na', 'Nc', 'Nb', 'ka', 'kb', 'X']\n"
+            "print(list(frozenset(Atom(n) for n in names)),"
+            " list(frozenset(Atom(n, Sort.PARAMETER, 'i') for n in names)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED="0")
+    first, second = (subprocess.run([sys.executable, "-c", show], capture_output=True,
+                                    check=True, env=env).stdout for _ in range(2))
+    assert first == second
+
+
 NODES = [A, atomic(A), concat(atomic(A), atomic(B)), enc(atomic(A), KB), EMPTY]
 FIRST_FIELD = {Atom: "name", Atomic: "atom", Concat: "parts", Enc: "body", Empty: "_h"}
 
