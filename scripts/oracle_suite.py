@@ -27,10 +27,10 @@ def main() -> int:
     for name in ("ns", "nsl"):
         protocol = load_bundled(name)
         print(f"== {protocol.name}")
-        for fname in ("fmax", "fek", "fn"):
-            rep = check_full_invariance(value_function(fname), protocol.context,
-                                        trials=args.trials, depth=args.depth,
-                                        seed=args.seed)
+        reports = check_full_invariance(
+            {fname: value_function(fname) for fname in ("fmax", "fek", "fn")},
+            protocol.context, trials=args.trials, depth=args.depth, seed=args.seed)
+        for fname, rep in reports.items():
             print(f"  full-invariance[{fname}]: {'ok' if rep.ok else 'FAILED'} "
                   f"({rep.trials} trials, {rep.truncated_trials} truncated)")
             for f in rep.failures[:3]:

@@ -14,6 +14,7 @@ $SECWITNESS_FUNCTION among them).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional, Sequence
@@ -56,6 +57,7 @@ def _default_function() -> str:
     return name
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="secwitness", description="Protocol secrecy criterion checker")
     sub = p.add_subparsers(dest="command", required=True)
@@ -141,9 +143,9 @@ def _cmd_oracle(args) -> int:
     protocol = _load(args.file)
     ctx = protocol.context
     failed = False
-    for name in sorted(INSTANCES):
-        rep = check_full_invariance(value_function(name), ctx,
-                                    trials=args.trials, depth=args.depth, seed=args.seed)
+    reports = check_full_invariance({name: value_function(name) for name in sorted(INSTANCES)},
+                                    ctx, trials=args.trials, depth=args.depth, seed=args.seed)
+    for name, rep in reports.items():
         status = "ok" if rep.ok else "FAILED"
         print(f"full-invariance[{name}]: {status} "
               f"({rep.trials} trials, {rep.truncated_trials} truncated)")

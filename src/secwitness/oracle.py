@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .context import (
     SecurityLevel,
@@ -319,48 +319,61 @@ class PropertyReport:
         return self.ok
 
 
-def check_full_invariance(func: ValueFunction, ctx: VerificationContext,
+def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationContext,
                           trials: int = 500, depth: int = 4,
                           seed: int = 0, max_messages: int = 5,
                           sample_terms: int = 40,
-                          rng: Optional[random.Random] = None) -> PropertyReport:
-    """Randomized search for a derivable message on which the bound reads
-    lower than on the originating set.  Derived terms are sampled when the
-    closure is large; the sampling is seeded and reported."""
+                          rng: Optional[random.Random] = None,
+                          ) -> dict[str, PropertyReport]:
+    """Randomized search, for each bound, for a derivable message on which
+    the bound reads lower than on the originating set.  Derived terms are
+    sampled when the closure is large; the sampling is seeded and reported.
+
+    The bounds share one stream of trials: each random set, its closure and
+    its sample are made once and read by every bound that has not failed
+    yet.  A bound drops out after the trial it failed in.  The stream does
+    not depend on the bounds, so each report is the one a run of that bound
+    alone would give.  Reports come in the mapping's order."""
     rng = rng or random.Random(seed)
-    failures: list[Failure] = []
-    truncated = 0
+    failures: dict[str, list[Failure]] = {name: [] for name in funcs}
+    truncated = dict.fromkeys(funcs, 0)
+    running = list(funcs)
     for _ in range(trials):
+        if not running:
+            break
         M = random_well_protected_set(rng, ctx, max_messages=max_messages)
         closure = deduce_closure(M, ctx, depth_budget=depth, round_cap=400)
-        if closure.truncated:
-            truncated += 1
         terms = closure.sample_order
         if len(terms) > sample_terms:
             terms = rng.sample(terms, sample_terms)
-        base_cache: dict[Atom, SecurityLevel] = {}
-        for t in terms:
-            for a in sorted(atoms(t), key=lambda x: x.display()):
-                if intruder_allowed(ctx, a):
-                    continue
-                try:
-                    on_derived = func(a, t, ctx)
-                    if a not in base_cache:
-                        base_cache[a] = func(a, M, ctx)
-                    on_base = base_cache[a]
-                except WellProtectionViolation as err:
-                    failures.append(Failure(
-                        tuple(str(m) for m in M), str(t), a.display(),
-                        f"protection violated on derived term: {err}"))
-                    continue
-                if not geq(on_derived, on_base):
-                    failures.append(Failure(
-                        tuple(str(m) for m in M), str(t), a.display(),
-                        f"derived value {on_derived!r} below base value {on_base!r}"))
-        if failures:
-            break
-    return PropertyReport("full-invariance", not failures, trials,
-                          tuple(failures), (), truncated)
+        # each sampled term with its secret atoms, in printed order
+        secrets = [(t, [a for a in sorted(atoms(t), key=lambda x: x.display())
+                        if not intruder_allowed(ctx, a)])
+                   for t in terms]
+        for name in running:
+            func, found = funcs[name], failures[name]
+            truncated[name] += closure.truncated
+            base_cache: dict[Atom, SecurityLevel] = {}
+            for t, secret in secrets:
+                for a in secret:
+                    try:
+                        on_derived = func(a, t, ctx)
+                        if a not in base_cache:
+                            base_cache[a] = func(a, M, ctx)
+                        on_base = base_cache[a]
+                    except WellProtectionViolation as err:
+                        found.append(Failure(
+                            tuple(str(m) for m in M), str(t), a.display(),
+                            f"protection violated on derived term: {err}"))
+                        continue
+                    if not geq(on_derived, on_base):
+                        found.append(Failure(
+                            tuple(str(m) for m in M), str(t), a.display(),
+                            f"derived value {on_derived!r} below base value {on_base!r}"))
+        running = [name for name in running if not failures[name]]
+    return {name: PropertyReport("full-invariance", not failures[name], trials,
+                                 tuple(failures[name]), (), truncated[name])
+            for name in funcs}
 
 
 def check_non_disclosure(M: Sequence[Message], ctx: VerificationContext,

@@ -10,17 +10,34 @@ insertion order and truncation flag while walking, printing and splitting
 each term at most once per depth; the tests check the two against each
 other.  `sample_order` is the order `check_full_invariance` used to sort a
 closure in before it sampled from it.
+
+`check_full_invariance_alone` is the invariance search for one bound on a
+stream of trials of its own, as `check_full_invariance` ran before the
+bounds shared one stream.  It reaches the closure through the
+`secwitness.oracle` module, so a test that patches `deduce_closure` there
+patches it here too.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import random
+from typing import Iterable, Optional
 
-from secwitness.context import VerificationContext, intruder_knowledge, inverse_key, key_mode
-from secwitness.errors import NotAKey
-from secwitness.oracle import DeductionResult
+import secwitness.oracle
+from secwitness.context import (
+    SecurityLevel,
+    VerificationContext,
+    geq,
+    intruder_allowed,
+    intruder_knowledge,
+    inverse_key,
+    key_mode,
+)
+from secwitness.derive import ValueFunction
+from secwitness.errors import NotAKey, WellProtectionViolation
+from secwitness.oracle import DeductionResult, Failure, PropertyReport, random_well_protected_set
 from secwitness.rewrite import normalize
-from secwitness.terms import Atomic, Concat, Empty, Enc, Message, atoms, concat, enc
+from secwitness.terms import Atom, Atomic, Concat, Empty, Enc, Message, atoms, concat, enc
 
 
 def _term_size(m: Message) -> int:
@@ -116,3 +133,47 @@ def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
     known, truncated = deduce_closure_with_depths(M, ctx, depth_budget, atom_cap, round_cap)
     terms = frozenset(known)
     return DeductionResult(terms, truncated, depth_budget, tuple(sample_order(terms)))
+
+
+def check_full_invariance_alone(func: ValueFunction, ctx: VerificationContext,
+                                trials: int = 500, depth: int = 4,
+                                seed: int = 0, max_messages: int = 5,
+                                sample_terms: int = 40,
+                                rng: Optional[random.Random] = None) -> PropertyReport:
+    """Randomized search for a derivable message on which the bound reads
+    lower than on the originating set, on trials drawn for this bound
+    alone."""
+    rng = rng or random.Random(seed)
+    failures: list[Failure] = []
+    truncated = 0
+    for _ in range(trials):
+        M = random_well_protected_set(rng, ctx, max_messages=max_messages)
+        closure = secwitness.oracle.deduce_closure(M, ctx, depth_budget=depth, round_cap=400)
+        if closure.truncated:
+            truncated += 1
+        terms = closure.sample_order
+        if len(terms) > sample_terms:
+            terms = rng.sample(terms, sample_terms)
+        base_cache: dict[Atom, SecurityLevel] = {}
+        for t in terms:
+            for a in sorted(atoms(t), key=lambda x: x.display()):
+                if intruder_allowed(ctx, a):
+                    continue
+                try:
+                    on_derived = func(a, t, ctx)
+                    if a not in base_cache:
+                        base_cache[a] = func(a, M, ctx)
+                    on_base = base_cache[a]
+                except WellProtectionViolation as err:
+                    failures.append(Failure(
+                        tuple(str(m) for m in M), str(t), a.display(),
+                        f"protection violated on derived term: {err}"))
+                    continue
+                if not geq(on_derived, on_base):
+                    failures.append(Failure(
+                        tuple(str(m) for m in M), str(t), a.display(),
+                        f"derived value {on_derived!r} below base value {on_base!r}"))
+        if failures:
+            break
+    return PropertyReport("full-invariance", not failures, trials,
+                          tuple(failures), (), truncated)

@@ -283,8 +283,8 @@ def test_criterion_07_well_formedness_laws():
 def test_criterion_08_full_invariance():
     ctx = load_bundled("ns").context
     t0 = time.monotonic()
-    reports = {n: check_full_invariance(value_function(n), ctx, trials=500, depth=4, seed=0)
-               for n in ("fmax", "fek", "fn")}
+    reports = check_full_invariance({n: value_function(n) for n in ("fmax", "fek", "fn")},
+                                    ctx, trials=500, depth=4, seed=0)
 
     def leaky(alpha, m, c):
         ms = [m] if isinstance(m, Message) else list(m)
@@ -295,7 +295,7 @@ def test_criterion_08_full_invariance():
                     names.add(a.display())
         return finite(names)
 
-    caught = not check_full_invariance(leaky, ctx, trials=500, depth=4, seed=1).ok
+    caught = not check_full_invariance({"leaky": leaky}, ctx, trials=500, depth=4, seed=1)["leaky"].ok
     elapsed = time.monotonic() - t0
     ok = all(r.ok and not r.failures for r in reports.values()) and caught and elapsed < 60.0
     _verdict(8, ok, f"3x500 trials clean, leaky mutant caught, {elapsed:.1f} s")

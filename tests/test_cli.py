@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,20 @@ def test_function_env_default(ns_file, capsys, monkeypatch):
     # an explicit flag still wins
     main(["analyze", ns_file, "--function", "fmax"])
     assert "function fmax" in capsys.readouterr().out
+
+
+def test_repeated_calls_share_one_parser(ns_file, capsys, monkeypatch):
+    # the parser is built once per process; the variable is still read on
+    # every call, and a usage error leaves nothing behind for the next call
+    golden = Path(__file__).parent / "golden"
+    assert main(["analyze", ns_file, "--trials", "3"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    monkeypatch.setenv("SECWITNESS_FUNCTION", "fek")
+    assert main(["analyze", ns_file]) == EXIT_UNDECIDED
+    assert capsys.readouterr().out == (golden / "ns-fek-table.stdout").read_text(encoding="utf-8")
+    monkeypatch.delenv("SECWITNESS_FUNCTION")
+    assert main(["analyze", ns_file]) == EXIT_UNDECIDED
+    assert capsys.readouterr().out == (golden / "ns-fmax-table.stdout").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("value", ["bogus", "", "FEK"])

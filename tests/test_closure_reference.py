@@ -5,11 +5,14 @@ change something, and walks and prints each term once.  These tests check
 that it finds the same terms at the same depths, in the same order, with
 the same truncation flag and sample order as `reference_closure`, the
 closure it replaced, and that the property checks built on it report the
-same.
+same.  They also check that the bounds, reading one shared stream of
+trials, report what each would on a stream of its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -144,12 +147,66 @@ def test_full_invariance_reports_match_the_reference(protocol, name, func, refer
     runs = [dict(trials=30, depth=4, seed=0), dict(trials=15, depth=3, seed=7, sample_terms=10)]
     if name == "leaky":
         runs = [dict(trials=500, depth=4, seed=1)]
-    new = [check_full_invariance(func, ctx, **kw) for kw in runs]
+    new = [check_full_invariance({name: func}, ctx, **kw)[name] for kw in runs]
     reference_oracle()
-    old = [check_full_invariance(func, ctx, **kw) for kw in runs]
+    old = [check_full_invariance({name: func}, ctx, **kw)[name] for kw in runs]
     assert new == old
     if name == "leaky" and protocol == "ns":
         assert new[0].failures
+
+
+def _bounds(leaky_first: bool) -> dict:
+    bounds = {name: value_function(name) for name in sorted(INSTANCES)}
+    return {"leaky": _leaky, **bounds} if leaky_first else {**bounds, "leaky": _leaky}
+
+
+def _alone(funcs, ctx, **kw) -> dict:
+    return {name: reference_closure.check_full_invariance_alone(func, ctx, **kw)
+            for name, func in funcs.items()}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("leaky_first", [True, False], ids=["leaky-first", "leaky-last"])
+def test_shared_stream_reports_match_each_bound_alone(protocol, leaky_first):
+    # the leaky bound fails within the first three trials and drops out,
+    # while fek, fmax and fn read every trial
+    ctx = load_bundled(protocol).context
+    funcs = _bounds(leaky_first)
+    for seed in (0, 7):
+        for sample_terms in (40, 10):
+            kw = dict(trials=20, depth=4, seed=seed, sample_terms=sample_terms)
+            shared = check_full_invariance(funcs, ctx, **kw)
+            assert list(shared) == list(funcs)
+            assert shared == _alone(funcs, ctx, **kw)
+            assert not shared["leaky"].ok
+            assert all(shared[name].ok for name in INSTANCES)
+
+
+def test_shared_stream_counts_truncation_per_bound(monkeypatch):
+    # NS never truncates at this depth, so every other closure is marked
+    # truncated; the leaky bound stops after three trials, one of them marked
+    def truncate_every_other():
+        closures = itertools.count()
+
+        def deduce(*args, **kwargs):
+            result = deduce_closure(*args, **kwargs)
+            odd = next(closures) % 2 == 1
+            return dataclasses.replace(result, truncated=result.truncated or odd)
+
+        monkeypatch.setattr(secwitness.oracle, "deduce_closure", deduce)
+
+    ctx = load_bundled("ns").context
+    funcs = _bounds(leaky_first=False)
+    kw = dict(trials=20, depth=4, seed=7)
+    truncate_every_other()
+    shared = check_full_invariance(funcs, ctx, **kw)
+    alone = {}
+    for name, func in funcs.items():
+        truncate_every_other()
+        alone |= _alone({name: func}, ctx, **kw)
+    assert shared == alone
+    assert shared["leaky"].truncated_trials == 1
+    assert all(shared[name].truncated_trials == 10 for name in INSTANCES)
 
 
 def test_non_disclosure_reports_match_the_reference(ns, nsl, valuation_ctx, valuation_symbols,

@@ -94,14 +94,14 @@ def test_random_sets_come_out_well_protected(ns):
 
 
 def test_bound_survives_deduction_small_run(ns):
-    report = check_full_invariance(FMAX, ns.context, trials=40, depth=4, seed=0)
+    report = check_full_invariance({"fmax": FMAX}, ns.context, trials=40, depth=4, seed=0)["fmax"]
     assert report.ok
     assert report.failures == ()
     assert report.trials == 40
 
 
 def test_zero_trials_pass_vacuously(ns):
-    assert check_full_invariance(FMAX, ns.context, trials=0).ok
+    assert check_full_invariance({"fmax": FMAX}, ns.context, trials=0)["fmax"].ok
 
 
 def test_leaky_selection_is_caught(ns):
@@ -116,7 +116,7 @@ def test_leaky_selection_is_caught(ns):
                     names.add(a.display())
         return finite(names)
 
-    report = check_full_invariance(leaky, ns.context, trials=500, depth=4, seed=1)
+    report = check_full_invariance({"leaky": leaky}, ns.context, trials=500, depth=4, seed=1)["leaky"]
     assert not report.ok
     assert report.failures
 
