@@ -6,14 +6,18 @@ tests/golden/:
 - `roles`, `roles --roles auto` and `check-wp` on NS and NSL, and `roles`
   and `analyze` under every bound on the n-party chains n=2…12
   (front-end-cases.json).  These pin the role listing and the pattern
-  space, its renumbering and its deduplication included.
+  space, its renumbering and its deduplication included;
+- `analyze` under every bound on the subjects whose pairs reach the
+  `unify_all` fallback: the 3-party NS, NS with an echoed nonce and the
+  nested chains n=2…8 (front-end-cases.json).
 
 Each case pins stdout (in tests/golden/<case>.stdout) and the exit code and
 stderr (in its cases file).  The analyze files on NS and NSL were written
 by the analyzer before its candidate search was restructured, the others
-before the protocol parser and the pattern space were rewritten, and those
-of chains 11 and 12 by the search that listed every unifier; a change
-that is meant to alter the output rewrites them with
+before the protocol parser and the pattern space were rewritten, those
+of chains 11 and 12 by the search that listed every unifier, and the
+fallback subjects' by the search that valued their unifiers one at a time;
+a change that is meant to alter the output rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -30,12 +34,12 @@ from pathlib import Path
 import pytest
 
 from secwitness.cli import FUNCTION_ENV, main
-from secwitness.protocols import bundled
-from test_shared_search import chain_text
+from test_shared_search import subject_text
 
 GOLDEN = Path(__file__).parent / "golden"
 FUNCTIONS = ("fmax", "fek", "fn")
 CHAINS = range(2, 13)
+FALLBACK = ["ns3", "ns-echo"] + [f"nchain{n}" for n in range(2, 9)]
 
 # case name -> (protocol, command line without the file)
 ANALYZE = {f"{p}-{f}-{fmt}": (p, ["analyze", "--function", f, "--format", fmt])
@@ -47,19 +51,14 @@ FRONT_END = {
     **{f"roles-chain{n}": (f"chain{n}", ["roles"]) for n in CHAINS},
     **{f"chain{n}-{f}-table": (f"chain{n}", ["analyze", "--function", f])
        for n in CHAINS for f in FUNCTIONS},
+    **{f"{p}-{f}-table": (p, ["analyze", "--function", f]) for p in FALLBACK for f in FUNCTIONS},
 }
 SUITES = {"cases.json": ANALYZE, "front-end-cases.json": FRONT_END}
 
 
-def _text(protocol: str) -> str:
-    if protocol.startswith("chain"):
-        return chain_text(int(protocol[len("chain"):]))
-    return bundled(protocol)
-
-
 def _run(protocol: str, argv: list[str], directory: Path) -> tuple[int, bytes, str]:
     path = directory / f"{protocol}.proto"
-    path.write_text(_text(protocol), encoding="utf-8")
+    path.write_text(subject_text(protocol), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([argv[0], str(path), *argv[1:]])

@@ -3,8 +3,9 @@
 `witness.lower_bounds` values all atoms of a send together: one
 unification per (pattern, protecting part) and one valuation per unifier.
 These tests check it against `reference_bounds`, the per-atom loop it
-replaced, on the bundled handshakes, on n-party chains and on random pools
-and sends, and count the unifications it makes.
+replaced, on the bundled handshakes, on n-party chains, on subjects whose
+pairs go to the `unify_all` fallback and on random pools and sends, and
+count the unifications it makes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import reference_bounds
 import secwitness.unify
 import secwitness.witness
 from secwitness.context import BOTTOM
-from secwitness.protocols import load_bundled
+from secwitness.protocols import bundled
 from secwitness.roles import SEND, parse_protocol, pattern_space, roles_for
 from secwitness.selection import INSTANCES, value_function
 from secwitness.terms import Atomic, atoms, concat, flatten
@@ -46,21 +47,71 @@ def chain_text(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def nested_chain_text(n: int) -> str:
+    """The n-party chain with each sender's name encrypted under its own
+    key, `{N1.{P1}_k1}_k2` for the first step: linear but not flat, so its
+    pairs go to the `unify_all` fallback."""
+    lines = chain_text(n).splitlines()
+    for i in range(1, n + 1):
+        step = next(k for k, line in enumerate(lines) if line.startswith(f"step {i}:"))
+        lines[step] = lines[step].replace(f".P{i}}}", f".{{P{i}}}_k{i}}}")
+    return "\n".join(lines) + "\n"
+
+
+# Three parties: A sends B's part through S, which forwards it unread.
+NS3 = """protocol NS3;
+principal A, B, S;
+intruder I;
+key ka inv ka-1;
+key kb inv kb-1;
+key ks inv ks-1;
+key ki inv ki-1;
+fresh Na by A;
+fresh Nb by B;
+level Na = {A,B};
+level Nb = {A,B};
+level ka-1 = {A};
+level kb-1 = {B};
+level ks-1 = {S};
+level ki-1 = {I};
+step 1: A -> S : {A.{Na.A}_kb}_ks;
+step 2: S -> B : {Na.A}_kb;
+step 3: B -> A : {Na.Nb.B}_ka;
+step 4: A -> B : {Nb}_kb;
+"""
+
+
+def subject_text(name: str) -> str:
+    """The protocol file of a named subject: a bundled handshake, `chain<n>`,
+    `nchain<n>` (nested), `ns3`, or `ns-echo`, NS with the initiator's nonce
+    echoed twice in step 2 and computed role views, so that B sends
+    `{Y.Nb^i.Y.B}_ka` with Y twice."""
+    if name.startswith("chain"):
+        return chain_text(int(name[len("chain"):]))
+    if name.startswith("nchain"):
+        return nested_chain_text(int(name[len("nchain"):]))
+    if name == "ns3":
+        return NS3
+    if name == "ns-echo":
+        declared = bundled("ns").split("\nrole ")[0]
+        return declared.replace("{Na.Nb.B}_ka", "{Na.Nb.Na.B}_ka")
+    return bundled(name)
+
+
 @functools.lru_cache(maxsize=None)
 def subject(name: str):
     """The protocol, its computed role views' pattern space and the
     distinct messages those views send."""
-    if name.startswith("chain"):
-        protocol = parse_protocol(chain_text(int(name[len("chain"):])))
-    else:
-        protocol = load_bundled(name)
+    protocol = parse_protocol(subject_text(name))
     roles = roles_for(protocol)
     pool = pattern_space(protocol, roles)
     sends = list(dict.fromkeys(s.message for r in roles for s in r.steps if s.direction is SEND))
     return protocol, pool, sends
 
 
-SUBJECTS = ["ns", "nsl"] + [f"chain{n}" for n in range(2, 7)]
+# subjects that reach the `unify_all` fallback, and all of them
+FALLBACK = ["ns3", "ns-echo"] + [f"nchain{n}" for n in range(2, 7)]
+SUBJECTS = ["ns", "nsl"] + [f"chain{n}" for n in range(2, 7)] + FALLBACK
 
 
 @st.composite
@@ -169,6 +220,8 @@ def test_unify_all_runs_once_per_distinct_pair_of_each_send(name, monkeypatch):
         parts = {p for p in flatten(sent)
                  if not isinstance(p, Atomic) and any(a in atoms(p) for a in alphas)}
         assert set(searched) == {(pattern, p) for pattern in pool for p in parts}
+        if not parts:  # every queried atom stands bare, as S's forwarded Z in ns3
+            continue
         assert set(searched.values()) == {1}
         assert set(unified) == {pair for pair in searched if original_linear_facts(*pair) is None}
         assert set(unified.values()) <= {1}
@@ -189,3 +242,18 @@ def test_analyze_never_falls_back_to_unify_all(name, monkeypatch):
     monkeypatch.setattr(secwitness.unify, "unify_all", counting_unify_all)
     analyze(protocol, "fmax")
     assert calls == []
+
+
+@pytest.mark.parametrize("name", FALLBACK)
+def test_the_fallback_subjects_reach_unify_all(name, monkeypatch):
+    protocol, _, _ = subject(name)
+    calls = []
+    original_unify_all = secwitness.unify.unify_all
+
+    def counting_unify_all(pattern, target):
+        calls.append((pattern, target))
+        return original_unify_all(pattern, target)
+
+    monkeypatch.setattr(secwitness.unify, "unify_all", counting_unify_all)
+    analyze(protocol, "fmax")
+    assert calls
