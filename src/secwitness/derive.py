@@ -5,14 +5,15 @@ variables, so structure above survives).  The valuation of a candidate match
 looks at the source two ways: with the queried atom fixed and every variable
 erased, and once per source variable whose image contains the queried atom,
 with that one variable kept.  The two views overlap by meet, so adding a
-view can only tighten the answer.
+view can only tighten the answer.  The matches arrive as facts: the
+parameter bindings of each, and the atoms of each source variable's image.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .context import SecurityLevel, VerificationContext, meet_all
+from .context import TOP, SecurityLevel, VerificationContext, meet
 from .terms import (
     EMPTY,
     Atom,
@@ -47,16 +48,36 @@ def derive_keeping(m: Message, keep: Atom) -> Message:
     return derive(m, variables_of(m) - {keep})
 
 
-def _view(source: Message, params: frozenset, views: dict) -> tuple:
-    """The source under a unifier's parameter bindings, given as a frozenset
-    of (parameter, atomic image) pairs: the instance, its static view, the
-    static view's atoms and a memo of levels, made once per bindings and
-    kept in `views`."""
-    entry = views.get(params)
+Params = frozenset  # of (parameter, Atomic image), closed
+Carried = tuple[Params, Atom, frozenset[Atom]]
+
+
+def unifier_facts(source: Message, sigmas: Iterable[Substitution]) -> tuple[list[Params], list[Carried]]:
+    """The facts of listed unifiers of the source, in the form
+    `unify.linear_facts` gives: their distinct parameter bindings, and the
+    distinct (bindings, source variable, atoms of the variable's image)."""
+    finals: dict[Params, None] = {}
+    carried: dict[Carried, None] = {}
+    variables = variables_of(source)
+    for sigma in sigmas:
+        params = frozenset((a, m) for a, m in sigma.items() if a.sort is Sort.PARAMETER)
+        finals[params] = None
+        for var in variables:
+            image = sigma.image_of(var)
+            if image is not None:
+                carried[(params, var, atoms(image))] = None
+    return list(finals), list(carried)
+
+
+def _view(source: Message, params: Params, memo: dict) -> tuple:
+    """The source under a match's parameter bindings: the instance, its
+    static view, the static view's atoms and a memo of levels, made once
+    per bindings and kept in `memo`."""
+    entry = memo.get(params)
     if entry is None:
         inst = substitute(source, dict(params))
         static_view = derive_all(inst)
-        entry = views[params] = (inst, static_view, atoms(static_view), {})
+        entry = memo[params] = (inst, static_view, atoms(static_view), {})
     return entry
 
 
@@ -72,20 +93,24 @@ def _level(F: ValueFunction, entry: tuple, a: Atom, ctx: VerificationContext) ->
 
 
 def fact_levels(F: ValueFunction, alphas: Sequence[Atom], source: Message,
-                finals: Iterable[frozenset], carried: Iterable[tuple[frozenset, Atom, frozenset[Atom]]],
-                ctx: VerificationContext, views: dict) -> dict[Atom, list[SecurityLevel]]:
-    """The levels that matches of the source give each queried atom, read
-    off the facts of those matches rather than the matches themselves.
+                finals: Iterable[Params], carried: Iterable[Carried],
+                ctx: VerificationContext) -> dict[Atom, SecurityLevel]:
+    """The level that the matches of the source give each queried atom they
+    say something about, read off the facts of those matches (from
+    `unify.linear_facts` or `unifier_facts`) and met as each arrives.
 
     `finals` holds the parameter bindings of the matches; each gives the
     static view, which counts when the queried atom, or the source atom it
     was matched to, survives in the pruned instance.  `carried` holds
     (bindings, source variable, atoms of the variable's image) and gives
-    the variable's dynamic view for every queried atom in that image.
+    the variable's dynamic view for every queried atom in that image.  Both
+    views depend only on the bindings and one atom of the instance, so each
+    such level is computed once for the source.
     """
-    found: dict[Atom, list[SecurityLevel]] = {alpha: [] for alpha in alphas}
+    memo: dict[Params, tuple] = {}
+    found: dict[Atom, SecurityLevel] = {}
     for params in finals:
-        entry = _view(source, params, views)
+        entry = _view(source, params, memo)
         images = dict(params)
         for alpha in alphas:
             # A fixed queried atom may have been matched by one of the
@@ -99,39 +124,18 @@ def fact_levels(F: ValueFunction, alphas: Sequence[Atom], source: Message,
                 if isinstance(image, Atomic):
                     probe = image.atom
             if probe in entry[2]:
-                found[alpha].append(_level(F, entry, probe, ctx))
+                found[alpha] = meet(found.get(alpha, TOP), _level(F, entry, probe, ctx))
     for params, var, inside in carried:
-        entry = _view(source, params, views)
+        entry = _view(source, params, memo)
         for alpha in alphas:
             if alpha in inside:
-                found[alpha].append(_level(F, entry, var, ctx))
+                found[alpha] = meet(found.get(alpha, TOP), _level(F, entry, var, ctx))
     return found
 
 
 def contribution_of(F: ValueFunction, alphas: Sequence[Atom], source: Message,
-                    sigma: Substitution, ctx: VerificationContext,
-                    views: Optional[dict] = None) -> Optional[dict[Atom, SecurityLevel]]:
-    """The candidate's value for each queried atom it says something about,
-    or None when it says nothing about any of them.
-
-    Static view: parameters of the source take their matched images (atomic
-    images only ever arise there); all variables are erased; if the queried
-    atom, or the source atom it was matched to, survives, the bound of that
-    atom in the pruned source counts.  Dynamic view: each source variable
-    whose image contains the queried atom contributes the bound of the
-    variable in the source pruned down to it.
-
-    Both views depend only on the unifier's parameter bindings and one atom
-    of the instance, not on the queried atom.  A caller valuing several
-    unifiers of the same source passes one `views` dict to all of them, so
-    that each such level is computed once for the source.
-    """
-    params = frozenset((a, m) for a, m in sigma.items() if a.sort is Sort.PARAMETER)
-    carried = []
-    for var in sorted(variables_of(source), key=lambda a: a.name):
-        image = sigma.image_of(var)
-        if image is not None:
-            carried.append((params, var, atoms(image)))
-    levels = fact_levels(F, alphas, source, [params], carried, ctx, {} if views is None else views)
-    found = {alpha: meet_all(values) for alpha, values in levels.items() if values}
-    return found or None
+                    sigma: Substitution, ctx: VerificationContext) -> Optional[dict[Atom, SecurityLevel]]:
+    """The one-unifier case of `fact_levels`: the candidate's value for each
+    queried atom it says something about, or None when it says nothing
+    about any of them."""
+    return fact_levels(F, alphas, source, *unifier_facts(source, [sigma]), ctx) or None

@@ -221,6 +221,8 @@ def parse_protocol(text: str) -> Protocol:
         elif head == "principal":
             principal_names.extend(_names(m, 1))
         elif head == "intruder":
+            if intruder_name is not None:
+                raise ContextError(f"second intruder declaration: {stmt}")
             intruder_name = g[0]
             if intruder_name not in principal_names:
                 principal_names.append(intruder_name)
@@ -248,7 +250,7 @@ def parse_protocol(text: str) -> Protocol:
     named: dict[str, Atom] = {}
     for n in itertools.chain(principal_names, *(decl[:2] for decl in key_decls), fresh_owners, levels):
         named.setdefault(n, Atom(n))
-    for v in var_names:
+    for v in dict.fromkeys(var_names):
         if v in named:
             raise ContextError(f"{v} declared both as a name and a variable")
         named[v] = Atom(v, Sort.VARIABLE)
@@ -264,8 +266,8 @@ def parse_protocol(text: str) -> Protocol:
             raise NonMonotoneRule(f"{lhs_text} -> {rhs_text}")
         parsed_rules.append(rule)
 
-    ctx = make_context(principals=principal_names, intruder=intruder_name, levels=levels,
-                       keys=key_decls, rewrite_rules=tuple(parsed_rules))
+    ctx = make_context(principals=list(dict.fromkeys(principal_names)), intruder=intruder_name,
+                       levels=levels, keys=key_decls, rewrite_rules=tuple(parsed_rules))
 
     steps = []
     for sid, snd, rcv, mtext in sorted(step_specs, key=lambda s: s[0]):

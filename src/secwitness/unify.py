@@ -12,16 +12,16 @@ final bound.
 
 The candidate search does not list the unifiers where it can avoid it: for
 a linear flat pair, `linear_facts` reads what the bound needs off the match
-states in polynomial time, and `unify_all` is the fallback for every other
-pair.
+states in polynomial time.  `unify_all` is the fallback for every other
+pair, and `derive.unifier_facts` turns its unifiers into the same facts.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .context import SecurityLevel, VerificationContext, meet_all
-from .derive import ValueFunction, contribution_of, fact_levels
+from .context import TOP, SecurityLevel, VerificationContext, meet
+from .derive import Carried, Params, ValueFunction, fact_levels, unifier_facts
 from .terms import (
     Atom,
     Atomic,
@@ -189,9 +189,7 @@ def unify(pattern: Message, target: Message) -> Optional[Substitution]:
 # ---------------------------------------------------------------------------
 # Facts of a linear flat pair
 
-Params = frozenset  # of (parameter, Atomic image), closed, as in _close
 State = tuple[int, int, Params]
-Carried = tuple[Params, Atom, frozenset[Atom]]
 
 
 def _body_atoms(m: Message) -> Optional[tuple[Atom, ...]]:
@@ -297,24 +295,16 @@ def linear_facts(pattern: Message, target: Message) -> Optional[tuple[list[Param
 
 def candidate_values(target: Message, pool: Sequence[Message],
                      ctx: VerificationContext, alphas: Sequence[Atom],
-                     F: ValueFunction) -> dict[Atom, list[SecurityLevel]]:
-    """The contributions themselves, for folding by meet: for each queried
-    atom, in pool order.  A linear flat pair gives one contribution per
-    pattern, the meet over its facts (`linear_facts`); any other pair is
-    unified with `unify_all` and gives one per unifier, each valued once for
-    all the atoms."""
-    values: dict[Atom, list[SecurityLevel]] = {alpha: [] for alpha in alphas}
+                     F: ValueFunction) -> dict[Atom, SecurityLevel]:
+    """The meet of what the pool's patterns say about each queried atom
+    that any of them says something about.  Each pattern is valued once,
+    from the facts of its matches against the target: `linear_facts` for
+    a linear flat pair, the unifiers of `unify_all` for any other pair."""
+    values: dict[Atom, SecurityLevel] = {}
     for pattern in pool:
-        views: dict = {}
         facts = linear_facts(pattern, target)
-        if facts is not None:
-            for alpha, found in fact_levels(F, alphas, pattern, *facts, ctx, views).items():
-                if found:
-                    values[alpha].append(meet_all(found))
-            continue
-        for sigma in unify_all(pattern, target):
-            found = contribution_of(F, alphas, pattern, sigma, ctx, views)
-            if found is not None:
-                for alpha, v in found.items():
-                    values[alpha].append(v)
+        if facts is None:
+            facts = unifier_facts(pattern, unify_all(pattern, target))
+        for alpha, level in fact_levels(F, alphas, pattern, *facts, ctx).items():
+            values[alpha] = meet(values.get(alpha, TOP), level)
     return values

@@ -26,7 +26,7 @@ from .context import (
     meet,
     meet_all,
 )
-from .derive import ValueFunction, derive_all, derive_keeping
+from .derive import ValueFunction, derive_keeping
 from .errors import NoProtectivePattern, WellProtectionViolation
 from .rewrite import check_well_protected
 from .roles import (
@@ -80,12 +80,12 @@ def lower_bounds(sent: Message, alphas: Sequence[Atom], pool: Sequence[Message],
     atom that stands bare in the send, with a level to protect, maps to
     None: no pattern protects it, and later parts are not searched for it.
     """
-    values: dict[Atom, list[SecurityLevel]] = {alpha: [] for alpha in alphas}
+    values: dict[Atom, SecurityLevel] = {}
     bare: set[Atom] = set()
     searched: set[Message] = set()
     for part in flatten(sent):
         if isinstance(part, Atomic):
-            if part.atom in values and _guarded(part.atom, ctx):
+            if part.atom in alphas and _guarded(part.atom, ctx):
                 bare.add(part.atom)
             continue
         if part in searched:
@@ -94,9 +94,9 @@ def lower_bounds(sent: Message, alphas: Sequence[Atom], pool: Sequence[Message],
         inside = atoms(part)
         query = [alpha for alpha in alphas if alpha not in bare and alpha in inside]
         if query:
-            for alpha, found in candidate_values(part, pool, ctx, query, F).items():
-                values[alpha].extend(found)
-    return {alpha: None if alpha in bare else meet_all(values[alpha]) for alpha in alphas}
+            for alpha, level in candidate_values(part, pool, ctx, query, F).items():
+                values[alpha] = meet(values.get(alpha, TOP), level)
+    return {alpha: None if alpha in bare else values.get(alpha, TOP) for alpha in alphas}
 
 
 def lower_bound(alpha: Atom, sent: Message, pool: Sequence[Message],
@@ -112,12 +112,8 @@ def lower_bound(alpha: Atom, sent: Message, pool: Sequence[Message],
 def upper_bound(alpha: Atom, m: Union[Message, Iterable[Message]],
                 F: ValueFunction, ctx: VerificationContext) -> SecurityLevel:
     """Who could have authored the atom's occurrences in a reception,
-    with the other variables erased."""
-
-    def pruned(t: Message) -> Message:
-        return derive_keeping(t, alpha) if alpha.sort is Sort.VARIABLE else derive_all(t)
-
-    return meet_all([F(alpha, pruned(t), ctx) for t in members(m)])
+    with every variable but the atom itself erased."""
+    return meet_all([F(alpha, derive_keeping(t, alpha), ctx) for t in members(m)])
 
 
 def reception_estimate(alpha: Atom, received: Sequence[Message],

@@ -67,7 +67,7 @@ def test_unparsable_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["analyze", "check-wp", "roles", "oracle"])
-@pytest.mark.parametrize("declaration", ["intruder ;", "intruder I J;"])
+@pytest.mark.parametrize("declaration", ["intruder ;", "intruder I J;", "intruder I; intruder J;"])
 def test_intruder_declaration_names_one_principal(tmp_path, capsys, command, declaration):
     text = bundled("ns").replace("intruder I;", declaration)
     assert declaration in text

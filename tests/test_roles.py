@@ -97,6 +97,19 @@ def test_key_declarations(declaration, expected):
     assert err.value.expected == expected
 
 
+@pytest.mark.parametrize("declaration", ["var X, Y, X;", "var X, Y; var Y;"])
+def test_repeated_names_are_read_once(declaration):
+    # a repeated variable is not mistaken for a name as well, and a repeated
+    # principal gets no second set of computed role views
+    declared = NS_TEXT.split("\nrole ")[0]
+    text = declared.replace("var X, Y;", declaration).replace("principal A, B;", "principal A, B, A;")
+    assert declaration in text and "principal A, B, A;" in text
+    protocol, plain = parse_protocol(text), parse_protocol(declared)
+    assert protocol.context == plain.context
+    assert protocol.steps == plain.steps
+    assert roles_for(protocol) == roles_for(plain)
+
+
 def test_extract_ns_role_family(ns):
     got = extract_generalized_roles(ns)
     assert [r.role_id for r in got] == ["A_G1", "A_G2", "B_G1", "B_G2"]

@@ -1,7 +1,7 @@
 """The shared per-send candidate search against the per-atom reference.
 
-`witness.lower_bounds` values all atoms of a send together: one
-unification per (pattern, protecting part) and one valuation per unifier.
+`witness.lower_bounds` values all atoms of a send together: one search
+per (pattern, protecting part) and one valuation of the facts it finds.
 These tests check it against `reference_bounds`, the per-atom loop it
 replaced, on the bundled handshakes, on n-party chains, on subjects whose
 pairs go to the `unify_all` fallback and on random pools and sends, and
@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_bounds
+import secwitness.derive
 import secwitness.unify
 import secwitness.witness
 from secwitness.context import BOTTOM
@@ -26,7 +29,7 @@ from secwitness.protocols import bundled
 from secwitness.roles import SEND, parse_protocol, pattern_space, roles_for
 from secwitness.selection import INSTANCES, value_function
 from secwitness.terms import Atomic, atoms, concat, flatten
-from secwitness.witness import _eligible, _guarded, analyze, lower_bounds
+from secwitness.witness import _eligible, _guarded, analyze, lower_bounds, render_table
 
 FUNCTIONS = sorted(INSTANCES)
 
@@ -257,3 +260,38 @@ def test_the_fallback_subjects_reach_unify_all(name, monkeypatch):
     monkeypatch.setattr(secwitness.unify, "unify_all", counting_unify_all)
     analyze(protocol, "fmax")
     assert calls
+
+
+@pytest.mark.parametrize("function", FUNCTIONS)
+@pytest.mark.parametrize("name", FALLBACK)
+def test_every_pair_is_valued_once_through_its_facts(name, function, monkeypatch):
+    # linear or not, each (pattern, protecting part) pair is valued by one
+    # `fact_levels` call and `contribution_of` is not used; the tables stay
+    # the pinned ones
+    protocol, pool, _ = subject(name)
+    valued: list[Counter] = []
+    original_contribution_of = secwitness.derive.contribution_of
+    original_candidate_values = secwitness.unify.candidate_values
+    original_fact_levels = secwitness.unify.fact_levels
+
+    def refusing_contribution_of(*args):
+        raise AssertionError("analyze called contribution_of")
+
+    def recording_candidate_values(*args):
+        valued.append(Counter())
+        return original_candidate_values(*args)
+
+    def counting_fact_levels(F, alphas, source, *rest):
+        valued[-1][source] += 1
+        return original_fact_levels(F, alphas, source, *rest)
+
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "secwitness"]:
+        if getattr(module, "contribution_of", None) is original_contribution_of:
+            monkeypatch.setattr(module, "contribution_of", refusing_contribution_of)
+    monkeypatch.setattr(secwitness.witness, "candidate_values", recording_candidate_values)
+    monkeypatch.setattr(secwitness.unify, "fact_levels", counting_fact_levels)
+    report = analyze(protocol, function)
+    golden = Path(__file__).parent / "golden" / f"{name}-{function}-table.stdout"
+    table = f"protocol {report.protocol} / function {function}\n{render_table(report)}\n"
+    assert table == golden.read_text(encoding="utf-8")
+    assert valued and all(counts == Counter(pool) for counts in valued)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from secwitness.context import meet_all
 from secwitness.selection import value_function
 from secwitness.terms import (
     Atom,
@@ -175,9 +176,21 @@ def test_no_candidates_for_foreign_constant_key(ns):
 
 
 def test_candidate_values_match_contributions(ns, ns_roles, ns_pool):
+    # the meet of the contributions of every (pattern, unifier) pair, from
+    # the same value-function calls
     target = _send(ns_roles, "A_G1", 0)
     alpha = next(a for a in atoms(target) if a.base_name == "Na")
-    values = candidate_values(target, ns_pool, ns.context, [alpha], FMAX)
+    calls: list[set] = [set(), set()]
+
+    def recording(k):
+        def G(a, m, ctx):
+            calls[k].add((a, m))
+            return FMAX(a, m, ctx)
+        return G
+
+    values = candidate_values(target, ns_pool, ns.context, [alpha], recording(0))
     pairs = _sources(target, ns_pool, ns.context, alpha)
-    assert values == {alpha: [contribution_of(FMAX, [alpha], m, s, ns.context)[alpha]
-                              for m, s in pairs]}
+    assert pairs
+    assert values == {alpha: meet_all(contribution_of(recording(1), [alpha], m, s, ns.context)[alpha]
+                                      for m, s in pairs)}
+    assert calls[0] == calls[1]
