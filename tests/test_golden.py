@@ -9,15 +9,18 @@ tests/golden/:
   space, its renumbering and its deduplication included;
 - `analyze` under every bound on the subjects whose pairs reach the
   `unify_all` fallback: the 3-party NS, NS with an echoed nonce and the
-  nested chains n=2…8 (front-end-cases.json).
+  nested chains n=2…8 (front-end-cases.json);
+- `analyze` under every bound, `check-wp` and `roles` on `sym`, a subject
+  whose keys are all symmetric (front-end-cases.json).
 
 Each case pins stdout (in tests/golden/<case>.stdout) and the exit code and
 stderr (in its cases file).  The analyze files on NS and NSL were written
 by the analyzer before its candidate search was restructured, the others
 before the protocol parser and the pattern space were rewritten, those
 of chains 11 and 12 by the search that listed every unifier, and the
-fallback subjects' by the search that valued their unifiers one at a time;
-a change that is meant to alter the output rewrites them with
+fallback subjects' by the search that valued their unifiers one at a time,
+and the `sym` subject's by the analyzer that still stored a mode on every
+ciphertext; a change that is meant to alter the output rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -51,7 +54,10 @@ FRONT_END = {
     **{f"roles-chain{n}": (f"chain{n}", ["roles"]) for n in CHAINS},
     **{f"chain{n}-{f}-table": (f"chain{n}", ["analyze", "--function", f])
        for n in CHAINS for f in FUNCTIONS},
-    **{f"{p}-{f}-table": (p, ["analyze", "--function", f]) for p in FALLBACK for f in FUNCTIONS},
+    **{f"{p}-{f}-table": (p, ["analyze", "--function", f])
+       for p in FALLBACK + ["sym"] for f in FUNCTIONS},
+    "check-wp-sym": ("sym", ["check-wp"]),
+    "roles-sym": ("sym", ["roles"]),
 }
 SUITES = {"cases.json": ANALYZE, "front-end-cases.json": FRONT_END}
 

@@ -1,11 +1,12 @@
-"""Pinned command-line output of `oracle` on the bundled NS and NSL
-handshakes (`--trials 10 --depth 4 --seed 0`), compared byte for byte with
-the files in tests/golden/.
+"""Pinned command-line output of `oracle` (`--trials 10 --depth 4 --seed 0`)
+on the bundled NS and NSL handshakes and on `sym`, a subject whose keys are
+all symmetric, compared byte for byte with the files in tests/golden/.
 
 Each case pins stdout (in tests/golden/oracle-<protocol>.stdout) and the
 exit code and stderr (in tests/golden/oracle-cases.json).  The files were
 written by the pass-by-pass attacker closure that tests/reference_closure.py
-keeps; a change that is meant to alter the output rewrites them with
+keeps, the `sym` subject's by the closure that still stored a mode on every
+ciphertext; a change that is meant to alter the output rewrites them with
 
     PYTHONPATH=src python tests/test_oracle_golden.py --write
 """
@@ -22,17 +23,17 @@ from pathlib import Path
 import pytest
 
 from secwitness.cli import main
-from secwitness.protocols import bundled
+from test_shared_search import subject_text
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES_FILE = GOLDEN / "oracle-cases.json"
-PROTOCOLS = ("ns", "nsl")
+PROTOCOLS = ("ns", "nsl", "sym")
 FLAGS = ["--trials", "10", "--depth", "4", "--seed", "0"]
 
 
 def _run(protocol: str, directory: Path) -> tuple[int, bytes, str]:
     path = directory / f"{protocol}.proto"
-    path.write_text(bundled(protocol), encoding="utf-8")
+    path.write_text(subject_text(protocol), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["oracle", str(path), *FLAGS])

@@ -83,18 +83,43 @@ step 3: B -> A : {Na.Nb.B}_ka;
 step 4: A -> B : {Nb}_kb;
 """
 
+# Symmetric keys only, server-distributed: S hands B the session key kab.
+SYM = """protocol SYM;
+principal A, B, S;
+intruder I;
+key kas sym;
+key kbs sym;
+key kab sym;
+key ki inv ki-1;
+fresh Na by A;
+fresh Nb by B;
+var X, Y;
+level kas = {A,S};
+level kbs = {B,S};
+level kab = {A,B,S};
+level Na = {A,B,S};
+level Nb = {A,B,S};
+level ki-1 = {I};
+step 1: A -> S : {A.B.Na}_kas;
+step 2: S -> B : {A.kab.Na}_kbs;
+step 3: B -> A : {Na.Nb}_kab;
+step 4: A -> B : {Nb}_kab;
+"""
+
 
 def subject_text(name: str) -> str:
     """The protocol file of a named subject: a bundled handshake, `chain<n>`,
-    `nchain<n>` (nested), `ns3`, or `ns-echo`, NS with the initiator's nonce
-    echoed twice in step 2 and computed role views, so that B sends
-    `{Y.Nb^i.Y.B}_ka` with Y twice."""
+    `nchain<n>` (nested), `ns3`, `sym` (symmetric keys only), or `ns-echo`,
+    NS with the initiator's nonce echoed twice in step 2 and computed role
+    views, so that B sends `{Y.Nb^i.Y.B}_ka` with Y twice."""
     if name.startswith("chain"):
         return chain_text(int(name[len("chain"):]))
     if name.startswith("nchain"):
         return nested_chain_text(int(name[len("nchain"):]))
     if name == "ns3":
         return NS3
+    if name == "sym":
+        return SYM
     if name == "ns-echo":
         declared = bundled("ns").split("\nrole ")[0]
         return declared.replace("{Na.Nb.B}_ka", "{Na.Nb.Na.B}_ka")
