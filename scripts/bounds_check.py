@@ -14,7 +14,7 @@ import argparse
 import random
 import time
 
-from secwitness.context import Mode, geq, make_context
+from secwitness.context import geq, make_context
 from secwitness.rewrite import check_well_protected
 from secwitness.selection import value_function
 from secwitness.terms import (
@@ -48,7 +48,7 @@ def random_setup(rng: random.Random):
         levels[name] = sorted(floor | extra)
         data.append(Atom(name))
     ctx = make_context(IDENTITIES + ["I"], "I", levels,
-                       [(k, i, Mode.ASYMMETRIC) for k, i in key_pairs])
+                       key_pairs)
     return ctx, data, [Atom(k) for k, _ in key_pairs]
 
 

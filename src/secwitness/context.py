@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ContextError, MismatchedUniverse, NotAKey
-from .terms import Atom, Mode, Sort
+from .terms import Atom, Sort
 
 
 @dataclass(frozen=True)
@@ -90,28 +90,21 @@ def meet_all(levels: Iterable[SecurityLevel]) -> SecurityLevel:
 
 
 @dataclass(frozen=True)
-class KeyDeclaration:
-    name: str
-    inverse: str
-    mode: Mode
-
-
-@dataclass(frozen=True)
 class VerificationContext:
     principals: tuple[Atom, ...]
     intruder: Atom
     levels: Mapping[str, SecurityLevel]
-    keys: Mapping[str, KeyDeclaration]  # indexed by BOTH names of each pair
+    keys: Mapping[str, str]  # each key name to its inverse's, both ways round
     rewrite_rules: tuple = ()
 
     def __post_init__(self) -> None:
         names = {p.name for p in self.principals}
         if self.intruder.name not in names:
             raise ContextError("intruder must be one of the principals")
-        for decl in set(self.keys.values()):
-            if decl.name not in self.levels and decl.inverse not in self.levels:
+        for name, inverse in self.keys.items():
+            if name not in self.levels and inverse not in self.levels:
                 raise ContextError(
-                    f"key pair {decl.name}/{decl.inverse} has no declared level on either side"
+                    f"key pair {name}/{inverse} has no declared level on either side"
                 )
 
     @property
@@ -123,16 +116,16 @@ def make_context(
     principals: Sequence[str],
     intruder: str,
     levels: Mapping[str, Iterable[str]],
-    keys: Sequence[tuple[str, str, Mode]] = (),
+    keys: Sequence[tuple[str, str]] = (),
     rewrite_rules: tuple = (),
 ) -> VerificationContext:
-    """Convenience builder used by tests and the protocol loader."""
+    """Convenience builder used by tests and the protocol loader; keys are
+    (name, inverse) pairs, a symmetric key being its own inverse."""
     atoms = tuple(Atom(p) for p in principals)
-    key_index: dict[str, KeyDeclaration] = {}
-    for name, inverse, mode in keys:
-        decl = KeyDeclaration(name, inverse, mode)
-        key_index[name] = decl
-        key_index[inverse] = KeyDeclaration(inverse, name, mode)
+    key_index: dict[str, str] = {}
+    for name, inverse in keys:
+        key_index[name] = inverse
+        key_index[inverse] = name
     lvls = {name: finite(members) for name, members in levels.items()}
     return VerificationContext(
         principals=atoms,
@@ -184,18 +177,11 @@ def intruder_allowed(ctx: VerificationContext, x: Union[Atom, str]) -> bool:
 def inverse_key(ctx: VerificationContext, k: Atom) -> Atom:
     """Involutive inverse; an indexed copy keeps its index (kb_1 -> kb-1_1)."""
     base = k.base_name
-    decl = ctx.keys.get(base)
-    if decl is None:
+    inverse = ctx.keys.get(base)
+    if inverse is None:
         raise NotAKey(k.display())
-    inv_name = decl.inverse if k.index is None else f"{decl.inverse}_{k.index}"
+    inv_name = inverse if k.index is None else f"{inverse}_{k.index}"
     return Atom(inv_name, k.sort, k.session_tag)
-
-
-def key_mode(ctx: VerificationContext, k: Atom) -> Mode:
-    decl = ctx.keys.get(k.base_name)
-    if decl is None:
-        raise NotAKey(k.display())
-    return decl.mode
 
 
 def is_identity(ctx: VerificationContext, a: Atom) -> bool:

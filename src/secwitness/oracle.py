@@ -25,7 +25,6 @@ from .context import (
     intruder_allowed,
     intruder_knowledge,
     inverse_key,
-    key_mode,
     level_of,
 )
 from .derive import ValueFunction
@@ -182,7 +181,7 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
             inv = inverse_of(t.atom)
             if inv is not None and inv in known:
                 k = t.atom
-                enc_keys.append((k, t, key_mode(ctx, k), bits[k], "}_" + k.display()))
+                enc_keys.append((k, t, bits[k], "}_" + k.display()))
     fresh = 0
     for a, da, pa, ma, ta in snapshot:
         if fresh > round_cap:
@@ -200,10 +199,10 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
                 fresh += 1
         if pa is None:
             continue
-        for k, kt, mode, kb, suffix in enc_keys:
+        for k, kt, kb, suffix in enc_keys:
             dk = known[kt]
             d = (da if da > dk else dk) + 1
-            if d <= depth_budget and add(Enc(a, k, mode), d, (ma | kb).bit_count(),
+            if d <= depth_budget and add(Enc(a, k), d, (ma | kb).bit_count(),
                                          "{" + ta + suffix):
                 fresh += 1
 
@@ -267,7 +266,7 @@ def random_well_protected_set(rng: random.Random, ctx: VerificationContext,
                 inv_level = level_of(ctx, inverse_key(ctx, k))
             except NotAKey:
                 inv_level = level_of(ctx, k)
-            return enc(build(depth - 1, guards + (inv_level,)), k, key_mode(ctx, k))
+            return enc(build(depth - 1, guards + (inv_level,)), k)
         parts = [build(depth - 1, guards) for _ in range(rng.randint(2, 3))]
         return concat(*parts)
 

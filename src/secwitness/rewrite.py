@@ -182,7 +182,7 @@ def _norm(t: Message, rules: tuple, ctx: VerificationContext, steps: list[int],
         if isinstance(t, Concat):
             t = concat(*(_norm(p, rules, ctx, steps, budget) for p in t.parts))
         elif isinstance(t, Enc):
-            t = Enc(_norm(t.body, rules, ctx, steps, budget), t.key, t.mode)
+            t = Enc(_norm(t.body, rules, ctx, steps, budget), t.key)
         for rule in rules:
             reduced = _try_rule(rule, t, ctx)
             if reduced is not None:

@@ -48,7 +48,6 @@ from .terms import (
     Concat,
     Enc,
     Message,
-    Mode,
     Sort,
     SymbolTable,
     atoms,
@@ -196,7 +195,7 @@ def parse_protocol(text: str) -> Protocol:
     name = ""
     principal_names: list[str] = []
     intruder_name: Optional[str] = None
-    key_decls: list[tuple[str, str, Mode]] = []
+    key_decls: list[tuple[str, str]] = []
     levels: dict[str, frozenset] = {}
     fresh_owners: dict[str, str] = {}
     var_names: list[str] = []
@@ -230,7 +229,7 @@ def parse_protocol(text: str) -> Protocol:
             key, inv, mode = g
             if inv is None and mode != "sym":
                 raise MessageSyntaxError(stmt, 0, "inverse key or 'sym'")
-            key_decls.append((key, inv or key, Mode.SYMMETRIC if mode == "sym" else Mode.ASYMMETRIC))
+            key_decls.append((key, inv or key))
         elif head == "fresh":
             fresh_owners[g[0]] = g[1]
         elif head == "var":
@@ -248,7 +247,7 @@ def parse_protocol(text: str) -> Protocol:
         raise ContextError("no intruder declared")
 
     named: dict[str, Atom] = {}
-    for n in itertools.chain(principal_names, *(decl[:2] for decl in key_decls), fresh_owners, levels):
+    for n in itertools.chain(principal_names, *key_decls, fresh_owners, levels):
         named.setdefault(n, Atom(n))
     for v in dict.fromkeys(var_names):
         if v in named:
@@ -362,7 +361,7 @@ def extract_generalized_roles(p: Protocol) -> tuple[GeneralizedRole, ...]:
                 return concat(*(read(part) for part in t.parts))
             if isinstance(t, Enc):
                 if may_read(ctx, agent.name, inverse_key(ctx, t.key)):
-                    return Enc(read(t.body), t.key, t.mode)
+                    return Enc(read(t.body), t.key)
                 return opaque(t)
             return t
 
@@ -372,7 +371,7 @@ def extract_generalized_roles(p: Protocol) -> tuple[GeneralizedRole, ...]:
             if isinstance(t, Concat):
                 return concat(*(echo(part) for part in t.parts))
             if isinstance(t, Enc):
-                return Enc(echo(t.body), t.key, t.mode)
+                return Enc(echo(t.body), t.key)
             return t
 
         steps: list[RoleStep] = []
@@ -430,12 +429,12 @@ def _owner(a: Atom, ctx: VerificationContext, fresh_owners: Mapping[str, str]) -
         return fresh_owners[base]
     if is_identity(ctx, a):
         return base
-    decl = ctx.keys.get(base)
-    if decl is not None:
+    inverse = ctx.keys.get(base)
+    if inverse is not None:
         own = level_of(ctx, Atom(base)).members
         if own and len(own) == 1:
             return next(iter(own))
-        inv = level_of(ctx, Atom(decl.inverse if decl.name == base else decl.name)).members
+        inv = level_of(ctx, Atom(inverse)).members
         if inv and len(inv) == 1:
             return next(iter(inv))
     return base
@@ -444,8 +443,7 @@ def _owner(a: Atom, ctx: VerificationContext, fresh_owners: Mapping[str, str]) -
 def pattern_shape(m: Message) -> Message:
     """Structural identity modulo numbering: each parameter becomes its
     base name and each variable v0, v1, ... by order of first appearance;
-    constants and encryption modes are kept (the parser makes every
-    encryption asymmetric)."""
+    constants are kept."""
     order: dict[str, Atomic] = {}
 
     def canonical(a: Atom) -> Optional[Atomic]:

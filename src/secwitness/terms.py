@@ -80,11 +80,6 @@ class Atom:
         return marker + self.display()
 
 
-class Mode(Enum):
-    SYMMETRIC = "sym"
-    ASYMMETRIC = "asym"
-
-
 class Message:
     """Base class; concrete nodes are Atomic, Concat, Enc and Empty.
 
@@ -140,13 +135,12 @@ class Concat(Message):
 class Enc(Message):
     body: Message
     key: Atom
-    mode: Mode = Mode.ASYMMETRIC
     _h: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if self.key.sort is Sort.VARIABLE:
             raise VariableInKeyPosition(self.key.display())
-        object.__setattr__(self, "_h", hash((self.body._h, self.key._h, self.mode._value_)))
+        object.__setattr__(self, "_h", hash((self.body._h, self.key._h)))
 
     def __hash__(self) -> int:
         return self._h
@@ -194,8 +188,8 @@ def concat(*messages: Message) -> Message:
     return Concat(tuple(parts))
 
 
-def enc(body: Message, key: Atom, mode: Mode = Mode.ASYMMETRIC) -> Enc:
-    return Enc(body, key, mode)
+def enc(body: Message, key: Atom) -> Enc:
+    return Enc(body, key)
 
 
 def flatten(m: Message) -> tuple[Message, ...]:
@@ -319,7 +313,7 @@ def map_atoms(m: Message, f: Callable[[Atom], Optional[Message]]) -> Message:
             if not isinstance(image, Atomic) or image.atom.sort is Sort.VARIABLE:
                 raise SubstitutedIntoKeyPosition(key.display(), print_message(image))
             key = image.atom
-        return Enc(map_atoms(m.body, f), key, m.mode)
+        return Enc(map_atoms(m.body, f), key)
     return m
 
 

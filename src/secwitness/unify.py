@@ -107,8 +107,6 @@ def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
             yield b
         return
     if isinstance(x, Enc) and isinstance(y, Enc):
-        if x.mode is not y.mode:
-            return
         for b1 in _unify_atoms(_key_atom(x, b), _key_atom(y, b), b):
             yield from _unify(x.body, y.body, b1)
         return
@@ -246,8 +244,8 @@ def linear_facts(pattern: Message, target: Message) -> Optional[tuple[list[Param
     """What the bound needs of the unifiers `unify_all` would list, without
     listing them: their distinct closed parameter bindings, and the distinct
     (bindings, pattern variable, atoms of its image).  None when the pair is
-    not a linear flat pair: two encryptions under one mode whose bodies are
-    atoms only, with no variable twice across the two bodies.
+    not a linear flat pair: two encryptions whose bodies are atoms only,
+    with no variable twice across the two bodies.
 
     Such a pair is unified by a walk over states (i, j, bindings), i parts
     of the pattern and j of the target matched: variables are bound once
@@ -256,7 +254,7 @@ def linear_facts(pattern: Message, target: Message) -> Optional[tuple[list[Param
     each gets the final bindings reachable from it, and a pattern variable
     bound on the way from s to s2 gives one fact for each of those of s2.
     """
-    if not isinstance(pattern, Enc) or not isinstance(target, Enc) or pattern.mode is not target.mode:
+    if not isinstance(pattern, Enc) or not isinstance(target, Enc):
         return None
     xs, ys = _body_atoms(pattern), _body_atoms(target)
     if xs is None or ys is None:

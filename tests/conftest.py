@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from secwitness.context import Mode, make_context
+from secwitness.context import make_context
 from secwitness.protocols import load_bundled
 from secwitness.roles import pattern_space, roles_for
 from secwitness.terms import Atom, Sort, SymbolTable, parse_message
@@ -63,9 +63,9 @@ def access_ctx():
             "kef-1": ["E", "F"],
         },
         keys=[
-            ("kab", "kab-1", Mode.ASYMMETRIC),
-            ("kac", "kac-1", Mode.ASYMMETRIC),
-            ("kef", "kef-1", Mode.ASYMMETRIC),
+            ("kab", "kab-1"),
+            ("kac", "kac-1"),
+            ("kef", "kef-1"),
         ],
     )
 
@@ -95,10 +95,10 @@ def selection_ctx():
             "kef-1": ["E", "F"],
         },
         keys=[
-            ("kab", "kab-1", Mode.ASYMMETRIC),
-            ("kac", "kac-1", Mode.ASYMMETRIC),
-            ("kad", "kad-1", Mode.ASYMMETRIC),
-            ("kef", "kef-1", Mode.ASYMMETRIC),
+            ("kab", "kab-1"),
+            ("kac", "kac-1"),
+            ("kad", "kad-1"),
+            ("kef", "kef-1"),
         ],
     )
 
@@ -121,7 +121,7 @@ def valuation_ctx():
         principals=["A", "B", "C", "D", "S", "I"],
         intruder="I",
         levels={"alpha": ["A", "B", "S"], "kab-1": ["A", "B", "S"]},
-        keys=[("kab", "kab-1", Mode.ASYMMETRIC)],
+        keys=[("kab", "kab-1")],
     )
 
 
@@ -141,8 +141,8 @@ def witness_ctx():
         intruder="I",
         levels={"alpha": ["A", "D"], "kad-1": ["A", "D"], "kbc-1": ["B", "C"]},
         keys=[
-            ("kad", "kad-1", Mode.ASYMMETRIC),
-            ("kbc", "kbc-1", Mode.ASYMMETRIC),
+            ("kad", "kad-1"),
+            ("kbc", "kbc-1"),
         ],
     )
 

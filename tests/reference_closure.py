@@ -31,7 +31,6 @@ from secwitness.context import (
     intruder_allowed,
     intruder_knowledge,
     inverse_key,
-    key_mode,
 )
 from secwitness.derive import ValueFunction
 from secwitness.errors import NotAKey, WellProtectionViolation
@@ -120,7 +119,7 @@ def deduce_closure_with_depths(M: Iterable[Message], ctx: VerificationContext,
             if isinstance(a, Empty):
                 continue
             dk = known[Atomic(k)]
-            if add(enc(a, k, key_mode(ctx, k)), max(da, dk) + 1):
+            if add(enc(a, k), max(da, dk) + 1):
                 fresh += 1
 
     decompose()

@@ -11,7 +11,6 @@ from secwitness.cli import EXIT_OK, main
 from secwitness.context import (
     BOTTOM,
     TOP,
-    Mode,
     finite,
     geq,
     is_identity,
@@ -82,7 +81,7 @@ def _random_setup(rng: random.Random):
         levels[name] = sorted(floor | extra)
         data.append(Atom(name))
     ctx = make_context(IDENTITIES + ["I"], "I", levels,
-                       [(k, i, Mode.ASYMMETRIC) for k, i in key_pairs])
+                       key_pairs)
     return ctx, data, [Atom(k) for k, _ in key_pairs]
 
 
@@ -148,8 +147,8 @@ def test_criterion_03_access_example():
     ctx = make_context(
         ["A", "B", "C", "D", "E", "F", "S", "I"], "I",
         {"alpha": ["A", "C"], "kab-1": ["A", "B"], "kac-1": ["A", "C"], "kef-1": ["E", "F"]},
-        [("kab", "kab-1", Mode.ASYMMETRIC), ("kac", "kac-1", Mode.ASYMMETRIC),
-         ("kef", "kef-1", Mode.ASYMMETRIC)],
+        [("kab", "kab-1"), ("kac", "kac-1"),
+         ("kef", "kef-1")],
     )
     symbols = _symbols("A", "B", "C", "D", "E", "F", "S", "I", "alpha",
                        "kab", "kab-1", "kac", "kac-1", "kef", "kef-1")
@@ -168,8 +167,8 @@ def test_criterion_04_selection_and_value_examples():
         ["A", "B", "C", "D", "E", "F", "S", "I"], "I",
         {"alpha": ["A", "C"], "kab-1": ["A", "B"], "kac-1": ["A", "C"],
          "kad-1": ["A", "D"], "kef-1": ["E", "F"]},
-        [("kab", "kab-1", Mode.ASYMMETRIC), ("kac", "kac-1", Mode.ASYMMETRIC),
-         ("kad", "kad-1", Mode.ASYMMETRIC), ("kef", "kef-1", Mode.ASYMMETRIC)],
+        [("kab", "kab-1"), ("kac", "kac-1"),
+         ("kad", "kad-1"), ("kef", "kef-1")],
     )
     nested_syms = _symbols("A", "B", "C", "D", "E", "F", "S", "I", "alpha",
                            "kab", "kab-1", "kac", "kac-1", "kad", "kad-1", "kef", "kef-1")
@@ -185,7 +184,7 @@ def test_criterion_04_selection_and_value_examples():
     flat_ctx = make_context(
         ["A", "B", "C", "D", "S", "I"], "I",
         {"alpha": ["A", "B", "S"], "kab-1": ["A", "B", "S"]},
-        [("kab", "kab-1", Mode.ASYMMETRIC)],
+        [("kab", "kab-1")],
     )
     flat_syms = _symbols("A", "B", "C", "D", "S", "I", "alpha", "kab", "kab-1")
     flat = parse_message("{A.C.alpha.D}_kab", flat_syms)
@@ -198,7 +197,7 @@ def test_criterion_05_witness_example():
     ctx = make_context(
         ["A", "B", "C", "D", "I"], "I",
         {"alpha": ["A", "D"], "kad-1": ["A", "D"], "kbc-1": ["B", "C"]},
-        [("kad", "kad-1", Mode.ASYMMETRIC), ("kbc", "kbc-1", Mode.ASYMMETRIC)],
+        [("kad", "kad-1"), ("kbc", "kbc-1")],
     )
     symbols = SymbolTable({**{n: Atom(n) for n in
                               ("A", "B", "C", "D", "I", "alpha", "kad", "kad-1", "kbc", "kbc-1")},
@@ -341,7 +340,7 @@ def test_criterion_11_rewriting():
     ctx = make_context(
         ["A", "B", "I"], "I",
         {"alpha": ["A", "B"], "ka-1": ["A"], "kab": ["A", "B"]},
-        [("ka", "ka-1", Mode.ASYMMETRIC), ("kab", "kab", Mode.SYMMETRIC)],
+        [("ka", "ka-1"), ("kab", "kab")],
     )
     symbols = _symbols("A", "B", "I", "alpha", "ka", "ka-1", "kab")
     cancel = parse_message("{d(ka-1, alpha)}_ka", symbols, allow_dec=True)

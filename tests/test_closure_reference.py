@@ -34,7 +34,6 @@ from secwitness.terms import (
     Atomic,
     Enc,
     Message,
-    Mode,
     Sort,
     SymbolTable,
     atoms,
@@ -79,12 +78,10 @@ def test_honest_sessions_match_the_reference(protocol):
 
 
 def test_terms_that_print_alike_keep_the_order_they_were_found(valuation_ctx, valuation_symbols):
-    # two ciphertexts that differ only in mode print alike, as do a
-    # constant and a parameter of the same name
+    # a constant and a parameter of the same name print alike
     body = parse_message("C.alpha", valuation_symbols)
-    kab = Atom("kab")
-    M = [Enc(body, kab, Mode.SYMMETRIC), Enc(body, kab, Mode.ASYMMETRIC),
-         parse_message("kab-1", valuation_symbols), Atomic(Atom("C", Sort.PARAMETER))]
+    M = [Enc(body, Atom("kab")), parse_message("kab-1", valuation_symbols),
+         Atomic(Atom("C", Sort.PARAMETER))]
     for depth_budget in (1, 2, 3, 4):
         for round_cap in (3, 40, 1500):
             assert_same_closure(M, valuation_ctx, depth_budget, round_cap, 24)
@@ -102,7 +99,7 @@ def test_depths_that_fall_are_split_and_opened_again():
         principals=["A", "B", "I"], intruder="I",
         levels={"k1-1": ["A"], "k2-1": ["A"], "k3-1": ["A", "B", "I"], "k4-1": ["A"],
                 "x1": ["A"], "y": ["A"]},
-        keys=[(f"k{i}", f"k{i}-1", Mode.ASYMMETRIC) for i in range(1, 5)],
+        keys=[(f"k{i}", f"k{i}-1") for i in range(1, 5)],
     )
     names = ["A", "B", "I", "x1", "y"] + [f"k{i}{s}" for i in range(1, 5) for s in ("", "-1")]
     symbols = SymbolTable({n: Atom(n) for n in names})

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from secwitness.context import (
     BOTTOM,
     TOP,
-    Mode,
     finite,
     geq,
     intruder_allowed,
@@ -40,7 +39,7 @@ def ctx():
         intruder="I",
         levels={"Na": ["A", "B"], "ka-1": ["A"], "kb-1": ["B"],
                 "pub": ["A", "B", "I"]},
-        keys=[("ka", "ka-1", Mode.ASYMMETRIC), ("kb", "kb-1", Mode.ASYMMETRIC)],
+        keys=[("ka", "ka-1"), ("kb", "kb-1")],
     )
 
 
@@ -79,7 +78,7 @@ def _level_by_name_chain(ctx, x):
 def test_level_of_matches_the_name_chain_lookup(ctx):
     indexed = make_context(principals=["A", "I"], intruder="I",
                            levels={"Na_2": ["A"], "Nb": ["A", "I"], "kb-1": ["A"]},
-                           keys=[("kb", "kb-1", Mode.ASYMMETRIC)])
+                           keys=[("kb", "kb-1")])
     names = ["Na", "Na_3", "Na_2", "Na_2_5", "Nb_7", "kb-1", "kb-1_4", "ka-1_0", "A", "A_3",
              "pub", "Q", "Q_1", "_2"]
     atoms_ = [Atom(n, sort, tag) for n in names
@@ -142,7 +141,7 @@ def test_intruder_must_be_principal():
 
 def test_key_pair_needs_a_level():
     with pytest.raises(ContextError):
-        make_context(["A", "I"], "I", {}, [("ka", "ka-1", Mode.ASYMMETRIC)])
+        make_context(["A", "I"], "I", {}, [("ka", "ka-1")])
 
 
 def test_inverse_key_preserves_index(ctx):

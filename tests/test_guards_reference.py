@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_guards
 import secwitness.rewrite
-from secwitness.context import Mode, make_context
+from secwitness.context import make_context
 from secwitness.errors import AnalyzerError
 from secwitness.oracle import random_message
 from secwitness.rewrite import RewriteRule, access, check_well_protected, keys_of
@@ -38,8 +38,8 @@ def _context(*rules: RewriteRule):
         ["A", "B", "I"], "I",
         {"alpha": ["A", "B"], "beta": ["A"], "ka-1": ["A"], "kb-1": ["B"],
          "kab": ["A", "B"], "kc-1": ["A", "B"]},
-        [("ka", "ka-1", Mode.ASYMMETRIC), ("kb", "kb-1", Mode.ASYMMETRIC),
-         ("kab", "kab", Mode.SYMMETRIC), ("kc", "kc-1", Mode.ASYMMETRIC)],
+        [("ka", "ka-1"), ("kb", "kb-1"),
+         ("kab", "kab"), ("kc", "kc-1")],
         rewrite_rules=rules,
     )
 

@@ -22,7 +22,6 @@ from secwitness.protocols import load_bundled
 from secwitness.selection import INSTANCES, value_function
 from secwitness.terms import (
     Atom,
-    Mode,
     Sort,
     atomic,
     atoms,
@@ -87,8 +86,7 @@ def sides(draw, prefix: str):
     kinds = ["parameter", "parameter", "constant", "key", "variable", "variable"]
     body = [_atom(draw, kinds, Atom(f"{prefix}{i}", Sort.VARIABLE))
             for i in range(draw(st.integers(1, 7)))]
-    return enc(concat(*map(atomic, body)), draw(st.sampled_from(KEYS)),
-               draw(st.sampled_from([Mode.ASYMMETRIC] * 5 + [Mode.SYMMETRIC])))
+    return enc(concat(*map(atomic, body)), draw(st.sampled_from(KEYS)))
 
 
 @st.composite
@@ -110,7 +108,7 @@ def near_instances(draw, pattern):
         out.append(Atom(f"W{len(out)}", Sort.VARIABLE) if k else body[0])
         body = body[max(k, 1):]
     key = pattern.key if draw(st.booleans()) else draw(st.sampled_from(KEYS))
-    return enc(concat(*map(atomic, out)), key, pattern.mode)
+    return enc(concat(*map(atomic, out)), key)
 
 
 @st.composite
@@ -125,9 +123,6 @@ def pairs(draw):
 def test_facts_and_levels_match_the_unifiers(pair, function):
     pattern, target = pair
     facts = linear_facts(pattern, target)
-    if pattern.mode is not target.mode:
-        assert facts is None and unify_all(pattern, target) == []
-        return
     assert facts is not None
     finals, carried = facts
     assert len(set(finals)) == len(finals) and len(set(carried)) == len(carried)
@@ -164,7 +159,6 @@ def test_shapes_other_than_linear_flat_pairs_fall_back():
     assert linear_facts(linear, enc(concat(a, atomic(x)), k)) is None           # X twice
     assert linear_facts(enc(concat(atomic(x), atomic(x)), k), enc(a, k)) is None
     assert linear_facts(linear, enc(concat(a, enc(a, k)), k)) is None           # nested
-    assert linear_facts(linear, enc(a, k, Mode.SYMMETRIC)) is None              # modes differ
     assert linear_facts(linear, concat(a, a)) is None                           # not encrypted
 
 

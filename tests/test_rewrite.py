@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from secwitness.context import Mode, make_context
+from secwitness.context import make_context
 from secwitness.errors import NonTermination, UnboundRuleVariable
 from secwitness.oracle import random_message
 from secwitness.rewrite import (
@@ -28,7 +28,7 @@ def simple_ctx():
     return make_context(
         ["A", "B", "I"], "I",
         {"alpha": ["A", "B"], "ka-1": ["A"], "kab": ["A", "B"]},
-        [("ka", "ka-1", Mode.ASYMMETRIC), ("kab", "kab", Mode.SYMMETRIC)],
+        [("ka", "ka-1"), ("kab", "kab")],
     )
 
 
@@ -76,7 +76,7 @@ def test_non_termination(simple_ctx):
     grow = RewriteRule(atomic(mv), concat(atomic(mv), atomic(mv)), name="grow")
     ctx = make_context(
         ["A", "B", "I"], "I", {"alpha": ["A", "B"], "ka-1": ["A"]},
-        [("ka", "ka-1", Mode.ASYMMETRIC)], rewrite_rules=(grow,))
+        [("ka", "ka-1")], rewrite_rules=(grow,))
     with pytest.raises(NonTermination):
         normalize(atomic(Atom("alpha")), ctx)
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from secwitness.context import BOTTOM, TOP, Mode, finite, make_context, meet
+from secwitness.context import BOTTOM, TOP, finite, make_context, meet
 from secwitness.errors import UnleveledKey, WellProtectionViolation
 from secwitness.oracle import random_well_protected_set
 from secwitness.rewrite import normalize
@@ -104,7 +104,7 @@ def test_variables_not_selectable_as_neighbors(selection_ctx):
 
 def test_variable_alpha_any_key_protects():
     ctx = make_context(["A", "B", "I"], "I", {"kb-1": ["B"]},
-                       [("kb", "kb-1", Mode.ASYMMETRIC)])
+                       [("kb", "kb-1")])
     x = Atom("X", Sort.VARIABLE)
     assert value_function("fmax")(x, enc(atomic(x), Atom("kb")), ctx) == finite(["B"])
 
@@ -112,7 +112,7 @@ def test_variable_alpha_any_key_protects():
 def test_key_positions_are_not_occurrences():
     ka, kb = Atom("ka"), Atom("kb")
     ctx = make_context(["A", "B", "I"], "I", {"ka-1": ["A"], "kb-1": ["B"]},
-                       [("ka", "ka-1", Mode.ASYMMETRIC), ("kb", "kb-1", Mode.ASYMMETRIC)])
+                       [("ka", "ka-1"), ("kb", "kb-1")])
     nested_key = enc(concat(enc(atomic(Atom("A")), ka), atomic(Atom("B"))), kb)
     assert select(BROAD, ka, nested_key, ctx) == NO_ATOMS
     assert interpret(BROAD, ka, nested_key, ctx) == TOP

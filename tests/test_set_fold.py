@@ -8,7 +8,7 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secwitness.context import Mode, make_context, meet
+from secwitness.context import make_context, meet
 from secwitness.errors import WellProtectionViolation
 from secwitness.oracle import random_message
 from secwitness.rewrite import access, keys_of
@@ -19,7 +19,7 @@ from secwitness.witness import upper_bound
 CTX = make_context(
     ["A", "B", "I"], "I",
     {"alpha": ["A", "B"], "ka-1": ["A"], "kab": ["A", "B"]},
-    [("ka", "ka-1", Mode.ASYMMETRIC), ("kab", "kab", Mode.SYMMETRIC)],
+    [("ka", "ka-1"), ("kab", "kab")],
 )
 POOL = [Atom("A"), Atom("B"), Atom("alpha"), Atom("X", Sort.VARIABLE)]
 KEYS = [Atom("ka"), Atom("ka-1"), Atom("kab")]

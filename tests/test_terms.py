@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secwitness.context import Mode, inverse_key, make_context
+from secwitness.context import inverse_key, make_context
 from secwitness.errors import (
     MessageSyntaxError,
     NotAKey,
@@ -161,7 +161,7 @@ def test_substitution_rejects_constant_binding():
 
 def test_inverse_key_involution():
     ctx = make_context(["A", "B", "I"], "I", {"ka-1": ["A"]},
-                       [("ka", "ka-1", Mode.ASYMMETRIC)])
+                       [("ka", "ka-1")])
     ka, kainv = Atom("ka"), Atom("ka-1")
     assert inverse_key(ctx, ka) == kainv
     assert inverse_key(ctx, kainv) == ka
@@ -170,14 +170,14 @@ def test_inverse_key_involution():
 
 def test_inverse_key_symmetric_self():
     ctx = make_context(["A", "B", "I"], "I", {"kab": ["A", "B"]},
-                       [("kab", "kab", Mode.SYMMETRIC)])
+                       [("kab", "kab")])
     kab = Atom("kab")
     assert inverse_key(ctx, kab) == kab
 
 
 def test_inverse_key_not_a_key():
     ctx = make_context(["A", "B", "I"], "I", {"ka-1": ["A"]},
-                       [("ka", "ka-1", Mode.ASYMMETRIC)])
+                       [("ka", "ka-1")])
     with pytest.raises(NotAKey):
         inverse_key(ctx, NA)
 
@@ -378,9 +378,3 @@ def test_fields_cannot_be_assigned(node):
 def test_nodes_have_no_instance_dict(node):
     assert not hasattr(node, "__dict__")
 
-
-def test_mode_takes_part_in_equality_and_hash():
-    sym, asym = enc(atomic(NA), KB, Mode.SYMMETRIC), enc(atomic(NA), KB)
-    assert sym != asym
-    assert len({sym, asym}) == 2
-    _same(sym, enc(atomic(NA), KB, Mode.SYMMETRIC))
