@@ -192,8 +192,5 @@ def is_identity(ctx: VerificationContext, a: Atom) -> bool:
 def intruder_knowledge(ctx: VerificationContext) -> frozenset[Atom]:
     """K(I): every declared atomic name the intruder is allowed to read,
     identities included."""
-    known: set[Atom] = {Atom(p.name) for p in ctx.principals}
-    for name in set(ctx.levels) | set(ctx.keys):
-        if intruder_allowed(ctx, name):
-            known.add(Atom(name))
-    return frozenset(known)
+    named = ctx.principal_names | set(ctx.levels) | set(ctx.keys)
+    return frozenset(Atom(name) for name in named if intruder_allowed(ctx, name))

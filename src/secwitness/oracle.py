@@ -228,8 +228,9 @@ def derivable(m: Message, ctx: VerificationContext, closure: DeductionResult) ->
 
 
 def _classify(ctx: VerificationContext) -> tuple[list[Atom], list[Atom], list[Atom]]:
-    """(public atoms, secret atoms, encryption keys with known inverses)."""
-    public: list[Atom] = list(ctx.principals)
+    """(public atoms, secret atoms, encryption keys with known inverses);
+    a principal whose declared level hides it from the intruder is secret."""
+    public = [p for p in ctx.principals if intruder_allowed(ctx, p)]
     secret: list[Atom] = []
     enc_keys: list[Atom] = []
     named = set(ctx.levels) | set(ctx.keys)
@@ -237,11 +238,10 @@ def _classify(ctx: VerificationContext) -> tuple[list[Atom], list[Atom], list[At
         a = Atom(name)
         if name in ctx.keys:
             enc_keys.append(a)
-        if intruder_allowed(ctx, a):
-            if all(p.name != name for p in ctx.principals):
-                public.append(a)
-        else:
+        if not intruder_allowed(ctx, a):
             secret.append(a)
+        elif name not in ctx.principal_names:
+            public.append(a)
     return public, secret, enc_keys
 
 
@@ -251,6 +251,8 @@ def random_well_protected_set(rng: random.Random, ctx: VerificationContext,
     """Random message sets with every non-public atom under a key strong
     enough for it; checked, not merely constructed."""
     public, secret, enc_keys = _classify(ctx)
+    if not public:
+        raise NoWellProtectedSample()
 
     def build(depth: int, guards: tuple[SecurityLevel, ...]) -> Message:
         roll = rng.random()

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 
-from secwitness.context import finite, is_identity
+import pytest
+
+from secwitness.context import finite, intruder_knowledge, is_identity, make_context
+from secwitness.errors import NoWellProtectedSample
 from secwitness.oracle import (
     check_full_invariance,
     check_non_disclosure,
@@ -91,6 +94,24 @@ def test_random_sets_come_out_well_protected(ns):
         M = random_well_protected_set(rng, ns.context)
         assert check_well_protected(M, ns.context).ok
         assert 1 <= len(M) <= 5
+
+
+def test_random_sets_keep_a_hidden_principal_out_of_the_clear():
+    # A's declared level hides its name from I, so A may only appear
+    # under a key whose inverse A or B holds
+    ctx = make_context(["A", "B", "I"], "I", {"A": ["A", "B"], "kb-1": ["B"]},
+                       [("kb", "kb-1")])
+    rng = random.Random(0)
+    for _ in range(30):
+        M = random_well_protected_set(rng, ctx)
+        assert check_well_protected(M, ctx).ok
+    assert Atom("A") not in intruder_knowledge(ctx)
+
+
+def test_no_public_name_means_no_sample():
+    ctx = make_context(["I"], "I", {"I": ["A"]})
+    with pytest.raises(NoWellProtectedSample):
+        random_well_protected_set(random.Random(0), ctx)
 
 
 def test_bound_survives_deduction_small_run(ns):

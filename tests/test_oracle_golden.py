@@ -1,12 +1,14 @@
 """Pinned command-line output of `oracle` (`--trials 10 --depth 4 --seed 0`)
-on the bundled NS and NSL handshakes and on `sym`, a subject whose keys are
-all symmetric, compared byte for byte with the files in tests/golden/.
+on the bundled NS and NSL handshakes, on `sym`, a subject whose keys are
+all symmetric, and on `ns-secret-a`, NS with A's own name hidden from the
+intruder, compared byte for byte with the files in tests/golden/.
 
 Each case pins stdout (in tests/golden/oracle-<protocol>.stdout) and the
 exit code and stderr (in tests/golden/oracle-cases.json).  The files were
 written by the pass-by-pass attacker closure that tests/reference_closure.py
 keeps, the `sym` subject's by the closure that still stored a mode on every
-ciphertext; a change that is meant to alter the output rewrites them with
+ciphertext, and the `ns-secret-a` subject's by the sampler that stopped
+drawing hidden principals in the clear; a change that is meant to alter the output rewrites them with
 
     PYTHONPATH=src python tests/test_oracle_golden.py --write
 """
@@ -27,7 +29,7 @@ from test_shared_search import subject_text
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES_FILE = GOLDEN / "oracle-cases.json"
-PROTOCOLS = ("ns", "nsl", "sym")
+PROTOCOLS = ("ns", "nsl", "sym", "ns-secret-a")
 FLAGS = ["--trials", "10", "--depth", "4", "--seed", "0"]
 
 

@@ -109,9 +109,10 @@ step 4: A -> B : {Nb}_kab;
 
 def subject_text(name: str) -> str:
     """The protocol file of a named subject: a bundled handshake, `chain<n>`,
-    `nchain<n>` (nested), `ns3`, `sym` (symmetric keys only), or `ns-echo`,
-    NS with the initiator's nonce echoed twice in step 2 and computed role
-    views, so that B sends `{Y.Nb^i.Y.B}_ka` with Y twice."""
+    `nchain<n>` (nested), `ns3`, `sym` (symmetric keys only), `ns-secret-a`,
+    NS with A's name readable by A and B only, or `ns-echo`, NS with the
+    initiator's nonce echoed twice in step 2 and computed role views, so
+    that B sends `{Y.Nb^i.Y.B}_ka` with Y twice."""
     if name.startswith("chain"):
         return chain_text(int(name[len("chain"):]))
     if name.startswith("nchain"):
@@ -120,6 +121,8 @@ def subject_text(name: str) -> str:
         return NS3
     if name == "sym":
         return SYM
+    if name == "ns-secret-a":
+        return bundled("ns").replace("level ki-1 = {I};", "level ki-1 = {I};\nlevel A = {A,B};")
     if name == "ns-echo":
         declared = bundled("ns").split("\nrole ")[0]
         return declared.replace("{Na.Nb.B}_ka", "{Na.Nb.Na.B}_ka")
