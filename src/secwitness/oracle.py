@@ -49,7 +49,6 @@ from .terms import (
 class DeductionResult:
     terms: frozenset[Message]
     truncated: bool
-    depth_budget: int
     # the terms by size (atoms, plus one for a pair or a ciphertext), then
     # by printed text, ties in the order the closure found them
     sample_order: tuple[Message, ...]
@@ -64,7 +63,7 @@ def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
     """Depth-tagged closure: a full take-apart pass to a fixpoint, one
     recombination round over what that produced, then take-apart again."""
     known, sample_order, truncated = _deduce(M, ctx, depth_budget, atom_cap, round_cap)
-    return DeductionResult(frozenset(known), truncated, depth_budget, sample_order)
+    return DeductionResult(frozenset(known), truncated, sample_order)
 
 
 def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,

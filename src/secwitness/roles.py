@@ -226,8 +226,8 @@ def parse_protocol(text: str) -> Protocol:
             if intruder_name not in principal_names:
                 principal_names.append(intruder_name)
         elif head == "key":
-            key, inv, mode = g
-            if inv is None and mode != "sym":
+            key, inv, kind = g
+            if inv is None and kind != "sym":
                 raise MessageSyntaxError(stmt, 0, "inverse key or 'sym'")
             key_decls.append((key, inv or key))
         elif head == "fresh":

@@ -167,7 +167,6 @@ class AnalysisReport:
     function: str
     rows: tuple[CriterionRow, ...]
     fulfilled: bool
-    pool: tuple[Message, ...]
 
 
 def _row_for(alpha: Atom, role: GeneralizedRole, position: int,
@@ -248,7 +247,6 @@ def analyze(protocol: Protocol, function: str = "fmax",
         function=function,
         rows=tuple(rows),
         fulfilled=all(r.fulfilled for r in rows),
-        pool=tuple(pool),
     )
 
 

@@ -131,7 +131,7 @@ def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
                    round_cap: int = 1500) -> DeductionResult:
     known, truncated = deduce_closure_with_depths(M, ctx, depth_budget, atom_cap, round_cap)
     terms = frozenset(known)
-    return DeductionResult(terms, truncated, depth_budget, tuple(sample_order(terms)))
+    return DeductionResult(terms, truncated, tuple(sample_order(terms)))
 
 
 def check_full_invariance_alone(func: ValueFunction, ctx: VerificationContext,

@@ -331,3 +331,17 @@ def test_well_protection_report_is_independent_of_hash_seed(tmp_path, command):
                               "--roles", "auto"],
                              capture_output=True, text=True, env=env)
         assert (run.returncode, run.stdout, run.stderr) == WP_EXPECTED[command], seed
+
+
+def test_unleveled_key_error_is_independent_of_hash_seed(tmp_path):
+    # two pairs have no level on either side; the error names the first
+    # declared of them under every string hash seed
+    f = tmp_path / "keys.proto"
+    f.write_text("protocol Keys;\nprincipal A;\nintruder I;\nkey ka inv ka-1;\n"
+                 "key kb inv kb-1;\nkey kc inv kc-1;\nlevel ka-1 = {A};\n", encoding="utf-8")
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run([sys.executable, "-m", "secwitness.cli", "analyze", str(f)],
+                             capture_output=True, text=True, env=env)
+        assert (run.returncode, run.stdout, run.stderr) == (
+            EXIT_FILE, "", "error: key pair kb/kb-1 has no declared level on either side\n"), seed

@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from secwitness.context import finite, intruder_knowledge, is_identity, make_context
-from secwitness.errors import NoWellProtectedSample
 from secwitness.oracle import (
     check_full_invariance,
     check_non_disclosure,
@@ -106,12 +103,6 @@ def test_random_sets_keep_a_hidden_principal_out_of_the_clear():
         M = random_well_protected_set(rng, ctx)
         assert check_well_protected(M, ctx).ok
     assert Atom("A") not in intruder_knowledge(ctx)
-
-
-def test_no_public_name_means_no_sample():
-    ctx = make_context(["I"], "I", {"I": ["A"]})
-    with pytest.raises(NoWellProtectedSample):
-        random_well_protected_set(random.Random(0), ctx)
 
 
 def test_bound_survives_deduction_small_run(ns):
