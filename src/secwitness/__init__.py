@@ -18,7 +18,6 @@ from .witness import (
     AnalysisReport,
     CriterionRow,
     analyze,
-    from_json_lines,
     render_table,
     to_json_lines,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "TOP",
     "VerificationContext",
     "analyze",
-    "from_json_lines",
     "load_protocol",
     "make_context",
     "parse_protocol",

@@ -6,9 +6,10 @@
     secwitness oracle   <file> [--trials N] [--depth N] [--seed N]
 
 Exit codes: 0 when the criterion holds on every row, 2 when some row gives
-no decision, 1 on unreadable, unparsable or inconsistent input, 64 on usage
-errors (--trials below 1, a negative --depth and an unknown
-$SECWITNESS_FUNCTION among them).
+no decision, 1 on unreadable, unparsable or inconsistent input and when
+stdout is closed before the report is written, 64 on usage errors
+(--trials below 1, a negative --depth and an unknown $SECWITNESS_FUNCTION
+among them).
 """
 
 from __future__ import annotations
@@ -191,7 +192,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: exits with main's code, or with 1 when stdout
+    is closed before the report is written."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on its way out; pointed at
+        # devnull, that flush cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FILE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

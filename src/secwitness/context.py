@@ -120,12 +120,16 @@ def make_context(
     rewrite_rules: tuple = (),
 ) -> VerificationContext:
     """Convenience builder used by tests and the protocol loader; keys are
-    (name, inverse) pairs, a symmetric key being its own inverse."""
+    (name, inverse) pairs, a symmetric key being its own inverse.  A name
+    paired with two different partners is a ContextError; a repeated pair
+    is read once."""
     atoms = tuple(Atom(p) for p in principals)
     key_index: dict[str, str] = {}
     for name, inverse in keys:
-        key_index[name] = inverse
-        key_index[inverse] = name
+        for a, b in ((name, inverse), (inverse, name)):
+            bound = key_index.setdefault(a, b)
+            if bound != b:
+                raise ContextError(f"key {a} is declared with two inverses, {bound} and {b}")
     lvls = {name: finite(members) for name, members in levels.items()}
     return VerificationContext(
         principals=atoms,

@@ -63,7 +63,7 @@ def unifier_facts(source: Message, sigmas: Iterable[Substitution]) -> tuple[list
         params = frozenset((a, m) for a, m in sigma.items() if a.sort is Sort.PARAMETER)
         finals[params] = None
         for var in variables:
-            image = sigma.image_of(var)
+            image = sigma.get(var)
             if image is not None:
                 carried[(params, var, atoms(image))] = None
     return list(finals), list(carried)

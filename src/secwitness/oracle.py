@@ -209,19 +209,6 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
     return known, tuple(by_size()), truncated
 
 
-def derivable(m: Message, ctx: VerificationContext, closure: DeductionResult) -> bool:
-    """Membership query that also recombines on demand, so it does not
-    depend on the capped recombination round."""
-    t = normalize(m, ctx)
-    if t in closure.terms or isinstance(t, Empty):
-        return True
-    if isinstance(t, Concat):
-        return all(derivable(p, ctx, closure) for p in t.parts)
-    if isinstance(t, Enc):
-        return derivable(t.body, ctx, closure) and derivable(Atomic(t.key), ctx, closure)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Random well-protected material
 
@@ -282,25 +269,12 @@ def random_well_protected_set(rng: random.Random, ctx: VerificationContext,
     raise NoWellProtectedSample()
 
 
-def random_message(rng: random.Random, pool: Sequence[Atom], keys: Sequence[Atom],
-                   max_depth: int = 3) -> Message:
-    """Unconstrained random message over the given atoms; for algebra laws,
-    not for protection-sensitive checks."""
-    if max_depth <= 0 or rng.random() < 0.4:
-        return Atomic(rng.choice(list(pool)))
-    if rng.random() < 0.5 and keys:
-        return Enc(random_message(rng, pool, keys, max_depth - 1), rng.choice(list(keys)))
-    parts = [random_message(rng, pool, keys, max_depth - 1) for _ in range(rng.randint(2, 3))]
-    return concat(*parts)
-
-
 # ---------------------------------------------------------------------------
 # Property checks
 
 
 @dataclass(frozen=True)
 class Failure:
-    origin: tuple[str, ...]
     derived: str
     atom: str
     detail: str
@@ -323,7 +297,6 @@ def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationC
                           trials: int = 500, depth: int = 4,
                           seed: int = 0, max_messages: int = 5,
                           sample_terms: int = 40,
-                          rng: Optional[random.Random] = None,
                           ) -> dict[str, PropertyReport]:
     """Randomized search, for each bound, for a derivable message on which
     the bound reads lower than on the originating set.  Derived terms are
@@ -334,7 +307,7 @@ def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationC
     yet.  A bound drops out after the trial it failed in.  The stream does
     not depend on the bounds, so each report is the one a run of that bound
     alone would give.  Reports come in the mapping's order."""
-    rng = rng or random.Random(seed)
+    rng = random.Random(seed)
     failures: dict[str, list[Failure]] = {name: [] for name in funcs}
     truncated = dict.fromkeys(funcs, 0)
     running = list(funcs)
@@ -363,12 +336,11 @@ def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationC
                         on_base = base_cache[a]
                     except WellProtectionViolation as err:
                         found.append(Failure(
-                            tuple(str(m) for m in M), str(t), a.display(),
-                            f"protection violated on derived term: {err}"))
+                            str(t), a.display(), f"protection violated on derived term: {err}"))
                         continue
                     if not geq(on_derived, on_base):
                         found.append(Failure(
-                            tuple(str(m) for m in M), str(t), a.display(),
+                            str(t), a.display(),
                             f"derived value {on_derived!r} below base value {on_base!r}"))
         running = [name for name in running if not failures[name]]
     return {name: PropertyReport("full-invariance", not failures[name], trials,
@@ -387,8 +359,7 @@ def check_non_disclosure(M: Sequence[Message], ctx: VerificationContext,
     closure = deduce_closure(M, ctx, depth_budget=depth)
     disclosed = [t for t in closure.terms
                  if isinstance(t, Atomic) and not intruder_allowed(ctx, t.atom)]
-    failures = [Failure(tuple(str(m) for m in M), str(t), t.atom.display(),
-                        "secret atom in the clear")
+    failures = [Failure(str(t), t.atom.display(), "secret atom in the clear")
                 for t in sorted(disclosed, key=str)]
     return PropertyReport("non-disclosure", not failures, 1, tuple(failures),
                           (), 1 if closure.truncated else 0)

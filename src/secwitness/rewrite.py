@@ -35,12 +35,8 @@ from .terms import (
 
 KeySetFamily = frozenset  # of frozenset[Atom]
 
-
-def family(*inner: Iterable[Atom]) -> KeySetFamily:
-    return frozenset(frozenset(s) for s in inner)
-
-
-EMPTY_FAMILY: KeySetFamily = frozenset()
+# Rewrite steps one normal form may take before NonTermination
+NORMALIZE_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -161,34 +157,33 @@ def _try_rule(rule: RewriteRule, term: Message, ctx: VerificationContext) -> Opt
     return substitute(rule.rhs, b)
 
 
-def normalize(m: Message, ctx: VerificationContext, budget: int = 10_000) -> Message:
+def normalize(m: Message, ctx: VerificationContext) -> Message:
     """Leftmost-innermost normal form under the default rule plus the
-    context's extra rules; deterministic; raises NonTermination past the
-    step budget."""
+    context's extra rules; deterministic; raises NonTermination past
+    NORMALIZE_BUDGET steps."""
     rules = default_rules() + tuple(ctx.rewrite_rules)
     try:
-        return _norm(m, rules, ctx, [0], budget)
+        return _norm(m, rules, ctx, [0])
     except RecursionError:
         # runaway nesting from a growing rule set; same diagnosis as the
         # step budget, reached through depth instead of count
-        raise NonTermination(budget) from None
+        raise NonTermination(NORMALIZE_BUDGET) from None
 
 
-def _norm(t: Message, rules: tuple, ctx: VerificationContext, steps: list[int],
-          budget: int) -> Message:
+def _norm(t: Message, rules: tuple, ctx: VerificationContext, steps: list[int]) -> Message:
     # module level: a nested function that calls itself is a reference
     # cycle, which every call would leave behind for the collector
     while True:
         if isinstance(t, Concat):
-            t = concat(*(_norm(p, rules, ctx, steps, budget) for p in t.parts))
+            t = concat(*(_norm(p, rules, ctx, steps) for p in t.parts))
         elif isinstance(t, Enc):
-            t = Enc(_norm(t.body, rules, ctx, steps, budget), t.key)
+            t = Enc(_norm(t.body, rules, ctx, steps), t.key)
         for rule in rules:
             reduced = _try_rule(rule, t, ctx)
             if reduced is not None:
                 steps[0] += 1
-                if steps[0] > budget:
-                    raise NonTermination(budget)
+                if steps[0] > NORMALIZE_BUDGET:
+                    raise NonTermination(NORMALIZE_BUDGET)
                 t = reduced
                 break
         else:

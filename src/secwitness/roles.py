@@ -94,10 +94,6 @@ class GeneralizedRole:
     def received_before(self, index: int) -> tuple[Message, ...]:
         return tuple(s.message for s in self.steps[:index] if s.direction is RECV)
 
-    @property
-    def sends(self) -> tuple[tuple[int, RoleStep], ...]:
-        return tuple((i, s) for i, s in enumerate(self.steps) if s.direction is SEND)
-
 
 @dataclass(frozen=True)
 class Protocol:

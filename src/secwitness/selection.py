@@ -31,8 +31,6 @@ from .errors import NotAKey, UnleveledKey, WellProtectionViolation
 from .rewrite import normalize
 from .terms import Atom, Atomic, Message, Sort, atoms, members, occurrences
 
-CandidateFilter = Callable[[Atom, frozenset, Atom, VerificationContext], frozenset]
-
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -57,24 +55,17 @@ def finite_selection(members: Iterable[Atom]) -> SelectionResult:
 
 @dataclass(frozen=True)
 class SelectionInstance:
-    """Policy applied at the protective encryption; the filter receives the
-    queried atom, its sibling atoms under the key, and the inverse key, and
-    whatever it returns is clipped back into that candidate pool."""
+    """What a selection keeps at the protective encryption: the principal
+    names in its body, its inverse key, or both; never the queried atom."""
 
     name: str
-    candidate_filter: CandidateFilter
+    names: bool
+    key: bool
 
 
-def _identities(ctx: VerificationContext, pool: Iterable[Atom]) -> frozenset:
-    return frozenset(a for a in pool if is_identity(ctx, a))
-
-
-BROAD = SelectionInstance(
-    "fmax", lambda alpha, neighbors, inv, ctx: _identities(ctx, neighbors) | {inv})
-KEY_ONLY = SelectionInstance(
-    "fek", lambda alpha, neighbors, inv, ctx: frozenset({inv}))
-NEIGHBORS = SelectionInstance(
-    "fn", lambda alpha, neighbors, inv, ctx: _identities(ctx, neighbors))
+BROAD = SelectionInstance("fmax", names=True, key=True)
+KEY_ONLY = SelectionInstance("fek", names=False, key=True)
+NEIGHBORS = SelectionInstance("fn", names=True, key=False)
 
 INSTANCES: dict[str, SelectionInstance] = {i.name: i for i in (BROAD, KEY_ONLY, NEIGHBORS)}
 
@@ -108,9 +99,10 @@ def select(inst: SelectionInstance, alpha: Atom,
                 except NotAKey:
                     raise UnleveledKey(e.key.display())
                 if geq(level_of(ctx, inv), alpha_level):
-                    neighbors = atoms(e.body) - {alpha}
-                    chosen = inst.candidate_filter(alpha, neighbors, inv, ctx)
-                    out = out | finite_selection(frozenset(chosen) & (neighbors | {inv}) - {alpha})
+                    chosen = {inv} if inst.key else set()
+                    if inst.names:
+                        chosen.update(a for a in atoms(e.body) if is_identity(ctx, a))
+                    out = out | finite_selection(chosen - {alpha})
                     break
             else:
                 if alpha.sort is not Sort.VARIABLE and not alpha_level.is_bottom:

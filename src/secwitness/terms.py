@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     MessageSyntaxError,
@@ -286,16 +286,6 @@ class Substitution(Mapping[Atom, Message]):
         inner = ", ".join(f"{a!r} -> {print_message(m)}" for a, m in self._bindings.items())
         return "{" + inner + "}"
 
-    def restrict(self, keep) -> "Substitution":
-        """New substitution keeping only bindings whose key satisfies `keep`."""
-        return Substitution({a: m for a, m in self._bindings.items() if keep(a)})
-
-    def image_of(self, a: Atom) -> Optional[Message]:
-        return self._bindings.get(a)
-
-
-EMPTY_SUBSTITUTION = Substitution()
-
 
 def map_atoms(m: Message, f: Callable[[Atom], Optional[Message]]) -> Message:
     """Rebuilds the message through the smart constructors, replacing each
@@ -321,17 +311,6 @@ def substitute(m: Message, sigma: Mapping[Atom, Message]) -> Message:
     """Simultaneous replacement; empty parts vanish and concatenations stay
     flat."""
     return map_atoms(m, sigma.get)
-
-
-def encryption_patterns(ms: Sequence[Message]) -> list[Message]:
-    """All encryption-rooted subterms of the given messages, in traversal
-    order, deduplicated by equality."""
-    out: list[Message] = []
-    for m in ms:
-        for t in subterms(m):
-            if isinstance(t, Enc) and t not in out:
-                out.append(t)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +342,6 @@ class SymbolTable:
 
     def __init__(self, atoms_by_name: Mapping[str, Atom]):
         self._by_name = dict(atoms_by_name)
-
-    @classmethod
-    def of(cls, *atoms_: Atom) -> "SymbolTable":
-        return cls({a.name: a for a in atoms_})
 
     def resolve(self, ident: str) -> Atom:
         if ident in self._by_name:
@@ -424,10 +399,7 @@ def _parse_key(cur: _Cursor, symbols: SymbolTable) -> Atom:
         cur.expect("}")
     else:
         name = cur.ident()
-    key = symbols.resolve_key(name)
-    if key.sort is Sort.VARIABLE:
-        raise VariableInKeyPosition(key.display())
-    return key
+    return symbols.resolve_key(name)
 
 
 def _parse_nested(cur: _Cursor, symbols: SymbolTable, allow_dec: bool) -> Message:
@@ -456,10 +428,7 @@ def _parse_part(cur: _Cursor, symbols: SymbolTable, allow_dec: bool) -> Message:
         cur.expect(",")
         body = _parse_nested(cur, symbols, allow_dec)
         cur.expect(")")
-        key = symbols.resolve_key(key_name)
-        if key.sort is Sort.VARIABLE:
-            raise VariableInKeyPosition(key.display())
-        return Enc(body, key)
+        return Enc(body, symbols.resolve_key(key_name))
     try:
         return Atomic(symbols.resolve(name))
     except UndeclaredIdentifier:

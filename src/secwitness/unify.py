@@ -177,13 +177,6 @@ def unify_all(pattern: Message, target: Message) -> list[Substitution]:
     return out
 
 
-def unify(pattern: Message, target: Message) -> Optional[Substitution]:
-    """First unifier or None."""
-    for b in _unify(pattern, target, {}):
-        return _close(b)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Facts of a linear flat pair
 

@@ -318,7 +318,3 @@ def row_record(r: CriterionRow) -> dict:
 
 def to_json_lines(report: AnalysisReport) -> str:
     return "\n".join(json.dumps(row_record(r), sort_keys=True) for r in report.rows)
-
-
-def from_json_lines(text: str) -> list[dict]:
-    return [json.loads(line) for line in text.splitlines() if line.strip()]

@@ -41,19 +41,19 @@ def unify_all(pattern: Message, target: Message) -> list[Substitution]:
 
 def contribution_of(F: ValueFunction, alpha: Atom, source: Message,
                     sigma: Substitution, ctx: VerificationContext) -> Optional[SecurityLevel]:
-    param_only = sigma.restrict(lambda a: a.sort is Sort.PARAMETER)
+    param_only = {a: m for a, m in sigma.items() if a.sort is Sort.PARAMETER}
     inst = substitute(source, param_only)
     values: list[SecurityLevel] = []
     probe = alpha
     if alpha.sort is not Sort.VARIABLE:
-        image = sigma.image_of(alpha)
+        image = sigma.get(alpha)
         if isinstance(image, Atomic):
             probe = image.atom
     static_view = derive_all(inst)
     if probe in atoms(static_view):
         values.append(F(probe, static_view, ctx))
     for var in sorted(variables_of(source), key=lambda a: a.name):
-        image = sigma.image_of(var)
+        image = sigma.get(var)
         if image is None:
             continue
         if alpha in atoms(image):

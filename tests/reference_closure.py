@@ -165,12 +165,12 @@ def check_full_invariance_alone(func: ValueFunction, ctx: VerificationContext,
                     on_base = base_cache[a]
                 except WellProtectionViolation as err:
                     failures.append(Failure(
-                        tuple(str(m) for m in M), str(t), a.display(),
+                        str(t), a.display(),
                         f"protection violated on derived term: {err}"))
                     continue
                 if not geq(on_derived, on_base):
                     failures.append(Failure(
-                        tuple(str(m) for m in M), str(t), a.display(),
+                        str(t), a.display(),
                         f"derived value {on_derived!r} below base value {on_base!r}"))
         if failures:
             break

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from secwitness.context import VerificationContext, geq, inverse_key, level_of
+from message_helpers import EMPTY_FAMILY, family
+from secwitness.context import VerificationContext, geq, inverse_key, is_identity, level_of
 from secwitness.errors import NotAKey, UnleveledKey, WellProtectionViolation
-from secwitness.rewrite import EMPTY_FAMILY, KeySetFamily, WellProtectedReport, family, normalize
+from secwitness.rewrite import KeySetFamily, WellProtectedReport, normalize
 from secwitness.selection import (
     ALL_ATOMS,
     NO_ATOMS,
@@ -117,9 +118,12 @@ def select(inst: SelectionInstance, alpha: Atom,
                 return NO_ATOMS  # key-position occurrences select nothing
             if protective(t.key):
                 inv = inverse_key(ctx, t.key)
-                neighbors = atoms(t.body) - {alpha}
-                chosen = inst.candidate_filter(alpha, neighbors, inv, ctx)
-                return finite_selection(frozenset(chosen) & (neighbors | {inv}) - {alpha})
+                chosen = set()
+                if inst.names:
+                    chosen |= {a for a in atoms(t.body) if is_identity(ctx, a)}
+                if inst.key:
+                    chosen.add(inv)
+                return finite_selection(chosen - {alpha})
             return walk(t.body)
         return NO_ATOMS
 

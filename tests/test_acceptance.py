@@ -7,6 +7,7 @@ import io
 import random
 import time
 
+from message_helpers import family, random_message
 from secwitness.cli import EXIT_OK, main
 from secwitness.context import (
     BOTTOM,
@@ -20,7 +21,6 @@ from secwitness.context import (
 from secwitness.oracle import (
     check_full_invariance,
     check_non_disclosure,
-    random_message,
     random_well_protected_set,
 )
 from secwitness.protocols import bundled, load_bundled
@@ -29,7 +29,6 @@ from secwitness.rewrite import (
     access,
     check_well_protected,
     default_rules,
-    family,
     keys_monotone,
     normalize,
 )

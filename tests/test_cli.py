@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 from secwitness.cli import EXIT_FILE, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE, main
 from secwitness.protocols import bundled
-from secwitness.witness import analyze, from_json_lines, row_record
+from secwitness.witness import analyze, row_record
 
 WEAK = (
     "protocol Weak;\n"
@@ -111,6 +112,16 @@ def test_declared_names_must_be_identifiers(tmp_path, capsys, command, declarati
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["analyze", "check-wp", "roles", "oracle"])
+def test_a_key_declared_with_two_inverses_is_rejected(tmp_path, capsys, command):
+    text = bundled("ns").replace("key kb inv kb-1;", "key kb inv kb-1;\nkey ka-1 inv kb;")
+    assert "key ka-1 inv kb;" in text
+    assert _run_bad(tmp_path, text, command) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.err == "error: key ka-1 is declared with two inverses, ka and kb\n"
+    assert captured.out == ""
+
+
 def test_rule_that_adds_a_guarding_key_is_rejected(tmp_path, capsys):
     text = bundled("ns") + "rule {X}_kb -> {X}_ki;\n"
     assert _run_bad(tmp_path, text) == EXIT_FILE
@@ -188,7 +199,8 @@ def test_json_lines_round_trip_and_stability(ns, ns_file, capsys):
     main(["analyze", ns_file, "--format", "json-lines"])
     second = capsys.readouterr().out
     assert first == second
-    assert from_json_lines(first) == [row_record(r) for r in analyze(ns).rows]
+    records = [json.loads(line) for line in first.splitlines()]
+    assert records == [row_record(r) for r in analyze(ns).rows]
 
 
 @pytest.mark.parametrize("name", ["fmax", "fek", "fn"])
@@ -331,6 +343,21 @@ def test_well_protection_report_is_independent_of_hash_seed(tmp_path, command):
                               "--roles", "auto"],
                              capture_output=True, text=True, env=env)
         assert (run.returncode, run.stdout, run.stderr) == WP_EXPECTED[command], seed
+
+
+def test_closed_stdout_ends_without_a_traceback(ns_file):
+    # stdout is a pipe whose reader is already gone, as when `| head` has
+    # exited: the first write fails with EPIPE
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        run = subprocess.run([sys.executable, "-m", "secwitness.cli", "analyze", ns_file],
+                             stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert run.returncode == EXIT_FILE
+    assert "Traceback" not in run.stderr
 
 
 def test_unleveled_key_error_is_independent_of_hash_seed(tmp_path):

@@ -144,6 +144,21 @@ def test_key_pair_needs_a_level():
         make_context(["A", "I"], "I", {}, [("ka", "ka-1")])
 
 
+@pytest.mark.parametrize("second", [("ka-1", "kb"), ("kb", "ka-1"), ("ka", "ka"), ("kb", "ka")])
+def test_a_key_has_one_inverse(second):
+    with pytest.raises(ContextError, match="two inverses"):
+        make_context(["A", "I"], "I", {"ka-1": ["A"], "kb": ["A"]},
+                     [("ka", "ka-1"), second])
+
+
+def test_a_repeated_key_pair_is_read_once():
+    levels = {"ka-1": ["A"], "k": ["A"]}
+    once = make_context(["A", "I"], "I", levels, [("ka", "ka-1"), ("k", "k")])
+    again = make_context(["A", "I"], "I", levels,
+                         [("ka", "ka-1"), ("k", "k"), ("ka-1", "ka"), ("ka", "ka-1"), ("k", "k")])
+    assert again.keys == once.keys == {"ka": "ka-1", "ka-1": "ka", "k": "k"}
+
+
 def test_inverse_key_preserves_index(ctx):
     from secwitness.context import inverse_key
     assert inverse_key(ctx, Atom("kb_1", Sort.PARAMETER)) == Atom("kb-1_1", Sort.PARAMETER)

@@ -17,7 +17,7 @@ from secwitness.terms import (
     substitute,
     variables_of,
 )
-from secwitness.unify import unify
+from secwitness.unify import unify_all
 
 FMAX = value_function("fmax")
 
@@ -74,8 +74,7 @@ def test_static_case_initial_pattern(ns, ns_roles, ns_pool):
     source = _pattern(ns_pool, "{A_1.Na_1}_kb_1")
     target = _role_send(ns_roles, "A_G1", 0)           # {A.Na^i}_kb
     alpha = next(a for a in atoms(target) if a.base_name == "Na")
-    sigma = unify(source, target)
-    assert sigma is not None
+    sigma = unify_all(source, target)[0]
     assert contribution_of(FMAX, [alpha], source, sigma, ns.context)[alpha] == finite(["A", "B"])
 
 
@@ -83,7 +82,7 @@ def test_dynamic_case_own_variable(ns, ns_roles, ns_pool):
     source = _pattern(ns_pool, "{X_2}_kb_3")
     target = _role_send(ns_roles, "A_G2", 2)           # {X}_kb
     alpha = next(iter(variables_of(target)))
-    sigma = unify(source, target)
+    sigma = unify_all(source, target)[0]
     assert contribution_of(FMAX, [alpha], source, sigma, ns.context)[alpha] == finite(["B"])
 
 
@@ -92,8 +91,7 @@ def test_dynamic_case_absorbed_occurrence(ns, ns_roles, ns_pool):
     source = _pattern(ns_pool, "{A_3.Y_1}_kb_4")
     target = _role_send(ns_roles, "B_G1", 1)           # {Y.Nb^i.B}_ka
     alpha = next(a for a in atoms(target) if a.base_name == "Nb")
-    sigma = unify(source, target)
-    assert sigma is not None
+    sigma = unify_all(source, target)[0]
     got = contribution_of(FMAX, [alpha], source, sigma, ns.context)[alpha]
     assert got == finite(["A", "A_3"])
 
@@ -102,7 +100,7 @@ def test_value_ignores_variable_bindings(ns, ns_roles, ns_pool):
     source = _pattern(ns_pool, "{X_2}_kb_3")
     target = _role_send(ns_roles, "A_G2", 2)
     alpha = next(iter(variables_of(target)))
-    sigma = unify(source, target)
+    sigma = unify_all(source, target)[0]
     x2 = next(iter(variables_of(source)))
     resigned = Substitution({
         **{a: m for a, m in sigma.items() if a != x2},
@@ -117,8 +115,7 @@ def test_no_contribution_is_none(ns, ns_roles, ns_pool):
     source = _pattern(ns_pool, "{A_1.Na_1}_kb_1")
     target = _role_send(ns_roles, "A_G2", 2)           # {X}_kb
     alpha = next(iter(variables_of(target)))
-    sigma = unify(source, target)
-    assert sigma is not None
+    sigma = unify_all(source, target)[0]
     assert contribution_of(FMAX, [alpha], source, sigma, ns.context) is None
 
 
@@ -127,8 +124,7 @@ def test_renaming_a_queried_variable_is_no_claim(ns, ns_roles, ns_pool):
     source = _pattern(ns_pool, "{Nb_6}_kb_6")
     target = _role_send(ns_roles, "A_G2", 2)
     alpha = next(iter(variables_of(target)))
-    sigma = unify(source, target)
-    assert sigma is not None
+    sigma = unify_all(source, target)[0]
     assert contribution_of(FMAX, [alpha], source, sigma, ns.context) is None
 
 

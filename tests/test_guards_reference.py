@@ -18,11 +18,11 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from message_helpers import random_message
 import reference_guards
 import secwitness.rewrite
 from secwitness.context import make_context
 from secwitness.errors import AnalyzerError
-from secwitness.oracle import random_message
 from secwitness.rewrite import RewriteRule, access, check_well_protected, keys_of
 from secwitness.selection import INSTANCES, select
 from secwitness.terms import Atom, Enc, Sort, atomic, body_atoms_in_order, concat, enc, subterms

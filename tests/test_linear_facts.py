@@ -67,7 +67,7 @@ def facts_of_unifiers(pattern, target):
         params = frozenset((a, m) for a, m in sigma.items() if a.sort is Sort.PARAMETER)
         finals.add(params)
         for var in variables_of(pattern):
-            image = sigma.image_of(var)
+            image = sigma.get(var)
             if image is not None:
                 carried.add((params, var, atoms(image)))
     return finals, carried

@@ -1,10 +1,13 @@
-"""The package namespace: submodules stay reachable under their own names."""
+"""The package namespace: submodules stay reachable under their own names,
+and every public name of `src/` has a caller outside the tests."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import runpy
 import types
+from collections import Counter
 from pathlib import Path
 
 import secwitness
@@ -33,3 +36,78 @@ def test_every_traced_function_resolves():
         for module_name, func_name in targets:
             module = importlib.import_module(f"{tracing['PACKAGE']}.{module_name}")
             assert callable(getattr(module, func_name, None)), (span, module_name, func_name)
+
+
+# Public names of the package that nothing but the tests call.  Each is kept
+# on purpose: the acceptance tests state the paper's laws on it.
+UNCALLED_ON_PURPOSE = {
+    ("rewrite", "access"): "the guard family of an atom, as the paper defines well protection",
+    ("context", "join"): "the lattice join; the acceptance tests check the lattice laws on it",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, bare name, defining node) for every public top-level
+    name, every public method of a public class and every public field of
+    a public dataclass."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, name, node
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                name = item.name
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and dataclass:
+                name = item.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                yield f"{node.name}.{name}", name, item
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read, as a name, an attribute or a keyword."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            out[node.arg] += 1
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    root = Path(__file__).parents[1]
+    package = root / "src" / "secwitness"
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in (root / "src", root / "scripts", root / "benchmark")
+             for path in sorted(folder.rglob("*.py"))}
+    read: Counter = Counter()
+    for tree in trees.values():
+        read += _references(tree)
+    tracing = runpy.run_path(str(root / "benchmark" / "tracing.py"))
+    traced = {target for targets in tracing["TRACED"].values() for target in targets}
+    uncalled = []
+    for path, tree in trees.items():
+        if package not in path.parents:
+            continue
+        module = path.relative_to(package).with_suffix("").as_posix().replace("/", ".")
+        for qualified, name, node in _public_definitions(tree):
+            if (module, qualified) in traced or (module, qualified) in UNCALLED_ON_PURPOSE:
+                continue
+            if read[name] <= _references(node)[name]:
+                uncalled.append(f"{module}.{qualified}")
+    assert not uncalled, "public names that only the tests call: " + ", ".join(uncalled)

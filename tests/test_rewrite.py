@@ -6,16 +6,14 @@ import random
 
 import pytest
 
+from message_helpers import EMPTY_FAMILY, family, random_message
 from secwitness.context import make_context
 from secwitness.errors import NonTermination, UnboundRuleVariable
-from secwitness.oracle import random_message
 from secwitness.rewrite import (
-    EMPTY_FAMILY,
     RewriteRule,
     access,
     check_well_protected,
     default_rules,
-    family,
     keys_monotone,
     keys_of,
     normalize,

@@ -8,9 +8,9 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from message_helpers import random_message
 from secwitness.context import make_context, meet
 from secwitness.errors import WellProtectionViolation
-from secwitness.oracle import random_message
 from secwitness.rewrite import access, keys_of
 from secwitness.selection import BROAD, KEY_ONLY, NEIGHBORS, interpret, psi, select, value_function
 from secwitness.terms import Atom, Sort

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from message_helpers import random_message
 from secwitness.context import inverse_key, make_context
 from secwitness.errors import (
     MessageSyntaxError,
@@ -22,10 +23,9 @@ from secwitness.errors import (
     UndeclaredIdentifier,
     VariableInKeyPosition,
 )
-from secwitness.oracle import random_message
+from secwitness.roles import parse_protocol
 from secwitness.terms import (
     EMPTY,
-    EMPTY_SUBSTITUTION,
     MAX_NESTING,
     Atom,
     Atomic,
@@ -39,7 +39,6 @@ from secwitness.terms import (
     atoms,
     concat,
     enc,
-    encryption_patterns,
     flatten,
     map_atoms,
     parse_message,
@@ -77,6 +76,13 @@ def test_parse_with_variable():
 def test_parse_variable_in_key_position():
     with pytest.raises(VariableInKeyPosition):
         parse_message("{X}_Y", SYMS)
+
+
+def test_parse_variable_decryption_key_in_a_rule():
+    # d(k, m) stands for {m}_k, so its key is checked as every key is
+    with pytest.raises(VariableInKeyPosition) as err:
+        parse_protocol("principal A; intruder I; var X; rule d(X, Y) -> Y;")
+    assert err.value.name == "X"
 
 
 def test_parse_undeclared():
@@ -138,7 +144,7 @@ def test_substitute_ground_identity():
     m = parse_message("{A.Na}_kb", SYMS)
     s = Substitution({X: atomic(A)})
     assert substitute(m, s) == m
-    assert substitute(m, EMPTY_SUBSTITUTION) == m
+    assert substitute(m, Substitution()) == m
 
 
 def test_substitute_parameters():
@@ -182,21 +188,6 @@ def test_inverse_key_not_a_key():
         inverse_key(ctx, NA)
 
 
-def test_encryption_patterns_single():
-    m = parse_message("A.B.{X}_kb", SYMS)
-    assert encryption_patterns([m]) == [parse_message("{X}_kb", SYMS)]
-
-
-def test_encryption_patterns_two_in_one_message():
-    m = parse_message("{B.Y}_ka.{B.Nb}_ka", SYMS)
-    assert encryption_patterns([m]) == [
-        parse_message("{B.Y}_ka", SYMS),
-        parse_message("{B.Nb}_ka", SYMS),
-    ]
-
-
-def test_encryption_patterns_none():
-    assert encryption_patterns([atomic(A), concat(atomic(A), atomic(B))]) == []
 
 
 # --- algebraic laws -------------------------------------------------------
@@ -247,7 +238,7 @@ def test_substitute_atoms_law(m, ix, iy):
     s = Substitution({X: ix, Y: iy})
     expected = set()
     for a in atoms(m):
-        img = s.image_of(a)
+        img = s.get(a)
         expected |= atoms(img) if img is not None else {a}
     assert atoms(substitute(m, s)) == expected
 
@@ -326,7 +317,8 @@ def test_pickle_across_processes_recomputes_the_hash():
             "from secwitness.terms import *\n"
             "A, NA, KA, KB = Atom('A'), Atom('Na'), Atom('ka'), Atom('kb')\n"
             "X, A1 = Atom('X', Sort.VARIABLE), Atom('A_1', Sort.PARAMETER)\n"
-            "m = parse_message(%r, SymbolTable.of(A, NA, KA, KB, X, A1))\n" % text)
+            "syms = SymbolTable({a.name: a for a in (A, NA, KA, KB, X, A1)})\n"
+            "m = parse_message(%r, syms)\n" % text)
     dump = load + "sys.stdout.buffer.write(pickle.dumps([m, m.parts[0].key, EMPTY]))\n"
     check = load + ("m2, key, empty = pickle.loads(sys.stdin.buffer.read())\n"
                     "assert m2 == m and hash(m2) == hash(m)\n"

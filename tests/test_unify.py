@@ -18,7 +18,7 @@ from secwitness.terms import (
     variables_of,
 )
 from secwitness.derive import contribution_of
-from secwitness.unify import candidate_values, unify, unify_all
+from secwitness.unify import candidate_values, unify_all
 
 FMAX = value_function("fmax")
 
@@ -41,28 +41,26 @@ def _sources(target, pool, ctx, alpha=None):
 def test_initial_pattern_binding(ns, ns_roles, ns_pool):
     source = _pattern(ns_pool, "{A_1.Na_1}_kb_1")
     target = _send(ns_roles, "A_G1", 0)               # {A.Na^i}_kb
-    sigma = unify(source, target)
-    assert sigma is not None
-    assert sigma.image_of(Atom("A_1", Sort.PARAMETER)) == atomic(Atom("A", Sort.PARAMETER))
-    assert sigma.image_of(Atom("Na_1", Sort.PARAMETER)) == atomic(
+    sigma = unify_all(source, target)[0]
+    assert sigma.get(Atom("A_1", Sort.PARAMETER)) == atomic(Atom("A", Sort.PARAMETER))
+    assert sigma.get(Atom("Na_1", Sort.PARAMETER)) == atomic(
         Atom("Na", Sort.PARAMETER, session_tag="i"))
-    assert sigma.image_of(Atom("kb_1", Sort.PARAMETER)) == atomic(Atom("kb", Sort.PARAMETER))
+    assert sigma.get(Atom("kb_1", Sort.PARAMETER)) == atomic(Atom("kb", Sort.PARAMETER))
     assert substitute(source, sigma) == substitute(target, sigma)
 
 
 def test_unify_identical_terms(ns, ns_pool):
     m = ns_pool[0]
-    sigma = unify(m, m)
-    assert sigma is not None and not list(sigma.items())
+    sigma = unify_all(m, m)[0]
+    assert not list(sigma.items())
 
 
 def test_variable_absorbs_segments(ns, ns_roles, ns_pool):
     source = _pattern(ns_pool, "{X_2}_kb_3")
     target = _send(ns_roles, "B_G1", 1)               # {Y.Nb^i.B}_ka
-    sigma = unify(source, target)
-    assert sigma is not None
+    sigma = unify_all(source, target)[0]
     x2 = next(iter(variables_of(source)))
-    image = sigma.image_of(x2)
+    image = sigma.get(x2)
     assert image == concat(atomic(Atom("Y", Sort.VARIABLE)),
                            atomic(Atom("Nb", Sort.PARAMETER, session_tag="i")),
                            atomic(Atom("B", Sort.PARAMETER)))
@@ -73,26 +71,26 @@ def test_constant_keys_clash(ns):
     a, na = Atom("A"), Atom("Na")
     m1 = enc(concat(atomic(a), atomic(na)), Atom("kb"))
     m2 = enc(concat(atomic(a), atomic(na)), Atom("kc"))
-    assert unify(m1, m2) is None
+    assert unify_all(m1, m2) == []
 
 
 def test_occurs_check():
     x = Atom("X", Sort.VARIABLE)
-    assert unify(atomic(x), enc(atomic(x), Atom("k"))) is None
-    assert unify(atomic(x), concat(atomic(x), atomic(Atom("A")))) is None
+    assert unify_all(atomic(x), enc(atomic(x), Atom("k"))) == []
+    assert unify_all(atomic(x), concat(atomic(x), atomic(Atom("A")))) == []
 
 
 def test_parameters_take_single_segments():
     p, q = Atom("P", Sort.PARAMETER), Atom("Q", Sort.PARAMETER)
     a, b, c = (atomic(Atom(n)) for n in "abc")
-    assert unify(concat(atomic(p), atomic(q)), concat(a, b, c)) is None
+    assert unify_all(concat(atomic(p), atomic(q)), concat(a, b, c)) == []
 
 
 def test_absorption_enumerates_segmentations():
     v, w = Atom("V", Sort.VARIABLE), Atom("W", Sort.VARIABLE)
     a, b, c = (atomic(Atom(n)) for n in "abc")
     found = unify_all(concat(atomic(v), atomic(w)), concat(a, b, c))
-    images = {(str(s.image_of(v)), str(s.image_of(w))) for s in found}
+    images = {(str(s.get(v)), str(s.get(w))) for s in found}
     assert images == {("a", "b.c"), ("a.b", "c")}
 
 
@@ -127,9 +125,10 @@ def test_mgu_factoring_small_universe():
     for _ in range(400):
         left = random_side([v1, p1])
         right = random_side([v2, p2])
-        sigma = unify(left, right)
-        if sigma is None:
+        found = unify_all(left, right)
+        if not found:
             continue
+        sigma = found[0]
         bindable = [x for x in (atoms(left) | atoms(right))
                     if x.sort is not Sort.CONSTANT]
         choices = [grounds if x.sort is Sort.VARIABLE else grounds[:2]
