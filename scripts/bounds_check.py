@@ -19,12 +19,11 @@ from secwitness.rewrite import check_well_protected
 from secwitness.selection import value_function
 from secwitness.terms import (
     Atom,
+    Enc,
     Sort,
     Substitution,
-    atomic,
     atoms,
     concat,
-    enc,
     substitute,
     variables_of,
 )
@@ -58,15 +57,15 @@ def random_pattern(rng: random.Random, data, keys, variables):
         for _ in range(rng.randint(1, 4)):
             roll = rng.random()
             if roll < 0.4:
-                parts.append(atomic(rng.choice(data)))
+                parts.append(rng.choice(data))
             elif roll < 0.7:
-                parts.append(atomic(Atom(rng.choice(IDENTITIES))))
+                parts.append(Atom(rng.choice(IDENTITIES)))
             else:
-                parts.append(atomic(rng.choice(variables)))
+                parts.append(rng.choice(variables))
         if rng.random() < 0.2:
-            parts.append(enc(concat(*parts[:2]) if len(parts) > 1 else parts[0],
+            parts.append(Enc(concat(*parts[:2]) if len(parts) > 1 else parts[0],
                              rng.choice(keys)))
-        pat = enc(concat(*parts), rng.choice(keys))
+        pat = Enc(concat(*parts), rng.choice(keys))
         if len(atoms(pat)) <= 8:
             return pat
 
@@ -93,8 +92,7 @@ def main() -> int:
             continue
         source = rng.choice(sources)
         grounds = data + [Atom("m1"), Atom("m2")]
-        sigma = Substitution({v: atomic(rng.choice(grounds))
-                              for v in variables_of(source)})
+        sigma = Substitution({v: rng.choice(grounds) for v in variables_of(source)})
         closed = substitute(source, sigma)
         F = FUNCS[pairs % 3]
         pairs += 1

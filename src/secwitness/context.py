@@ -11,7 +11,7 @@ parameter and the same identity declared as a constant agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ContextError, MismatchedUniverse, NotAKey
@@ -96,9 +96,11 @@ class VerificationContext:
     levels: Mapping[str, SecurityLevel]
     keys: Mapping[str, str]  # each key name to its inverse's, both ways round
     rewrite_rules: tuple = ()
+    principal_names: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = {p.name for p in self.principals}
+        names = frozenset(p.name for p in self.principals)
+        object.__setattr__(self, "principal_names", names)
         if self.intruder.name not in names:
             raise ContextError("intruder must be one of the principals")
         for name, inverse in self.keys.items():
@@ -106,10 +108,6 @@ class VerificationContext:
                 raise ContextError(
                     f"key pair {name}/{inverse} has no declared level on either side"
                 )
-
-    @property
-    def principal_names(self) -> frozenset[str]:
-        return frozenset(p.name for p in self.principals)
 
 
 def make_context(

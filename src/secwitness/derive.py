@@ -17,7 +17,6 @@ from .context import TOP, SecurityLevel, VerificationContext, meet
 from .terms import (
     EMPTY,
     Atom,
-    Atomic,
     Message,
     Sort,
     Substitution,
@@ -48,7 +47,7 @@ def derive_keeping(m: Message, keep: Atom) -> Message:
     return derive(m, variables_of(m) - {keep})
 
 
-Params = frozenset  # of (parameter, Atomic image), closed
+Params = frozenset  # of (parameter, atom image), closed
 Carried = tuple[Params, Atom, frozenset[Atom]]
 
 
@@ -118,11 +117,7 @@ def fact_levels(F: ValueFunction, alphas: Sequence[Atom], source: Message,
             # name.  A queried variable gets no such transfer: renaming it
             # tells us nothing about what it carries, only the dynamic view
             # does.
-            probe = alpha
-            if alpha.sort is not Sort.VARIABLE:
-                image = images.get(alpha)
-                if isinstance(image, Atomic):
-                    probe = image.atom
+            probe = alpha if alpha.sort is Sort.VARIABLE else images.get(alpha, alpha)
             if probe in entry[2]:
                 found[alpha] = meet(found.get(alpha, TOP), _level(F, entry, probe, ctx))
     for params, var, inside in carried:

@@ -32,14 +32,12 @@ from .errors import NotAKey, NoWellProtectedSample, WellProtectionViolation
 from .rewrite import check_well_protected, normalize
 from .terms import (
     Atom,
-    Atomic,
     Concat,
     Empty,
     Enc,
     Message,
     atoms,
     concat,
-    enc,
     flatten,
     print_message,
 )
@@ -86,7 +84,7 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
     size: dict[Message, int] = {}      # term -> atoms, plus one for a pair or a ciphertext
     pending: set[Concat] = set()       # pairs not split at their current depth
     opened: dict[Enc, int] = {}        # ciphertext -> body depth it was last opened for
-    inverses: dict[Atom, Optional[Atomic]] = {}   # key -> its inverse, None if not a key
+    inverses: dict[Atom, Optional[Atom]] = {}     # key -> its inverse, None if not a key
     truncated = False
 
     def add(t: Message, d: int, n: int = -1, txt: str = "") -> bool:
@@ -116,10 +114,10 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
             size[t] = n + (type(t) is Enc)
         return True
 
-    def inverse_of(k: Atom) -> Optional[Atomic]:
+    def inverse_of(k: Atom) -> Optional[Atom]:
         if k not in inverses:
             try:
-                inverses[k] = Atomic(inverse_key(ctx, k))
+                inverses[k] = inverse_key(ctx, k)
             except NotAKey:
                 inverses[k] = None
         return inverses[k]
@@ -127,7 +125,7 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
     for m in M:
         add(normalize(m, ctx), 0)
     for a in intruder_knowledge(ctx):
-        add(Atomic(a), 0)
+        add(a, 0)
 
     def decompose() -> None:
         changed = True
@@ -176,11 +174,10 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
                 for t in order]
     enc_keys = []
     for t in order:
-        if type(t) is Atomic and t.atom.name in ctx.keys:
-            inv = inverse_of(t.atom)
+        if type(t) is Atom and t.name in ctx.keys:
+            inv = inverse_of(t)
             if inv is not None and inv in known:
-                k = t.atom
-                enc_keys.append((k, t, bits[k], "}_" + k.display()))
+                enc_keys.append((t, bits[t], "}_" + t.display()))
     fresh = 0
     for a, da, pa, ma, ta in snapshot:
         if fresh > round_cap:
@@ -198,8 +195,8 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
                 fresh += 1
         if pa is None:
             continue
-        for k, kt, kb, suffix in enc_keys:
-            dk = known[kt]
+        for k, kb, suffix in enc_keys:
+            dk = known[k]
             d = (da if da > dk else dk) + 1
             if d <= depth_budget and add(Enc(a, k), d, (ma | kb).bit_count(),
                                          "{" + ta + suffix):
@@ -246,15 +243,15 @@ def random_well_protected_set(rng: random.Random, ctx: VerificationContext,
                            if any(geq(g, level_of(ctx, s)) for g in guards)]
         if depth <= 0 or roll < 0.35:
             if allowed_secrets and rng.random() < 0.5:
-                return Atomic(rng.choice(allowed_secrets))
-            return Atomic(rng.choice(public))
+                return rng.choice(allowed_secrets)
+            return rng.choice(public)
         if roll < 0.7 and enc_keys:
             k = rng.choice(enc_keys)
             try:
                 inv_level = level_of(ctx, inverse_key(ctx, k))
             except NotAKey:
                 inv_level = level_of(ctx, k)
-            return enc(build(depth - 1, guards + (inv_level,)), k)
+            return Enc(build(depth - 1, guards + (inv_level,)), k)
         parts = [build(depth - 1, guards) for _ in range(rng.randint(2, 3))]
         return concat(*parts)
 
@@ -358,8 +355,8 @@ def check_non_disclosure(M: Sequence[Message], ctx: VerificationContext,
         return PropertyReport("non-disclosure", False, 0, (), pre, 0)
     closure = deduce_closure(M, ctx, depth_budget=depth)
     disclosed = [t for t in closure.terms
-                 if isinstance(t, Atomic) and not intruder_allowed(ctx, t.atom)]
-    failures = [Failure(str(t), t.atom.display(), "secret atom in the clear")
+                 if isinstance(t, Atom) and not intruder_allowed(ctx, t)]
+    failures = [Failure(str(t), t.display(), "secret atom in the clear")
                 for t in sorted(disclosed, key=str)]
     return PropertyReport("non-disclosure", not failures, 1, tuple(failures),
                           (), 1 if closure.truncated else 0)

@@ -18,7 +18,6 @@ from .context import VerificationContext, geq, inverse_key, level_of
 from .errors import NonTermination, NotAKey, UnboundRuleVariable
 from .terms import (
     Atom,
-    Atomic,
     Concat,
     Empty,
     Enc,
@@ -64,8 +63,7 @@ _CANCEL_M = Atom("M", Sort.VARIABLE)
 _CANCEL_K = Atom("k", Sort.PARAMETER)
 _CANCEL_KINV = Atom("k-1", Sort.PARAMETER)
 _DEFAULT_RULES = (
-    RewriteRule(Enc(Enc(Atomic(_CANCEL_M), _CANCEL_KINV), _CANCEL_K), Atomic(_CANCEL_M),
-                name="cancel-enc-dec"),
+    RewriteRule(Enc(Enc(_CANCEL_M, _CANCEL_KINV), _CANCEL_K), _CANCEL_M, name="cancel-enc-dec"),
 )
 
 
@@ -85,22 +83,21 @@ def _inverse_pairs(bindings: dict[Atom, Message]) -> Iterable[tuple[Atom, Atom]]
 def _match(pattern: Message, term: Message,
            bindings: dict[Atom, Message]) -> Optional[dict[Atom, Message]]:
     """One-way structural matching of a rule pattern against a term."""
-    if isinstance(pattern, Atomic):
-        a = pattern.atom
-        if a.sort is Sort.CONSTANT:
+    if isinstance(pattern, Atom):
+        if pattern.sort is Sort.CONSTANT:
             return bindings if term == pattern else None
-        if a.sort is Sort.PARAMETER and not (isinstance(term, Atomic)):
+        if pattern.sort is Sort.PARAMETER and not isinstance(term, Atom):
             return None
-        bound = bindings.get(a)
+        bound = bindings.get(pattern)
         if bound is not None:
             return bindings if bound == term else None
         out = dict(bindings)
-        out[a] = term
+        out[pattern] = term
         return out
     if isinstance(pattern, Enc):
         if not isinstance(term, Enc):
             return None
-        b = _match(Atomic(pattern.key), Atomic(term.key), bindings)
+        b = _match(pattern.key, term.key, bindings)
         if b is None:
             return None
         return _match(pattern.body, term.body, b)
@@ -118,8 +115,8 @@ def _match_lists(ps: list[Message], ts: list[Message],
     if not ps:
         return bindings if not ts else None
     head = ps[0]
-    if isinstance(head, Atomic) and head.atom.sort is Sort.VARIABLE:
-        bound = bindings.get(head.atom)
+    if isinstance(head, Atom) and head.sort is Sort.VARIABLE:
+        bound = bindings.get(head)
         if bound is not None:
             k = len(flatten(bound))
             if len(ts) >= k and concat(*ts[:k]) == bound:
@@ -128,7 +125,7 @@ def _match_lists(ps: list[Message], ts: list[Message],
         # a variable metavariable may absorb one or more consecutive parts
         for k in range(1, len(ts) - len(ps) + 2):
             out = dict(bindings)
-            out[head.atom] = concat(*ts[:k])
+            out[head] = concat(*ts[:k])
             res = _match_lists(ps[1:], ts[k:], out)
             if res is not None:
                 return res
@@ -147,10 +144,10 @@ def _try_rule(rule: RewriteRule, term: Message, ctx: VerificationContext) -> Opt
         return None
     for a, partner in _inverse_pairs(b):
         ia, ip = b[a], b[partner]
-        if not (isinstance(ia, Atomic) and isinstance(ip, Atomic)):
+        if not (isinstance(ia, Atom) and isinstance(ip, Atom)):
             return None
         try:
-            if inverse_key(ctx, ia.atom) != ip.atom:
+            if inverse_key(ctx, ia) != ip:
                 return None
         except NotAKey:
             return None
@@ -256,7 +253,7 @@ def keys_monotone(rule: RewriteRule) -> bool:
     already gave it, since rewriting may remove keys, never add them."""
     metas = sorted({a for a in atoms(rule.lhs) if a.sort is not Sort.CONSTANT},
                    key=lambda a: a.name)
-    inst = {a: Atomic(Atom(f"probe-{i}")) for i, a in enumerate(metas)}
+    inst = {a: Atom(f"probe-{i}") for i, a in enumerate(metas)}
     lhs, rhs = substitute(rule.lhs, inst), substitute(rule.rhs, inst)
     for probe in atoms(lhs):
         before = keys_of(probe, lhs)

@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .context import (
     VerificationContext,
+    finite,
     inverse_key,
     is_identity,
     level_of,
@@ -44,7 +45,6 @@ from .rewrite import RewriteRule, keys_monotone
 from .terms import (
     IDENT,
     Atom,
-    Atomic,
     Concat,
     Enc,
     Message,
@@ -182,7 +182,7 @@ def _to_role_view(m: Message, agent: Atom, fresh_owners: Mapping[str, str]) -> M
             tag = tag or "i"
         return Atom(a.name, Sort.PARAMETER, tag)
 
-    return map_atoms(m, lambda a: Atomic(gen_atom(a)))
+    return map_atoms(m, gen_atom)
 
 
 def parse_protocol(text: str) -> Protocol:
@@ -227,11 +227,18 @@ def parse_protocol(text: str) -> Protocol:
                 raise MessageSyntaxError(stmt, 0, "inverse key or 'sym'")
             key_decls.append((key, inv or key))
         elif head == "fresh":
-            fresh_owners[g[0]] = g[1]
+            owner = fresh_owners.setdefault(g[0], g[1])
+            if owner != g[1]:
+                raise ContextError(f"fresh value {g[0]} is declared with two owners, "
+                                   f"{owner} and {g[1]}")
         elif head == "var":
             var_names.extend(_names(m, 1))
         elif head == "level":
-            levels[g[0]] = frozenset(_names(m, 2))
+            readers = frozenset(_names(m, 2))
+            bound = levels.setdefault(g[0], readers)
+            if bound != readers:
+                raise ContextError(f"{g[0]} is declared with two levels, "
+                                   f"{finite(bound)!r} and {finite(readers)!r}")
         elif head == "rule":
             rule_specs.append(g)
         elif head == "step":
@@ -249,6 +256,10 @@ def parse_protocol(text: str) -> Protocol:
         if v in named:
             raise ContextError(f"{v} declared both as a name and a variable")
         named[v] = Atom(v, Sort.VARIABLE)
+    for a in named.values():
+        if a.index is not None:
+            raise ContextError(f"declared name {a.name} ends in _<digits>, "
+                               "which marks the analyzer's indexed copies")
 
     symbols = SymbolTable(named)
 
@@ -345,14 +356,14 @@ def extract_generalized_roles(p: Protocol) -> tuple[GeneralizedRole, ...]:
 
         def opaque(t: Message) -> Message:
             if t not in submap:
-                submap[t] = Atomic(Atom(next(fresh_vars), Sort.VARIABLE))
+                submap[t] = Atom(next(fresh_vars), Sort.VARIABLE)
             return submap[t]
 
         def read(t: Message) -> Message:
             if t in submap:
                 return submap[t]
-            if isinstance(t, Atomic):
-                return t if _knows(p, agent, t.atom) else opaque(t)
+            if isinstance(t, Atom):
+                return t if _knows(p, agent, t) else opaque(t)
             if isinstance(t, Concat):
                 return concat(*(read(part) for part in t.parts))
             if isinstance(t, Enc):
@@ -440,15 +451,15 @@ def pattern_shape(m: Message) -> Message:
     """Structural identity modulo numbering: each parameter becomes its
     base name and each variable v0, v1, ... by order of first appearance;
     constants are kept."""
-    order: dict[str, Atomic] = {}
+    order: dict[str, Atom] = {}
 
-    def canonical(a: Atom) -> Optional[Atomic]:
+    def canonical(a: Atom) -> Optional[Atom]:
         if a.sort is Sort.VARIABLE:
             if a.name not in order:
-                order[a.name] = Atomic(Atom(f"v{len(order)}", Sort.VARIABLE))
+                order[a.name] = Atom(f"v{len(order)}", Sort.VARIABLE)
             return order[a.name]
         if a.sort is Sort.PARAMETER:
-            return Atomic(Atom(a.base_name, Sort.PARAMETER))
+            return Atom(a.base_name, Sort.PARAMETER)
         return None
 
     return map_atoms(m, canonical)
@@ -477,10 +488,10 @@ def generalized_message_space(roles: Sequence[GeneralizedRole],
         owner_counts.update(set(owners.values()))
         var_counts.update({a.base_name for a in pat_atoms if a.sort is Sort.VARIABLE})
 
-        def pick(a: Atom) -> Atomic:
+        def pick(a: Atom) -> Atom:
             if a.sort is Sort.VARIABLE:
-                return Atomic(Atom(f"{a.base_name}_{var_counts[a.base_name]}", Sort.VARIABLE))
-            return Atomic(Atom(f"{a.base_name}_{owner_counts[owners[a]]}", Sort.PARAMETER))
+                return Atom(f"{a.base_name}_{var_counts[a.base_name]}", Sort.VARIABLE)
+            return Atom(f"{a.base_name}_{owner_counts[owners[a]]}", Sort.PARAMETER)
 
         return map_atoms(pat, pick)
 

@@ -29,7 +29,7 @@ from .context import (
 )
 from .errors import NotAKey, UnleveledKey, WellProtectionViolation
 from .rewrite import normalize
-from .terms import Atom, Atomic, Message, Sort, atoms, members, occurrences
+from .terms import Atom, Message, Sort, atoms, members, occurrences
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def select(inst: SelectionInstance, alpha: Atom,
     out = NO_ATOMS
     for t in members(m):
         t = normalize(t, ctx)
-        if isinstance(t, Atomic) and t.atom == alpha:
+        if t == alpha:
             out = ALL_ATOMS
             continue
         for a, around in occurrences(t):

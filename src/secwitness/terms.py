@@ -37,10 +37,25 @@ def _by_constructor(node):
     return type(node), tuple(getattr(node, f.name) for f in fields(node) if f.init)
 
 
+class Message:
+    """Base class; concrete nodes are Atom, Concat, Enc and Empty.
+
+    Nodes are slotted and carry their structural hash, computed once at
+    construction from the children's hashes."""
+
+    __slots__ = ()
+
+    __reduce__ = _by_constructor
+
+    def __str__(self) -> str:
+        return print_message(self)
+
+
 @dataclass(frozen=True, slots=True)
-class Atom:
-    """An atomic name.  (name, session_tag) identifies the atom; sort is fixed
-    at construction and never changes."""
+class Atom(Message):
+    """An atomic name, and the message made of it alone.  (name, sort,
+    session_tag) identifies the atom; sort is fixed at construction and
+    never changes."""
 
     name: str
     sort: Sort = Sort.CONSTANT
@@ -59,8 +74,6 @@ class Atom:
     def __hash__(self) -> int:
         return self._h
 
-    __reduce__ = _by_constructor
-
     @property
     def base_name(self) -> str:
         """Name with any trailing numeric index stripped: A_3 -> A, kb-1_2 -> kb-1."""
@@ -78,35 +91,6 @@ class Atom:
     def __repr__(self) -> str:  # keeps pytest diffs readable
         marker = {Sort.CONSTANT: "", Sort.PARAMETER: "'", Sort.VARIABLE: "?"}[self.sort]
         return marker + self.display()
-
-
-class Message:
-    """Base class; concrete nodes are Atomic, Concat, Enc and Empty.
-
-    Nodes are slotted and carry their structural hash, computed once at
-    construction from the children's hashes."""
-
-    __slots__ = ()
-
-    __reduce__ = _by_constructor
-
-    def __str__(self) -> str:
-        return print_message(self)
-
-
-@dataclass(frozen=True, slots=True, repr=False)
-class Atomic(Message):
-    atom: Atom
-    _h: int = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash((self.atom._h,)))
-
-    def __hash__(self) -> int:
-        return self._h
-
-    def __repr__(self) -> str:
-        return f"Atomic({self.atom!r})"
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -166,10 +150,6 @@ class Empty(Message):
 EMPTY = Empty()
 
 
-def atomic(atom: Atom) -> Atomic:
-    return Atomic(atom)
-
-
 def concat(*messages: Message) -> Message:
     """Smart constructor: flattens nested concatenations and drops the empty
     message, returning the neutral element when nothing remains."""
@@ -186,10 +166,6 @@ def concat(*messages: Message) -> Message:
     if len(parts) == 1:
         return parts[0]
     return Concat(tuple(parts))
-
-
-def enc(body: Message, key: Atom) -> Enc:
-    return Enc(body, key)
 
 
 def flatten(m: Message) -> tuple[Message, ...]:
@@ -218,8 +194,8 @@ def atoms(m: Message) -> frozenset[Atom]:
     stack = [m]
     while stack:
         t = stack.pop()
-        if isinstance(t, Atomic):
-            out.add(t.atom)
+        if isinstance(t, Atom):
+            out.add(t)
         elif isinstance(t, Concat):
             stack.extend(t.parts)
         elif isinstance(t, Enc):
@@ -239,8 +215,8 @@ def occurrences(m: Message) -> Iterator[tuple[Atom, tuple[Enc, ...]]]:
     stack: list[tuple[Message, tuple[Enc, ...]]] = [(m, ())]
     while stack:
         t, around = stack.pop()
-        if isinstance(t, Atomic):
-            yield t.atom, around
+        if isinstance(t, Atom):
+            yield t, around
         elif isinstance(t, Concat):
             stack.extend((p, around) for p in reversed(t.parts))
         elif isinstance(t, Enc):
@@ -291,8 +267,8 @@ def map_atoms(m: Message, f: Callable[[Atom], Optional[Message]]) -> Message:
     """Rebuilds the message through the smart constructors, replacing each
     atom occurrence by f(atom); None keeps the occurrence.  A key's image
     must be a non-variable atom."""
-    if isinstance(m, Atomic):
-        image = f(m.atom)
+    if isinstance(m, Atom):
+        image = f(m)
         return m if image is None else image
     if isinstance(m, Concat):
         return concat(*(map_atoms(p, f) for p in m.parts))
@@ -300,9 +276,9 @@ def map_atoms(m: Message, f: Callable[[Atom], Optional[Message]]) -> Message:
         key = m.key
         image = f(key)
         if image is not None:
-            if not isinstance(image, Atomic) or image.atom.sort is Sort.VARIABLE:
+            if not isinstance(image, Atom) or image.sort is Sort.VARIABLE:
                 raise SubstitutedIntoKeyPosition(key.display(), print_message(image))
-            key = image.atom
+            key = image
         return Enc(map_atoms(m.body, f), key)
     return m
 
@@ -430,7 +406,7 @@ def _parse_part(cur: _Cursor, symbols: SymbolTable, allow_dec: bool) -> Message:
         cur.expect(")")
         return Enc(body, symbols.resolve_key(key_name))
     try:
-        return Atomic(symbols.resolve(name))
+        return symbols.resolve(name)
     except UndeclaredIdentifier:
         cur.pos = start
         raise
@@ -455,8 +431,8 @@ def parse_message(text: str, symbols: SymbolTable, allow_dec: bool = False) -> M
 def print_message(m: Message) -> str:
     if isinstance(m, Empty):
         return "ε"
-    if isinstance(m, Atomic):
-        return m.atom.display()
+    if isinstance(m, Atom):
+        return m.display()
     if isinstance(m, Concat):
         return ".".join(print_message(p) for p in m.parts)
     if isinstance(m, Enc):

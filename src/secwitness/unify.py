@@ -24,7 +24,6 @@ from .context import TOP, SecurityLevel, VerificationContext, meet
 from .derive import Carried, Params, ValueFunction, fact_levels, unifier_facts
 from .terms import (
     Atom,
-    Atomic,
     Concat,
     Empty,
     Enc,
@@ -41,8 +40,8 @@ Bindings = dict[Atom, Message]
 
 
 def _chase(m: Message, b: Bindings) -> Message:
-    while isinstance(m, Atomic) and m.atom in b:
-        m = b[m.atom]
+    while isinstance(m, Atom) and m in b:
+        m = b[m]
     return m
 
 
@@ -55,7 +54,7 @@ def _occurs(a: Atom, m: Message, b: Bindings) -> bool:
 
 
 def _bind(a: Atom, m: Message, b: Bindings) -> Optional[Bindings]:
-    if isinstance(m, Atomic) and m.atom == a:
+    if m == a:
         return b
     if _occurs(a, m, b):
         return None
@@ -77,9 +76,9 @@ def _unify_atoms(x: Atom, y: Atom, b: Bindings) -> Iterator[Bindings]:
     if rx == 0 and ry == 0:
         return
     if rx >= ry:
-        out = _bind(x, Atomic(y), b)
+        out = _bind(x, y, b)
     else:
-        out = _bind(y, Atomic(x), b)
+        out = _bind(y, x, b)
     if out is not None:
         yield out
 
@@ -87,18 +86,18 @@ def _unify_atoms(x: Atom, y: Atom, b: Bindings) -> Iterator[Bindings]:
 def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
     x = _chase(x, b)
     y = _chase(y, b)
-    if isinstance(x, Atomic) and isinstance(y, Atomic):
-        yield from _unify_atoms(x.atom, y.atom, b)
+    if isinstance(x, Atom) and isinstance(y, Atom):
+        yield from _unify_atoms(x, y, b)
         return
-    if isinstance(x, Atomic):
-        if x.atom.sort is Sort.VARIABLE:
-            out = _bind(x.atom, _resolve(y, b), b)
+    if isinstance(x, Atom):
+        if x.sort is Sort.VARIABLE:
+            out = _bind(x, _resolve(y, b), b)
             if out is not None:
                 yield out
         return
-    if isinstance(y, Atomic):
-        if y.atom.sort is Sort.VARIABLE:
-            out = _bind(y.atom, _resolve(x, b), b)
+    if isinstance(y, Atom):
+        if y.sort is Sort.VARIABLE:
+            out = _bind(y, _resolve(x, b), b)
             if out is not None:
                 yield out
         return
@@ -107,18 +106,12 @@ def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
             yield b
         return
     if isinstance(x, Enc) and isinstance(y, Enc):
-        for b1 in _unify_atoms(_key_atom(x, b), _key_atom(y, b), b):
+        for b1 in _unify(x.key, y.key, b):
             yield from _unify(x.body, y.body, b1)
         return
     if isinstance(x, Concat) or isinstance(y, Concat):
         yield from _unify_lists(list(flatten(x)), list(flatten(y)), b)
         return
-
-
-def _key_atom(e: Enc, b: Bindings) -> Atom:
-    resolved = _chase(Atomic(e.key), b)
-    assert isinstance(resolved, Atomic), "keys are atomic"
-    return resolved.atom
 
 
 def _expand_head(parts: list[Message], b: Bindings) -> list[Message]:
@@ -144,14 +137,14 @@ def _unify_lists(xs: list[Message], ys: list[Message], b: Bindings) -> Iterator[
     # one-segment alignment first, then widening absorptions
     for b1 in _unify(x0, y0, b):
         yield from _unify_lists(xs[1:], ys[1:], b1)
-    if isinstance(x0, Atomic) and x0.atom.sort is Sort.VARIABLE and x0.atom not in b:
+    if isinstance(x0, Atom) and x0.sort is Sort.VARIABLE and x0 not in b:
         for k in range(2, len(ys) - len(xs) + 2):
-            out = _bind(x0.atom, _resolve(concat(*ys[:k]), b), b)
+            out = _bind(x0, _resolve(concat(*ys[:k]), b), b)
             if out is not None:
                 yield from _unify_lists(xs[1:], ys[k:], out)
-    if isinstance(y0, Atomic) and y0.atom.sort is Sort.VARIABLE and y0.atom not in b:
+    if isinstance(y0, Atom) and y0.sort is Sort.VARIABLE and y0 not in b:
         for k in range(2, len(xs) - len(ys) + 2):
-            out = _bind(y0.atom, _resolve(concat(*xs[:k]), b), b)
+            out = _bind(y0, _resolve(concat(*xs[:k]), b), b)
             if out is not None:
                 yield from _unify_lists(xs[k:], ys[1:], out)
 
@@ -159,7 +152,7 @@ def _unify_lists(xs: list[Message], ys: list[Message], b: Bindings) -> Iterator[
 def _close(b: Bindings) -> Substitution:
     closed: Bindings = {}
     for a in b:
-        closed[a] = _resolve(Atomic(a), b)
+        closed[a] = _resolve(a, b)
     return Substitution(closed)
 
 
@@ -187,19 +180,18 @@ def _body_atoms(m: Message) -> Optional[tuple[Atom, ...]]:
     if not isinstance(m, Enc):
         return None
     parts = flatten(m.body)
-    if not parts or not all(isinstance(p, Atomic) for p in parts):
+    if not parts or not all(isinstance(p, Atom) for p in parts):
         return None
-    return tuple(p.atom for p in parts)
+    return parts
 
 
 def _root(a: Atom, images: dict) -> Atom:
-    image = images.get(a)
-    return a if image is None else image.atom
+    return images.get(a, a)
 
 
-def _rebind(pi: Params, x: Atom, to: Atomic) -> Params:
+def _rebind(pi: Params, x: Atom, to: Atom) -> Params:
     """The closed bindings after the root parameter x binds to the root `to`."""
-    return frozenset([(p, to if r.atom == x else r) for p, r in pi] + [(x, to)])
+    return frozenset([(p, to if r == x else r) for p, r in pi] + [(x, to)])
 
 
 def _edges(xs: tuple[Atom, ...], ys: tuple[Atom, ...],

@@ -39,7 +39,6 @@ from .roles import (
 from .selection import value_function
 from .terms import (
     Atom,
-    Atomic,
     Message,
     Sort,
     Substitution,
@@ -84,9 +83,9 @@ def lower_bounds(sent: Message, alphas: Sequence[Atom], pool: Sequence[Message],
     bare: set[Atom] = set()
     searched: set[Message] = set()
     for part in flatten(sent):
-        if isinstance(part, Atomic):
-            if part.atom in alphas and _guarded(part.atom, ctx):
-                bare.add(part.atom)
+        if isinstance(part, Atom):
+            if part in alphas and _guarded(part, ctx):
+                bare.add(part)
             continue
         if part in searched:
             continue
@@ -138,7 +137,7 @@ def witness_value(alpha: Atom, source: Message, sigma: Substitution,
     """The bound of the atom in a closed instance of a sent message, folded
     over the patterns the instance matches."""
     closed = substitute(source, sigma)
-    protected = concat(*(part for part in flatten(closed) if not isinstance(part, Atomic)))
+    protected = concat(*(part for part in flatten(closed) if not isinstance(part, Atom)))
     return lower_bounds(protected, [alpha], pool, F, ctx)[alpha]
 
 

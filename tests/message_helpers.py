@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from secwitness.terms import Atom, Atomic, Enc, Message, concat
+from secwitness.terms import Atom, Enc, Message, concat
 
 EMPTY_FAMILY: frozenset = frozenset()
 
@@ -21,7 +21,7 @@ def random_message(rng: random.Random, pool: Sequence[Atom], keys: Sequence[Atom
     """Unconstrained random message over the given atoms; for algebra laws,
     not for protection-sensitive checks."""
     if max_depth <= 0 or rng.random() < 0.4:
-        return Atomic(rng.choice(list(pool)))
+        return rng.choice(list(pool))
     if rng.random() < 0.5 and keys:
         return Enc(random_message(rng, pool, keys, max_depth - 1), rng.choice(list(keys)))
     parts = [random_message(rng, pool, keys, max_depth - 1) for _ in range(rng.randint(2, 3))]

@@ -17,7 +17,6 @@ from secwitness.derive import ValueFunction, derive, derive_all
 from secwitness.errors import NoProtectivePattern
 from secwitness.terms import (
     Atom,
-    Atomic,
     Message,
     Sort,
     Substitution,
@@ -47,8 +46,8 @@ def contribution_of(F: ValueFunction, alpha: Atom, source: Message,
     probe = alpha
     if alpha.sort is not Sort.VARIABLE:
         image = sigma.get(alpha)
-        if isinstance(image, Atomic):
-            probe = image.atom
+        if isinstance(image, Atom):
+            probe = image
     static_view = derive_all(inst)
     if probe in atoms(static_view):
         values.append(F(probe, static_view, ctx))
@@ -78,8 +77,8 @@ def lower_bound(alpha: Atom, sent: Message, pool: Sequence[Message],
                 F: ValueFunction, ctx: VerificationContext) -> SecurityLevel:
     values: list[SecurityLevel] = []
     for part in flatten(sent):
-        if isinstance(part, Atomic):
-            if part.atom != alpha:
+        if isinstance(part, Atom):
+            if part != alpha:
                 continue
             if alpha.sort is Sort.VARIABLE or not level_of(ctx, alpha).is_bottom:
                 raise NoProtectivePattern(alpha.display(), print_message(sent))

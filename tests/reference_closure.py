@@ -36,7 +36,7 @@ from secwitness.derive import ValueFunction
 from secwitness.errors import NotAKey, WellProtectionViolation
 from secwitness.oracle import DeductionResult, Failure, PropertyReport, random_well_protected_set
 from secwitness.rewrite import normalize
-from secwitness.terms import Atom, Atomic, Concat, Empty, Enc, Message, atoms, concat, enc
+from secwitness.terms import Atom, Concat, Empty, Enc, Message, atoms, concat
 
 
 def _term_size(m: Message) -> int:
@@ -71,7 +71,7 @@ def deduce_closure_with_depths(M: Iterable[Message], ctx: VerificationContext,
     for m in M:
         add(normalize(m, ctx), 0)
     for a in intruder_knowledge(ctx):
-        add(Atomic(a), 0)
+        add(a, 0)
 
     def decompose() -> None:
         changed = True
@@ -86,7 +86,7 @@ def deduce_closure_with_depths(M: Iterable[Message], ctx: VerificationContext,
                         inv = inverse_key(ctx, t.key)
                     except NotAKey:
                         continue
-                    di = known.get(Atomic(inv))
+                    di = known.get(inv)
                     if di is not None:
                         changed |= add(t.body, max(d, di) + 1)
 
@@ -95,13 +95,13 @@ def deduce_closure_with_depths(M: Iterable[Message], ctx: VerificationContext,
     snapshot = sorted(known.items(), key=lambda kv: (_term_size(kv[0]), str(kv[0])))
     enc_keys = []
     for t, _ in snapshot:
-        if isinstance(t, Atomic) and t.atom.name in ctx.keys:
+        if isinstance(t, Atom) and t.name in ctx.keys:
             try:
-                inv = inverse_key(ctx, t.atom)
+                inv = inverse_key(ctx, t)
             except NotAKey:
                 continue
-            if Atomic(inv) in known:
-                enc_keys.append(t.atom)
+            if inv in known:
+                enc_keys.append(t)
     fresh = 0
     for a, da in snapshot:
         if fresh > round_cap:
@@ -118,8 +118,8 @@ def deduce_closure_with_depths(M: Iterable[Message], ctx: VerificationContext,
         for k in enc_keys:
             if isinstance(a, Empty):
                 continue
-            dk = known[Atomic(k)]
-            if add(enc(a, k), max(da, dk) + 1):
+            dk = known[k]
+            if add(Enc(a, k), max(da, dk) + 1):
                 fresh += 1
 
     decompose()

@@ -26,7 +26,7 @@ from secwitness.selection import (
     SelectionResult,
     finite_selection,
 )
-from secwitness.terms import Atom, Atomic, Concat, Enc, Message, Sort, atoms, members
+from secwitness.terms import Atom, Concat, Enc, Message, Sort, atoms, members
 
 
 def keys_of(alpha: Atom, m: Union[Message, Iterable[Message]]) -> KeySetFamily:
@@ -34,7 +34,7 @@ def keys_of(alpha: Atom, m: Union[Message, Iterable[Message]]) -> KeySetFamily:
     key positions themselves are not occurrences."""
     out = EMPTY_FAMILY
     for t in members(m):
-        if isinstance(t, Atomic) and t.atom == alpha:
+        if isinstance(t, Atom) and t == alpha:
             out |= family(())
         elif isinstance(t, Concat):
             out |= keys_of(alpha, t.parts)
@@ -49,8 +49,8 @@ def access(alpha: Atom, m: Union[Message, Iterable[Message]],
     on the normal form."""
 
     def go(t: Message) -> KeySetFamily:
-        if isinstance(t, Atomic):
-            return family(()) if t.atom == alpha else EMPTY_FAMILY
+        if isinstance(t, Atom):
+            return family(()) if t == alpha else EMPTY_FAMILY
         if isinstance(t, Concat):
             out = EMPTY_FAMILY
             for p in t.parts:
@@ -100,8 +100,8 @@ def select(inst: SelectionInstance, alpha: Atom,
         return geq(level_of(ctx, inv), alpha_level)
 
     def walk(t: Message) -> SelectionResult:
-        if isinstance(t, Atomic):
-            if t.atom != alpha:
+        if isinstance(t, Atom):
+            if t != alpha:
                 return NO_ATOMS
             if alpha.sort is not Sort.VARIABLE and not alpha_level.is_bottom:
                 raise WellProtectionViolation(alpha.display(), str(t))
@@ -130,7 +130,7 @@ def select(inst: SelectionInstance, alpha: Atom,
     out = NO_ATOMS
     for t in members(m):
         t = normalize(t, ctx)
-        if isinstance(t, Atomic) and t.atom == alpha:
+        if isinstance(t, Atom) and t == alpha:
             out = ALL_ATOMS
         elif alpha in atoms(t):
             out = out | walk(t)
@@ -142,9 +142,9 @@ def body_atoms_in_order(m: Message) -> list[Atom]:
     seen: list[Atom] = []
 
     def walk(t: Message) -> None:
-        if isinstance(t, Atomic):
-            if t.atom not in seen:
-                seen.append(t.atom)
+        if isinstance(t, Atom):
+            if t not in seen:
+                seen.append(t)
         elif isinstance(t, Concat):
             for p in t.parts:
                 walk(p)

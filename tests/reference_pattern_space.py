@@ -14,12 +14,12 @@ from typing import Mapping, Optional, Sequence
 
 from secwitness.context import VerificationContext
 from secwitness.roles import GeneralizedRole, _owner
-from secwitness.terms import Atom, Atomic, Concat, Enc, Message, Sort, atoms, map_atoms, subterms
+from secwitness.terms import Atom, Concat, Enc, Message, Sort, atoms, map_atoms, subterms
 
 
 def _shape(m: Message, var_order: dict[str, int]) -> tuple:
-    if isinstance(m, Atomic):
-        a = m.atom
+    if isinstance(m, Atom):
+        a = m
         if a.sort is Sort.VARIABLE:
             return ("V", var_order.setdefault(a.name, len(var_order)))
         if a.sort is Sort.PARAMETER:
@@ -28,7 +28,7 @@ def _shape(m: Message, var_order: dict[str, int]) -> tuple:
     if isinstance(m, Concat):
         return ("cat",) + tuple(_shape(p, var_order) for p in m.parts)
     if isinstance(m, Enc):
-        return ("enc", _shape(m.body, var_order), _shape(Atomic(m.key), var_order))
+        return ("enc", _shape(m.body, var_order), _shape(m.key, var_order))
     return ("eps",)
 
 
@@ -82,7 +82,7 @@ def generalized_message_space(roles: Sequence[GeneralizedRole],
             else:
                 o = _owner(a, ctx, fresh_owners)
                 pick[a] = Atom(f"{a.base_name}_{owner_counts[o]}", Sort.PARAMETER)
-        space.append(map_atoms(pat, lambda a: Atomic(pick[a])))
+        space.append(map_atoms(pat, lambda a: pick[a]))
 
     seen: set[tuple] = set()
     final: list[Message] = []

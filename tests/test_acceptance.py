@@ -36,14 +36,13 @@ from secwitness.roles import extract_generalized_roles, pattern_space, roles_for
 from secwitness.selection import instance, select, value_function
 from secwitness.terms import (
     Atom,
+    Enc,
     Message,
     Sort,
     Substitution,
     SymbolTable,
-    atomic,
     atoms,
     concat,
-    enc,
     parse_message,
     substitute,
     variables_of,
@@ -90,15 +89,15 @@ def _random_pattern(rng: random.Random, data, keys, variables) -> Message:
         for _ in range(rng.randint(1, 4)):
             roll = rng.random()
             if roll < 0.4:
-                parts.append(atomic(rng.choice(data)))
+                parts.append(rng.choice(data))
             elif roll < 0.7:
-                parts.append(atomic(Atom(rng.choice(IDENTITIES))))
+                parts.append(Atom(rng.choice(IDENTITIES)))
             else:
-                parts.append(atomic(rng.choice(variables)))
+                parts.append(rng.choice(variables))
         if rng.random() < 0.2:
-            parts.append(enc(concat(*parts[:2]) if len(parts) > 1 else parts[0],
+            parts.append(Enc(concat(*parts[:2]) if len(parts) > 1 else parts[0],
                              rng.choice(keys)))
-        pat = enc(concat(*parts), rng.choice(keys))
+        pat = Enc(concat(*parts), rng.choice(keys))
         if len(atoms(pat)) <= 8:
             return pat
 
@@ -225,8 +224,7 @@ def test_criterion_06_bounds_ordering():
             continue
         source = rng.choice(sources)
         grounds = data + [Atom("m1"), Atom("m2")]
-        sigma = Substitution({v: atomic(rng.choice(grounds))
-                              for v in variables_of(source)})
+        sigma = Substitution({v: rng.choice(grounds) for v in variables_of(source)})
         closed = substitute(source, sigma)
         F = FUNCS[pairs % 3]
         pairs += 1
@@ -251,7 +249,7 @@ def test_criterion_07_well_formedness_laws():
         ctx, data, _ = _random_setup(rng)
         s = rng.choice(data)
         F = FUNCS[i % 3]
-        if F(s, atomic(s), ctx) != BOTTOM or F(s, [atomic(s)], ctx) != BOTTOM:
+        if F(s, s, ctx) != BOTTOM or F(s, [s], ctx) != BOTTOM:
             bad_self += 1
 
     rng = random.Random(8)
@@ -343,7 +341,7 @@ def test_criterion_11_rewriting():
     )
     symbols = _symbols("A", "B", "I", "alpha", "ka", "ka-1", "kab")
     cancel = parse_message("{d(ka-1, alpha)}_ka", symbols, allow_dec=True)
-    cancels = normalize(cancel, ctx) == atomic(Atom("alpha"))
+    cancels = normalize(cancel, ctx) == Atom("alpha")
 
     rng = random.Random(31)
     pool = [Atom("A"), Atom("B"), Atom("alpha")]
@@ -355,6 +353,6 @@ def test_criterion_11_rewriting():
 
     accepts = all(keys_monotone(rule) for rule in default_rules())
     mv = Atom("M", Sort.VARIABLE)
-    rejects = not keys_monotone(RewriteRule(atomic(mv), enc(atomic(mv), Atom("k")), name="wrap"))
+    rejects = not keys_monotone(RewriteRule(mv, Enc(mv, Atom("k")), name="wrap"))
     ok = cancels and idempotent and accepts and rejects
     _verdict(11, ok, "cancellation, idempotence on 1000 terms, keys-monotonicity verdicts")

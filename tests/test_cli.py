@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +121,79 @@ def test_a_key_declared_with_two_inverses_is_rejected(tmp_path, capsys, command)
     captured = capsys.readouterr()
     assert captured.err == "error: key ka-1 is declared with two inverses, ka and kb\n"
     assert captured.out == ""
+
+
+def _rename(text, renames):
+    """The text with the given identifiers renamed at once; an indexed copy
+    such as X_1 is renamed with its base name."""
+    names = "|".join(map(re.escape, renames))
+    return re.sub(rf"(?<![\w^-])({names})(?=_\d|[^\w^-]|$)", lambda m: renames[m[1]], text)
+
+
+# a declared name ending in _<digits> would be read as an indexed copy: a
+# variable Y_1 as a pattern variable, a principal B_2 as not an identity
+_INDEXED = {
+    "variables": ({"X": "Y_1", "Y": "X_1"}, "Y_1"),
+    "principal": ({"B": "B_2"}, "B_2"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-wp", "roles", "oracle"])
+@pytest.mark.parametrize("case", sorted(_INDEXED))
+def test_a_declared_name_may_not_end_in_an_index(tmp_path, capsys, command, case):
+    renames, reported = _INDEXED[case]
+    assert _run_bad(tmp_path, _rename(bundled("ns"), renames), command) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: declared name {reported} ends in _<digits>, "
+                            "which marks the analyzer's indexed copies\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["ns", "nsl"])
+@pytest.mark.parametrize("function", ["fmax", "fek", "fn"])
+def test_renaming_the_variables_renames_the_records(tmp_path, capsys, name, function):
+    text = bundled(name)
+    renamed = _rename(text, {"X": "U", "Y": "W"})
+    assert renamed != text and not re.search(r"\b[XY]\b", renamed)
+    outputs = []
+    for body in (text, renamed):
+        f = tmp_path / f"{name}.proto"
+        f.write_text(body, encoding="utf-8")
+        main(["analyze", str(f), "--function", function, "--format", "json-lines"])
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[1] == _rename(outputs[0], {"X": "U", "Y": "W"})
+
+
+# a second level or fresh statement for a name must repeat the first
+_CONTRADICTIONS = {
+    "fresh": ("fresh Nb by B;", "fresh Na by B;",
+              "error: fresh value Na is declared with two owners, A and B\n"),
+    "level": ("level kb-1 = {B};", "level Nb = {A,B,I};",
+              "error: Nb is declared with two levels, {A,B} and {A,B,I}\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-wp", "roles", "oracle"])
+@pytest.mark.parametrize("case", sorted(_CONTRADICTIONS))
+def test_a_contradicting_level_or_fresh_statement_is_rejected(tmp_path, capsys, command, case):
+    anchor, statement, error = _CONTRADICTIONS[case]
+    text = bundled("ns").replace(anchor, f"{anchor}\n{statement}")
+    assert statement in text
+    assert _run_bad(tmp_path, text, command) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.err == error
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("statement", ["fresh Na by A;", "level Nb = {B, A};"])
+def test_a_repeated_level_or_fresh_statement_is_read_once(tmp_path, capsys, statement):
+    golden = Path(__file__).parent / "golden"
+    text = bundled("ns").replace("level kb-1 = {B};", f"level kb-1 = {{B}};\n{statement}")
+    assert statement in text
+    f = tmp_path / "ns.proto"
+    f.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(f)]) == EXIT_UNDECIDED
+    assert capsys.readouterr().out == (golden / "ns-fmax-table.stdout").read_text(encoding="utf-8")
 
 
 def test_rule_that_adds_a_guarding_key_is_rejected(tmp_path, capsys):

@@ -31,7 +31,6 @@ from secwitness.protocols import load_bundled
 from secwitness.selection import INSTANCES, value_function
 from secwitness.terms import (
     Atom,
-    Atomic,
     Enc,
     Message,
     Sort,
@@ -81,7 +80,7 @@ def test_terms_that_print_alike_keep_the_order_they_were_found(valuation_ctx, va
     # a constant and a parameter of the same name print alike
     body = parse_message("C.alpha", valuation_symbols)
     M = [Enc(body, Atom("kab")), parse_message("kab-1", valuation_symbols),
-         Atomic(Atom("C", Sort.PARAMETER))]
+         Atom("C", Sort.PARAMETER)]
     for depth_budget in (1, 2, 3, 4):
         for round_cap in (3, 40, 1500):
             assert_same_closure(M, valuation_ctx, depth_budget, round_cap, 24)
@@ -106,8 +105,8 @@ def test_depths_that_fall_are_split_and_opened_again():
     M = [parse_message(m, symbols)
          for m in ("k1-1.A", "{k2-1}_k1", "{k4-1.x1}_k2", "{k4-1.x1}_k3.B", "{y}_k4")]
     known, _, _ = _deduce(M, ctx, 6, 24, 3)
-    assert known[Atomic(Atom("k4-1"))] == 3
-    assert known[Atomic(Atom("y"))] == 4
+    assert known[Atom("k4-1")] == 3
+    assert known[Atom("y")] == 4
     for depth_budget in range(3, 8):
         assert_same_closure(M, ctx, depth_budget, 3, 24)
         assert_same_closure(M, ctx, depth_budget, 1500, 24)

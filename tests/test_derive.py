@@ -9,10 +9,8 @@ from secwitness.terms import (
     Atom,
     Sort,
     Substitution,
-    atomic,
     atoms,
     concat,
-    enc,
     parse_message,
     substitute,
     variables_of,
@@ -57,7 +55,7 @@ def test_derive_empty_set_noop(ns):
 
 
 def test_derive_order_free(ns):
-    m = concat(atomic(X), parse_message("{Na.X.B}_ka", ns.symbols), atomic(Y))
+    m = concat(X, parse_message("{Na.X.B}_ka", ns.symbols), Y)
     assert derive(m, {X, Y}) == derive(derive(m, {Y}), {X})
     assert variables_of(derive(m, {X, Y})) == set()
 
@@ -104,7 +102,7 @@ def test_value_ignores_variable_bindings(ns, ns_roles, ns_pool):
     x2 = next(iter(variables_of(source)))
     resigned = Substitution({
         **{a: m for a, m in sigma.items() if a != x2},
-        x2: concat(atomic(alpha), atomic(Atom("C"))),
+        x2: concat(alpha, Atom("C")),
     })
     assert (contribution_of(FMAX, [alpha], source, resigned, ns.context)[alpha]
             == contribution_of(FMAX, [alpha], source, sigma, ns.context)[alpha])
@@ -133,7 +131,7 @@ def test_overlapping_occurrences_meet(witness_ctx, witness_pool):
     source = witness_pool[0]                           # {alpha.B.X}_kad
     alpha = Atom("alpha")
     x = next(iter(variables_of(source)))
-    sigma = Substitution({x: concat(atomic(alpha), atomic(Atom("B")))})
+    sigma = Substitution({x: concat(alpha, Atom("B"))})
     static_only = FMAX(alpha, derive_all(source), witness_ctx)
     dynamic_only = FMAX(x, source, witness_ctx)
     got = contribution_of(FMAX, [alpha], source, sigma, witness_ctx)[alpha]

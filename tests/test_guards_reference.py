@@ -25,7 +25,7 @@ from secwitness.context import make_context
 from secwitness.errors import AnalyzerError
 from secwitness.rewrite import RewriteRule, access, check_well_protected, keys_of
 from secwitness.selection import INSTANCES, select
-from secwitness.terms import Atom, Enc, Sort, atomic, body_atoms_in_order, concat, enc, subterms
+from secwitness.terms import Atom, Enc, Sort, body_atoms_in_order, concat, subterms
 
 KEYS = [Atom("ka"), Atom("ka-1"), Atom("kb"), Atom("kab"), Atom("kc")]
 NON_KEY = Atom("kzz")
@@ -49,7 +49,7 @@ def _context(*rules: RewriteRule):
 _M = Atom("M", Sort.VARIABLE)
 CONTEXTS = [
     _context(),
-    _context(RewriteRule(enc(atomic(_M), Atom("kc")), concat(atomic(_M), atomic(Atom("beta"))),
+    _context(RewriteRule(Enc(_M, Atom("kc")), concat(_M, Atom("beta")),
                          name="open-kc")),
 ]
 
@@ -123,8 +123,8 @@ def test_well_protection_checks_the_atoms_as_written():
     # beta appears bare in the normal form of {A}_kc, but not in the member
     # itself, so only the member that names beta is reported
     ctx = CONTEXTS[1]
-    quiet = enc(atomic(Atom("A")), Atom("kc"))
-    loud = enc(atomic(Atom("beta")), Atom("kc"))
+    quiet = Enc(Atom("A"), Atom("kc"))
+    loud = Enc(Atom("beta"), Atom("kc"))
     assert check_well_protected(quiet, ctx).ok
     report = check_well_protected([quiet, loud], ctx)
     assert report.violations == ((Atom("beta"), loud, frozenset()),)

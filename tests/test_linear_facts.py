@@ -22,11 +22,10 @@ from secwitness.protocols import load_bundled
 from secwitness.selection import INSTANCES, value_function
 from secwitness.terms import (
     Atom,
+    Enc,
     Sort,
-    atomic,
     atoms,
     concat,
-    enc,
     flatten,
     substitute,
     variables_of,
@@ -86,7 +85,7 @@ def sides(draw, prefix: str):
     kinds = ["parameter", "parameter", "constant", "key", "variable", "variable"]
     body = [_atom(draw, kinds, Atom(f"{prefix}{i}", Sort.VARIABLE))
             for i in range(draw(st.integers(1, 7)))]
-    return enc(concat(*map(atomic, body)), draw(st.sampled_from(KEYS)))
+    return Enc(concat(*body), draw(st.sampled_from(KEYS)))
 
 
 @st.composite
@@ -96,7 +95,7 @@ def near_instances(draw, pattern):
     a run of one or more parts becomes a target variable, and any other
     atom is kept or swapped for another."""
     body: list[Atom] = []
-    for a in (p.atom for p in flatten(pattern.body)):
+    for a in flatten(pattern.body):
         if a.sort is Sort.VARIABLE:
             body += [_atom(draw, ["parameter", "constant", "key"], a)
                      for _ in range(draw(st.integers(1, 3)))]
@@ -108,7 +107,7 @@ def near_instances(draw, pattern):
         out.append(Atom(f"W{len(out)}", Sort.VARIABLE) if k else body[0])
         body = body[max(k, 1):]
     key = pattern.key if draw(st.booleans()) else draw(st.sampled_from(KEYS))
-    return enc(concat(*map(atomic, out)), key)
+    return Enc(concat(*out), key)
 
 
 @st.composite
@@ -153,13 +152,13 @@ def test_facts_and_levels_match_the_unifiers(pair, function):
 
 def test_shapes_other_than_linear_flat_pairs_fall_back():
     x, y = Atom("X", Sort.VARIABLE), Atom("Y", Sort.VARIABLE)
-    a, k = atomic(_p("A")), _p("kb")
-    linear = enc(concat(atomic(x), a), k)
-    assert linear_facts(linear, enc(concat(a, atomic(y)), k)) is not None
-    assert linear_facts(linear, enc(concat(a, atomic(x)), k)) is None           # X twice
-    assert linear_facts(enc(concat(atomic(x), atomic(x)), k), enc(a, k)) is None
-    assert linear_facts(linear, enc(concat(a, enc(a, k)), k)) is None           # nested
-    assert linear_facts(linear, concat(a, a)) is None                           # not encrypted
+    a, k = _p("A"), _p("kb")
+    linear = Enc(concat(x, a), k)
+    assert linear_facts(linear, Enc(concat(a, y), k)) is not None
+    assert linear_facts(linear, Enc(concat(a, x), k)) is None              # X twice
+    assert linear_facts(Enc(concat(x, x), k), Enc(a, k)) is None
+    assert linear_facts(linear, Enc(concat(a, Enc(a, k)), k)) is None      # nested
+    assert linear_facts(linear, concat(a, a)) is None                      # not encrypted
 
 
 def test_a_variable_absorbs_only_where_the_lengths_leave_room():
@@ -168,10 +167,10 @@ def test_a_variable_absorbs_only_where_the_lengths_leave_room():
     # and the target variable is not at the head, so no unifier is listed;
     # the fact search follows the same ranges
     x, w = Atom("X", Sort.VARIABLE), Atom("W", Sort.VARIABLE)
-    a, b, c, d, e = (atomic(Atom(n)) for n in "abcde")
+    a, b, c, d, e = (Atom(n) for n in "abcde")
     k = Atom("k")
-    pattern = enc(concat(atomic(x), a, b), k)
-    target = enc(concat(c, d, e, atomic(w)), k)
+    pattern = Enc(concat(x, a, b), k)
+    target = Enc(concat(c, d, e, w), k)
     sigma = {x: concat(c, d, e), w: concat(a, b)}
     assert substitute(pattern, sigma) == substitute(target, sigma)
     assert unify_all(pattern, target) == []

@@ -13,7 +13,7 @@ from secwitness.oracle import (
 )
 from secwitness.rewrite import check_well_protected
 from secwitness.selection import value_function
-from secwitness.terms import Atom, Atomic, Message, atomic, atoms, concat, enc, parse_message
+from secwitness.terms import Atom, Enc, Message, atoms, concat, parse_message
 
 FMAX = value_function("fmax")
 
@@ -22,15 +22,15 @@ def test_closure_decrypts_with_the_inverse_key(valuation_ctx, valuation_symbols)
     M = [parse_message("{C.alpha}_kab", valuation_symbols),
          parse_message("kab-1", valuation_symbols)]
     closure = deduce_closure(M, valuation_ctx)
-    assert atomic(Atom("alpha")) in closure
-    assert atomic(Atom("C")) in closure
+    assert Atom("alpha") in closure
+    assert Atom("C") in closure
 
 
 def test_encryption_needs_the_key(valuation_ctx, valuation_symbols):
     M = [parse_message("A", valuation_symbols)]
     closure = deduce_closure(M, valuation_ctx)
     target = parse_message("{A}_kab-1", valuation_symbols)
-    assert atomic(Atom("kab-1")) not in closure
+    assert Atom("kab-1") not in closure
     assert target not in closure
 
 
@@ -38,19 +38,19 @@ def test_secret_stays_put_without_the_inverse(valuation_ctx, valuation_symbols):
     M = [parse_message("{alpha}_kab", valuation_symbols)]
     for budget in range(7):
         closure = deduce_closure(M, valuation_ctx, depth_budget=budget)
-        assert atomic(Atom("alpha")) not in closure
+        assert Atom("alpha") not in closure
 
 
 def test_closure_normalizes_on_insert(valuation_ctx, valuation_symbols):
-    inner = enc(parse_message("alpha", valuation_symbols), Atom("kab-1"))
-    M = [enc(inner, Atom("kab"))]
+    inner = Enc(parse_message("alpha", valuation_symbols), Atom("kab-1"))
+    M = [Enc(inner, Atom("kab"))]
     closure = deduce_closure(M, valuation_ctx)
-    assert atomic(Atom("alpha")) in closure
+    assert Atom("alpha") in closure
 
 
 def test_closure_starts_from_intruder_knowledge(valuation_ctx):
     closure = deduce_closure([], valuation_ctx)
-    assert atomic(Atom("I")) in closure
+    assert Atom("I") in closure
 
 
 def test_closure_monotone_in_budget(valuation_ctx, valuation_symbols):

@@ -111,3 +111,28 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             if read[name] <= _references(node)[name]:
                 uncalled.append(f"{module}.{qualified}")
     assert not uncalled, "public names that only the tests call: " + ", ".join(uncalled)
+
+
+def _imported_names(tree: ast.Module):
+    """The names bound by the module's top-level imports, `__future__` aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_every_import_is_read():
+    # the package's __init__ imports to re-export, so it is left out
+    root = Path(__file__).parents[1]
+    paths = [p for p in sorted((root / "src" / "secwitness").glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((root / "scripts").glob("*.py"))
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.relative_to(root)}: {name}"
+                   for name in _imported_names(tree) if name not in used]
+    assert not unread, "imports that nothing reads: " + ", ".join(unread)

@@ -23,7 +23,7 @@ from secwitness.roles import (
     pattern_shape,
     roles_for,
 )
-from secwitness.terms import Atom, Atomic, Enc, Sort, concat, map_atoms
+from secwitness.terms import Atom, Enc, Sort, concat, map_atoms
 from test_shared_search import chain_text
 
 SUBJECTS = ["ns", "nsl"] + [f"chain{n}" for n in range(2, 9)]
@@ -61,7 +61,7 @@ ATOMS = [Atom(n, sort, tag) for n in ("A", "A_1", "A_2", "Na", "v0", "v1_3")
          for sort in Sort for tag in (None, "i")]
 KEYS = [a for a in ATOMS if a.sort is not Sort.VARIABLE]
 MESSAGES = st.recursive(
-    st.sampled_from(ATOMS).map(Atomic),
+    st.sampled_from(ATOMS),
     lambda inner: st.one_of(
         st.lists(inner, min_size=2, max_size=3).map(lambda ps: concat(*ps)),
         st.tuples(inner, st.sampled_from(KEYS)).map(lambda t: Enc(*t))),
@@ -78,9 +78,9 @@ def message_pairs(draw):
     rename = {}
     for a in ATOMS:
         if a.sort is Sort.PARAMETER:
-            rename[a] = Atomic(Atom(f"{a.base_name}_{draw(st.integers(1, 3))}", Sort.PARAMETER))
+            rename[a] = Atom(f"{a.base_name}_{draw(st.integers(1, 3))}", Sort.PARAMETER)
         elif a.sort is Sort.VARIABLE:
-            rename[a] = Atomic(draw(st.sampled_from([b for b in ATOMS if b.sort is Sort.VARIABLE])))
+            rename[a] = draw(st.sampled_from([b for b in ATOMS if b.sort is Sort.VARIABLE]))
     return m, map_atoms(m, rename.get)
 
 

@@ -18,7 +18,7 @@ from secwitness.rewrite import (
     keys_of,
     normalize,
 )
-from secwitness.terms import Atom, Sort, atomic, concat, enc, parse_message
+from secwitness.terms import Atom, Enc, Sort, concat, parse_message
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def simple_syms():
 
 def test_normalize_dec_form(simple_ctx, simple_syms):
     m = parse_message("{d(ka-1, alpha)}_ka", simple_syms, allow_dec=True)
-    assert normalize(m, simple_ctx) == atomic(Atom("alpha"))
+    assert normalize(m, simple_ctx) == Atom("alpha")
 
 
 def test_normalize_enc_then_dec(simple_ctx, simple_syms):
@@ -50,7 +50,7 @@ def test_normalize_enc_then_dec(simple_ctx, simple_syms):
 
 def test_normalize_symmetric_pair(simple_ctx, simple_syms):
     m = parse_message("{{alpha}_kab}_kab", simple_syms)
-    assert normalize(m, simple_ctx) == atomic(Atom("alpha"))
+    assert normalize(m, simple_ctx) == Atom("alpha")
 
 
 def test_normalize_no_redex(simple_ctx, simple_syms):
@@ -71,12 +71,12 @@ def test_normalize_unrelated_keys_stay(simple_ctx, simple_syms):
 
 def test_non_termination(simple_ctx):
     mv = Atom("M", Sort.VARIABLE)
-    grow = RewriteRule(atomic(mv), concat(atomic(mv), atomic(mv)), name="grow")
+    grow = RewriteRule(mv, concat(mv, mv), name="grow")
     ctx = make_context(
         ["A", "B", "I"], "I", {"alpha": ["A", "B"], "ka-1": ["A"]},
         [("ka", "ka-1")], rewrite_rules=(grow,))
     with pytest.raises(NonTermination):
-        normalize(atomic(Atom("alpha")), ctx)
+        normalize(Atom("alpha"), ctx)
 
 
 def test_normalize_idempotent_on_random_terms(simple_ctx):
@@ -93,7 +93,7 @@ def test_rule_rejects_unbound_rhs_metavariable():
     mv = Atom("M", Sort.VARIABLE)
     nv = Atom("N", Sort.VARIABLE)
     with pytest.raises(UnboundRuleVariable):
-        RewriteRule(atomic(mv), atomic(nv))
+        RewriteRule(mv, nv)
 
 
 def test_validator_accepts_default_rules():
@@ -106,7 +106,7 @@ def test_default_rules_are_built_once():
 
 def test_validator_rejects_key_adding_rule():
     mv = Atom("M", Sort.VARIABLE)
-    wrap = RewriteRule(atomic(mv), enc(atomic(mv), Atom("k")), name="wrap")
+    wrap = RewriteRule(mv, Enc(mv, Atom("k")), name="wrap")
     assert not keys_monotone(wrap)
 
 
@@ -115,8 +115,8 @@ def test_validator_flags_split_rule_for_selection_review():
     av, bv = Atom("a", Sort.VARIABLE), Atom("b", Sort.VARIABLE)
     kp = Atom("k", Sort.PARAMETER)
     split = RewriteRule(
-        enc(concat(atomic(av), atomic(bv)), kp),
-        concat(enc(atomic(av), kp), enc(atomic(bv), kp)), name="split")
+        Enc(concat(av, bv), kp),
+        concat(Enc(av, kp), Enc(bv, kp)), name="split")
     assert keys_monotone(split)
 
 
@@ -127,20 +127,20 @@ BETA = Atom("B")
 
 
 def test_keys_of_self():
-    assert keys_of(ALPHA, atomic(ALPHA)) == family(())
+    assert keys_of(ALPHA, ALPHA) == family(())
 
 
 def test_keys_of_other_atom():
-    assert keys_of(ALPHA, atomic(BETA)) == EMPTY_FAMILY
+    assert keys_of(ALPHA, BETA) == EMPTY_FAMILY
 
 
 def test_keys_of_one_level():
-    m = enc(atomic(ALPHA), Atom("k"))
+    m = Enc(ALPHA, Atom("k"))
     assert keys_of(ALPHA, m) == family((Atom("k"),))
 
 
 def test_keys_of_ignores_key_positions():
-    m = enc(atomic(BETA), ALPHA)
+    m = Enc(BETA, ALPHA)
     assert keys_of(ALPHA, m) == EMPTY_FAMILY
 
 
@@ -156,7 +156,7 @@ def test_access_worked_example(access_ctx, access_symbols):
 
 
 def test_access_self(access_ctx):
-    assert access(Atom("alpha"), atomic(Atom("alpha")), access_ctx) == family(())
+    assert access(Atom("alpha"), Atom("alpha"), access_ctx) == family(())
 
 
 def test_access_normalizes_first(simple_ctx, simple_syms):
@@ -177,7 +177,7 @@ def test_well_protected_single_level(simple_ctx, simple_syms):
 
 
 def test_well_protected_bare_secret_fails(simple_ctx):
-    report = check_well_protected(atomic(Atom("alpha")), simple_ctx)
+    report = check_well_protected(Atom("alpha"), simple_ctx)
     assert not report.ok
     assert report.violations[0][0] == Atom("alpha")
 

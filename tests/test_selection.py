@@ -23,7 +23,7 @@ from secwitness.selection import (
     select,
     value_function,
 )
-from secwitness.terms import Atom, Sort, atomic, atoms, concat, enc, parse_message
+from secwitness.terms import Atom, Enc, Sort, atoms, concat, parse_message
 
 ALPHA = Atom("alpha")
 
@@ -51,7 +51,7 @@ def test_absent_atom_selects_nothing(selection_ctx, selection_symbols):
 
 
 def test_root_occurrence_selects_everything(selection_ctx):
-    assert select(BROAD, ALPHA, atomic(ALPHA), selection_ctx) == ALL_ATOMS
+    assert select(BROAD, ALPHA, ALPHA, selection_ctx) == ALL_ATOMS
     assert psi(selection_ctx, ALL_ATOMS) == BOTTOM
 
 
@@ -83,7 +83,7 @@ def test_value_on_empty_set_is_top(valuation_ctx):
 
 
 def test_unregistered_protective_key(selection_ctx):
-    m = enc(atomic(ALPHA), Atom("kzz"))
+    m = Enc(ALPHA, Atom("kzz"))
     with pytest.raises(UnleveledKey):
         select(BROAD, ALPHA, m, selection_ctx)
 
@@ -97,7 +97,7 @@ def test_unprotected_secret_occurrence(selection_ctx, selection_symbols):
 
 def test_variables_not_selectable_as_neighbors(selection_ctx):
     x = Atom("X", Sort.VARIABLE)
-    m = enc(concat(atomic(ALPHA), atomic(x)), Atom("kac"))
+    m = Enc(concat(ALPHA, x), Atom("kac"))
     assert select(BROAD, ALPHA, m, selection_ctx).members == {Atom("kac-1")}
     assert select(NEIGHBORS, ALPHA, m, selection_ctx).members == frozenset()
 
@@ -106,18 +106,18 @@ def test_variable_alpha_any_key_protects():
     ctx = make_context(["A", "B", "I"], "I", {"kb-1": ["B"]},
                        [("kb", "kb-1")])
     x = Atom("X", Sort.VARIABLE)
-    assert value_function("fmax")(x, enc(atomic(x), Atom("kb")), ctx) == finite(["B"])
+    assert value_function("fmax")(x, Enc(x, Atom("kb")), ctx) == finite(["B"])
 
 
 def test_key_positions_are_not_occurrences():
     ka, kb = Atom("ka"), Atom("kb")
     ctx = make_context(["A", "B", "I"], "I", {"ka-1": ["A"], "kb-1": ["B"]},
                        [("ka", "ka-1"), ("kb", "kb-1")])
-    nested_key = enc(concat(enc(atomic(Atom("A")), ka), atomic(Atom("B"))), kb)
+    nested_key = Enc(concat(Enc(Atom("A"), ka), Atom("B")), kb)
     assert select(BROAD, ka, nested_key, ctx) == NO_ATOMS
     assert interpret(BROAD, ka, nested_key, ctx) == TOP
     # the outer encryption is under a non-key, but ka is not below it
-    under_non_key = enc(enc(atomic(Atom("A")), ka), Atom("kzz"))
+    under_non_key = Enc(Enc(Atom("A"), ka), Atom("kzz"))
     assert select(BROAD, ka, under_non_key, ctx) == NO_ATOMS
 
 
@@ -140,8 +140,8 @@ def _sets(ctx, seed, n):
 @pytest.mark.parametrize("fname", ["fmax", "fek", "fn"])
 def test_self_value_is_bottom(access_ctx, fname):
     F = value_function(fname)
-    assert F(ALPHA, atomic(ALPHA), access_ctx) == BOTTOM
-    assert F(ALPHA, [atomic(ALPHA)], access_ctx) == BOTTOM
+    assert F(ALPHA, ALPHA, access_ctx) == BOTTOM
+    assert F(ALPHA, [ALPHA], access_ctx) == BOTTOM
 
 
 @pytest.mark.parametrize("fname", ["fmax", "fek", "fn"])

@@ -28,7 +28,7 @@ from secwitness.context import BOTTOM
 from secwitness.protocols import bundled
 from secwitness.roles import SEND, parse_protocol, pattern_space, roles_for
 from secwitness.selection import INSTANCES, value_function
-from secwitness.terms import Atomic, atoms, concat, flatten
+from secwitness.terms import Atom, atoms, concat, flatten
 from secwitness.witness import _eligible, _guarded, analyze, lower_bounds, render_table
 
 FUNCTIONS = sorted(INSTANCES)
@@ -160,7 +160,7 @@ def cases(draw):
     guarded = sorted({a for p in parts for a in atoms(p) if _guarded(a, ctx)},
                      key=lambda a: a.display())
     for a in rng.sample(guarded, rng.randint(0, min(2, len(guarded)))):
-        parts.insert(rng.randint(0, len(parts)), Atomic(a))
+        parts.insert(rng.randint(0, len(parts)), a)
     if parts and rng.random() < 0.3:
         parts.append(rng.choice(parts))  # a repeated part
     function = draw(st.sampled_from(FUNCTIONS))
@@ -186,7 +186,7 @@ def test_a_bare_guarded_atom_has_no_protective_pattern(ns):
     na = next(a for a in atoms(sent) if a.base_name == "Na")
     F = value_function("fmax")
     for bare_first in (True, False):
-        parts = [Atomic(na), sent] if bare_first else [sent, Atomic(na)]
+        parts = [na, sent] if bare_first else [sent, na]
         got = lower_bounds(concat(*parts), [na], pool, F, ns.context)
         want = reference_bounds.lower_bound_or_none(na, concat(*parts), pool, F, ns.context)
         assert got[na] is want is None
@@ -249,7 +249,7 @@ def test_unify_all_runs_once_per_distinct_pair_of_each_send(name, monkeypatch):
     assert per_send
     for sent, alphas, searched, unified in per_send:
         parts = {p for p in flatten(sent)
-                 if not isinstance(p, Atomic) and any(a in atoms(p) for a in alphas)}
+                 if not isinstance(p, Atom) and any(a in atoms(p) for a in alphas)}
         assert set(searched) == {(pattern, p) for pattern in pool for p in parts}
         if not parts:  # every queried atom stands bare, as S's forwarded Z in ns3
             continue

@@ -28,17 +28,15 @@ from secwitness.terms import (
     EMPTY,
     MAX_NESTING,
     Atom,
-    Atomic,
     Concat,
     Empty,
     Enc,
+    Message,
     Sort,
     Substitution,
     SymbolTable,
-    atomic,
     atoms,
     concat,
-    enc,
     flatten,
     map_atoms,
     parse_message,
@@ -65,12 +63,12 @@ SYMS = SymbolTable({a.name: a for a in (A, B, NA, NB, KA, KB, X, Y)})
 
 def test_parse_enc_concat():
     m = parse_message("{A.Na}_kb", SYMS)
-    assert m == enc(concat(atomic(A), atomic(NA)), KB)
+    assert m == Enc(concat(A, NA), KB)
 
 
 def test_parse_with_variable():
     m = parse_message("{Na.X.B}_ka", SYMS)
-    assert m == enc(concat(atomic(NA), atomic(X), atomic(B)), KA)
+    assert m == Enc(concat(NA, X, B), KA)
 
 
 def test_parse_variable_in_key_position():
@@ -115,7 +113,18 @@ def test_parse_past_nesting_limit():
 
 def test_parse_session_tag():
     m = parse_message("Na^i", SYMS)
-    assert m == atomic(Atom("Na", session_tag="i"))
+    assert m == Atom("Na", session_tag="i")
+
+
+def test_an_atom_is_a_message():
+    # an atom occurrence in a message is the atom itself, with no node
+    # around it; it prints as its display form and reprs with its marker
+    assert isinstance(A, Message)
+    assert parse_message("A", SYMS) == A
+    assert flatten(parse_message("A.{X}_kb", SYMS))[0] == A
+    assert str(Atom("Na", Sort.PARAMETER, "i")) == "Na^i"
+    assert repr(Atom("Na", Sort.PARAMETER, "i")) == "'Na^i"
+    assert repr(X) == "?X" and str(X) == "X"
 
 
 def test_atoms_of_encryption():
@@ -124,45 +133,45 @@ def test_atoms_of_encryption():
 
 
 def test_atoms_atomic_and_empty():
-    assert atoms(atomic(A)) == {A}
+    assert atoms(A) == {A}
     assert atoms(EMPTY) == set()
 
 
 def test_variables_of():
     assert variables_of(parse_message("{Na.X.B}_ka", SYMS)) == {X}
     assert variables_of(parse_message("{A.Na}_kb", SYMS)) == set()
-    assert variables_of(concat(atomic(X), atomic(Y))) == {X, Y}
+    assert variables_of(concat(X, Y)) == {X, Y}
 
 
 def test_substitute_variable():
     m = parse_message("{X}_kb", SYMS)
-    s = Substitution({X: concat(atomic(A), atomic(NA))})
+    s = Substitution({X: concat(A, NA)})
     assert substitute(m, s) == parse_message("{A.Na}_kb", SYMS)
 
 
 def test_substitute_ground_identity():
     m = parse_message("{A.Na}_kb", SYMS)
-    s = Substitution({X: atomic(A)})
+    s = Substitution({X: A})
     assert substitute(m, s) == m
     assert substitute(m, Substitution()) == m
 
 
 def test_substitute_parameters():
-    m = enc(concat(atomic(A1), atomic(NA1)), KB1)
-    s = Substitution({A1: atomic(A), NA1: atomic(NA), KB1: atomic(KB)})
+    m = Enc(concat(A1, NA1), KB1)
+    s = Substitution({A1: A, NA1: NA, KB1: KB})
     assert substitute(m, s) == parse_message("{A.Na}_kb", SYMS)
 
 
 def test_substitute_compound_into_key_position():
-    m = enc(atomic(A), KB1)
-    s = Substitution({KB1: concat(atomic(A), atomic(B))})
+    m = Enc(A, KB1)
+    s = Substitution({KB1: concat(A, B)})
     with pytest.raises(SubstitutedIntoKeyPosition):
         substitute(m, s)
 
 
 def test_substitution_rejects_constant_binding():
     with pytest.raises(ValueError):
-        Substitution({NA: atomic(A)})
+        Substitution({NA: A})
 
 
 def test_inverse_key_involution():
@@ -192,7 +201,7 @@ def test_inverse_key_not_a_key():
 
 # --- algebraic laws -------------------------------------------------------
 
-leaves = st.sampled_from([atomic(a) for a in (A, B, NA, NB, X, Y)])
+leaves = st.sampled_from([A, B, NA, NB, X, Y])
 keys = st.sampled_from([KA, KB])
 
 
@@ -200,7 +209,7 @@ def messages(depth=3):
     return st.recursive(
         leaves,
         lambda kids: st.one_of(
-            st.builds(lambda k, b: enc(b, k), keys, kids),
+            st.builds(lambda k, b: Enc(b, k), keys, kids),
             st.lists(kids, min_size=2, max_size=3).map(lambda ps: concat(*ps)),
         ),
         max_leaves=6,
@@ -208,9 +217,9 @@ def messages(depth=3):
 
 
 ground_images = st.sampled_from([
-    atomic(A), atomic(B), atomic(NA),
-    concat(atomic(A), atomic(NA)),
-    enc(atomic(NA), KB),
+    A, B, NA,
+    concat(A, NA),
+    Enc(NA, KB),
 ])
 
 
@@ -230,7 +239,7 @@ def test_concat_flattening(a, b, c):
 def test_substitute_homomorphism(a, b, ix, iy):
     s = Substitution({X: ix, Y: iy})
     assert substitute(concat(a, b), s) == concat(substitute(a, s), substitute(b, s))
-    assert substitute(enc(a, KB), s) == enc(substitute(a, s), KB)
+    assert substitute(Enc(a, KB), s) == Enc(substitute(a, s), KB)
 
 
 @given(messages(), ground_images, ground_images)
@@ -258,8 +267,8 @@ def _reference_atoms(m):
     straightforward form the explicit-stack loop must agree with."""
     out = set()
     for t in subterms(m):
-        if isinstance(t, Atomic):
-            out.add(t.atom)
+        if isinstance(t, Atom):
+            out.add(t)
         elif isinstance(t, Enc):
             out.add(t.key)
     return frozenset(out)
@@ -294,7 +303,7 @@ def test_atoms_matches_the_subterm_walk(seed):
 def test_rebuilt_message_is_equal_with_equal_hash(seed):
     m = _random(seed)
     _same(m, map_atoms(m, lambda a: None))
-    fresh = map_atoms(m, lambda a: atomic(Atom(a.name, a.sort, a.session_tag)))
+    fresh = map_atoms(m, lambda a: Atom(a.name, a.sort, a.session_tag))
     _same(m, fresh)
     _same(m, parse_message(print_message(m), RANDOM_SYMS))
 
@@ -344,8 +353,8 @@ def test_a_set_of_atoms_iterates_in_the_same_order_under_one_seed():
     assert first == second
 
 
-NODES = [A, atomic(A), concat(atomic(A), atomic(B)), enc(atomic(A), KB), EMPTY]
-FIRST_FIELD = {Atom: "name", Atomic: "atom", Concat: "parts", Enc: "body", Empty: "_h"}
+NODES = [A, concat(A, B), Enc(A, KB), EMPTY]
+FIRST_FIELD = {Atom: "name", Concat: "parts", Enc: "body", Empty: "_h"}
 
 
 def node_ids(node):

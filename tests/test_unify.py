@@ -9,11 +9,10 @@ from secwitness.context import meet_all
 from secwitness.selection import value_function
 from secwitness.terms import (
     Atom,
+    Enc,
     Sort,
-    atomic,
     atoms,
     concat,
-    enc,
     substitute,
     variables_of,
 )
@@ -42,10 +41,9 @@ def test_initial_pattern_binding(ns, ns_roles, ns_pool):
     source = _pattern(ns_pool, "{A_1.Na_1}_kb_1")
     target = _send(ns_roles, "A_G1", 0)               # {A.Na^i}_kb
     sigma = unify_all(source, target)[0]
-    assert sigma.get(Atom("A_1", Sort.PARAMETER)) == atomic(Atom("A", Sort.PARAMETER))
-    assert sigma.get(Atom("Na_1", Sort.PARAMETER)) == atomic(
-        Atom("Na", Sort.PARAMETER, session_tag="i"))
-    assert sigma.get(Atom("kb_1", Sort.PARAMETER)) == atomic(Atom("kb", Sort.PARAMETER))
+    assert sigma.get(Atom("A_1", Sort.PARAMETER)) == Atom("A", Sort.PARAMETER)
+    assert sigma.get(Atom("Na_1", Sort.PARAMETER)) == Atom("Na", Sort.PARAMETER, session_tag="i")
+    assert sigma.get(Atom("kb_1", Sort.PARAMETER)) == Atom("kb", Sort.PARAMETER)
     assert substitute(source, sigma) == substitute(target, sigma)
 
 
@@ -61,35 +59,35 @@ def test_variable_absorbs_segments(ns, ns_roles, ns_pool):
     sigma = unify_all(source, target)[0]
     x2 = next(iter(variables_of(source)))
     image = sigma.get(x2)
-    assert image == concat(atomic(Atom("Y", Sort.VARIABLE)),
-                           atomic(Atom("Nb", Sort.PARAMETER, session_tag="i")),
-                           atomic(Atom("B", Sort.PARAMETER)))
+    assert image == concat(Atom("Y", Sort.VARIABLE),
+                           Atom("Nb", Sort.PARAMETER, session_tag="i"),
+                           Atom("B", Sort.PARAMETER))
     assert substitute(source, sigma) == substitute(target, sigma)
 
 
 def test_constant_keys_clash(ns):
     a, na = Atom("A"), Atom("Na")
-    m1 = enc(concat(atomic(a), atomic(na)), Atom("kb"))
-    m2 = enc(concat(atomic(a), atomic(na)), Atom("kc"))
+    m1 = Enc(concat(a, na), Atom("kb"))
+    m2 = Enc(concat(a, na), Atom("kc"))
     assert unify_all(m1, m2) == []
 
 
 def test_occurs_check():
     x = Atom("X", Sort.VARIABLE)
-    assert unify_all(atomic(x), enc(atomic(x), Atom("k"))) == []
-    assert unify_all(atomic(x), concat(atomic(x), atomic(Atom("A")))) == []
+    assert unify_all(x, Enc(x, Atom("k"))) == []
+    assert unify_all(x, concat(x, Atom("A"))) == []
 
 
 def test_parameters_take_single_segments():
     p, q = Atom("P", Sort.PARAMETER), Atom("Q", Sort.PARAMETER)
-    a, b, c = (atomic(Atom(n)) for n in "abc")
-    assert unify_all(concat(atomic(p), atomic(q)), concat(a, b, c)) == []
+    a, b, c = (Atom(n) for n in "abc")
+    assert unify_all(concat(p, q), concat(a, b, c)) == []
 
 
 def test_absorption_enumerates_segmentations():
     v, w = Atom("V", Sort.VARIABLE), Atom("W", Sort.VARIABLE)
-    a, b, c = (atomic(Atom(n)) for n in "abc")
-    found = unify_all(concat(atomic(v), atomic(w)), concat(a, b, c))
+    a, b, c = (Atom(n) for n in "abc")
+    found = unify_all(concat(v, w), concat(a, b, c))
     images = {(str(s.get(v)), str(s.get(w))) for s in found}
     assert images == {("a", "b.c"), ("a.b", "c")}
 
@@ -97,9 +95,9 @@ def test_absorption_enumerates_segmentations():
 def test_soundness_of_all_unifiers():
     v = Atom("V", Sort.VARIABLE)
     p = Atom("P", Sort.PARAMETER)
-    a, b = atomic(Atom("a")), atomic(Atom("b"))
-    left = enc(concat(atomic(v), atomic(p)), Atom("k"))
-    right = enc(concat(a, b, a), Atom("k"))
+    a, b = Atom("a"), Atom("b")
+    left = Enc(concat(v, p), Atom("k"))
+    right = Enc(concat(a, b, a), Atom("k"))
     for sigma in unify_all(left, right):
         assert substitute(left, sigma) == substitute(right, sigma)
 
@@ -109,16 +107,16 @@ def test_soundness_of_all_unifiers():
 def test_mgu_factoring_small_universe():
     rng = random.Random(3)
     ca, cb = Atom("a"), Atom("b")
-    grounds = [atomic(ca), atomic(cb), concat(atomic(ca), atomic(cb))]
+    grounds = [ca, cb, concat(ca, cb)]
     v1, v2 = Atom("V1", Sort.VARIABLE), Atom("V2", Sort.VARIABLE)
     p1, p2 = Atom("P1", Sort.PARAMETER), Atom("P2", Sort.PARAMETER)
 
     def random_side(vars_, depth=2):
         roll = rng.random()
         if depth == 0 or roll < 0.45:
-            return atomic(rng.choice(vars_ + [ca, cb]))
+            return rng.choice(vars_ + [ca, cb])
         if roll < 0.7:
-            return enc(random_side(vars_, depth - 1), Atom("k"))
+            return Enc(random_side(vars_, depth - 1), Atom("k"))
         return concat(*(random_side(vars_, depth - 1) for _ in range(2)))
 
     checked = 0
@@ -169,8 +167,8 @@ def test_candidates_for_forwarded_variable(ns, ns_roles, ns_pool):
 
 
 def test_no_candidates_for_foreign_constant_key(ns):
-    ground_pool = [enc(concat(atomic(Atom("A")), atomic(Atom("Na"))), Atom("kb"))]
-    target = enc(concat(atomic(Atom("A")), atomic(Atom("Na"))), Atom("kc"))
+    ground_pool = [Enc(concat(Atom("A"), Atom("Na")), Atom("kb"))]
+    target = Enc(concat(Atom("A"), Atom("Na")), Atom("kc"))
     assert _sources(target, ground_pool, ns.context) == []
 
 

@@ -17,7 +17,6 @@ from secwitness.terms import (
     Atom,
     Sort,
     Substitution,
-    atomic,
     atoms,
     parse_message,
     substitute,
@@ -146,7 +145,7 @@ def test_witness_sits_between_the_bounds(ns, ns_roles, ns_pool):
     rng = random.Random(7)
     for ground in ("Na", "Nb", "A", "B"):
         tag = rng.choice(["i", "j", None])
-        sigma = Substitution({y: atomic(Atom(ground, Sort.CONSTANT, session_tag=tag))})
+        sigma = Substitution({y: Atom(ground, Sort.CONSTANT, session_tag=tag)})
         w = witness_value(nb, sent, sigma, ns_pool, FMAX, ns.context)
         up = upper_bound(nb, substitute(sent, sigma), FMAX, ns.context)
         assert geq(up, w)
@@ -161,7 +160,7 @@ def test_witness_identity_instance_escapes_lower_bound(ns, ns_roles, ns_pool):
     sent = role.steps[1].message
     nb = _named(sent, "Nb")
     y = next(iter(variables_of(sent)))
-    sigma = Substitution({y: atomic(Atom("I"))})
+    sigma = Substitution({y: Atom("I")})
     w = witness_value(nb, sent, sigma, ns_pool, FMAX, ns.context)
     low = lower_bound(nb, sent, ns_pool, FMAX, ns.context)
     up = upper_bound(nb, substitute(sent, sigma), FMAX, ns.context)
