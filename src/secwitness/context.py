@@ -12,7 +12,7 @@ parameter and the same identity declared as a constant agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ContextError, MismatchedUniverse, NotAKey
 from .terms import Atom, Sort
@@ -138,61 +138,42 @@ def make_context(
     )
 
 
-def _name_chain(name: str) -> tuple[str, str, str]:
-    """Lookup candidates for a written name: as-is, tag stripped, index
-    stripped."""
-    base = name.split("^", 1)[0]
-    return name, base, Atom(base).base_name
-
-
-def level_of(ctx: VerificationContext, x: Union[Atom, str]) -> SecurityLevel:
+def level_of(ctx: VerificationContext, a: Atom) -> SecurityLevel:
     """Declared level, or the public default.
 
-    An atom is looked up by its name, then by its name with the index
-    stripped; its session tag is not part of its name.  Variables have no
-    declared level; the selection and criterion layers give them their own
-    treatment, and the public default here is what makes every key protective
-    for them.
+    An atom is looked up by its name; its index and session tag are not
+    part of its name.  Variables have no declared level; the selection and
+    criterion layers give them their own treatment, and the public default
+    here is what makes every key protective for them.
     """
-    levels = ctx.levels
-    if isinstance(x, Atom):
-        if x.name in levels:
-            return levels[x.name]
-        base = x.base_name
-        return levels[base] if base in levels else BOTTOM
-    for name in _name_chain(x):
-        if name in levels:
-            return levels[name]
-    return BOTTOM
+    return ctx.levels.get(a.name, BOTTOM)
 
 
-def may_read(ctx: VerificationContext, name: str, x: Union[Atom, str]) -> bool:
+def may_read(ctx: VerificationContext, name: str, a: Atom) -> bool:
     """Whether the named principal is among the atom's readers."""
-    lv = level_of(ctx, x)
+    lv = level_of(ctx, a)
     return lv.is_bottom or name in lv.members
 
 
-def intruder_allowed(ctx: VerificationContext, x: Union[Atom, str]) -> bool:
-    return may_read(ctx, ctx.intruder.name, x)
+def intruder_allowed(ctx: VerificationContext, a: Atom) -> bool:
+    return may_read(ctx, ctx.intruder.name, a)
 
 
 def inverse_key(ctx: VerificationContext, k: Atom) -> Atom:
     """Involutive inverse; an indexed copy keeps its index (kb_1 -> kb-1_1)."""
-    base = k.base_name
-    inverse = ctx.keys.get(base)
+    inverse = ctx.keys.get(k.name)
     if inverse is None:
         raise NotAKey(k.display())
-    inv_name = inverse if k.index is None else f"{inverse}_{k.index}"
-    return Atom(inv_name, k.sort, k.session_tag)
+    return Atom(inverse, k.sort, k.session_tag, k.index)
 
 
 def is_identity(ctx: VerificationContext, a: Atom) -> bool:
     """True for principal identities, including indexed copies (A_3)."""
-    return a.sort is not Sort.VARIABLE and a.base_name in ctx.principal_names
+    return a.sort is not Sort.VARIABLE and a.name in ctx.principal_names
 
 
 def intruder_knowledge(ctx: VerificationContext) -> frozenset[Atom]:
     """K(I): every declared atomic name the intruder is allowed to read,
     identities included."""
-    named = ctx.principal_names | set(ctx.levels) | set(ctx.keys)
-    return frozenset(Atom(name) for name in named if intruder_allowed(ctx, name))
+    named = map(Atom, ctx.principal_names | set(ctx.levels) | set(ctx.keys))
+    return frozenset(a for a in named if intruder_allowed(ctx, a))

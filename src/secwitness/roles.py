@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -102,13 +102,16 @@ class Protocol:
     steps: tuple[Step, ...]
     fresh_owners: Mapping[str, str]
     declared_roles: tuple[GeneralizedRole, ...] = ()
-    symbols: SymbolTable = field(default_factory=lambda: SymbolTable({}))
 
 
 # ---------------------------------------------------------------------------
 # File parsing
 
 _ID = f"({IDENT})"
+
+# the written index of the analyzer's stand-in copies, which a declared name
+# may not imitate
+_INDEXED = re.compile(r"_[0-9]+$")
 
 # keyword -> (pattern of the statement after its keyword, what a mismatch
 # expected); names in lists are checked one by one in _names
@@ -178,9 +181,9 @@ def _to_role_view(m: Message, agent: Atom, fresh_owners: Mapping[str, str]) -> M
         if a.sort is Sort.VARIABLE:
             return a
         tag = a.session_tag
-        if fresh_owners.get(a.base_name) == agent.name:
+        if fresh_owners.get(a.name) == agent.name:
             tag = tag or "i"
-        return Atom(a.name, Sort.PARAMETER, tag)
+        return Atom(a.name, Sort.PARAMETER, tag, a.index)
 
     return map_atoms(m, gen_atom)
 
@@ -248,6 +251,15 @@ def parse_protocol(text: str) -> Protocol:
 
     if intruder_name is None:
         raise ContextError("no intruder declared")
+    for value, owner in fresh_owners.items():
+        if owner not in principal_names:
+            raise ContextError(f"fresh value {value} is owned by {owner}, "
+                               "which is not a declared principal")
+    for value, readers in levels.items():
+        for reader in sorted(readers):
+            if reader not in principal_names:
+                raise ContextError(f"level of {value} names {reader}, "
+                                   "which is not a declared principal")
 
     named: dict[str, Atom] = {}
     for n in itertools.chain(principal_names, *key_decls, fresh_owners, levels):
@@ -256,9 +268,9 @@ def parse_protocol(text: str) -> Protocol:
         if v in named:
             raise ContextError(f"{v} declared both as a name and a variable")
         named[v] = Atom(v, Sort.VARIABLE)
-    for a in named.values():
-        if a.index is not None:
-            raise ContextError(f"declared name {a.name} ends in _<digits>, "
+    for n in named:
+        if _INDEXED.search(n):
+            raise ContextError(f"declared name {n} ends in _<digits>, "
                                "which marks the analyzer's indexed copies")
 
     symbols = SymbolTable(named)
@@ -309,7 +321,6 @@ def parse_protocol(text: str) -> Protocol:
         steps=tuple(steps),
         fresh_owners=fresh_owners,
         declared_roles=tuple(declared),
-        symbols=symbols,
     )
 
 
@@ -334,9 +345,9 @@ def _knows(p: Protocol, agent: Atom, a: Atom) -> bool:
     ctx = p.context
     if is_identity(ctx, a):
         return True
-    if p.fresh_owners.get(a.base_name) == agent.name:
+    if p.fresh_owners.get(a.name) == agent.name:
         return True
-    if a.base_name in ctx.keys:
+    if a.name in ctx.keys:
         return may_read(ctx, agent.name, a)
     return level_of(ctx, a).is_bottom
 
@@ -431,35 +442,29 @@ def check_role_variables(role: GeneralizedRole) -> bool:
 
 
 def _owner(a: Atom, ctx: VerificationContext, fresh_owners: Mapping[str, str]) -> str:
-    base = a.base_name
-    if base in fresh_owners:
-        return fresh_owners[base]
-    if is_identity(ctx, a):
-        return base
-    inverse = ctx.keys.get(base)
-    if inverse is not None:
-        own = level_of(ctx, Atom(base)).members
-        if own and len(own) == 1:
-            return next(iter(own))
-        inv = level_of(ctx, Atom(inverse)).members
-        if inv and len(inv) == 1:
-            return next(iter(inv))
-    return base
+    if a.name in fresh_owners:
+        return fresh_owners[a.name]
+    if a.name in ctx.keys and not is_identity(ctx, a):
+        for k in (a, inverse_key(ctx, a)):
+            readers = level_of(ctx, k).members
+            if readers and len(readers) == 1:
+                return next(iter(readers))
+    return a.name
 
 
 def pattern_shape(m: Message) -> Message:
     """Structural identity modulo numbering: each parameter becomes its
-    base name and each variable v0, v1, ... by order of first appearance;
+    bare name and each variable v0, v1, ... by order of first appearance;
     constants are kept."""
-    order: dict[str, Atom] = {}
+    order: dict[Atom, Atom] = {}
 
     def canonical(a: Atom) -> Optional[Atom]:
         if a.sort is Sort.VARIABLE:
-            if a.name not in order:
-                order[a.name] = Atom(f"v{len(order)}", Sort.VARIABLE)
-            return order[a.name]
+            if a not in order:
+                order[a] = Atom(f"v{len(order)}", Sort.VARIABLE)
+            return order[a]
         if a.sort is Sort.PARAMETER:
-            return Atom(a.base_name, Sort.PARAMETER)
+            return Atom(a.name, Sort.PARAMETER)
         return None
 
     return map_atoms(m, canonical)
@@ -486,12 +491,12 @@ def generalized_message_space(roles: Sequence[GeneralizedRole],
         pat_atoms = atoms(pat)
         owners = {a: _owner(a, ctx, fresh_owners) for a in pat_atoms if a.sort is not Sort.VARIABLE}
         owner_counts.update(set(owners.values()))
-        var_counts.update({a.base_name for a in pat_atoms if a.sort is Sort.VARIABLE})
+        var_counts.update({a.name for a in pat_atoms if a.sort is Sort.VARIABLE})
 
         def pick(a: Atom) -> Atom:
             if a.sort is Sort.VARIABLE:
-                return Atom(f"{a.base_name}_{var_counts[a.base_name]}", Sort.VARIABLE)
-            return Atom(f"{a.base_name}_{owner_counts[owners[a]]}", Sort.PARAMETER)
+                return Atom(a.name, Sort.VARIABLE, index=var_counts[a.name])
+            return Atom(a.name, Sort.PARAMETER, index=owner_counts[owners[a]])
 
         return map_atoms(pat, pick)
 

@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Union
 
 from .context import (
     BOTTOM,
-    TOP,
     SecurityLevel,
     VerificationContext,
     finite,
@@ -116,13 +115,8 @@ def psi(ctx: VerificationContext, result: SelectionResult) -> SecurityLevel:
     principal name denotes itself, any other atom its declared level."""
     if result.all_atoms:
         return BOTTOM
-    values = []
-    for a in sorted(result.members, key=lambda x: x.display()):
-        if is_identity(ctx, a):
-            values.append(finite([a.display()]))
-        else:
-            values.append(level_of(ctx, a))
-    return meet_all(values) if values else TOP
+    return meet_all(finite([a.display()]) if is_identity(ctx, a) else level_of(ctx, a)
+                    for a in result.members)
 
 
 def interpret(inst: SelectionInstance, alpha: Atom,

@@ -27,9 +27,6 @@ class Sort(Enum):
     VARIABLE = "variable"
 
 
-_INDEX_RE = re.compile(r"^(.*)_([0-9]+)$")
-
-
 def _by_constructor(node):
     """Pickles and copies a node as a constructor call, so the receiving
     process recomputes the cached hash; string hashes differ between
@@ -54,39 +51,34 @@ class Message:
 @dataclass(frozen=True, slots=True)
 class Atom(Message):
     """An atomic name, and the message made of it alone.  (name, sort,
-    session_tag) identifies the atom; sort is fixed at construction and
-    never changes."""
+    session_tag, index) identifies the atom; sort is fixed at construction
+    and never changes.  index numbers the analyzer's stand-in copies of a
+    name (A_3 is copy 3 of A); levels, keys and identities are looked up by
+    name alone."""
 
     name: str
     sort: Sort = Sort.CONSTANT
     session_tag: Optional[str] = None
+    index: Optional[int] = None
     _h: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("atom name must be non-empty")
-        # an untagged atom hashes "" for its tag: hash(None) follows the
+        # an absent tag or index hashes as "" or -1: hash(None) follows the
         # object's address before Python 3.12, and sets of atoms would then
         # iterate in a different order in every process, whatever the seed
-        tag = self.session_tag
-        object.__setattr__(self, "_h", hash((self.name, self.sort._value_, "" if tag is None else tag)))
+        tag, index = self.session_tag, self.index
+        object.__setattr__(self, "_h", hash((self.name, self.sort._value_, "" if tag is None else tag,
+                                             -1 if index is None else index)))
 
     def __hash__(self) -> int:
         return self._h
 
-    @property
-    def base_name(self) -> str:
-        """Name with any trailing numeric index stripped: A_3 -> A, kb-1_2 -> kb-1."""
-        m = _INDEX_RE.match(self.name)
-        return m.group(1) if m else self.name
-
-    @property
-    def index(self) -> Optional[int]:
-        m = _INDEX_RE.match(self.name)
-        return int(m.group(2)) if m else None
-
     def display(self) -> str:
-        return self.name + (f"^{self.session_tag}" if self.session_tag else "")
+        """The written form: name, then _index, then ^tag."""
+        return (self.name + ("" if self.index is None else f"_{self.index}")
+                + (f"^{self.session_tag}" if self.session_tag else ""))
 
     def __repr__(self) -> str:  # keeps pytest diffs readable
         marker = {Sort.CONSTANT: "", Sort.PARAMETER: "'", Sort.VARIABLE: "?"}[self.sort]

@@ -126,7 +126,7 @@ def reception_estimate(alpha: Atom, received: Sequence[Message],
     for m in received:
         values.append(upper_bound(alpha, m, F, ctx))
         if alpha.sort is not Sort.VARIABLE:
-            for var in sorted(variables_of(m), key=lambda a: a.name):
+            for var in sorted(variables_of(m), key=Atom.display):
                 values.append(upper_bound(var, m, F, ctx))
     return meet_all(values)
 

@@ -17,14 +17,14 @@ from secwitness.roles import GeneralizedRole, _owner
 from secwitness.terms import Atom, Concat, Enc, Message, Sort, atoms, map_atoms, subterms
 
 
-def _shape(m: Message, var_order: dict[str, int]) -> tuple:
+def _shape(m: Message, var_order: dict[Atom, int]) -> tuple:
     if isinstance(m, Atom):
         a = m
         if a.sort is Sort.VARIABLE:
-            return ("V", var_order.setdefault(a.name, len(var_order)))
+            return ("V", var_order.setdefault(a, len(var_order)))
         if a.sort is Sort.PARAMETER:
-            return ("P", a.base_name)
-        return ("C", a.name, a.session_tag)
+            return ("P", a.name)
+        return ("C", a.name, a.session_tag, a.index)
     if isinstance(m, Concat):
         return ("cat",) + tuple(_shape(p, var_order) for p in m.parts)
     if isinstance(m, Enc):
@@ -61,7 +61,7 @@ def generalized_message_space(roles: Sequence[GeneralizedRole],
     var_counts: dict[str, int] = {}
     space: list[Message] = []
     for pat in raw:
-        pat_atoms = sorted(atoms(pat), key=lambda a: (a.base_name, a.name))
+        pat_atoms = sorted(atoms(pat), key=lambda a: (a.name, a.display()))
         bumped: list[str] = []
         for a in pat_atoms:
             if a.sort is Sort.VARIABLE:
@@ -72,16 +72,16 @@ def generalized_message_space(roles: Sequence[GeneralizedRole],
                 owner_counts[o] = owner_counts.get(o, 0) + 1
         vbumped: list[str] = []
         for a in pat_atoms:
-            if a.sort is Sort.VARIABLE and a.base_name not in vbumped:
-                vbumped.append(a.base_name)
-                var_counts[a.base_name] = var_counts.get(a.base_name, 0) + 1
+            if a.sort is Sort.VARIABLE and a.name not in vbumped:
+                vbumped.append(a.name)
+                var_counts[a.name] = var_counts.get(a.name, 0) + 1
         pick: dict[Atom, Atom] = {}
         for a in pat_atoms:
             if a.sort is Sort.VARIABLE:
-                pick[a] = Atom(f"{a.base_name}_{var_counts[a.base_name]}", Sort.VARIABLE)
+                pick[a] = Atom(a.name, Sort.VARIABLE, index=var_counts[a.name])
             else:
                 o = _owner(a, ctx, fresh_owners)
-                pick[a] = Atom(f"{a.base_name}_{owner_counts[o]}", Sort.PARAMETER)
+                pick[a] = Atom(a.name, Sort.PARAMETER, index=owner_counts[o])
         space.append(map_atoms(pat, lambda a: pick[a]))
 
     seen: set[tuple] = set()

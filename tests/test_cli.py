@@ -164,12 +164,17 @@ def test_renaming_the_variables_renames_the_records(tmp_path, capsys, name, func
     assert outputs[0] and outputs[1] == _rename(outputs[0], {"X": "U", "Y": "W"})
 
 
-# a second level or fresh statement for a name must repeat the first
+# a second level or fresh statement for a name must repeat the first, and
+# a fresh value's owner and a level's members must be declared principals
 _CONTRADICTIONS = {
     "fresh": ("fresh Nb by B;", "fresh Na by B;",
               "error: fresh value Na is declared with two owners, A and B\n"),
     "level": ("level kb-1 = {B};", "level Nb = {A,B,I};",
               "error: Nb is declared with two levels, {A,B} and {A,B,I}\n"),
+    "fresh-owner": ("fresh Nb by B;", "fresh Nc by b;",
+                    "error: fresh value Nc is owned by b, which is not a declared principal\n"),
+    "level-member": ("level kb-1 = {B};", "level Nc = {A,Q};",
+                     "error: level of Nc names Q, which is not a declared principal\n"),
 }
 
 
@@ -183,6 +188,15 @@ def test_a_contradicting_level_or_fresh_statement_is_rejected(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.err == error
     assert captured.out == ""
+
+
+def test_the_intruder_may_be_declared_after_it_is_named(tmp_path, capsys):
+    golden = Path(__file__).parent / "golden"
+    text = bundled("ns").replace("intruder I;\n", "") + "fresh Ni by I;\nintruder I;\n"
+    f = tmp_path / "ns.proto"
+    f.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(f)]) == EXIT_UNDECIDED
+    assert capsys.readouterr().out == (golden / "ns-fmax-table.stdout").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("statement", ["fresh Na by A;", "level Nb = {B, A};"])
@@ -226,7 +240,7 @@ def test_declared_role_sending_an_unreceived_variable_is_rejected(tmp_path, caps
 def test_oracle_without_a_well_protected_sample(tmp_path, capsys):
     # the only principal's own name is secret from it, so every sample
     # puts a secret in the clear
-    assert _run_bad(tmp_path, "intruder I;\nlevel I = {A};\n", "oracle") == EXIT_FILE
+    assert _run_bad(tmp_path, "intruder I;\nlevel I = {};\n", "oracle") == EXIT_FILE
     captured = capsys.readouterr()
     assert captured.err == ("error: could not build a well-protected sample; "
                             "context too restrictive\n")

@@ -56,44 +56,24 @@ def test_level_of_undeclared_constant_is_public(ctx):
     assert level_of(ctx, Atom("D")) == BOTTOM
 
 
-def _level_by_name_chain(ctx, x):
-    """level_of as it looked names up before atoms took a direct path."""
-    if isinstance(x, Atom):
-        chain = [x.name, x.base_name]
-    else:
-        base = x.split("^", 1)[0]
-        chain = [x, base]
-        stripped = Atom(base).base_name
-        chain.append(stripped)
-    out = []
-    for c in chain:
-        if c not in out:
-            out.append(c)
-    for name in out:
-        if name in ctx.levels:
-            return ctx.levels[name]
-    return BOTTOM
-
-
 def test_level_of_matches_the_name_chain_lookup(ctx):
+    # a level is found by the atom's name alone: sort, session tag and index
+    # never change it, and a name that merely looks indexed is a plain name
     indexed = make_context(principals=["A", "I"], intruder="I",
                            levels={"Na_2": ["A"], "Nb": ["A", "I"], "kb-1": ["A"]},
                            keys=[("kb", "kb-1")])
-    names = ["Na", "Na_3", "Na_2", "Na_2_5", "Nb_7", "kb-1", "kb-1_4", "ka-1_0", "A", "A_3",
-             "pub", "Q", "Q_1", "_2"]
-    atoms_ = [Atom(n, sort, tag) for n in names
-              for sort in (Sort.CONSTANT, Sort.PARAMETER, Sort.VARIABLE)
-              for tag in (None, "i", "G1")]
-    strings = names + [f"{n}^{t}" for n in names for t in ("i", "G1", "")] + ["Na^i^j"]
+    names = ["Na", "Na_2", "Nb", "kb-1", "ka-1", "A", "pub", "Q"]
     for c in (ctx, indexed):
-        for x in atoms_ + strings:
-            assert level_of(c, x) == _level_by_name_chain(c, x), x
+        for name in names:
+            for a in (Atom(name, sort, tag, index) for sort in Sort
+                      for tag in (None, "i", "G1") for index in (None, 0, 2, 5)):
+                assert level_of(c, a) == c.levels.get(name, BOTTOM), a
+    assert level_of(indexed, Atom("Na", index=2)) == BOTTOM
     assert level_of(indexed, Atom("Na_2", session_tag="i")) == finite(["A"])
-    assert level_of(indexed, "Na_2^i") == finite(["A"])
 
 
 def test_level_of_strips_index_and_tag(ctx):
-    assert level_of(ctx, Atom("Na_3", Sort.PARAMETER)) == finite(["A", "B"])
+    assert level_of(ctx, Atom("Na", Sort.PARAMETER, index=3)) == finite(["A", "B"])
     assert level_of(ctx, Atom("Na", session_tag="i")) == finite(["A", "B"])
 
 
@@ -121,10 +101,10 @@ def test_intruder_allowed(ctx):
 
 def test_may_read(ctx):
     assert may_read(ctx, "A", Atom("ka-1")) and not may_read(ctx, "B", Atom("ka-1"))
-    assert may_read(ctx, "B", Atom("Na_3", Sort.PARAMETER, "i"))   # index and tag ignored
+    assert may_read(ctx, "B", Atom("Na", Sort.PARAMETER, "i", 3))  # index and tag ignored
     assert may_read(ctx, "C", Atom("D"))                           # public by default
     for name in ("Na", "ka-1", "kb-1", "D", "pub"):
-        assert may_read(ctx, "I", name) == intruder_allowed(ctx, name)
+        assert may_read(ctx, "I", Atom(name)) == intruder_allowed(ctx, Atom(name))
 
 
 def test_mismatched_operand():
@@ -161,12 +141,13 @@ def test_a_repeated_key_pair_is_read_once():
 
 def test_inverse_key_preserves_index(ctx):
     from secwitness.context import inverse_key
-    assert inverse_key(ctx, Atom("kb_1", Sort.PARAMETER)) == Atom("kb-1_1", Sort.PARAMETER)
+    assert inverse_key(ctx, Atom("kb", Sort.PARAMETER, index=1)) == Atom("kb-1", Sort.PARAMETER, index=1)
 
 
 def test_is_identity(ctx):
     assert is_identity(ctx, Atom("A"))
-    assert is_identity(ctx, Atom("A_3", Sort.PARAMETER))
+    assert is_identity(ctx, Atom("A", Sort.PARAMETER, "i", 3))    # index and tag ignored
+    assert not is_identity(ctx, Atom("A_3"))                     # a plain name
     assert not is_identity(ctx, Atom("Na"))
     assert not is_identity(ctx, Atom("A", Sort.VARIABLE))
 

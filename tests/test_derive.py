@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-from secwitness.context import BOTTOM, TOP, finite
+from secwitness.context import finite
 from secwitness.derive import contribution_of, derive, derive_all, derive_keeping
 from secwitness.selection import value_function
 from secwitness.terms import (
     Atom,
     Sort,
     Substitution,
+    SymbolTable,
     atoms,
     concat,
     parse_message,
-    substitute,
     variables_of,
 )
 from secwitness.unify import unify_all
@@ -21,6 +21,7 @@ FMAX = value_function("fmax")
 
 X = Atom("X", Sort.VARIABLE)
 Y = Atom("Y", Sort.VARIABLE)
+SYMS = SymbolTable({**{n: Atom(n) for n in ("A", "B", "Na", "ka", "kb")}, "X": X, "Y": Y})
 
 
 def _pattern(pool, text):
@@ -33,35 +34,35 @@ def _role_send(roles, role_id, index):
     return role.steps[index].message
 
 
-def test_derive_removes_listed_variable(ns):
-    m = parse_message("{Na.X.B}_ka", ns.symbols)
-    assert derive(m, {X}) == parse_message("{Na.B}_ka", ns.symbols)
+def test_derive_removes_listed_variable():
+    m = parse_message("{Na.X.B}_ka", SYMS)
+    assert derive(m, {X}) == parse_message("{Na.B}_ka", SYMS)
 
 
-def test_derive_ground_noop(ns):
-    m = parse_message("{A.Na}_kb", ns.symbols)
+def test_derive_ground_noop():
+    m = parse_message("{A.Na}_kb", SYMS)
     assert derive(m, {X, Y}) == m
 
 
-def test_derive_keeping(ns):
-    m = parse_message("{Na.X.B}_ka", ns.symbols)
+def test_derive_keeping():
+    m = parse_message("{Na.X.B}_ka", SYMS)
     assert derive_keeping(m, X) == m
-    assert derive_all(m) == parse_message("{Na.B}_ka", ns.symbols)
+    assert derive_all(m) == parse_message("{Na.B}_ka", SYMS)
 
 
-def test_derive_empty_set_noop(ns):
-    m = parse_message("{Na.X.B}_ka", ns.symbols)
+def test_derive_empty_set_noop():
+    m = parse_message("{Na.X.B}_ka", SYMS)
     assert derive(m, set()) == m
 
 
-def test_derive_order_free(ns):
-    m = concat(X, parse_message("{Na.X.B}_ka", ns.symbols), Y)
+def test_derive_order_free():
+    m = concat(X, parse_message("{Na.X.B}_ka", SYMS), Y)
     assert derive(m, {X, Y}) == derive(derive(m, {Y}), {X})
     assert variables_of(derive(m, {X, Y})) == set()
 
 
-def test_derive_idempotent_per_variable(ns):
-    m = parse_message("{Na.X.B}_ka", ns.symbols)
+def test_derive_idempotent_per_variable():
+    m = parse_message("{Na.X.B}_ka", SYMS)
     assert derive(derive(m, {X}), {X}) == derive(m, {X})
 
 
@@ -71,7 +72,7 @@ def test_derive_idempotent_per_variable(ns):
 def test_static_case_initial_pattern(ns, ns_roles, ns_pool):
     source = _pattern(ns_pool, "{A_1.Na_1}_kb_1")
     target = _role_send(ns_roles, "A_G1", 0)           # {A.Na^i}_kb
-    alpha = next(a for a in atoms(target) if a.base_name == "Na")
+    alpha = next(a for a in atoms(target) if a.name == "Na")
     sigma = unify_all(source, target)[0]
     assert contribution_of(FMAX, [alpha], source, sigma, ns.context)[alpha] == finite(["A", "B"])
 
@@ -88,7 +89,7 @@ def test_dynamic_case_absorbed_occurrence(ns, ns_roles, ns_pool):
     # the queried nonce rides inside an absorbing variable of the source
     source = _pattern(ns_pool, "{A_3.Y_1}_kb_4")
     target = _role_send(ns_roles, "B_G1", 1)           # {Y.Nb^i.B}_ka
-    alpha = next(a for a in atoms(target) if a.base_name == "Nb")
+    alpha = next(a for a in atoms(target) if a.name == "Nb")
     sigma = unify_all(source, target)[0]
     got = contribution_of(FMAX, [alpha], source, sigma, ns.context)[alpha]
     assert got == finite(["A", "A_3"])

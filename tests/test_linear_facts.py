@@ -35,16 +35,16 @@ from secwitness.unify import candidate_values, linear_facts, unify_all
 NS = load_bundled("ns")
 
 
-def _p(name: str, tag=None) -> Atom:
-    return Atom(name, Sort.PARAMETER, tag)
+def _p(name: str, tag=None, index=None) -> Atom:
+    return Atom(name, Sort.PARAMETER, tag, index)
 
 
 # names of the NS pattern space and role views, a few constants among them;
 # keys are drawn from KEYS and may also stand in a body
-PARAMETERS = [_p("A"), _p("B"), _p("A_1"), _p("A_3"), _p("B_2"), _p("Na", "i"), _p("Na_1"),
-              _p("Nb", "i"), _p("Nb_5")]
+PARAMETERS = [_p("A"), _p("B"), _p("A", index=1), _p("A", index=3), _p("B", index=2),
+              _p("Na", "i"), _p("Na", index=1), _p("Nb", "i"), _p("Nb", index=5)]
 CONSTANTS = [Atom("I"), Atom("A"), Atom("Na")]
-KEYS = [_p("kb"), _p("kb_1"), _p("kb_3"), _p("ka"), Atom("kb"), Atom("ki")]
+KEYS = [_p("kb"), _p("kb", index=1), _p("kb", index=3), _p("ka"), Atom("kb"), Atom("ki")]
 RAISED = finite(["<raised>"])
 
 

@@ -13,7 +13,7 @@ from secwitness.oracle import (
 )
 from secwitness.rewrite import check_well_protected
 from secwitness.selection import value_function
-from secwitness.terms import Atom, Enc, Message, atoms, concat, parse_message
+from secwitness.terms import Atom, Enc, Message, atoms, parse_message
 
 FMAX = value_function("fmax")
 

@@ -47,9 +47,9 @@ UNCALLED_ON_PURPOSE = {
 
 
 def _public_definitions(tree: ast.Module):
-    """(qualified name, bare name, defining node) for every public top-level
-    name, every public method of a public class and every public field of
-    a public dataclass."""
+    """(qualified name, bare name, defining node, whether it is a field) for
+    every public top-level name, every public method of a public class and
+    every public field of a public dataclass."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -61,19 +61,19 @@ def _public_definitions(tree: ast.Module):
             continue
         for name in names:
             if not name.startswith("_"):
-                yield name, name, node
+                yield name, name, node, False
         if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
             continue
         dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
         for item in node.body:
             if isinstance(item, ast.FunctionDef):
-                name = item.name
+                name, is_field = item.name, False
             elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and dataclass:
-                name = item.target.id
+                name, is_field = item.target.id, True
             else:
                 continue
             if not name.startswith("_"):
-                yield f"{node.name}.{name}", name, item
+                yield f"{node.name}.{name}", name, item, is_field
 
 
 def _references(tree: ast.AST) -> Counter:
@@ -89,6 +89,20 @@ def _references(tree: ast.AST) -> Counter:
     return out
 
 
+def _field_reads(tree: ast.AST) -> Counter:
+    """How often each name is read as an attribute, by `x.name` or by
+    `getattr(x, "name")`; a keyword or a bare name does not read a field."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)):
+            out[node.args[1].value] += 1
+    return out
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     root = Path(__file__).parents[1]
     package = root / "src" / "secwitness"
@@ -96,8 +110,10 @@ def test_every_public_name_has_a_caller_outside_the_tests():
              for folder in (root / "src", root / "scripts", root / "benchmark")
              for path in sorted(folder.rglob("*.py"))}
     read: Counter = Counter()
+    field_read: Counter = Counter()
     for tree in trees.values():
         read += _references(tree)
+        field_read += _field_reads(tree)
     tracing = runpy.run_path(str(root / "benchmark" / "tracing.py"))
     traced = {target for targets in tracing["TRACED"].values() for target in targets}
     uncalled = []
@@ -105,10 +121,11 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if package not in path.parents:
             continue
         module = path.relative_to(package).with_suffix("").as_posix().replace("/", ".")
-        for qualified, name, node in _public_definitions(tree):
+        for qualified, name, node, is_field in _public_definitions(tree):
             if (module, qualified) in traced or (module, qualified) in UNCALLED_ON_PURPOSE:
                 continue
-            if read[name] <= _references(node)[name]:
+            unread = not field_read[name] if is_field else read[name] <= _references(node)[name]
+            if unread:
                 uncalled.append(f"{module}.{qualified}")
     assert not uncalled, "public names that only the tests call: " + ", ".join(uncalled)
 
@@ -129,6 +146,7 @@ def test_every_import_is_read():
     root = Path(__file__).parents[1]
     paths = [p for p in sorted((root / "src" / "secwitness").glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((root / "scripts").glob("*.py"))
+    paths += sorted((root / "tests").glob("*.py"))
     unread = []
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -57,7 +57,8 @@ def test_space_of_random_role_lists_matches_the_reference(name, data):
     assert new == reference.generalized_message_space(roles, p.context, p.fresh_owners)
 
 
-ATOMS = [Atom(n, sort, tag) for n in ("A", "A_1", "A_2", "Na", "v0", "v1_3")
+ATOMS = [Atom(n, sort, tag, index)
+         for n, index in (("A", None), ("A", 1), ("A", 2), ("Na", None), ("v0", None), ("v1", 3))
          for sort in Sort for tag in (None, "i")]
 KEYS = [a for a in ATOMS if a.sort is not Sort.VARIABLE]
 MESSAGES = st.recursive(
@@ -78,7 +79,7 @@ def message_pairs(draw):
     rename = {}
     for a in ATOMS:
         if a.sort is Sort.PARAMETER:
-            rename[a] = Atom(f"{a.base_name}_{draw(st.integers(1, 3))}", Sort.PARAMETER)
+            rename[a] = Atom(a.name, Sort.PARAMETER, index=draw(st.integers(1, 3)))
         elif a.sort is Sort.VARIABLE:
             rename[a] = draw(st.sampled_from([b for b in ATOMS if b.sort is Sort.VARIABLE]))
     return m, map_atoms(m, rename.get)

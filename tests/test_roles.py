@@ -153,7 +153,7 @@ step 1: A -> B : {A.Na}_kb;
 def test_role_views_parameterize_names(ns):
     a1 = extract_generalized_roles(ns)[0]
     m = a1.steps[0].message
-    by_name = {a.base_name: a for a in atoms(m)}
+    by_name = {a.name: a for a in atoms(m)}
     assert by_name["A"].sort is Sort.PARAMETER
     assert by_name["Na"].sort is Sort.PARAMETER and by_name["Na"].session_tag == "i"
     assert by_name["kb"].sort is Sort.PARAMETER

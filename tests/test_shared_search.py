@@ -183,7 +183,7 @@ def test_a_bare_guarded_atom_has_no_protective_pattern(ns):
     roles = roles_for(ns, "manual")
     pool = pattern_space(ns, roles)
     sent = roles[0].steps[0].message                       # {A.Na^i}_kb
-    na = next(a for a in atoms(sent) if a.base_name == "Na")
+    na = next(a for a in atoms(sent) if a.name == "Na")
     F = value_function("fmax")
     for bare_first in (True, False):
         parts = [na, sent] if bare_first else [sent, na]

@@ -54,9 +54,9 @@ KA = Atom("ka")
 KB = Atom("kb")
 X = Atom("X", Sort.VARIABLE)
 Y = Atom("Y", Sort.VARIABLE)
-A1 = Atom("A_1", Sort.PARAMETER)
-NA1 = Atom("Na_1", Sort.PARAMETER)
-KB1 = Atom("kb_1", Sort.PARAMETER)
+A1 = Atom("A", Sort.PARAMETER, index=1)
+NA1 = Atom("Na", Sort.PARAMETER, index=1)
+KB1 = Atom("kb", Sort.PARAMETER, index=1)
 
 SYMS = SymbolTable({a.name: a for a in (A, B, NA, NB, KA, KB, X, Y)})
 
@@ -277,7 +277,7 @@ def _reference_atoms(m):
 NA_I = Atom("Na", Sort.CONSTANT, "i")
 RANDOM_POOL = [A, B, NA, NA_I, NB, X, Y, A1, NA1]
 RANDOM_KEYS = [KA, KB, KB1, Atom("kab")]
-RANDOM_SYMS = SymbolTable({a.name: a for a in RANDOM_POOL + RANDOM_KEYS if a.session_tag is None})
+RANDOM_SYMS = SymbolTable({a.display(): a for a in RANDOM_POOL + RANDOM_KEYS if a.session_tag is None})
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -303,7 +303,7 @@ def test_atoms_matches_the_subterm_walk(seed):
 def test_rebuilt_message_is_equal_with_equal_hash(seed):
     m = _random(seed)
     _same(m, map_atoms(m, lambda a: None))
-    fresh = map_atoms(m, lambda a: Atom(a.name, a.sort, a.session_tag))
+    fresh = map_atoms(m, lambda a: Atom(a.name, a.sort, a.session_tag, a.index))
     _same(m, fresh)
     _same(m, parse_message(print_message(m), RANDOM_SYMS))
 
@@ -325,13 +325,14 @@ def test_pickle_across_processes_recomputes_the_hash():
     load = ("import pickle, sys\n"
             "from secwitness.terms import *\n"
             "A, NA, KA, KB = Atom('A'), Atom('Na'), Atom('ka'), Atom('kb')\n"
-            "X, A1 = Atom('X', Sort.VARIABLE), Atom('A_1', Sort.PARAMETER)\n"
-            "syms = SymbolTable({a.name: a for a in (A, NA, KA, KB, X, A1)})\n"
+            "X, A1 = Atom('X', Sort.VARIABLE), Atom('A', Sort.PARAMETER, index=1)\n"
+            "syms = SymbolTable({a.display(): a for a in (A, NA, KA, KB, X, A1)})\n"
             "m = parse_message(%r, syms)\n" % text)
-    dump = load + "sys.stdout.buffer.write(pickle.dumps([m, m.parts[0].key, EMPTY]))\n"
-    check = load + ("m2, key, empty = pickle.loads(sys.stdin.buffer.read())\n"
+    dump = load + "sys.stdout.buffer.write(pickle.dumps([m, m.parts[0].key, m.parts[-1], EMPTY]))\n"
+    check = load + ("m2, key, a1, empty = pickle.loads(sys.stdin.buffer.read())\n"
                     "assert m2 == m and hash(m2) == hash(m)\n"
                     "assert key == KB and hash(key) == hash(KB)\n"
+                    "assert a1 == A1 and hash(a1) == hash(A1) and a1.index == 1\n"
                     "assert empty == EMPTY and hash(empty) == hash(EMPTY)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     saved = subprocess.run([sys.executable, "-c", dump], capture_output=True, check=True,
@@ -341,12 +342,13 @@ def test_pickle_across_processes_recomputes_the_hash():
 
 
 def test_a_set_of_atoms_iterates_in_the_same_order_under_one_seed():
-    # an untagged atom's hash must not follow an address, which differs
-    # between processes
+    # the hash of an untagged or unindexed atom must not follow an address,
+    # which differs between processes
     show = ("from secwitness.terms import Atom, Sort\n"
             "names = ['A', 'B', 'Na', 'Nc', 'Nb', 'ka', 'kb', 'X']\n"
             "print(list(frozenset(Atom(n) for n in names)),"
-            " list(frozenset(Atom(n, Sort.PARAMETER, 'i') for n in names)))\n")
+            " list(frozenset(Atom(n, Sort.PARAMETER, 'i') for n in names)),"
+            " list(frozenset(Atom(n, Sort.PARAMETER, index=2) for n in names)))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED="0")
     first, second = (subprocess.run([sys.executable, "-c", show], capture_output=True,
                                     check=True, env=env).stdout for _ in range(2))

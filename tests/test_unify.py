@@ -41,9 +41,9 @@ def test_initial_pattern_binding(ns, ns_roles, ns_pool):
     source = _pattern(ns_pool, "{A_1.Na_1}_kb_1")
     target = _send(ns_roles, "A_G1", 0)               # {A.Na^i}_kb
     sigma = unify_all(source, target)[0]
-    assert sigma.get(Atom("A_1", Sort.PARAMETER)) == Atom("A", Sort.PARAMETER)
-    assert sigma.get(Atom("Na_1", Sort.PARAMETER)) == Atom("Na", Sort.PARAMETER, session_tag="i")
-    assert sigma.get(Atom("kb_1", Sort.PARAMETER)) == Atom("kb", Sort.PARAMETER)
+    assert sigma.get(Atom("A", Sort.PARAMETER, index=1)) == Atom("A", Sort.PARAMETER)
+    assert sigma.get(Atom("Na", Sort.PARAMETER, index=1)) == Atom("Na", Sort.PARAMETER, session_tag="i")
+    assert sigma.get(Atom("kb", Sort.PARAMETER, index=1)) == Atom("kb", Sort.PARAMETER)
     assert substitute(source, sigma) == substitute(target, sigma)
 
 
@@ -154,7 +154,7 @@ def test_candidate_search_stable_across_calls(ns, ns_roles, ns_pool):
 
 def test_candidates_for_first_send(ns, ns_roles, ns_pool):
     target = _send(ns_roles, "A_G1", 0)               # {A.Na^i}_kb
-    alpha = next(a for a in atoms(target) if a.base_name == "Na")
+    alpha = next(a for a in atoms(target) if a.name == "Na")
     got = _sources(target, ns_pool, ns.context, alpha)
     assert [str(m) for m, _ in got] == ["{A_1.Na_1}_kb_1", "{X_2}_kb_3", "{A_3.Y_1}_kb_4"]
 
@@ -176,7 +176,7 @@ def test_candidate_values_match_contributions(ns, ns_roles, ns_pool):
     # the meet of the contributions of every (pattern, unifier) pair, from
     # the same value-function calls
     target = _send(ns_roles, "A_G1", 0)
-    alpha = next(a for a in atoms(target) if a.base_name == "Na")
+    alpha = next(a for a in atoms(target) if a.name == "Na")
     calls: list[set] = [set(), set()]
 
     def recording(k):

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from secwitness.context import TOP, finite, geq, meet
 from secwitness.derive import contribution_of
 from secwitness.errors import NoProtectivePattern
-from secwitness.protocols import load_bundled, parse_protocol
+from secwitness.protocols import parse_protocol
 from secwitness.selection import value_function
 from secwitness.terms import (
     Atom,
@@ -43,7 +43,7 @@ def _role(roles, role_id):
 
 
 def _named(m, base):
-    return next(a for a in atoms(m) if a.base_name == base)
+    return next(a for a in atoms(m) if a.name == base)
 
 
 # --- lower bound -----------------------------------------------------------
@@ -195,7 +195,7 @@ def test_analyze_nsl_all_fulfilled(nsl):
     assert report.fulfilled
     assert len(report.rows) == 4
     assert all(r.fulfilled for r in report.rows)
-    nb = next(r for r in report.rows if r.atom.base_name == "Nb")
+    nb = next(r for r in report.rows if r.atom.name == "Nb")
     assert nb.lower == finite(["A", "B"])
     assert all(r.blame == frozenset() for r in report.rows)
 
