@@ -6,7 +6,9 @@
     secwitness oracle   <file> [--trials N] [--depth N] [--seed N]
 
 Exit codes: 0 when the criterion holds on every row, 2 when some row gives
-no decision, 1 on unreadable, unparsable or inconsistent input and when
+no decision, when check-wp reports an unprotected pattern and when an
+oracle check fails, 1 on unreadable, unparsable or inconsistent input
+(analyze on a pattern space that is not well protected among it) and when
 stdout is closed before the report is written, 64 on usage errors
 (--trials below 1, a negative --depth and an unknown $SECWITNESS_FUNCTION
 among them).

@@ -12,8 +12,10 @@ final bound.
 
 The candidate search does not list the unifiers where it can avoid it: for
 a linear flat pair, `linear_facts` reads what the bound needs off the match
-states in polynomial time.  `unify_all` is the fallback for every other
-pair, and `derive.unifier_facts` turns its unifiers into the same facts.
+states in polynomial time, as one map from each distinct set of parameter
+bindings to the atoms each pattern variable's images cover under it.
+`unify_all` is the fallback for every other pair, and
+`derive.unifier_facts` turns its unifiers into the same map.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from .context import TOP, SecurityLevel, VerificationContext, meet
-from .derive import Carried, Params, ValueFunction, fact_levels, unifier_facts
+from .derive import Facts, Params, ValueFunction, fact_levels, unifier_facts
 from .terms import (
     Atom,
     Concat,
@@ -225,19 +227,21 @@ def _edges(xs: tuple[Atom, ...], ys: tuple[Atom, ...],
     return out
 
 
-def linear_facts(pattern: Message, target: Message) -> Optional[tuple[list[Params], list[Carried]]]:
+def linear_facts(pattern: Message, target: Message) -> Optional[Facts]:
     """What the bound needs of the unifiers `unify_all` would list, without
-    listing them: their distinct closed parameter bindings, and the distinct
-    (bindings, pattern variable, atoms of its image).  None when the pair is
-    not a linear flat pair: two encryptions whose bodies are atoms only,
-    with no variable twice across the two bodies.
+    listing them: each distinct set of their closed parameter bindings,
+    mapped to the atoms that each pattern variable's images cover under
+    those bindings.  None when the pair is not a linear flat pair: two
+    encryptions whose bodies are atoms only, with no variable twice across
+    the two bodies.
 
     Such a pair is unified by a walk over states (i, j, bindings), i parts
     of the pattern and j of the target matched: variables are bound once
     and never read again, and parameters only ever bind to atoms.  The
     reachable states are collected forwards; then, by decreasing i + j,
     each gets the final bindings reachable from it, and a pattern variable
-    bound on the way from s to s2 gives one fact for each of those of s2.
+    bound to a run on the way from s to s2 covers that run's atoms under
+    each of those of s2.
     """
     if not isinstance(pattern, Enc) or not isinstance(target, Enc):
         return None
@@ -249,7 +253,7 @@ def linear_facts(pattern: Message, target: Message) -> Optional[tuple[list[Param
         return None
     start = next(_unify_atoms(pattern.key, target.key, {}), None)
     if start is None:
-        return [], []
+        return {}
 
     first: State = (0, 0, frozenset(start.items()))
     edges: dict[State, list] = {}
@@ -266,14 +270,14 @@ def linear_facts(pattern: Message, target: Message) -> Optional[tuple[list[Param
             reached.update(finals[nxt])
         finals[state] = reached
 
-    carried: dict[Carried, None] = {}
-    images = {pi: dict(pi) for pi in finals[first]}  # every reachable state's finals are here
+    facts: Facts = {pi: {} for pi in finals[first]}
+    images = {pi: dict(pi) for pi in facts}  # every reachable state's finals are here
     for out in edges.values():
         for nxt, var, run in out:
             if var is not None:
                 for pi in finals[nxt]:
-                    carried[(pi, var, frozenset([_root(a, images[pi]) for a in run]))] = None
-    return list(finals[first]), list(carried)
+                    facts[pi].setdefault(var, set()).update([_root(a, images[pi]) for a in run])
+    return facts
 
 
 def candidate_values(target: Message, pool: Sequence[Message],
@@ -288,6 +292,6 @@ def candidate_values(target: Message, pool: Sequence[Message],
         facts = linear_facts(pattern, target)
         if facts is None:
             facts = unifier_facts(pattern, unify_all(pattern, target))
-        for alpha, level in fact_levels(F, alphas, pattern, *facts, ctx).items():
+        for alpha, level in fact_levels(F, alphas, pattern, facts, ctx).items():
             values[alpha] = meet(values.get(alpha, TOP), level)
     return values

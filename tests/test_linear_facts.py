@@ -1,9 +1,10 @@
 """The fact search of linear flat pairs against the unifiers it replaces.
 
 `unify.linear_facts` reads the distinct parameter bindings of the unifiers
-of a linear flat pair, and the atoms of each pattern variable's image, off
-a walk over match states instead of listing the unifiers.  These tests draw
-random linear flat pairs and check those facts against the ones read off
+of a linear flat pair, and the atoms that each pattern variable's images
+cover under each, off a walk over match states instead of listing the
+unifiers.  These tests draw random linear flat pairs and check that map
+against the one `derive.unifier_facts` and a plain loop read off
 `unify_all`, and the level `candidate_values` gives each atom, and the
 value-function calls it makes, against the meet of what `contribution_of`
 gives each unifier of `unify_all`.
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import reference_bounds
 from secwitness.context import finite, meet_all
-from secwitness.derive import contribution_of
+from secwitness.derive import contribution_of, unifier_facts
 from secwitness.errors import AnalyzerError
 from secwitness.protocols import load_bundled
 from secwitness.selection import INSTANCES, value_function
@@ -60,16 +61,17 @@ def total(F):
 
 
 def facts_of_unifiers(pattern, target):
-    """The facts `linear_facts` stands for, read off every unifier."""
-    finals, carried = set(), set()
+    """The facts `linear_facts` stands for, read off every unifier: the
+    union of each (bindings, pattern variable)'s image atoms."""
+    facts = {}
     for sigma in unify_all(pattern, target):
         params = frozenset((a, m) for a, m in sigma.items() if a.sort is Sort.PARAMETER)
-        finals.add(params)
+        covered = facts.setdefault(params, {})
         for var in variables_of(pattern):
             image = sigma.get(var)
             if image is not None:
-                carried.add((params, var, atoms(image)))
-    return finals, carried
+                covered[var] = covered.get(var, set()) | atoms(image)
+    return facts
 
 
 def _atom(draw, kinds: list[str], variable: Atom) -> Atom:
@@ -123,9 +125,7 @@ def test_facts_and_levels_match_the_unifiers(pair, function):
     pattern, target = pair
     facts = linear_facts(pattern, target)
     assert facts is not None
-    finals, carried = facts
-    assert len(set(finals)) == len(finals) and len(set(carried)) == len(carried)
-    assert (set(finals), set(carried)) == facts_of_unifiers(pattern, target)
+    assert facts == unifier_facts(pattern, unify_all(pattern, target)) == facts_of_unifiers(pattern, target)
 
     F = total(value_function(function))
     alphas = sorted(atoms(pattern.body) | atoms(target.body) | {pattern.key, target.key},
@@ -174,4 +174,18 @@ def test_a_variable_absorbs_only_where_the_lengths_leave_room():
     sigma = {x: concat(c, d, e), w: concat(a, b)}
     assert substitute(pattern, sigma) == substitute(target, sigma)
     assert unify_all(pattern, target) == []
-    assert linear_facts(pattern, target) == ([], [])
+    assert linear_facts(pattern, target) == {}
+
+
+def test_a_variable_covers_the_atoms_of_all_its_runs():
+    # {X.Y}_k and {a.b.c}_k unify under X -> a, Y -> b.c and X -> a.b,
+    # Y -> c; both have the same (empty) bindings, so each variable has one
+    # fact, the union of the runs it absorbs
+    x, y = Atom("X", Sort.VARIABLE), Atom("Y", Sort.VARIABLE)
+    a, b, c = (Atom(n) for n in "abc")
+    k = Atom("k")
+    pattern = Enc(concat(x, y), k)
+    target = Enc(concat(a, b, c), k)
+    want = {frozenset(): {x: {a, b}, y: {b, c}}}
+    assert linear_facts(pattern, target) == want
+    assert unifier_facts(pattern, unify_all(pattern, target)) == want
