@@ -46,12 +46,6 @@ class MismatchedUniverse(AnalyzerError):
     """Lattice operation applied to something that is not a security level."""
 
 
-class UnleveledKey(AnalyzerError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"key {name!r} has no usable level on either side of its pair")
-
-
 class ContextError(AnalyzerError):
     """Inconsistent verification context (missing declarations)."""
 
@@ -88,7 +82,8 @@ class NonMonotoneRule(AnalyzerError):
 
 
 class UnreceivedVariable(AnalyzerError):
-    """A declared role sends a variable before any of its receives binds it."""
+    """A role view, declared or computed, sends a variable before any of its
+    receives binds it."""
 
     def __init__(self, role_id: str):
         self.role_id = role_id

@@ -7,6 +7,8 @@ the cancellation redex is a double encryption whose keys are mutually
 inverse.  User-supplied rules extend the system and must pass the
 keys-monotonicity check: a rewrite may strip guards that the inverse key
 already discharges, but may never invent new ones on the right-hand side.
+A declared name in a rule matches the name and its indexed copies, so a rule
+fires on role views and the pattern space as on the steps.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ NORMALIZE_BUDGET = 10_000
 
 @dataclass(frozen=True)
 class RewriteRule:
-    """lhs -> rhs over rule metavariables.
+    """lhs -> rhs over rule metavariables and declared names.
 
     Variable-sorted atoms match whole submessages, Parameter-sorted atoms
-    match single atoms (keys included).  Two key metavariables named n and
-    n-1 are constrained to be mutually inverse in the target context.
+    match single atoms (keys included).  A declared name (a constant)
+    matches itself and its indexed copies, and the right-hand side gets back
+    the copy it matched.  Two key atoms named n and n-1 are constrained to
+    be mutually inverse in the target context.
     """
 
     lhs: Message
@@ -82,11 +86,15 @@ def _inverse_pairs(bindings: dict[Atom, Message]) -> Iterable[tuple[Atom, Atom]]
 
 def _match(pattern: Message, term: Message,
            bindings: dict[Atom, Message]) -> Optional[dict[Atom, Message]]:
-    """One-way structural matching of a rule pattern against a term."""
+    """One-way structural matching of a rule pattern against a term.  A
+    rule constant matches any non-variable atom with its name (the declared
+    name itself, or a role view's indexed copy of it) and binds to it like a
+    parameter, so its repeated occurrences must meet the same atom."""
     if isinstance(pattern, Atom):
-        if pattern.sort is Sort.CONSTANT:
-            return bindings if term == pattern else None
-        if pattern.sort is Sort.PARAMETER and not isinstance(term, Atom):
+        if pattern.sort is not Sort.VARIABLE and not isinstance(term, Atom):
+            return None
+        if pattern.sort is Sort.CONSTANT and (term.sort is Sort.VARIABLE
+                                              or term.name != pattern.name):
             return None
         bound = bindings.get(pattern)
         if bound is not None:

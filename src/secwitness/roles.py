@@ -353,7 +353,9 @@ def _knows(p: Protocol, agent: Atom, a: Atom) -> bool:
 
 
 def extract_generalized_roles(p: Protocol) -> tuple[GeneralizedRole, ...]:
-    """The computed per-agent views; deterministic in declaration order."""
+    """The computed per-agent views; deterministic in declaration order.  A
+    view that sends a variable before receiving it is an UnreceivedVariable,
+    as a declared one is."""
     ctx = p.context
     agents = [
         a for a in ctx.principals
@@ -409,7 +411,10 @@ def extract_generalized_roles(p: Protocol) -> tuple[GeneralizedRole, ...]:
         if views and steps[-1].direction is RECV:
             views.append(tuple(steps))
         for n, chunk in enumerate(views, 1):
-            roles.append(GeneralizedRole(f"{agent.name}_G{n}", agent, chunk))
+            role = GeneralizedRole(f"{agent.name}_G{n}", agent, chunk)
+            if not check_role_variables(role):
+                raise UnreceivedVariable(role.role_id)
+            roles.append(role)
 
     return tuple(roles)
 

@@ -5,15 +5,18 @@ at the encryptions around it outside-in and stops at the first whose inverse
 key is strong enough to read the queried atom's level.  What it keeps from
 that spot is the instance's policy: the broad instance keeps the principal
 names beside the atom plus the inverse key, the key-only instance keeps just
-the inverse key, the neighbor instance keeps just the principal names.  The
-valuation maps a selection to a level: names stand for themselves, other
-atoms stand for their declared level, and choices combine by meet.
+the inverse key, the neighbor instance keeps just the principal names.  A
+selection is a set of atoms, or None where the queried atom stands alone or
+unprotected, as a level's members are None at bottom.  The valuation maps a
+selection to a level: None to bottom, the empty set to top, and otherwise
+names stand for themselves, other atoms for their declared level, and
+choices combine by meet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .context import (
     BOTTOM,
@@ -26,30 +29,9 @@ from .context import (
     level_of,
     meet_all,
 )
-from .errors import NotAKey, UnleveledKey, WellProtectionViolation
+from .errors import WellProtectionViolation
 from .rewrite import normalize
 from .terms import Atom, Message, Sort, atoms, members, occurrences
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Either the distinguished everything-selection or a finite atom set."""
-
-    all_atoms: bool = False
-    members: frozenset = frozenset()
-
-    def __or__(self, other: "SelectionResult") -> "SelectionResult":
-        if self.all_atoms or other.all_atoms:
-            return ALL_ATOMS
-        return SelectionResult(False, self.members | other.members)
-
-
-ALL_ATOMS = SelectionResult(all_atoms=True)
-NO_ATOMS = SelectionResult()
-
-
-def finite_selection(members: Iterable[Atom]) -> SelectionResult:
-    return SelectionResult(False, frozenset(members))
 
 
 @dataclass(frozen=True)
@@ -69,54 +51,45 @@ NEIGHBORS = SelectionInstance("fn", names=True, key=False)
 INSTANCES: dict[str, SelectionInstance] = {i.name: i for i in (BROAD, KEY_ONLY, NEIGHBORS)}
 
 
-def instance(name: str) -> SelectionInstance:
-    try:
-        return INSTANCES[name]
-    except KeyError:
-        raise KeyError(f"unknown selection instance {name!r}; choose from {sorted(INSTANCES)}")
-
-
 def select(inst: SelectionInstance, alpha: Atom,
            m: Union[Message, Iterable[Message]],
-           ctx: VerificationContext) -> SelectionResult:
-    """Selection for one occurrence-carrying message or a set (union).  Each
-    occurrence of alpha selects at its outermost protective encryption;
-    key-position occurrences select nothing."""
+           ctx: VerificationContext) -> Optional[frozenset[Atom]]:
+    """Selection for one occurrence-carrying message or a set (union, in
+    which None absorbs).  Each occurrence of alpha selects at its outermost
+    protective encryption; key-position occurrences select nothing."""
     alpha_level = level_of(ctx, alpha)
-    out = NO_ATOMS
+    selected: set[Atom] = set()
+    everything = False
     for t in members(m):
         t = normalize(t, ctx)
         if t == alpha:
-            out = ALL_ATOMS
+            everything = True
             continue
         for a, around in occurrences(t):
             if a != alpha:
                 continue
             for e in around:
-                try:
-                    inv = inverse_key(ctx, e.key)
-                except NotAKey:
-                    raise UnleveledKey(e.key.display())
+                inv = inverse_key(ctx, e.key)
                 if geq(level_of(ctx, inv), alpha_level):
-                    chosen = {inv} if inst.key else set()
+                    if inst.key:
+                        selected.add(inv)
                     if inst.names:
-                        chosen.update(a for a in atoms(e.body) if is_identity(ctx, a))
-                    out = out | finite_selection(chosen - {alpha})
+                        selected.update(a for a in atoms(e.body) if is_identity(ctx, a))
                     break
             else:
                 if alpha.sort is not Sort.VARIABLE and not alpha_level.is_bottom:
                     raise WellProtectionViolation(alpha.display(), alpha.display())
-                out = ALL_ATOMS
-    return out
+                everything = True
+    return None if everything else frozenset(selected - {alpha})
 
 
-def psi(ctx: VerificationContext, result: SelectionResult) -> SecurityLevel:
-    """Valuation: everything selected reads as public, nothing as top; a
-    principal name denotes itself, any other atom its declared level."""
-    if result.all_atoms:
+def psi(ctx: VerificationContext, selected: Optional[frozenset[Atom]]) -> SecurityLevel:
+    """Valuation: None reads as bottom, the empty set as top; a principal
+    name denotes itself, any other atom its declared level."""
+    if selected is None:
         return BOTTOM
     return meet_all(finite([a.display()]) if is_identity(ctx, a) else level_of(ctx, a)
-                    for a in result.members)
+                    for a in selected)
 
 
 def interpret(inst: SelectionInstance, alpha: Atom,
@@ -129,7 +102,10 @@ def interpret(inst: SelectionInstance, alpha: Atom,
 
 def value_function(name: str) -> Callable[[Atom, Union[Message, Iterable[Message]], VerificationContext], SecurityLevel]:
     """A named bound as a plain callable (atom, messages, ctx) -> level."""
-    inst = instance(name)
+    try:
+        inst = INSTANCES[name]
+    except KeyError:
+        raise KeyError(f"unknown selection instance {name!r}; choose from {sorted(INSTANCES)}")
 
     def F(alpha: Atom, m: Union[Message, Iterable[Message]], ctx: VerificationContext) -> SecurityLevel:
         return interpret(inst, alpha, m, ctx)

@@ -54,17 +54,6 @@ from .terms import (
 from .unify import candidate_values
 
 
-class _SymbolicUnknown:
-    """Stands in for the declared level of a variable row: the row ranges
-    over every value the variable could take."""
-
-    def __repr__(self) -> str:
-        return "∀"
-
-
-SYMBOLIC_UNKNOWN = _SymbolicUnknown()
-
-
 def _guarded(alpha: Atom, ctx: VerificationContext) -> bool:
     """Whether a sent occurrence of the atom needs a protecting pattern."""
     return alpha.sort is Sort.VARIABLE or not level_of(ctx, alpha).is_bottom
@@ -150,7 +139,7 @@ class CriterionRow:
     received: tuple[Message, ...]
     sent: Message
     lower: SecurityLevel
-    atom_level: Union[SecurityLevel, _SymbolicUnknown]
+    atom_level: Optional[SecurityLevel]  # None on a variable row
     estimate: SecurityLevel
     fulfilled: bool
     blame: frozenset[str]
@@ -173,12 +162,8 @@ def _row_for(alpha: Atom, role: GeneralizedRole, position: int,
              lower: Optional[SecurityLevel], F: ValueFunction,
              ctx: VerificationContext) -> CriterionRow:
     estimate = reception_estimate(alpha, received, F, ctx)
-    if alpha.sort is Sort.VARIABLE:
-        atom_level: Union[SecurityLevel, _SymbolicUnknown] = SYMBOLIC_UNKNOWN
-        required = estimate
-    else:
-        atom_level = level_of(ctx, alpha)
-        required = meet(atom_level, estimate)
+    atom_level = None if alpha.sort is Sort.VARIABLE else level_of(ctx, alpha)
+    required = estimate if atom_level is None else meet(atom_level, estimate)
     if lower is None:  # bare in the send: no protective pattern
         lower = BOTTOM
         fulfilled = False
@@ -273,7 +258,7 @@ def render_table(report: AnalysisReport) -> str:
             _received_cell(r),
             print_message(r.sent),
             repr(r.lower),
-            repr(r.atom_level),
+            "∀" if r.atom_level is None else repr(r.atom_level),
             repr(r.estimate),
             "Fulfilled" if r.fulfilled else "NotFulfilled",
         ))
@@ -289,8 +274,8 @@ def render_table(report: AnalysisReport) -> str:
     return "\n".join(lines)
 
 
-def _level_json(level: Union[SecurityLevel, _SymbolicUnknown]) -> dict:
-    if isinstance(level, _SymbolicUnknown):
+def _level_json(level: Optional[SecurityLevel]) -> dict:
+    if level is None:
         return {"unknown": True}
     if level.is_bottom:
         return {"bottom": True}

@@ -13,19 +13,13 @@ compare the two on random messages.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from message_helpers import EMPTY_FAMILY, family
 from secwitness.context import VerificationContext, geq, inverse_key, is_identity, level_of
-from secwitness.errors import NotAKey, UnleveledKey, WellProtectionViolation
+from secwitness.errors import WellProtectionViolation
 from secwitness.rewrite import KeySetFamily, WellProtectedReport, normalize
-from secwitness.selection import (
-    ALL_ATOMS,
-    NO_ATOMS,
-    SelectionInstance,
-    SelectionResult,
-    finite_selection,
-)
+from secwitness.selection import SelectionInstance
 from secwitness.terms import Atom, Concat, Enc, Message, Sort, atoms, members
 
 
@@ -88,34 +82,34 @@ def check_well_protected(target: Union[Message, Iterable[Message]],
 
 def select(inst: SelectionInstance, alpha: Atom,
            m: Union[Message, Iterable[Message]],
-           ctx: VerificationContext) -> SelectionResult:
-    """Selection for one occurrence-carrying message or a set (union)."""
+           ctx: VerificationContext) -> Optional[frozenset[Atom]]:
+    """Selection for one occurrence-carrying message or a set (union, in
+    which None, everything, absorbs)."""
     alpha_level = level_of(ctx, alpha)
 
     def protective(key: Atom) -> bool:
-        try:
-            inv = inverse_key(ctx, key)
-        except NotAKey:
-            raise UnleveledKey(key.display())
-        return geq(level_of(ctx, inv), alpha_level)
+        return geq(level_of(ctx, inverse_key(ctx, key)), alpha_level)
 
-    def walk(t: Message) -> SelectionResult:
+    def union(a: Optional[frozenset], b: Optional[frozenset]) -> Optional[frozenset]:
+        return None if a is None or b is None else a | b
+
+    def walk(t: Message) -> Optional[frozenset[Atom]]:
         if isinstance(t, Atom):
             if t != alpha:
-                return NO_ATOMS
+                return frozenset()
             if alpha.sort is not Sort.VARIABLE and not alpha_level.is_bottom:
                 raise WellProtectionViolation(alpha.display(), str(t))
-            return ALL_ATOMS
+            return None
         if isinstance(t, Concat):
-            out = NO_ATOMS
+            out: Optional[frozenset[Atom]] = frozenset()
             for p in t.parts:
                 if alpha in atoms(p):
-                    out = out | walk(p)
+                    out = union(out, walk(p))
             return out
         if isinstance(t, Enc):
             in_body = alpha in atoms(t.body)
             if not in_body:
-                return NO_ATOMS  # key-position occurrences select nothing
+                return frozenset()  # key-position occurrences select nothing
             if protective(t.key):
                 inv = inverse_key(ctx, t.key)
                 chosen = set()
@@ -123,17 +117,17 @@ def select(inst: SelectionInstance, alpha: Atom,
                     chosen |= {a for a in atoms(t.body) if is_identity(ctx, a)}
                 if inst.key:
                     chosen.add(inv)
-                return finite_selection(chosen - {alpha})
+                return frozenset(chosen - {alpha})
             return walk(t.body)
-        return NO_ATOMS
+        return frozenset()
 
-    out = NO_ATOMS
+    out: Optional[frozenset[Atom]] = frozenset()
     for t in members(m):
         t = normalize(t, ctx)
         if isinstance(t, Atom) and t == alpha:
-            out = ALL_ATOMS
+            out = None
         elif alpha in atoms(t):
-            out = out | walk(t)
+            out = union(out, walk(t))
     return out
 
 

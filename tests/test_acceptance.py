@@ -33,7 +33,7 @@ from secwitness.rewrite import (
     normalize,
 )
 from secwitness.roles import extract_generalized_roles, pattern_space, roles_for
-from secwitness.selection import instance, select, value_function
+from secwitness.selection import INSTANCES, select, value_function
 from secwitness.terms import (
     Atom,
     Enc,
@@ -172,7 +172,7 @@ def test_criterion_04_selection_and_value_examples():
                            "kab", "kab-1", "kac", "kac-1", "kad", "kad-1", "kef", "kef-1")
     nested = parse_message("{{{alpha.E}_kab.F}_kac.D}_kad", nested_syms)
     alpha = Atom("alpha")
-    s_got = [select(instance(n), alpha, nested, nested_ctx).members for n in ("fmax", "fek", "fn")]
+    s_got = [select(INSTANCES[n], alpha, nested, nested_ctx) for n in ("fmax", "fek", "fn")]
     s_want = [
         frozenset({Atom("E"), Atom("F"), Atom("kac-1")}),
         frozenset({Atom("kac-1")}),

@@ -237,6 +237,72 @@ def test_declared_role_sending_an_unreceived_variable_is_rejected(tmp_path, caps
     assert captured.out == ""
 
 
+# the variable X enters B's narration in a send, never in a receive
+UNRECEIVED = (
+    "protocol Unreceived;\n"
+    "principal A, B;\n"
+    "intruder I;\n"
+    "key kb inv kb-1;\n"
+    "fresh Na by A;\n"
+    "var X;\n"
+    "level Na = {A,B};\n"
+    "level kb-1 = {B};\n"
+    "step 1: A -> B : {A.Na}_kb;\n"
+    "step 2: B -> A : {X}_kb;\n"
+)
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-wp", "roles"])
+def test_computed_role_sending_an_unreceived_variable_is_rejected(tmp_path, capsys, command):
+    assert _run_bad(tmp_path, UNRECEIVED, command) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.err == "error: role B_G1 sends a variable it has not received\n"
+    assert captured.out == ""
+
+
+# the rule strips kw; in the pattern space Na_2 sits under kw's copy kw_2,
+# which the rule strips too, leaving Na_2 bare
+RULE_ON_A_DECLARED_KEY = (
+    "protocol RuleConst;\n"
+    "principal A, B;\n"
+    "intruder I;\n"
+    "key kb inv kb-1;\n"
+    "key kw sym;\n"
+    "fresh Na by A;\n"
+    "level Na = {A,B};\n"
+    "level kw = {A,B};\n"
+    "level kb-1 = {B};\n"
+    "rule {X}_kw -> X;\n"
+    "step 1: A -> B : {{Na}_kw}_kb;\n"
+)
+RULE_EXPECTED = {
+    "check-wp": (EXIT_UNDECIDED,
+                 "  {{Na_1}_kw_1}_kb_1\n"
+                 "  {Na_2}_kw_2\n"
+                 "unprotected: Na_2 in {Na_2}_kw_2 (guards: no key)\n",
+                 ""),
+    "analyze": (EXIT_FILE, "", "error: Na_2 is not protected by any qualifying key "
+                               "in {Na_2}_kw_2\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RULE_EXPECTED))
+def test_a_rule_naming_a_declared_key_rewrites_its_copies(tmp_path, capsys, command):
+    code = _run_bad(tmp_path, RULE_ON_A_DECLARED_KEY, command)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == RULE_EXPECTED[command]
+
+
+def test_an_encryption_under_a_non_key_is_rejected(tmp_path, capsys):
+    text = bundled("ns").replace("role B 1: recv {A.Y}_kb, send {Y.Nb^i.B}_ka;",
+                                 "role B 1: recv {A.Y}_kb, send {Y}_A;")
+    assert "send {Y}_A;" in text
+    assert _run_bad(tmp_path, text) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.err == "error: 'A' is not registered as a key\n"
+    assert captured.out == ""
+
+
 def test_oracle_without_a_well_protected_sample(tmp_path, capsys):
     # the only principal's own name is secret from it, so every sample
     # puts a secret in the clear

@@ -79,6 +79,28 @@ def test_non_termination(simple_ctx):
         normalize(Atom("alpha"), ctx)
 
 
+def test_a_rule_constant_matches_the_copies_of_its_name():
+    # a declared name in a rule binds to the non-variable atom of that name
+    # it meets; a repeated one must meet the same atom, and the right-hand
+    # side gets that atom back
+    mv, alpha = Atom("M", Sort.VARIABLE), Atom("alpha")
+    ka, kab = Atom("ka"), Atom("kab")
+    split = RewriteRule(Enc(concat(mv, kab), ka), concat(Enc(mv, ka), kab))
+    opened = RewriteRule(concat(Enc(mv, kab), kab), mv)
+    ctx = make_context(
+        ["A", "B", "I"], "I", {"alpha": ["A", "B"], "ka-1": ["A"], "kab": ["A", "B"]},
+        [("ka", "ka-1"), ("kab", "kab")], rewrite_rules=(split, opened))
+    ka1 = Atom("ka", Sort.PARAMETER, index=1)
+    kab2, kab3 = (Atom("kab", Sort.PARAMETER, index=i) for i in (2, 3))
+    assert normalize(Enc(concat(alpha, kab2), ka1), ctx) == concat(Enc(alpha, ka1), kab2)
+    assert normalize(Enc(concat(alpha, kab), ka), ctx) == concat(Enc(alpha, ka), kab)
+    assert normalize(concat(Enc(alpha, kab2), kab2), ctx) == alpha
+    assert normalize(concat(Enc(alpha, kab2), kab3), ctx) == concat(Enc(alpha, kab2), kab3)
+    # a variable is not a copy of a declared name
+    x = Atom("kab", Sort.VARIABLE)
+    assert normalize(Enc(concat(alpha, x), ka), ctx) == Enc(concat(alpha, x), ka)
+
+
 def test_normalize_idempotent_on_random_terms(simple_ctx):
     rng = random.Random(7)
     pool = [Atom("A"), Atom("B"), Atom("alpha")]

@@ -7,17 +7,14 @@ import random
 import pytest
 
 from secwitness.context import BOTTOM, TOP, finite, make_context, meet
-from secwitness.errors import UnleveledKey, WellProtectionViolation
+from secwitness.errors import NotAKey, WellProtectionViolation
 from secwitness.oracle import random_well_protected_set
 from secwitness.rewrite import normalize
 from secwitness.selection import (
-    ALL_ATOMS,
     BROAD,
+    INSTANCES,
     KEY_ONLY,
     NEIGHBORS,
-    NO_ATOMS,
-    finite_selection,
-    instance,
     interpret,
     psi,
     select,
@@ -31,28 +28,28 @@ ALPHA = Atom("alpha")
 def test_nested_example_broad(selection_ctx, selection_symbols):
     m = parse_message("{{{alpha.E}_kab.F}_kac.D}_kad", selection_symbols)
     got = select(BROAD, ALPHA, m, selection_ctx)
-    assert got.members == {Atom("E"), Atom("F"), Atom("kac-1")}
+    assert got == {Atom("E"), Atom("F"), Atom("kac-1")}
 
 
 def test_nested_example_key_only(selection_ctx, selection_symbols):
     m = parse_message("{{{alpha.E}_kab.F}_kac.D}_kad", selection_symbols)
-    assert select(KEY_ONLY, ALPHA, m, selection_ctx).members == {Atom("kac-1")}
+    assert select(KEY_ONLY, ALPHA, m, selection_ctx) == {Atom("kac-1")}
 
 
 def test_nested_example_neighbors(selection_ctx, selection_symbols):
     m = parse_message("{{{alpha.E}_kab.F}_kac.D}_kad", selection_symbols)
-    assert select(NEIGHBORS, ALPHA, m, selection_ctx).members == {Atom("E"), Atom("F")}
+    assert select(NEIGHBORS, ALPHA, m, selection_ctx) == {Atom("E"), Atom("F")}
 
 
 def test_absent_atom_selects_nothing(selection_ctx, selection_symbols):
     m = parse_message("{A.B}_kac", selection_symbols)
-    assert select(BROAD, ALPHA, m, selection_ctx) == NO_ATOMS
+    assert select(BROAD, ALPHA, m, selection_ctx) == frozenset()
     assert interpret(BROAD, ALPHA, m, selection_ctx) == TOP
 
 
 def test_root_occurrence_selects_everything(selection_ctx):
-    assert select(BROAD, ALPHA, ALPHA, selection_ctx) == ALL_ATOMS
-    assert psi(selection_ctx, ALL_ATOMS) == BOTTOM
+    assert select(BROAD, ALPHA, ALPHA, selection_ctx) is None
+    assert psi(selection_ctx, None) == BOTTOM
 
 
 def test_selection_normalizes_first(selection_ctx, selection_symbols):
@@ -63,12 +60,12 @@ def test_selection_normalizes_first(selection_ctx, selection_symbols):
 
 
 def test_psi_mixes_identities_and_key_levels(valuation_ctx):
-    r = finite_selection([Atom("A"), Atom("C"), Atom("D"), Atom("kab-1")])
+    r = frozenset([Atom("A"), Atom("C"), Atom("D"), Atom("kab-1")])
     assert psi(valuation_ctx, r) == finite(["A", "B", "C", "D", "S"])
 
 
 def test_psi_empty_is_top(valuation_ctx):
-    assert psi(valuation_ctx, NO_ATOMS) == TOP
+    assert psi(valuation_ctx, frozenset()) == TOP
 
 
 def test_value_functions_flat_example(valuation_ctx, valuation_symbols):
@@ -84,7 +81,7 @@ def test_value_on_empty_set_is_top(valuation_ctx):
 
 def test_unregistered_protective_key(selection_ctx):
     m = Enc(ALPHA, Atom("kzz"))
-    with pytest.raises(UnleveledKey):
+    with pytest.raises(NotAKey):
         select(BROAD, ALPHA, m, selection_ctx)
 
 
@@ -98,8 +95,8 @@ def test_unprotected_secret_occurrence(selection_ctx, selection_symbols):
 def test_variables_not_selectable_as_neighbors(selection_ctx):
     x = Atom("X", Sort.VARIABLE)
     m = Enc(concat(ALPHA, x), Atom("kac"))
-    assert select(BROAD, ALPHA, m, selection_ctx).members == {Atom("kac-1")}
-    assert select(NEIGHBORS, ALPHA, m, selection_ctx).members == frozenset()
+    assert select(BROAD, ALPHA, m, selection_ctx) == {Atom("kac-1")}
+    assert select(NEIGHBORS, ALPHA, m, selection_ctx) == frozenset()
 
 
 def test_variable_alpha_any_key_protects():
@@ -114,19 +111,17 @@ def test_key_positions_are_not_occurrences():
     ctx = make_context(["A", "B", "I"], "I", {"ka-1": ["A"], "kb-1": ["B"]},
                        [("ka", "ka-1"), ("kb", "kb-1")])
     nested_key = Enc(concat(Enc(Atom("A"), ka), Atom("B")), kb)
-    assert select(BROAD, ka, nested_key, ctx) == NO_ATOMS
+    assert select(BROAD, ka, nested_key, ctx) == frozenset()
     assert interpret(BROAD, ka, nested_key, ctx) == TOP
     # the outer encryption is under a non-key, but ka is not below it
     under_non_key = Enc(Enc(Atom("A"), ka), Atom("kzz"))
-    assert select(BROAD, ka, under_non_key, ctx) == NO_ATOMS
+    assert select(BROAD, ka, under_non_key, ctx) == frozenset()
 
 
 def test_instance_lookup():
-    assert instance("fmax") is BROAD
-    assert instance("fek") is KEY_ONLY
-    assert instance("fn") is NEIGHBORS
-    with pytest.raises(KeyError):
-        instance("fzz")
+    assert INSTANCES == {"fmax": BROAD, "fek": KEY_ONLY, "fn": NEIGHBORS}
+    with pytest.raises(KeyError, match="unknown selection instance 'fzz'"):
+        value_function("fzz")
 
 
 # --- well-formedness and structural laws ----------------------------------
@@ -169,10 +164,10 @@ def test_candidate_members_stay_inside_message(access_ctx):
     for _ in range(60):
         for m in random_well_protected_set(rng, access_ctx, max_messages=2):
             r = select(BROAD, ALPHA, m, access_ctx)
-            if r.all_atoms or ALPHA not in atoms(m):
+            if r is None or ALPHA not in atoms(m):
                 continue
-            assert ALPHA not in r.members
-            assert r.members <= (atoms(m) | inverses)
+            assert ALPHA not in r
+            assert r <= (atoms(m) | inverses)
 
 
 def test_selection_agrees_after_normalization(access_ctx):

@@ -32,6 +32,11 @@ def _outcome(thunk):
         return WellProtectionViolation
 
 
+def _union(s1, s2):
+    """Selections combine by union, in which None (everything) absorbs."""
+    return None if s1 is None or s2 is None else s1 | s2
+
+
 def _folds(f, combine, m1, m2):
     """f on the pair equals f on each member combined, or both raise."""
     assert _outcome(lambda: f([m1, m2])) == _outcome(lambda: combine(f(m1), f(m2)))
@@ -44,7 +49,7 @@ def test_set_arguments_fold_over_members(inst, rng):
     m1, m2 = (random_message(rng, POOL, KEYS, max_depth=3) for _ in range(2))
     F = value_function(inst.name)
     for a in POOL:
-        _folds(lambda m: select(inst, a, m, CTX), operator.or_, m1, m2)
+        _folds(lambda m: select(inst, a, m, CTX), _union, m1, m2)
         _folds(lambda m: keys_of(a, m), operator.or_, m1, m2)
         _folds(lambda m: access(a, m, CTX), operator.or_, m1, m2)
         _folds(lambda m: upper_bound(a, m, F, CTX), meet, m1, m2)

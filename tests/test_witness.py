@@ -24,7 +24,6 @@ from secwitness.terms import (
 )
 from secwitness.unify import unify_all
 from secwitness.witness import (
-    SYMBOLIC_UNKNOWN,
     analyze,
     lower_bound,
     reception_estimate,
@@ -186,7 +185,7 @@ def test_analyze_ns_rows(ns):
     ]
     assert [r.fulfilled for r in report.rows] == [True, True, True, False]
     assert report.rows[0].atom_level == finite(["A", "B"])
-    assert report.rows[1].atom_level is SYMBOLIC_UNKNOWN
+    assert report.rows[1].atom_level is None
     assert report.rows[3].blame == frozenset({"A_3"})
 
 
