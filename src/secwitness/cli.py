@@ -10,8 +10,7 @@ no decision, when check-wp reports an unprotected pattern and when an
 oracle check fails, 1 on unreadable, unparsable or inconsistent input
 (analyze on a pattern space that is not well protected among it) and when
 stdout is closed before the report is written, 64 on usage errors
-(--trials below 1, a negative --depth and an unknown $SECWITNESS_FUNCTION
-among them).
+(--trials below 1 and a negative --depth among them).
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ EXIT_FILE = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
 
-FUNCTION_ENV = "SECWITNESS_FUNCTION"
-
 NO_DECISION_BANNER = (
     "no decision: the criterion is one-sided, a failed row neither proves nor\n"
     "refutes secrecy; the flagged values say where the bound could not be met"
@@ -52,14 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage(message)
 
 
-def _default_function() -> str:
-    name = os.environ.get(FUNCTION_ENV, "fmax")
-    if name not in INSTANCES:
-        raise _Usage(f"{FUNCTION_ENV}={name!r} is not a bound; choose one of "
-                     f"{', '.join(sorted(INSTANCES))}")
-    return name
-
-
 @functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="secwitness", description="Protocol secrecy criterion checker")
@@ -72,8 +61,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("analyze", help="run the criterion on every send")
     add_common(sp)
-    sp.add_argument("--function", choices=sorted(INSTANCES), default=None,
-                    help=f"bound to use (default from ${FUNCTION_ENV} or fmax)")
+    sp.add_argument("--function", choices=sorted(INSTANCES), default="fmax",
+                    help="bound to use (default fmax)")
     sp.add_argument("--format", choices=("table", "json-lines"), default="table")
 
     sp = sub.add_parser("check-wp", help="check the pattern space is well protected")
@@ -173,8 +162,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "oracle" and (args.trials < 1 or args.depth < 0):
             parser.error("oracle needs --trials of at least 1 and --depth of at least 0")
-        if args.command == "analyze" and args.function is None:
-            args.function = _default_function()
     except _Usage as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,11 +4,12 @@ The equational theory is encryption/decryption cancellation: encrypting under
 a key and then under its inverse (in either order) is the identity.  In the
 free algebra "decrypt with k" is written as encryption with k's inverse, so
 the cancellation redex is a double encryption whose keys are mutually
-inverse.  User-supplied rules extend the system and must pass the
-keys-monotonicity check: a rewrite may strip guards that the inverse key
-already discharges, but may never invent new ones on the right-hand side.
-A declared name in a rule matches the name and its indexed copies, so a rule
-fires on role views and the pattern space as on the steps.
+inverse; normalization reduces it directly.  User-supplied rules extend the
+system and must pass the keys-monotonicity check: a rewrite may strip guards
+that the inverse key already discharges, but may never invent new ones on
+the right-hand side.  A declared name in a rule matches the name and its
+indexed copies, so a rule fires on role views and the pattern space as on
+the steps; a metavariable's name carries no meaning.
 """
 
 from __future__ import annotations
@@ -47,41 +48,19 @@ class RewriteRule:
     Variable-sorted atoms match whole submessages, Parameter-sorted atoms
     match single atoms (keys included).  A declared name (a constant)
     matches itself and its indexed copies, and the right-hand side gets back
-    the copy it matched.  Two key atoms named n and n-1 are constrained to
-    be mutually inverse in the target context.
+    the copy it matched.  A metavariable's name only tells its occurrences
+    apart: no two are tied together by their spelling.
     """
 
     lhs: Message
     rhs: Message
-    name: str = ""
 
     def __post_init__(self) -> None:
         def metavars(m: Message) -> frozenset[Atom]:
             return frozenset(a for a in atoms(m) if a.sort is not Sort.CONSTANT)
 
         if not metavars(self.rhs) <= metavars(self.lhs):
-            raise UnboundRuleVariable(self.name or print_message(self.lhs))
-
-
-_CANCEL_M = Atom("M", Sort.VARIABLE)
-_CANCEL_K = Atom("k", Sort.PARAMETER)
-_CANCEL_KINV = Atom("k-1", Sort.PARAMETER)
-_DEFAULT_RULES = (
-    RewriteRule(Enc(Enc(_CANCEL_M, _CANCEL_KINV), _CANCEL_K), _CANCEL_M, name="cancel-enc-dec"),
-)
-
-
-def default_rules() -> tuple[RewriteRule, ...]:
-    """The built-in cancellation rule; always active."""
-    return _DEFAULT_RULES
-
-
-def _inverse_pairs(bindings: dict[Atom, Message]) -> Iterable[tuple[Atom, Atom]]:
-    by_name = {a.name: a for a in bindings}
-    for name, a in by_name.items():
-        partner = by_name.get(name + "-1")
-        if partner is not None:
-            yield a, partner
+            raise UnboundRuleVariable(print_message(self.lhs))
 
 
 def _match(pattern: Message, term: Message,
@@ -146,53 +125,50 @@ def _match_lists(ps: list[Message], ts: list[Message],
     return _match_lists(ps[1:], ts[1:], b)
 
 
-def _try_rule(rule: RewriteRule, term: Message, ctx: VerificationContext) -> Optional[Message]:
-    b = _match(rule.lhs, term, {})
-    if b is None:
-        return None
-    for a, partner in _inverse_pairs(b):
-        ia, ip = b[a], b[partner]
-        if not (isinstance(ia, Atom) and isinstance(ip, Atom)):
-            return None
-        try:
-            if inverse_key(ctx, ia) != ip:
-                return None
-        except NotAKey:
-            return None
-    return substitute(rule.rhs, b)
-
-
 def normalize(m: Message, ctx: VerificationContext) -> Message:
-    """Leftmost-innermost normal form under the default rule plus the
-    context's extra rules; deterministic; raises NonTermination past
-    NORMALIZE_BUDGET steps."""
-    rules = default_rules() + tuple(ctx.rewrite_rules)
+    """Leftmost-innermost normal form: at each position cancellation is
+    tried first, then the context's rules in order; deterministic; raises
+    NonTermination past NORMALIZE_BUDGET steps."""
     try:
-        return _norm(m, rules, ctx, [0])
+        return _norm(m, ctx, [0])
     except RecursionError:
         # runaway nesting from a growing rule set; same diagnosis as the
         # step budget, reached through depth instead of count
         raise NonTermination(NORMALIZE_BUDGET) from None
 
 
-def _norm(t: Message, rules: tuple, ctx: VerificationContext, steps: list[int]) -> Message:
+def _cancel(t: Message, ctx: VerificationContext) -> Optional[Message]:
+    """m for {{m}_k'}_k when k' is k's inverse; None when t is no such redex."""
+    if isinstance(t, Enc) and isinstance(t.body, Enc):
+        try:
+            if inverse_key(ctx, t.key) == t.body.key:
+                return t.body.body
+        except NotAKey:
+            pass
+    return None
+
+
+def _norm(t: Message, ctx: VerificationContext, steps: list[int]) -> Message:
     # module level: a nested function that calls itself is a reference
     # cycle, which every call would leave behind for the collector
     while True:
         if isinstance(t, Concat):
-            t = concat(*(_norm(p, rules, ctx, steps) for p in t.parts))
+            t = concat(*(_norm(p, ctx, steps) for p in t.parts))
         elif isinstance(t, Enc):
-            t = Enc(_norm(t.body, rules, ctx, steps), t.key)
-        for rule in rules:
-            reduced = _try_rule(rule, t, ctx)
-            if reduced is not None:
-                steps[0] += 1
-                if steps[0] > NORMALIZE_BUDGET:
-                    raise NonTermination(NORMALIZE_BUDGET)
-                t = reduced
-                break
-        else:
-            return t
+            t = Enc(_norm(t.body, ctx, steps), t.key)
+        reduced = _cancel(t, ctx)
+        if reduced is None:
+            for rule in ctx.rewrite_rules:
+                b = _match(rule.lhs, t, {})
+                if b is not None:
+                    reduced = substitute(rule.rhs, b)
+                    break
+            else:
+                return t
+        steps[0] += 1
+        if steps[0] > NORMALIZE_BUDGET:
+            raise NonTermination(NORMALIZE_BUDGET)
+        t = reduced
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +232,9 @@ def check_well_protected(target: Union[Message, Iterable[Message]],
 
 
 def keys_monotone(rule: RewriteRule) -> bool:
-    """Probes every metavariable with a fresh constant: each guard set the
-    result gives an atom of the redex must be contained in one the redex
-    already gave it, since rewriting may remove keys, never add them."""
-    metas = sorted({a for a in atoms(rule.lhs) if a.sort is not Sort.CONSTANT},
-                   key=lambda a: a.name)
-    inst = {a: Atom(f"probe-{i}") for i, a in enumerate(metas)}
-    lhs, rhs = substitute(rule.lhs, inst), substitute(rule.rhs, inst)
-    for probe in atoms(lhs):
-        before = keys_of(probe, lhs)
-        if not all(any(sa <= sb for sb in before) for sa in keys_of(probe, rhs)):
-            return False
-    return True
+    """Each guard set the result gives an atom of the left-hand side as
+    written, metavariables included, must be contained in one the left-hand
+    side already gave it: rewriting may remove keys, never add them.  A
+    metavariable's sort keeps it apart from any declared name."""
+    return all(all(any(sa <= sb for sb in keys_of(a, rule.lhs)) for sa in keys_of(a, rule.rhs))
+               for a in atoms(rule.lhs))

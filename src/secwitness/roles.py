@@ -314,6 +314,11 @@ def parse_protocol(text: str) -> Protocol:
         if not check_role_variables(role):
             raise UnreceivedVariable(role.role_id)
         declared.append(role)
+    longest = _longest_views(declared)
+    for role in declared:
+        full = longest[role.agent.name]
+        if full.steps[:len(role.steps)] != role.steps:
+            raise ContextError(f"role {role.role_id} is not a prefix of {full.role_id}")
 
     return Protocol(
         name=name,
@@ -475,6 +480,18 @@ def pattern_shape(m: Message) -> Message:
     return map_atoms(m, canonical)
 
 
+def _longest_views(roles: Iterable[GeneralizedRole]) -> dict[str, GeneralizedRole]:
+    """Each agent's longest view (the first of equal length) by agent name.
+    Declared and computed views are prefixes of it, so it holds every step
+    the agent takes."""
+    longest: dict[str, GeneralizedRole] = {}
+    for r in roles:
+        held = longest.get(r.agent.name)
+        if held is None or len(r.steps) > len(held.steps):
+            longest[r.agent.name] = r
+    return longest
+
+
 def generalized_message_space(roles: Sequence[GeneralizedRole],
                               ctx: VerificationContext,
                               fresh_owners: Optional[Mapping[str, str]] = None,
@@ -483,11 +500,6 @@ def generalized_message_space(roles: Sequence[GeneralizedRole],
     every originating party's names advance together, then deduplicated by
     shape keeping the first."""
     fresh_owners = fresh_owners or {}
-    fullest: dict[str, GeneralizedRole] = {}
-    for r in roles:
-        held = fullest.get(r.agent.name)
-        if held is None or len(r.steps) > len(held.steps):
-            fullest[r.agent.name] = r
 
     owner_counts: Counter[str] = Counter()
     var_counts: Counter[str] = Counter()
@@ -506,7 +518,7 @@ def generalized_message_space(roles: Sequence[GeneralizedRole],
         return map_atoms(pat, pick)
 
     by_shape: dict[Message, Message] = {}
-    for role in fullest.values():
+    for role in _longest_views(roles).values():
         for st in role.steps:
             for t in subterms(st.message):
                 if isinstance(t, Enc):

@@ -4,11 +4,17 @@ used across the example-driven tests."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from secwitness.context import make_context
 from secwitness.protocols import load_bundled
 from secwitness.roles import pattern_space, roles_for
 from secwitness.terms import Atom, Sort, SymbolTable, parse_message
+
+# every property test draws the same examples on every run; a test's own
+# @settings start from this profile
+settings.register_profile("seeded", derandomize=True)
+settings.load_profile("seeded")
 
 
 def table(*atoms: Atom) -> SymbolTable:

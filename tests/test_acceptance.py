@@ -28,7 +28,6 @@ from secwitness.rewrite import (
     RewriteRule,
     access,
     check_well_protected,
-    default_rules,
     keys_monotone,
     normalize,
 )
@@ -351,8 +350,9 @@ def test_criterion_11_rewriting():
         for _ in range(1000)
     )
 
-    accepts = all(keys_monotone(rule) for rule in default_rules())
     mv = Atom("M", Sort.VARIABLE)
-    rejects = not keys_monotone(RewriteRule(mv, Enc(mv, Atom("k")), name="wrap"))
+    k, kinv = Atom("k", Sort.PARAMETER), Atom("k-1", Sort.PARAMETER)
+    accepts = keys_monotone(RewriteRule(Enc(Enc(mv, kinv), k), mv))
+    rejects = not keys_monotone(RewriteRule(mv, Enc(mv, Atom("k"))))
     ok = cancels and idempotent and accepts and rejects
     _verdict(11, ok, "cancellation, idempotence on 1000 terms, keys-monotonicity verdicts")

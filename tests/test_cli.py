@@ -293,10 +293,78 @@ def test_a_rule_naming_a_declared_key_rewrites_its_copies(tmp_path, capsys, comm
     assert (code, captured.out, captured.err) == RULE_EXPECTED[command]
 
 
+# the rule's metavariables q and q-1 are two unrelated keys, so it strips
+# any double encryption, whatever the spelling suggests
+PAIR = (
+    "protocol Pair;\n"
+    "principal A, B;\n"
+    "intruder I;\n"
+    "key ka inv ka-1;\n"
+    "key kb inv kb-1;\n"
+    "fresh Na by A;\n"
+    "level Na = {A,B};\n"
+    "level ka-1 = {A};\n"
+    "level kb-1 = {B};\n"
+    "rule {{M}_q-1}_q -> M;\n"
+    "step 1: A -> B : {{Na}_kb}_ka;\n"
+)
+PAIR_EXPECTED = {
+    "check-wp": (EXIT_UNDECIDED,
+                 "  {{Na_1}_kb_1}_ka_1\n"
+                 "  {Na_2}_kb_2\n"
+                 "unprotected: Na_1 in {{Na_1}_kb_1}_ka_1 (guards: no key)\n",
+                 ""),
+    "analyze": (EXIT_FILE, "", "error: Na_1 is not protected by any qualifying key "
+                               "in {{Na_1}_kb_1}_ka_1\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PAIR_EXPECTED))
+def test_a_metavariable_name_ties_no_keys_together(tmp_path, capsys, command):
+    code = _run_bad(tmp_path, PAIR, command)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == PAIR_EXPECTED[command]
+
+
+# the rule moves kb from X onto the declared name probe-0
+PROBE = (
+    "protocol Probe;\n"
+    "principal A, B;\n"
+    "intruder I;\n"
+    "key kb inv kb-1;\n"
+    "fresh Na by A;\n"
+    "level Na = {A,B};\n"
+    "level kb-1 = {B};\n"
+    "level probe-0 = {A,B};\n"
+    "rule {X}_kb.probe-0 -> X.{probe-0}_kb;\n"
+    "step 1: A -> B : {Na}_kb.probe-0;\n"
+)
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-wp", "roles"])
+def test_a_declared_name_spelled_like_a_probe_is_checked_for_monotonicity(
+        tmp_path, capsys, command):
+    assert _run_bad(tmp_path, PROBE, command) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.err == ("error: rule {X}_kb.probe-0 -> X.{probe-0}_kb is not "
+                            "keys-monotone: its result adds a guarding key\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-wp", "roles"])
+def test_declared_views_of_one_agent_must_be_prefixes(tmp_path, capsys, command):
+    text = bundled("ns").replace("role A 2: send {A.Na^i}_kb,", "role A 2: send {Na^i.A}_kb,")
+    assert "role A 2: send {Na^i.A}_kb," in text
+    assert _run_bad(tmp_path, text, command) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.err == "error: role A_G1 is not a prefix of A_G2\n"
+    assert captured.out == ""
+
+
 def test_an_encryption_under_a_non_key_is_rejected(tmp_path, capsys):
-    text = bundled("ns").replace("role B 1: recv {A.Y}_kb, send {Y.Nb^i.B}_ka;",
-                                 "role B 1: recv {A.Y}_kb, send {Y}_A;")
-    assert "send {Y}_A;" in text
+    # both of B's views, so that one stays a prefix of the other
+    text = bundled("ns").replace("send {Y.Nb^i.B}_ka", "send {Y}_A")
+    assert text.count("send {Y}_A") == 2
     assert _run_bad(tmp_path, text) == EXIT_FILE
     captured = capsys.readouterr()
     assert captured.err == "error: 'A' is not registered as a key\n"
@@ -364,40 +432,16 @@ def test_function_flag(ns, ns_file, capsys, name):
     assert f"function {name}" in capsys.readouterr().out
 
 
-def test_function_env_default(ns_file, capsys, monkeypatch):
-    monkeypatch.setenv("SECWITNESS_FUNCTION", "fek")
-    main(["analyze", ns_file])
-    assert "function fek" in capsys.readouterr().out
-    # an explicit flag still wins
-    main(["analyze", ns_file, "--function", "fmax"])
-    assert "function fmax" in capsys.readouterr().out
-
-
-def test_repeated_calls_share_one_parser(ns_file, capsys, monkeypatch):
-    # the parser is built once per process; the variable is still read on
-    # every call, and a usage error leaves nothing behind for the next call
+def test_repeated_calls_share_one_parser(ns_file, capsys):
+    # the parser is built once per process; neither a usage error nor a
+    # --function of one call leaves anything behind for the next call
     golden = Path(__file__).parent / "golden"
     assert main(["analyze", ns_file, "--trials", "3"]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error: ")
-    monkeypatch.setenv("SECWITNESS_FUNCTION", "fek")
-    assert main(["analyze", ns_file]) == EXIT_UNDECIDED
+    assert main(["analyze", ns_file, "--function", "fek"]) == EXIT_UNDECIDED
     assert capsys.readouterr().out == (golden / "ns-fek-table.stdout").read_text(encoding="utf-8")
-    monkeypatch.delenv("SECWITNESS_FUNCTION")
     assert main(["analyze", ns_file]) == EXIT_UNDECIDED
     assert capsys.readouterr().out == (golden / "ns-fmax-table.stdout").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("value", ["bogus", "", "FEK"])
-def test_function_env_unknown_is_a_usage_error(ns_file, capsys, monkeypatch, value):
-    monkeypatch.setenv("SECWITNESS_FUNCTION", value)
-    assert main(["analyze", ns_file]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage error: ")
-    assert "SECWITNESS_FUNCTION" in captured.err
-    assert "fek, fmax, fn" in captured.err
-    # the variable is only consulted when no flag is given
-    assert main(["analyze", ns_file, "--function", "fek"]) == EXIT_UNDECIDED
 
 
 def test_check_wp_accepts_the_handshakes(ns_file, nsl_file, capsys):

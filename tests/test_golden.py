@@ -36,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from secwitness.cli import FUNCTION_ENV, main
+from secwitness.cli import main
 from test_shared_search import subject_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -80,14 +80,12 @@ def _check(cases_file: str, name: str, directory: Path) -> None:
 
 
 @pytest.mark.parametrize("name", list(ANALYZE))
-def test_analyze_output_matches_golden(name, tmp_path, monkeypatch):
-    monkeypatch.delenv(FUNCTION_ENV, raising=False)
+def test_analyze_output_matches_golden(name, tmp_path):
     _check("cases.json", name, tmp_path)
 
 
 @pytest.mark.parametrize("name", list(FRONT_END))
-def test_front_end_output_matches_golden(name, tmp_path, monkeypatch):
-    monkeypatch.delenv(FUNCTION_ENV, raising=False)
+def test_front_end_output_matches_golden(name, tmp_path):
     _check("front-end-cases.json", name, tmp_path)
 
 

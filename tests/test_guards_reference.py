@@ -49,8 +49,7 @@ def _context(*rules: RewriteRule):
 _M = Atom("M", Sort.VARIABLE)
 CONTEXTS = [
     _context(),
-    _context(RewriteRule(Enc(_M, Atom("kc")), concat(_M, Atom("beta")),
-                         name="open-kc")),
+    _context(RewriteRule(Enc(_M, Atom("kc")), concat(_M, Atom("beta")))),
 ]
 
 

@@ -13,7 +13,6 @@ from secwitness.rewrite import (
     RewriteRule,
     access,
     check_well_protected,
-    default_rules,
     keys_monotone,
     keys_of,
     normalize,
@@ -63,6 +62,29 @@ def test_normalize_inner_position(simple_ctx, simple_syms):
     assert normalize(m, simple_ctx) == parse_message("B.alpha.A", simple_syms)
 
 
+def test_normalize_cancels_copies_with_one_index(simple_ctx):
+    # an indexed copy's inverse keeps its index, so only copies of one
+    # index cancel
+    alpha = Atom("alpha")
+
+    def key(name, index):
+        return Atom(name, Sort.PARAMETER, index=index)
+
+    assert normalize(Enc(Enc(alpha, key("ka-1", 2)), key("ka", 2)), simple_ctx) == alpha
+    kept = Enc(Enc(alpha, key("ka-1", 1)), key("ka", 2))
+    assert normalize(kept, simple_ctx) == kept
+
+
+def test_a_rule_names_no_inverse_pair_by_spelling():
+    # q and q-1 are two unrelated metavariables: the rule strips any two keys
+    mv = Atom("M", Sort.VARIABLE)
+    q, qinv = Atom("q", Sort.PARAMETER), Atom("q-1", Sort.PARAMETER)
+    ctx = make_context(
+        ["A", "B", "I"], "I", {"alpha": ["A", "B"], "ka-1": ["A"], "kb-1": ["B"]},
+        [("ka", "ka-1"), ("kb", "kb-1")], rewrite_rules=(RewriteRule(Enc(Enc(mv, qinv), q), mv),))
+    assert normalize(Enc(Enc(Atom("alpha"), Atom("kb")), Atom("ka")), ctx) == Atom("alpha")
+
+
 def test_normalize_unrelated_keys_stay(simple_ctx, simple_syms):
     # ka under kab is not a cancelling pair
     m = parse_message("{{alpha}_ka}_kab", simple_syms)
@@ -71,7 +93,7 @@ def test_normalize_unrelated_keys_stay(simple_ctx, simple_syms):
 
 def test_non_termination(simple_ctx):
     mv = Atom("M", Sort.VARIABLE)
-    grow = RewriteRule(mv, concat(mv, mv), name="grow")
+    grow = RewriteRule(mv, concat(mv, mv))
     ctx = make_context(
         ["A", "B", "I"], "I", {"alpha": ["A", "B"], "ka-1": ["A"]},
         [("ka", "ka-1")], rewrite_rules=(grow,))
@@ -119,16 +141,25 @@ def test_rule_rejects_unbound_rhs_metavariable():
 
 
 def test_validator_accepts_default_rules():
-    assert all(keys_monotone(rule) for rule in default_rules())
+    # the built-in cancellation, written as a rule
+    mv = Atom("M", Sort.VARIABLE)
+    k, kinv = Atom("k", Sort.PARAMETER), Atom("k-1", Sort.PARAMETER)
+    assert keys_monotone(RewriteRule(Enc(Enc(mv, kinv), k), mv))
 
 
-def test_default_rules_are_built_once():
-    assert default_rules() is default_rules()
+def test_validator_keeps_metavariables_apart_from_declared_names():
+    # a declared name spelled like a metavariable is still another atom:
+    # the rule moves kb from X onto the declared name
+    xv, kb = Atom("X", Sort.VARIABLE), Atom("kb")
+    for name in ("probe-0", "X"):
+        declared = Atom(name)
+        moved = RewriteRule(concat(Enc(xv, kb), declared), concat(xv, Enc(declared, kb)))
+        assert not keys_monotone(moved)
 
 
 def test_validator_rejects_key_adding_rule():
     mv = Atom("M", Sort.VARIABLE)
-    wrap = RewriteRule(mv, Enc(mv, Atom("k")), name="wrap")
+    wrap = RewriteRule(mv, Enc(mv, Atom("k")))
     assert not keys_monotone(wrap)
 
 
@@ -138,7 +169,7 @@ def test_validator_flags_split_rule_for_selection_review():
     kp = Atom("k", Sort.PARAMETER)
     split = RewriteRule(
         Enc(concat(av, bv), kp),
-        concat(Enc(av, kp), Enc(bv, kp)), name="split")
+        concat(Enc(av, kp), Enc(bv, kp)))
     assert keys_monotone(split)
 
 
