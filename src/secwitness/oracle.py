@@ -78,7 +78,20 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
     passes add the same terms at the same depths, in the same order, as
     visiting every term on every pass.  A term is walked for its atom count
     and printed once, when it is first found; recombined terms take both
-    from their halves."""
+    from their halves.
+
+    A term that the recombination round makes or lowers counts as taken
+    apart at its depth.  A recombined pair a.b has depth d = max(da, db) + 1
+    and its parts are the top-level parts of a and of b.  Each of them is
+    known at depth da + 1 or db + 1 at most, so below d + 1, once a and b
+    are split at their depths; a half that the first pass left pending has
+    a smaller depth than the pair, so the second pass splits it before it
+    comes to the pair.  A recombined ciphertext {a}_k has depth
+    d = max(da, dk) + 1, and opening it gives a depth of d + 1 or more to a,
+    which is known at da.  Splitting or opening either adds no term and
+    lowers no depth, so the second pass visits only the pairs the first
+    left pending, the ciphertexts there before recombination and the terms
+    it finds or lowers itself."""
     known: dict[Message, int] = {}     # term -> depth, in the order found
     text: dict[Message, str] = {}      # term -> printed form
     size: dict[Message, int] = {}      # term -> atoms, plus one for a pair or a ciphertext
@@ -87,32 +100,34 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
     inverses: dict[Atom, Optional[Atom]] = {}     # key -> its inverse, None if not a key
     truncated = False
 
-    def add(t: Message, d: int, n: int = -1, txt: str = "") -> bool:
+    def add(t: Message, d: int, n: int = -1, txt: str = "", recombined: bool = False) -> bool:
         """Records t at depth d and says whether t is new.  A caller that
-        knows t's atom count n and its text passes them."""
+        knows t's atom count n and its text passes them.  A pair is queued
+        to be split at its new depth, and a ciphertext is opened when a
+        pass comes to it, unless recombination made t: then both count as
+        done at d."""
         nonlocal truncated
         old = known.get(t)
-        if old is not None:
-            if d < old:
-                known[t] = d
-                if type(t) is Concat:
-                    pending.add(t)
-            return False
-        if d > depth_budget:
-            return False
-        if n < 0:
-            n = len(atoms(t))
-        if n > atom_cap:
-            truncated = True
+        if old is None:
+            if d > depth_budget:
+                return False
+            if n < 0:
+                n = len(atoms(t))
+            if n > atom_cap:
+                truncated = True
+                return False
+            text[t] = txt or print_message(t)
+            size[t] = n + (type(t) is Concat or type(t) is Enc)
+        elif d >= old:
             return False
         known[t] = d
-        text[t] = txt or print_message(t)
-        if type(t) is Concat:
-            pending.add(t)
-            size[t] = n + 1
-        else:
-            size[t] = n + (type(t) is Enc)
-        return True
+        if not recombined:
+            if type(t) is Concat:
+                pending.add(t)
+        elif type(t) is Enc:
+            di = known[inverses[t.key]]
+            opened[t] = (d if d > di else di) + 1
+        return old is None
 
     def inverse_of(k: Atom) -> Optional[Atom]:
         if k not in inverses:
@@ -191,7 +206,7 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
                 continue
             d = (da if da > db else db) + 1
             if d <= depth_budget and add(Concat(pa + pb), d, (ma | mb).bit_count(),
-                                         ta + "." + tb):
+                                         ta + "." + tb, True):
                 fresh += 1
         if pa is None:
             continue
@@ -199,7 +214,7 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
             dk = known[k]
             d = (da if da > dk else dk) + 1
             if d <= depth_budget and add(Enc(a, k), d, (ma | kb).bit_count(),
-                                         "{" + ta + suffix):
+                                         "{" + ta + suffix, True):
                 fresh += 1
 
     decompose()

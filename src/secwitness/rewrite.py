@@ -15,6 +15,7 @@ the steps; a metavariable's name carries no meaning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_not
 from typing import Iterable, Optional, Union
 
 from .context import VerificationContext, geq, inverse_key, level_of
@@ -128,7 +129,9 @@ def _match_lists(ps: list[Message], ts: list[Message],
 def normalize(m: Message, ctx: VerificationContext) -> Message:
     """Leftmost-innermost normal form: at each position cancellation is
     tried first, then the context's rules in order; deterministic; raises
-    NonTermination past NORMALIZE_BUDGET steps."""
+    NonTermination past NORMALIZE_BUDGET steps.  A subterm that no step
+    changes comes back as the same object, m itself when m is in normal
+    form."""
     try:
         return _norm(m, ctx, [0])
     except RecursionError:
@@ -150,12 +153,17 @@ def _cancel(t: Message, ctx: VerificationContext) -> Optional[Message]:
 
 def _norm(t: Message, ctx: VerificationContext, steps: list[int]) -> Message:
     # module level: a nested function that calls itself is a reference
-    # cycle, which every call would leave behind for the collector
+    # cycle, which every call would leave behind for the collector.  A node
+    # whose parts or body come back as the same objects is kept, not rebuilt
     while True:
         if isinstance(t, Concat):
-            t = concat(*(_norm(p, ctx, steps) for p in t.parts))
+            parts = [_norm(p, ctx, steps) for p in t.parts]
+            if any(map(is_not, parts, t.parts)):
+                t = concat(*parts)
         elif isinstance(t, Enc):
-            t = Enc(_norm(t.body, ctx, steps), t.key)
+            body = _norm(t.body, ctx, steps)
+            if body is not t.body:
+                t = Enc(body, t.key)
         reduced = _cancel(t, ctx)
         if reduced is None:
             for rule in ctx.rewrite_rules:

@@ -4,8 +4,8 @@
 change something, and walks and prints each term once.  These tests check
 that it finds the same terms at the same depths, in the same order, with
 the same truncation flag and sample order as `reference_closure`, the
-closure it replaced, and that the property checks built on it report the
-same.  They also check that the bounds, reading one shared stream of
+closure it replaced, on well-protected sets and on sets that are not, and
+that the property checks built on it report the same.  They also check that the bounds, reading one shared stream of
 trials, report what each would on a stream of its own.
 """
 
@@ -29,13 +29,16 @@ from secwitness.oracle import (
 )
 from secwitness.protocols import load_bundled
 from secwitness.selection import INSTANCES, value_function
+from message_helpers import random_message
 from secwitness.terms import (
     Atom,
+    Concat,
     Enc,
     Message,
     Sort,
     SymbolTable,
     atoms,
+    concat,
     parse_message,
 )
 
@@ -66,6 +69,101 @@ def test_seeded_sets_match_the_reference(protocol, depth_budget):
         for _ in range(5):
             M = random_well_protected_set(rng, ctx)
             assert_same_closure(M, ctx, depth_budget, round_cap, atom_cap)
+
+
+# Keys in the clear and secrets outside any encryption: the closure opens
+# ciphertexts under both keys of a pair and finds pairs deep inside them
+# that recombination makes again at a smaller depth.  The intruder holds
+# kp-1.
+_WIDE_KEYS = [("ka", "ka-1"), ("kb", "kb-1"), ("kab", "kab"), ("kp", "kp-1")]
+_WIDE_CTX = make_context(
+    principals=["A", "B", "I"], intruder="I",
+    levels={"na": ["A", "B"], "nb": ["A", "B"], "ka-1": ["A"], "kb-1": ["B"],
+            "kab": ["A", "B"], "kp-1": ["A", "B", "I"]},
+    keys=_WIDE_KEYS,
+)
+_WIDE_POOL = [Atom(n) for n in ("A", "B", "I", "na", "nb", "ka", "ka-1", "kb", "kb-1", "kab")]
+_WIDE_KEY_ATOMS = [Atom(n) for pair in _WIDE_KEYS for n in pair]
+_WIDE_INVERSE = {a: b for k, k_inverse in _WIDE_KEYS for a, b in ((k, k_inverse), (k_inverse, k))}
+
+
+def _nested(rng: random.Random) -> Message:
+    """{p.{m}_k}_k' or {{m}_k.p}_k' for a key k and its inverse k', either
+    way round: a ciphertext under each key of one pair, the inner one not
+    directly under the outer, so normalisation leaves both."""
+    k, k_inverse = rng.choice((("ka", "ka-1"), ("kb", "kb-1")))
+    if rng.random() < 0.5:
+        k, k_inverse = k_inverse, k
+    inner = Enc(random_message(rng, _WIDE_POOL, _WIDE_KEY_ATOMS, 2), Atom(k))
+    other = random_message(rng, _WIDE_POOL, _WIDE_KEY_ATOMS, 1)
+    parts = (other, inner) if rng.random() < 0.5 else (inner, other)
+    return Enc(concat(*parts), Atom(k_inverse))
+
+
+def _buried_pair(rng: random.Random) -> list[Message]:
+    """Two atoms given in the clear, and their pair only inside one or two
+    layers of encryption: taking apart finds the pair at depth 2 or more,
+    and recombining the atoms makes it at depth 1."""
+    x, y = rng.sample(_WIDE_POOL, 2)
+    buried = concat(x, y)
+    for _ in range(rng.randint(1, 2)):
+        buried = concat(Enc(buried, Atom(rng.choice(("ka", "kb", "kab")))), Atom("A"))
+    return [x, y, buried]
+
+
+def _key_chain(rng: random.Random) -> list[Message]:
+    """The inverse of k1 in a pair, {i2}_k1, {i3.x}_k2, {i3.x}_kp in a pair
+    and {y}_k3, for three keys k1, k2, k3 with inverses i1, i2, i3, printed
+    in the order the chain unrolls.  A take-apart pass finds i3.x through
+    the chain first and through kp later, at a smaller depth, sometimes
+    after its last split; splitting it again lowers i3, and opening {y}_k3
+    again lowers y."""
+    while True:
+        k1, k2, k3 = rng.sample(["ka", "kb", "kab", "ka-1", "kb-1"], 3)
+        i2, i3 = Atom(_WIDE_INVERSE[k2]), Atom(_WIDE_INVERSE[k3])
+        x, y = rng.sample(_WIDE_POOL, 2)
+        chain = [Enc(i2, Atom(k1)), Enc(concat(i3, x), Atom(k2)), Enc(y, Atom(k3))]
+        if str(chain[0]) < str(chain[1]) < str(chain[2]):
+            break
+    return chain + [concat(Atom(_WIDE_INVERSE[k1]), rng.choice(_WIDE_POOL)),
+                    concat(Enc(concat(i3, x), Atom(rng.choice(("kp", "kp-1")))),
+                           rng.choice(_WIDE_POOL))]
+
+
+def _wide_sets(seed: int, count: int) -> list[list[Message]]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        M = [random_message(rng, _WIDE_POOL, _WIDE_KEY_ATOMS, 3)
+             for _ in range(rng.randint(0, 3))]
+        M.append(_nested(rng))
+        if rng.random() < 0.5:
+            M += _buried_pair(rng)
+        if rng.random() < 0.5:
+            M += _key_chain(rng)
+        rng.shuffle(M)
+        out.append(M)
+    return out
+
+
+def _recombination_lowers_a_pair(M, ctx, depth_budget, round_cap, atom_cap) -> bool:
+    # round_cap -1 stops the recombination round before its first term
+    full, _ = reference_closure.deduce_closure_with_depths(
+        M, ctx, depth_budget=depth_budget, atom_cap=atom_cap, round_cap=round_cap)
+    apart, _ = reference_closure.deduce_closure_with_depths(
+        M, ctx, depth_budget=depth_budget, atom_cap=atom_cap, round_cap=-1)
+    return any(type(t) is Concat and full[t] < d for t, d in apart.items())
+
+
+@pytest.mark.parametrize("depth_budget", [2, 3, 4, 5])
+def test_sets_that_are_not_well_protected_match_the_reference(depth_budget):
+    lowered = 0
+    for round_cap, atom_cap in CAPS:
+        for M in _wide_sets(100 * depth_budget + round_cap + atom_cap, 10):
+            assert_same_closure(M, _WIDE_CTX, depth_budget, round_cap, atom_cap)
+            lowered += _recombination_lowers_a_pair(M, _WIDE_CTX, depth_budget, round_cap,
+                                                    atom_cap)
+    assert lowered
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference_normalize
 from message_helpers import EMPTY_FAMILY, family, random_message
 from secwitness.context import make_context
 from secwitness.errors import NonTermination, UnboundRuleVariable
@@ -131,6 +134,54 @@ def test_normalize_idempotent_on_random_terms(simple_ctx):
         m = random_message(rng, pool, keys, max_depth=4)
         n = normalize(m, simple_ctx)
         assert normalize(n, simple_ctx) == n
+
+
+# Inverse-key pairs, an indexed copy of kc, and one keys-monotone rule
+# that moves a kc-ciphertext at the head of a pair to its end: a pair of
+# kc-ciphertexts only, and nothing else, rotates until the step budget ends
+_KC, _X, _Y = Atom("kc"), Atom("X", Sort.VARIABLE), Atom("Y", Sort.VARIABLE)
+_ROTATE = RewriteRule(concat(Enc(_X, _KC), _Y), concat(_Y, Enc(_X, _KC)))
+_ROTATE_CTX = make_context(
+    ["A", "B", "I"], "I", {"alpha": ["A", "B"], "ka-1": ["A"], "kb-1": ["B"], "kc-1": ["A"]},
+    [("ka", "ka-1"), ("kb", "kb-1"), ("kc", "kc-1")], rewrite_rules=(_ROTATE,))
+_ROTATE_POOL = [Atom("A"), Atom("B"), Atom("alpha"), _X]
+_ROTATE_KEYS = [Atom(n) for n in ("ka", "ka-1", "kb", "kb-1", "kc", "kc-1")] + [
+    Atom("kc", Sort.PARAMETER, index=1), Atom("kc-1", Sort.PARAMETER, index=1)]
+
+
+def _normal_form_or_none(normalise, m):
+    try:
+        return normalise(m, _ROTATE_CTX)
+    except NonTermination:
+        return None
+
+
+# a rotation runs 10,000 steps before NonTermination, past the deadline;
+# seed 47 with its head under kc rotates forever
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@example(seed=47, head_under_kc=True)
+def test_normalize_matches_the_rebuilding_reference(seed, head_under_kc):
+    assert keys_monotone(_ROTATE)
+    rng = random.Random(seed)
+    parts = [random_message(rng, _ROTATE_POOL, _ROTATE_KEYS, max_depth=3)
+             for _ in range(rng.randint(1, 3))]
+    if head_under_kc:
+        parts[0] = Enc(parts[0], _KC)
+    m = concat(*parts)
+    n = _normal_form_or_none(normalize, m)
+    assert n == _normal_form_or_none(reference_normalize.normalize, m)
+    if n is not None:
+        assert normalize(n, _ROTATE_CTX) is n
+
+
+def test_normalize_returns_a_term_in_normal_form_itself(simple_ctx, simple_syms):
+    m = parse_message("B.{A.{alpha}_ka}_kab.A", simple_syms)
+    assert normalize(m, simple_ctx) is m
+    reduced = parse_message("B.{{alpha}_ka}_ka-1.{A}_kab", simple_syms)
+    n = normalize(reduced, simple_ctx)
+    assert n == parse_message("B.alpha.{A}_kab", simple_syms)
+    assert n.parts[2] is reduced.parts[2]
 
 
 def test_rule_rejects_unbound_rhs_metavariable():
