@@ -23,7 +23,6 @@ from .terms import (
     Substitution,
     atoms,
     map_atoms,
-    substitute,
     variables_of,
 )
 
@@ -36,11 +35,6 @@ def derive(m: Message, remove: Iterable[Atom]) -> Message:
     if not gone:
         return m
     return map_atoms(m, lambda a: EMPTY if a in gone else None)
-
-
-def derive_all(m: Message) -> Message:
-    """Erase every variable."""
-    return derive(m, variables_of(m))
 
 
 def derive_keeping(m: Message, keep: Atom) -> Message:
@@ -69,6 +63,15 @@ def unifier_facts(source: Message, sigmas: Iterable[Substitution]) -> Facts:
     return facts
 
 
+def _view(source: Message, images: dict[Atom, Atom], keep: Optional[Atom] = None) -> Message:
+    """The source's instance under the parameter bindings, with every
+    variable but `keep` erased, made in one pass: a parameter's image is a
+    non-variable atom, so the instance has the source's variables, and
+    erasing them from the instance is erasing them while substituting."""
+    return map_atoms(source, lambda a: images.get(a) if a.sort is not Sort.VARIABLE
+                     else None if a == keep else EMPTY)
+
+
 def fact_levels(F: ValueFunction, alphas: Sequence[Atom], source: Message,
                 facts: Facts, ctx: VerificationContext) -> dict[Atom, SecurityLevel]:
     """The level that the matches of the source give each queried atom they
@@ -80,13 +83,12 @@ def fact_levels(F: ValueFunction, alphas: Sequence[Atom], source: Message,
     pruned instance; and each source variable gives its dynamic view for
     every queried atom its images cover.  Both views depend only on the
     bindings and one atom of the instance, so each level is computed once
-    per bindings.
+    per bindings, and each view is made from the source in one pass.
     """
     found: dict[Atom, SecurityLevel] = {}
     for params, covered in facts.items():
         images = dict(params)
-        inst = substitute(source, images)
-        static_view = derive_all(inst)
+        static_view = _view(source, images)
         present = atoms(static_view)
         levels: dict[Atom, SecurityLevel] = {}
         for alpha in alphas:
@@ -103,7 +105,7 @@ def fact_levels(F: ValueFunction, alphas: Sequence[Atom], source: Message,
         for var, inside in covered.items():
             hit = [alpha for alpha in alphas if alpha in inside]
             if hit:
-                level = F(var, derive_keeping(inst, var), ctx)
+                level = F(var, _view(source, images, var), ctx)
                 for alpha in hit:
                     found[alpha] = meet(found.get(alpha, TOP), level)
     return found

@@ -323,6 +323,7 @@ def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationC
     failures: dict[str, list[Failure]] = {name: [] for name in funcs}
     truncated = dict.fromkeys(funcs, 0)
     running = list(funcs)
+    allowed: dict[Atom, bool] = {}  # intruder_allowed of each atom met in the run
     for _ in range(trials):
         if not running:
             break
@@ -331,10 +332,19 @@ def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationC
         terms = closure.sample_order
         if len(terms) > sample_terms:
             terms = rng.sample(terms, sample_terms)
-        # each sampled term with its secret atoms, in printed order
-        secrets = [(t, [a for a in sorted(atoms(t), key=lambda x: x.display())
-                        if not intruder_allowed(ctx, a)])
-                   for t in terms]
+        # each sampled term with its secret atoms, in printed order; the
+        # sort is stable, so sorting after the filter keeps ties in place
+        secrets = []
+        for t in terms:
+            secret = []
+            for a in atoms(t):
+                public = allowed.get(a)
+                if public is None:
+                    public = allowed[a] = intruder_allowed(ctx, a)
+                if not public:
+                    secret.append(a)
+            secret.sort(key=Atom.display)
+            secrets.append((t, secret))
         for name in running:
             func, found = funcs[name], failures[name]
             truncated[name] += closure.truncated

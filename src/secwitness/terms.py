@@ -263,7 +263,7 @@ def map_atoms(m: Message, f: Callable[[Atom], Optional[Message]]) -> Message:
         image = f(m)
         return m if image is None else image
     if isinstance(m, Concat):
-        return concat(*(map_atoms(p, f) for p in m.parts))
+        return concat(*[map_atoms(p, f) for p in m.parts])
     if isinstance(m, Enc):
         key = m.key
         image = f(key)

@@ -70,26 +70,27 @@ def _rank(sort: Sort) -> int:
     return 2 if sort is Sort.VARIABLE else 1 if sort is Sort.PARAMETER else 0
 
 
-def _unify_atoms(x: Atom, y: Atom, b: Bindings) -> Iterator[Bindings]:
-    if x == y:
-        yield b
-        return
+def _unify_atoms(x: Atom, y: Atom) -> Optional[tuple[Atom, Atom]]:
+    """The one binding, (atom, image), that unifies two distinct atoms
+    already chased: the higher sort binds, the left atom on a tie; None
+    when both are constants.  No occurs check is needed, since neither atom
+    is bound and one atom cannot occur in another."""
     rx, ry = _rank(x.sort), _rank(y.sort)
-    if rx == 0 and ry == 0:
-        return
     if rx >= ry:
-        out = _bind(x, y, b)
-    else:
-        out = _bind(y, x, b)
-    if out is not None:
-        yield out
+        return None if rx == 0 else (x, y)
+    return y, x
 
 
 def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
     x = _chase(x, b)
     y = _chase(y, b)
     if isinstance(x, Atom) and isinstance(y, Atom):
-        yield from _unify_atoms(x, y, b)
+        if x == y:
+            yield b
+            return
+        bound = _unify_atoms(x, y)
+        if bound is not None:
+            yield {**b, bound[0]: bound[1]}
         return
     if isinstance(x, Atom):
         if x.sort is Sort.VARIABLE:
@@ -187,37 +188,33 @@ def _body_atoms(m: Message) -> Optional[tuple[Atom, ...]]:
     return parts
 
 
-def _root(a: Atom, images: dict) -> Atom:
-    return images.get(a, a)
-
-
 def _rebind(pi: Params, x: Atom, to: Atom) -> Params:
     """The closed bindings after the root parameter x binds to the root `to`."""
     return frozenset([(p, to if r == x else r) for p, r in pi] + [(x, to)])
 
 
-def _edges(xs: tuple[Atom, ...], ys: tuple[Atom, ...],
-           state: State) -> list[tuple[State, Optional[Atom], tuple[Atom, ...]]]:
+def _edges(xs: tuple[Atom, ...], ys: tuple[Atom, ...], state: State,
+           images: dict[Atom, Atom]) -> list[tuple[State, Optional[Atom], tuple[Atom, ...]]]:
     """The branches of `_unify_lists` from a state, in its order: (next
     state, the pattern variable bound on the way or None, the target run
-    it takes)."""
+    it takes).  `images` is the state's bindings as a map, from each bound
+    parameter to its root; an atom it does not hold is its own root."""
     i, j, pi = state
     m, n = len(xs), len(ys)
     if i == m or j == n:
         return []
-    images = dict(pi)
-    x, y = _root(xs[i], images), _root(ys[j], images)
+    x, y = images.get(xs[i], xs[i]), images.get(ys[j], ys[j])
     var = x if x.sort is Sort.VARIABLE else None
     out = []
     if var is not None or y.sort is Sort.VARIABLE:
         # a variable binds, the pattern's first when both are variables
         out.append(((i + 1, j + 1, pi), var, ys[j:j + 1]))
+    elif x == y:
+        out.append(((i + 1, j + 1, pi), None, ()))
     else:
-        for bound in _unify_atoms(x, y, {}):  # {} when x == y, else one parameter's binding
-            after = pi
-            for a, to in bound.items():
-                after = _rebind(pi, a, to)
-            out.append(((i + 1, j + 1, after), None, ()))
+        bound = _unify_atoms(x, y)
+        if bound is not None:
+            out.append(((i + 1, j + 1, _rebind(pi, *bound)), None, ()))
     if var is not None:
         for k in range(2, (n - j) - (m - i) + 2):
             out.append(((i + 1, j + k, pi), var, ys[j:j + k]))
@@ -238,8 +235,10 @@ def linear_facts(pattern: Message, target: Message) -> Optional[Facts]:
     Such a pair is unified by a walk over states (i, j, bindings), i parts
     of the pattern and j of the target matched: variables are bound once
     and never read again, and parameters only ever bind to atoms.  The
-    reachable states are collected forwards; then, by decreasing i + j,
-    each gets the final bindings reachable from it, and a pattern variable
+    reachable states are collected forwards, each distinct bindings made
+    into a map once; then, by decreasing i + j, each gets the final
+    bindings reachable from it, a state with one edge sharing its
+    successor's, and a pattern variable
     bound to a run on the way from s to s2 covers that run's atoms under
     each of those of s2.
     """
@@ -251,32 +250,43 @@ def linear_facts(pattern: Message, target: Message) -> Optional[Facts]:
     variables = [a for a in xs + ys if a.sort is Sort.VARIABLE]
     if len(variables) != len(set(variables)):
         return None
-    start = next(_unify_atoms(pattern.key, target.key, {}), None)
-    if start is None:
-        return {}
-
-    first: State = (0, 0, frozenset(start.items()))
+    if pattern.key == target.key:
+        first: State = (0, 0, frozenset())
+    else:
+        bound = _unify_atoms(pattern.key, target.key)
+        if bound is None:
+            return {}
+        first = (0, 0, frozenset([bound]))
     edges: dict[State, list] = {}
+    maps: dict[Params, dict[Atom, Atom]] = {}  # each distinct bindings as a map, built once
     todo = [first]
     while todo:
         state = todo.pop()
         if state not in edges:
-            edges[state] = out = _edges(xs, ys, state)
+            images = maps.get(state[2])
+            if images is None:
+                images = maps[state[2]] = dict(state[2])
+            edges[state] = out = _edges(xs, ys, state, images)
             todo.extend(nxt for nxt, _, _ in out)
     finals: dict[State, dict[Params, None]] = {}
     for state in sorted(edges, key=lambda s: s[0] + s[1], reverse=True):
+        out = edges[state]
+        if len(out) == 1:
+            # shared with the one successor; no set is changed once made
+            finals[state] = finals[out[0][0]]
+            continue
         reached = {state[2]: None} if state[:2] == (len(xs), len(ys)) else {}
-        for nxt, _, _ in edges[state]:
+        for nxt, _, _ in out:
             reached.update(finals[nxt])
         finals[state] = reached
 
     facts: Facts = {pi: {} for pi in finals[first]}
-    images = {pi: dict(pi) for pi in facts}  # every reachable state's finals are here
     for out in edges.values():
         for nxt, var, run in out:
             if var is not None:
                 for pi in finals[nxt]:
-                    facts[pi].setdefault(var, set()).update([_root(a, images[pi]) for a in run])
+                    images = maps[pi]  # every final bindings is some state's
+                    facts[pi].setdefault(var, set()).update([images.get(a, a) for a in run])
     return facts
 
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from reference_bounds import derive_all
 from secwitness.context import finite
-from secwitness.derive import contribution_of, derive, derive_all, derive_keeping
+from secwitness.derive import contribution_of, derive, derive_keeping
 from secwitness.selection import value_function
 from secwitness.terms import (
     Atom,

@@ -31,7 +31,7 @@ from secwitness.terms import (
     substitute,
     variables_of,
 )
-from secwitness.unify import candidate_values, linear_facts, unify_all
+from secwitness.unify import _edges, candidate_values, linear_facts, unify_all
 
 NS = load_bundled("ns")
 
@@ -175,6 +175,24 @@ def test_a_variable_absorbs_only_where_the_lengths_leave_room():
     assert substitute(pattern, sigma) == substitute(target, sigma)
     assert unify_all(pattern, target) == []
     assert linear_facts(pattern, target) == {}
+
+
+def test_a_state_with_one_edge_shares_the_final_bindings_of_its_successor():
+    # {c.X.'P.Y}_k against {c.'Q.'R.'S.'T}_k: the start state has one edge,
+    # c to c, and the state after it reaches two final bindings, P -> R
+    # (X takes Q) and P -> S (X takes Q.R); the start state shares that
+    # state's set of them, and both sets of facts come out whole
+    x, y = Atom("X", Sort.VARIABLE), Atom("Y", Sort.VARIABLE)
+    p, q, r, s, t = (_p(n) for n in "PQRST")
+    c, k = Atom("c"), Atom("k")
+    pattern = Enc(concat(c, x, p, y), k)
+    target = Enc(concat(c, q, r, s, t), k)
+    xs, ys = tuple(flatten(pattern.body)), tuple(flatten(target.body))
+    assert [nxt for nxt, _, _ in _edges(xs, ys, (0, 0, frozenset()), {})] == [(1, 1, frozenset())]
+    want = {frozenset([(p, r)]): {x: {q}, y: {s, t}},
+            frozenset([(p, s)]): {x: {q, r}, y: {t}}}
+    assert linear_facts(pattern, target) == want
+    assert unifier_facts(pattern, unify_all(pattern, target)) == want
 
 
 def test_a_variable_covers_the_atoms_of_all_its_runs():
