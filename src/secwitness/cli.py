@@ -54,25 +54,26 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="secwitness", description="Protocol secrecy criterion checker")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_common(sp, run):
+        sp.set_defaults(run=run)
         sp.add_argument("file", help="protocol description")
         sp.add_argument("--roles", choices=("auto", "manual"), default=None,
                         help="force computed or declared roles (default: declared when present)")
 
     sp = sub.add_parser("analyze", help="run the criterion on every send")
-    add_common(sp)
+    add_common(sp, _cmd_analyze)
     sp.add_argument("--function", choices=sorted(INSTANCES), default="fmax",
                     help="bound to use (default fmax)")
     sp.add_argument("--format", choices=("table", "json-lines"), default="table")
 
     sp = sub.add_parser("check-wp", help="check the pattern space is well protected")
-    add_common(sp)
+    add_common(sp, _cmd_check_wp)
 
     sp = sub.add_parser("roles", help="print role views and the pattern space")
-    add_common(sp)
+    add_common(sp, _cmd_roles)
 
     sp = sub.add_parser("oracle", help="randomized checks against the attacker model")
-    add_common(sp)
+    add_common(sp, _cmd_oracle)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--depth", type=int, default=4)
     sp.add_argument("--seed", type=int, default=0)
@@ -166,18 +167,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "check-wp":
-            return _cmd_check_wp(args)
-        if args.command == "roles":
-            return _cmd_roles(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
+        return args.run(args)
     except AnalyzerError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FILE
-    return EXIT_USAGE
 
 
 def entry() -> None:

@@ -1,13 +1,15 @@
 """Variable pruning and the closed/abstract valuation of a matched source.
 
-Pruning erases chosen variables from a message (encryption keys are never
-variables, so structure above survives).  The valuation of a candidate match
-looks at the source two ways: with the queried atom fixed and every variable
-erased, and once per source variable whose image contains the queried atom,
-with that one variable kept.  The two views overlap by meet, so adding a
-view can only tighten the answer.  The matches arrive as facts, one map
-from each distinct set of parameter bindings to the atoms that each source
-variable's images cover under it; the bound asks no more of them.
+Pruning erases every variable of a message but at most one kept (encryption
+keys are never variables, so structure above survives); `view` is the one
+eraser, and substitutes parameter bindings in the same pass.  The valuation
+of a candidate match looks at the source two ways: with the queried atom
+fixed and every variable erased, and once per source variable whose image
+contains the queried atom, with that one variable kept.  The two views
+overlap by meet, so adding a view can only tighten the answer.  The matches
+arrive as facts, one map from each distinct set of parameter bindings to
+the atoms that each source variable's images cover under it; the bound asks
+no more of them.
 """
 
 from __future__ import annotations
@@ -27,19 +29,6 @@ from .terms import (
 )
 
 ValueFunction = Callable[[Atom, Union[Message, Iterable[Message]], VerificationContext], SecurityLevel]
-
-
-def derive(m: Message, remove: Iterable[Atom]) -> Message:
-    """Erase the given variables; other sorts are untouched."""
-    gone = {a for a in remove if a.sort is Sort.VARIABLE}
-    if not gone:
-        return m
-    return map_atoms(m, lambda a: EMPTY if a in gone else None)
-
-
-def derive_keeping(m: Message, keep: Atom) -> Message:
-    """Erase every variable except the given one."""
-    return derive(m, variables_of(m) - {keep})
 
 
 Params = frozenset  # of (parameter, atom image), closed
@@ -63,11 +52,12 @@ def unifier_facts(source: Message, sigmas: Iterable[Substitution]) -> Facts:
     return facts
 
 
-def _view(source: Message, images: dict[Atom, Atom], keep: Optional[Atom] = None) -> Message:
+def view(source: Message, images: dict[Atom, Atom], keep: Optional[Atom] = None) -> Message:
     """The source's instance under the parameter bindings, with every
     variable but `keep` erased, made in one pass: a parameter's image is a
     non-variable atom, so the instance has the source's variables, and
-    erasing them from the instance is erasing them while substituting."""
+    erasing them from the instance is erasing them while substituting.
+    With no bindings it is the pruning alone."""
     return map_atoms(source, lambda a: images.get(a) if a.sort is not Sort.VARIABLE
                      else None if a == keep else EMPTY)
 
@@ -88,7 +78,7 @@ def fact_levels(F: ValueFunction, alphas: Sequence[Atom], source: Message,
     found: dict[Atom, SecurityLevel] = {}
     for params, covered in facts.items():
         images = dict(params)
-        static_view = _view(source, images)
+        static_view = view(source, images)
         present = atoms(static_view)
         levels: dict[Atom, SecurityLevel] = {}
         for alpha in alphas:
@@ -105,7 +95,7 @@ def fact_levels(F: ValueFunction, alphas: Sequence[Atom], source: Message,
         for var, inside in covered.items():
             hit = [alpha for alpha in alphas if alpha in inside]
             if hit:
-                level = F(var, _view(source, images, var), ctx)
+                level = F(var, view(source, images, var), ctx)
                 for alpha in hit:
                     found[alpha] = meet(found.get(alpha, TOP), level)
     return found

@@ -6,28 +6,21 @@ class AnalyzerError(Exception):
 
 
 class MessageSyntaxError(AnalyzerError):
-    """Malformed message or protocol text.
-
-    Carries the offset of the offending token and what was expected there.
-    """
+    """Malformed message or protocol text; the message names the offset of
+    the offending token and what was expected there."""
 
     def __init__(self, text: str, position: int, expected: str):
-        self.text = text
-        self.position = position
-        self.expected = expected
         snippet = text[position:position + 12] or "<end of input>"
         super().__init__(f"at offset {position}: expected {expected}, found {snippet!r}")
 
 
 class UndeclaredIdentifier(AnalyzerError):
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"identifier {name!r} is not declared")
 
 
 class VariableInKeyPosition(AnalyzerError):
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"variable {name!r} cannot be used as an encryption key")
 
 
@@ -38,7 +31,6 @@ class SubstitutedIntoKeyPosition(AnalyzerError):
 
 class NotAKey(AnalyzerError):
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"{name!r} is not registered as a key")
 
 
@@ -52,7 +44,6 @@ class ContextError(AnalyzerError):
 
 class NonTermination(AnalyzerError):
     def __init__(self, budget: int):
-        self.budget = budget
         super().__init__(f"rewriting did not reach a normal form within {budget} steps")
 
 
@@ -60,15 +51,11 @@ class NoProtectivePattern(AnalyzerError):
     """A non-public atom or a variable is sent outside any encryption."""
 
     def __init__(self, atom: str, message: str):
-        self.atom = atom
-        self.message = message
         super().__init__(f"{atom} occurs in clear in sent message {message}")
 
 
 class WellProtectionViolation(AnalyzerError):
     def __init__(self, atom: str, message: str):
-        self.atom = atom
-        self.message = message
         super().__init__(f"{atom} is not protected by any qualifying key in {message}")
 
 
@@ -77,7 +64,6 @@ class NonMonotoneRule(AnalyzerError):
     redex had, which the well-protection argument does not allow."""
 
     def __init__(self, rule: str):
-        self.rule = rule
         super().__init__(f"rule {rule} is not keys-monotone: its result adds a guarding key")
 
 
@@ -86,7 +72,6 @@ class UnreceivedVariable(AnalyzerError):
     receives binds it."""
 
     def __init__(self, role_id: str):
-        self.role_id = role_id
         super().__init__(f"role {role_id} sends a variable it has not received")
 
 
@@ -95,7 +80,6 @@ class UnboundRuleVariable(AnalyzerError):
     left-hand side does not bind."""
 
     def __init__(self, rule: str):
-        self.rule = rule
         super().__init__(f"rule {rule}: rhs introduces metavariables")
 
 

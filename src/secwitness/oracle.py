@@ -51,9 +51,6 @@ class DeductionResult:
     # by printed text, ties in the order the closure found them
     sample_order: tuple[Message, ...]
 
-    def __contains__(self, m: Message) -> bool:
-        return m in self.terms
-
 
 def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
                    depth_budget: int = 5, atom_cap: int = 24,
@@ -294,15 +291,11 @@ class Failure:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    name: str
     ok: bool
     trials: int
     failures: tuple[Failure, ...] = ()
     precondition_failures: tuple[str, ...] = ()
     truncated_trials: int = 0
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationContext,
@@ -365,8 +358,7 @@ def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationC
                             str(t), a.display(),
                             f"derived value {on_derived!r} below base value {on_base!r}"))
         running = [name for name in running if not failures[name]]
-    return {name: PropertyReport("full-invariance", not failures[name], trials,
-                                 tuple(failures[name]), (), truncated[name])
+    return {name: PropertyReport(not failures[name], trials, tuple(failures[name]), (), truncated[name])
             for name in funcs}
 
 
@@ -377,11 +369,10 @@ def check_non_disclosure(M: Sequence[Message], ctx: VerificationContext,
     wp = check_well_protected(M, ctx)
     if not wp.ok:
         pre = tuple(f"{a.display()} unprotected in {m}" for a, m, _ in wp.violations)
-        return PropertyReport("non-disclosure", False, 0, (), pre, 0)
+        return PropertyReport(False, 0, (), pre, 0)
     closure = deduce_closure(M, ctx, depth_budget=depth)
     disclosed = [t for t in closure.terms
                  if isinstance(t, Atom) and not intruder_allowed(ctx, t)]
     failures = [Failure(str(t), t.display(), "secret atom in the clear")
                 for t in sorted(disclosed, key=str)]
-    return PropertyReport("non-disclosure", not failures, 1, tuple(failures),
-                          (), 1 if closure.truncated else 0)
+    return PropertyReport(not failures, 1, tuple(failures), (), 1 if closure.truncated else 0)

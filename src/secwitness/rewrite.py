@@ -204,9 +204,6 @@ class WellProtectedReport:
     ok: bool
     violations: tuple[tuple[Atom, Message, frozenset], ...]  # atom, message, offending key set
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def check_well_protected(target: Union[Message, Iterable[Message]],
                          ctx: VerificationContext) -> WellProtectedReport:

@@ -293,12 +293,17 @@ def parse_protocol(text: str) -> Protocol:
             raise MessageSyntaxError(f"step {sid}", 0, "a strictly increasing step id")
         if snd not in named or rcv not in named:
             raise UndeclaredIdentifier(snd if snd not in named else rcv)
+        for who in (snd, rcv):
+            if who not in principal_names:
+                raise ContextError(f"step {sid}: {who} is not a declared principal")
         steps.append(Step(sid, named[snd], named[rcv], parse_message(mtext, symbols)))
 
     declared: list[GeneralizedRole] = []
     for agent_name, num, body in role_specs:
         if agent_name not in named:
             raise UndeclaredIdentifier(agent_name)
+        if agent_name not in principal_names:
+            raise ContextError(f"role {agent_name} {num}: {agent_name} is not a declared principal")
         agent = named[agent_name]
         role_steps: list[RoleStep] = []
         for item in body.split(","):
@@ -311,6 +316,8 @@ def parse_protocol(text: str) -> Protocol:
             msg = _to_role_view(parse_message(mtext.strip(), symbols), agent, fresh_owners)
             role_steps.append(RoleStep(SEND if kind == "send" else RECV, msg))
         role = GeneralizedRole(f"{agent_name}_G{num}", agent, tuple(role_steps))
+        if any(r.role_id == role.role_id for r in declared):
+            raise ContextError(f"role {agent_name} {num} is declared twice")
         if not check_role_variables(role):
             raise UnreceivedVariable(role.role_id)
         declared.append(role)
@@ -494,13 +501,10 @@ def _longest_views(roles: Iterable[GeneralizedRole]) -> dict[str, GeneralizedRol
 
 def generalized_message_space(roles: Sequence[GeneralizedRole],
                               ctx: VerificationContext,
-                              fresh_owners: Optional[Mapping[str, str]] = None,
-                              ) -> list[Message]:
+                              fresh_owners: Mapping[str, str]) -> list[Message]:
     """Encrypted subterms of the full per-agent views, renumbered so that
     every originating party's names advance together, then deduplicated by
     shape keeping the first."""
-    fresh_owners = fresh_owners or {}
-
     owner_counts: Counter[str] = Counter()
     var_counts: Counter[str] = Counter()
 

@@ -110,5 +110,4 @@ def value_function(name: str) -> Callable[[Atom, Union[Message, Iterable[Message
     def F(alpha: Atom, m: Union[Message, Iterable[Message]], ctx: VerificationContext) -> SecurityLevel:
         return interpret(inst, alpha, m, ctx)
 
-    F.__name__ = f"F_{name}"
     return F

@@ -104,17 +104,12 @@ def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
             if out is not None:
                 yield out
         return
-    if isinstance(x, Empty) or isinstance(y, Empty):
-        if isinstance(x, Empty) and isinstance(y, Empty):
-            yield b
-        return
     if isinstance(x, Enc) and isinstance(y, Enc):
         for b1 in _unify(x.key, y.key, b):
             yield from _unify(x.body, y.body, b1)
-        return
-    if isinstance(x, Concat) or isinstance(y, Concat):
+    else:
+        # the empty message has no parts, and no parts match only no parts
         yield from _unify_lists(list(flatten(x)), list(flatten(y)), b)
-        return
 
 
 def _expand_head(parts: list[Message], b: Bindings) -> list[Message]:
@@ -179,9 +174,7 @@ def unify_all(pattern: Message, target: Message) -> list[Substitution]:
 State = tuple[int, int, Params]
 
 
-def _body_atoms(m: Message) -> Optional[tuple[Atom, ...]]:
-    if not isinstance(m, Enc):
-        return None
+def _body_atoms(m: Enc) -> Optional[tuple[Atom, ...]]:
     parts = flatten(m.body)
     if not parts or not all(isinstance(p, Atom) for p in parts):
         return None

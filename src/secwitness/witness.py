@@ -26,7 +26,7 @@ from .context import (
     meet,
     meet_all,
 )
-from .derive import ValueFunction, derive_keeping
+from .derive import ValueFunction, view
 from .errors import NoProtectivePattern, WellProtectionViolation
 from .rewrite import check_well_protected
 from .roles import (
@@ -101,7 +101,7 @@ def upper_bound(alpha: Atom, m: Union[Message, Iterable[Message]],
                 F: ValueFunction, ctx: VerificationContext) -> SecurityLevel:
     """Who could have authored the atom's occurrences in a reception,
     with every variable but the atom itself erased."""
-    return meet_all([F(alpha, derive_keeping(t, alpha), ctx) for t in members(m)])
+    return meet_all([F(alpha, view(t, {}, alpha), ctx) for t in members(m)])
 
 
 def reception_estimate(alpha: Atom, received: Sequence[Message],

@@ -6,32 +6,173 @@ the pool, duplicates among the unifiers are dropped by a linear scan, and
 each unifier is valued for that atom alone.  `secwitness.witness` computes
 the same bounds for all atoms of a send in one pass; the tests check the
 two against each other.
+
+It keeps its own copies of the pruning (`derive`, `derive_keeping`,
+`derive_all`) and of the unification engine in its plain form, with a case
+for the empty message of its own, so that a change to the engine under test
+is checked against these rather than against itself.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from secwitness.context import SecurityLevel, VerificationContext, level_of, meet_all
-from secwitness.derive import ValueFunction, derive
+from secwitness.derive import ValueFunction
 from secwitness.errors import NoProtectivePattern
 from secwitness.terms import (
+    EMPTY,
     Atom,
+    Concat,
+    Empty,
+    Enc,
     Message,
     Sort,
     Substitution,
     atoms,
+    concat,
     flatten,
+    map_atoms,
     print_message,
     substitute,
     variables_of,
 )
-from secwitness.unify import _close, _unify
+
+
+def derive(m: Message, remove: Iterable[Atom]) -> Message:
+    """Erase the given variables; other sorts are untouched."""
+    gone = {a for a in remove if a.sort is Sort.VARIABLE}
+    if not gone:
+        return m
+    return map_atoms(m, lambda a: EMPTY if a in gone else None)
+
+
+def derive_keeping(m: Message, keep: Atom) -> Message:
+    """Erase every variable except the given one."""
+    return derive(m, variables_of(m) - {keep})
 
 
 def derive_all(m: Message) -> Message:
     """Erase every variable."""
     return derive(m, variables_of(m))
+
+
+# ---------------------------------------------------------------------------
+# The unification engine: bindings are chased, and closed at the end
+
+Bindings = dict[Atom, Message]
+
+
+def _chase(m: Message, b: Bindings) -> Message:
+    while isinstance(m, Atom) and m in b:
+        m = b[m]
+    return m
+
+
+def _resolve(m: Message, b: Bindings) -> Message:
+    return map_atoms(m, lambda a: _resolve(b[a], b) if a in b else None)
+
+
+def _occurs(a: Atom, m: Message, b: Bindings) -> bool:
+    return a in atoms(_resolve(m, b))
+
+
+def _bind(a: Atom, m: Message, b: Bindings) -> Optional[Bindings]:
+    if m == a:
+        return b
+    if _occurs(a, m, b):
+        return None
+    out = dict(b)
+    out[a] = m
+    return out
+
+
+def _rank(sort: Sort) -> int:
+    return 2 if sort is Sort.VARIABLE else 1 if sort is Sort.PARAMETER else 0
+
+
+def _unify_atoms(x: Atom, y: Atom) -> Optional[tuple[Atom, Atom]]:
+    rx, ry = _rank(x.sort), _rank(y.sort)
+    if rx >= ry:
+        return None if rx == 0 else (x, y)
+    return y, x
+
+
+def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
+    x = _chase(x, b)
+    y = _chase(y, b)
+    if isinstance(x, Atom) and isinstance(y, Atom):
+        if x == y:
+            yield b
+            return
+        bound = _unify_atoms(x, y)
+        if bound is not None:
+            yield {**b, bound[0]: bound[1]}
+        return
+    if isinstance(x, Atom):
+        if x.sort is Sort.VARIABLE:
+            out = _bind(x, _resolve(y, b), b)
+            if out is not None:
+                yield out
+        return
+    if isinstance(y, Atom):
+        if y.sort is Sort.VARIABLE:
+            out = _bind(y, _resolve(x, b), b)
+            if out is not None:
+                yield out
+        return
+    if isinstance(x, Empty) or isinstance(y, Empty):
+        if isinstance(x, Empty) and isinstance(y, Empty):
+            yield b
+        return
+    if isinstance(x, Enc) and isinstance(y, Enc):
+        for b1 in _unify(x.key, y.key, b):
+            yield from _unify(x.body, y.body, b1)
+        return
+    if isinstance(x, Concat) or isinstance(y, Concat):
+        yield from _unify_lists(list(flatten(x)), list(flatten(y)), b)
+
+
+def _expand_head(parts: list[Message], b: Bindings) -> list[Message]:
+    if not parts:
+        return parts
+    head = _chase(parts[0], b)
+    if isinstance(head, Concat):
+        return list(head.parts) + parts[1:]
+    if isinstance(head, Empty):
+        return parts[1:]
+    return [head] + parts[1:]
+
+
+def _unify_lists(xs: list[Message], ys: list[Message], b: Bindings) -> Iterator[Bindings]:
+    xs = _expand_head(xs, b)
+    ys = _expand_head(ys, b)
+    if not xs or not ys:
+        if not xs and not ys:
+            yield b
+        return
+    x0, y0 = xs[0], ys[0]
+    # one-segment alignment first, then widening absorptions
+    for b1 in _unify(x0, y0, b):
+        yield from _unify_lists(xs[1:], ys[1:], b1)
+    if isinstance(x0, Atom) and x0.sort is Sort.VARIABLE and x0 not in b:
+        for k in range(2, len(ys) - len(xs) + 2):
+            out = _bind(x0, _resolve(concat(*ys[:k]), b), b)
+            if out is not None:
+                yield from _unify_lists(xs[1:], ys[k:], out)
+    if isinstance(y0, Atom) and y0.sort is Sort.VARIABLE and y0 not in b:
+        for k in range(2, len(xs) - len(ys) + 2):
+            out = _bind(y0, _resolve(concat(*xs[:k]), b), b)
+            if out is not None:
+                yield from _unify_lists(xs[k:], ys[1:], out)
+
+
+def _close(b: Bindings) -> Substitution:
+    return Substitution({a: _resolve(a, b) for a in b})
+
+
+# ---------------------------------------------------------------------------
+# The per-atom bound
 
 
 def unify_all(pattern: Message, target: Message) -> list[Substitution]:

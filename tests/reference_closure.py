@@ -174,5 +174,4 @@ def check_full_invariance_alone(func: ValueFunction, ctx: VerificationContext,
                         f"derived value {on_derived!r} below base value {on_base!r}"))
         if failures:
             break
-    return PropertyReport("full-invariance", not failures, trials,
-                          tuple(failures), (), truncated)
+    return PropertyReport(not failures, trials, tuple(failures), (), truncated)

@@ -361,6 +361,21 @@ def test_declared_views_of_one_agent_must_be_prefixes(tmp_path, capsys, command)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("statement, error", [
+    # a variable, a key and a fresh value, each declared but not a principal
+    ("step 4: X -> B : {Na}_kb;", "step 4: X is not a declared principal"),
+    ("step 4: A -> kb : {Na}_kb;", "step 4: kb is not a declared principal"),
+    ("role Na 1: send {A.Na^i}_kb;", "role Na 1: Na is not a declared principal"),
+    ("role A 1: send {A.Na^i}_kb;", "role A 1 is declared twice"),
+])
+@pytest.mark.parametrize("command", ["analyze", "roles"])
+def test_parties_are_declared_principals_and_role_ids_are_unique(tmp_path, capsys, statement, error, command):
+    assert _run_bad(tmp_path, bundled("ns") + statement + "\n", command) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+
+
 def test_an_encryption_under_a_non_key_is_rejected(tmp_path, capsys):
     # both of B's views, so that one stays a prefix of the other
     text = bundled("ns").replace("send {Y.Nb^i.B}_ka", "send {Y}_A")

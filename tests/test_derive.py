@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from reference_bounds import derive_all
+from reference_bounds import derive, derive_all, derive_keeping
 from secwitness.context import finite
-from secwitness.derive import contribution_of, derive, derive_keeping
+from secwitness.derive import contribution_of
 from secwitness.selection import value_function
 from secwitness.terms import (
     Atom,

@@ -22,35 +22,35 @@ def test_closure_decrypts_with_the_inverse_key(valuation_ctx, valuation_symbols)
     M = [parse_message("{C.alpha}_kab", valuation_symbols),
          parse_message("kab-1", valuation_symbols)]
     closure = deduce_closure(M, valuation_ctx)
-    assert Atom("alpha") in closure
-    assert Atom("C") in closure
+    assert Atom("alpha") in closure.terms
+    assert Atom("C") in closure.terms
 
 
 def test_encryption_needs_the_key(valuation_ctx, valuation_symbols):
     M = [parse_message("A", valuation_symbols)]
     closure = deduce_closure(M, valuation_ctx)
     target = parse_message("{A}_kab-1", valuation_symbols)
-    assert Atom("kab-1") not in closure
-    assert target not in closure
+    assert Atom("kab-1") not in closure.terms
+    assert target not in closure.terms
 
 
 def test_secret_stays_put_without_the_inverse(valuation_ctx, valuation_symbols):
     M = [parse_message("{alpha}_kab", valuation_symbols)]
     for budget in range(7):
         closure = deduce_closure(M, valuation_ctx, depth_budget=budget)
-        assert Atom("alpha") not in closure
+        assert Atom("alpha") not in closure.terms
 
 
 def test_closure_normalizes_on_insert(valuation_ctx, valuation_symbols):
     inner = Enc(parse_message("alpha", valuation_symbols), Atom("kab-1"))
     M = [Enc(inner, Atom("kab"))]
     closure = deduce_closure(M, valuation_ctx)
-    assert Atom("alpha") in closure
+    assert Atom("alpha") in closure.terms
 
 
 def test_closure_starts_from_intruder_knowledge(valuation_ctx):
     closure = deduce_closure([], valuation_ctx)
-    assert Atom("I") in closure
+    assert Atom("I") in closure.terms
 
 
 def test_closure_monotone_in_budget(valuation_ctx, valuation_symbols):

@@ -46,10 +46,25 @@ UNCALLED_ON_PURPOSE = {
 }
 
 
+def _self_stores(method: ast.FunctionDef):
+    """The `self.<name> = ...` stores in a method: each sets a field."""
+    for node in ast.walk(method):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for t in targets:
+            if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self":
+                yield t.attr, node
+
+
 def _public_definitions(tree: ast.Module):
     """(qualified name, bare name, defining node, whether it is a field) for
-    every public top-level name, every public method of a public class and
-    every public field of a public dataclass."""
+    every public top-level name, every public method of a public class,
+    every public field of a public dataclass and every public attribute
+    that a method of a public class stores on `self`."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -67,13 +82,14 @@ def _public_definitions(tree: ast.Module):
         dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
         for item in node.body:
             if isinstance(item, ast.FunctionDef):
-                name, is_field = item.name, False
+                members = [(item.name, item, False)] + [(a, store, True) for a, store in _self_stores(item)]
             elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and dataclass:
-                name, is_field = item.target.id, True
+                members = [(item.target.id, item, True)]
             else:
                 continue
-            if not name.startswith("_"):
-                yield f"{node.name}.{name}", name, item, is_field
+            for name, defining, is_field in members:
+                if not name.startswith("_"):
+                    yield f"{node.name}.{name}", name, defining, is_field
 
 
 def _references(tree: ast.AST) -> Counter:
@@ -104,6 +120,9 @@ def _field_reads(tree: ast.AST) -> Counter:
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
+    # A field counts as read when an attribute of that name is read on
+    # anything: one read of `x.name` keeps every class's `name`, so a field
+    # that shares its name with one read elsewhere still passes.
     root = Path(__file__).parents[1]
     package = root / "src" / "secwitness"
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))

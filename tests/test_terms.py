@@ -80,7 +80,7 @@ def test_parse_variable_decryption_key_in_a_rule():
     # d(k, m) stands for {m}_k, so its key is checked as every key is
     with pytest.raises(VariableInKeyPosition) as err:
         parse_protocol("principal A; intruder I; var X; rule d(X, Y) -> Y;")
-    assert err.value.name == "X"
+    assert str(err.value) == "variable 'X' cannot be used as an encryption key"
 
 
 def test_parse_undeclared():

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_bounds import derive_all
-from secwitness.derive import _view, derive_keeping, unifier_facts
+from reference_bounds import derive_all, derive_keeping
+from secwitness.derive import unifier_facts, view
 from secwitness.terms import Atom, Enc, Message, Sort, concat, flatten, substitute, variables_of
 from secwitness.unify import linear_facts, unify_all
 from test_shared_search import subject
@@ -45,9 +45,9 @@ bindings = st.dictionaries(st.sampled_from(PARAMETERS), st.sampled_from(PARAMETE
 
 def _assert_views_match(source: Message, images: dict[Atom, Atom]) -> None:
     inst = substitute(source, images)
-    assert _view(source, images) == derive_all(inst)
+    assert view(source, images) == derive_all(inst)
     for var in variables_of(source):
-        assert _view(source, images, var) == derive_keeping(inst, var), var
+        assert view(source, images, var) == derive_keeping(inst, var), var
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
