@@ -39,7 +39,9 @@ class MismatchedUniverse(AnalyzerError):
 
 
 class ContextError(AnalyzerError):
-    """Inconsistent verification context (missing declarations)."""
+    """Inconsistent input: missing or conflicting declarations, a rule that
+    is not keys-monotone or whose right-hand side has an unbound
+    metavariable, or a role view that sends a variable it has not received."""
 
 
 class NonTermination(AnalyzerError):
@@ -57,30 +59,6 @@ class NoProtectivePattern(AnalyzerError):
 class WellProtectionViolation(AnalyzerError):
     def __init__(self, atom: str, message: str):
         super().__init__(f"{atom} is not protected by any qualifying key in {message}")
-
-
-class NonMonotoneRule(AnalyzerError):
-    """A declared rewrite rule can put a value under more keys than its
-    redex had, which the well-protection argument does not allow."""
-
-    def __init__(self, rule: str):
-        super().__init__(f"rule {rule} is not keys-monotone: its result adds a guarding key")
-
-
-class UnreceivedVariable(AnalyzerError):
-    """A role view, declared or computed, sends a variable before any of its
-    receives binds it."""
-
-    def __init__(self, role_id: str):
-        super().__init__(f"role {role_id} sends a variable it has not received")
-
-
-class UnboundRuleVariable(AnalyzerError):
-    """A rewrite rule's right-hand side uses a metavariable that its
-    left-hand side does not bind."""
-
-    def __init__(self, rule: str):
-        super().__init__(f"rule {rule}: rhs introduces metavariables")
 
 
 class NoWellProtectedSample(AnalyzerError):

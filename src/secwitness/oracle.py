@@ -259,11 +259,7 @@ def random_well_protected_set(rng: random.Random, ctx: VerificationContext,
             return rng.choice(public)
         if roll < 0.7 and enc_keys:
             k = rng.choice(enc_keys)
-            try:
-                inv_level = level_of(ctx, inverse_key(ctx, k))
-            except NotAKey:
-                inv_level = level_of(ctx, k)
-            return Enc(build(depth - 1, guards + (inv_level,)), k)
+            return Enc(build(depth - 1, guards + (level_of(ctx, inverse_key(ctx, k)),)), k)
         parts = [build(depth - 1, guards) for _ in range(rng.randint(2, 3))]
         return concat(*parts)
 

@@ -19,7 +19,7 @@ from operator import is_not
 from typing import Iterable, Optional, Union
 
 from .context import VerificationContext, geq, inverse_key, level_of
-from .errors import NonTermination, NotAKey, UnboundRuleVariable
+from .errors import ContextError, NonTermination, NotAKey
 from .terms import (
     Atom,
     Concat,
@@ -61,7 +61,7 @@ class RewriteRule:
             return frozenset(a for a in atoms(m) if a.sort is not Sort.CONSTANT)
 
         if not metavars(self.rhs) <= metavars(self.lhs):
-            raise UnboundRuleVariable(print_message(self.lhs))
+            raise ContextError(f"rule {print_message(self.lhs)}: rhs introduces metavariables")
 
 
 def _match(pattern: Message, term: Message,

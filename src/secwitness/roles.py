@@ -33,14 +33,7 @@ from .context import (
     make_context,
     may_read,
 )
-from .errors import (
-    AnalyzerError,
-    ContextError,
-    MessageSyntaxError,
-    NonMonotoneRule,
-    UndeclaredIdentifier,
-    UnreceivedVariable,
-)
+from .errors import AnalyzerError, ContextError, MessageSyntaxError, UndeclaredIdentifier
 from .rewrite import RewriteRule, keys_monotone
 from .terms import (
     IDENT,
@@ -55,6 +48,7 @@ from .terms import (
     map_atoms,
     parse_message,
     subterms,
+    variables_of,
 )
 
 
@@ -141,16 +135,13 @@ class _RuleSymbols(SymbolTable):
         self._base = base
         self._meta: dict[str, Atom] = {}
 
-    def resolve(self, ident: str, sort: Sort = Sort.VARIABLE) -> Atom:
+    def resolve(self, ident: str, key: bool = False) -> Atom:
         try:
             return self._base.resolve(ident)
         except UndeclaredIdentifier:
             if ident not in self._meta:
-                self._meta[ident] = Atom(ident, sort)
+                self._meta[ident] = Atom(ident, Sort.PARAMETER if key else Sort.VARIABLE)
             return self._meta[ident]
-
-    def resolve_key(self, ident: str) -> Atom:
-        return self.resolve(ident, Sort.PARAMETER)
 
 
 def _strip_comments(text: str) -> str:
@@ -281,7 +272,8 @@ def parse_protocol(text: str) -> Protocol:
         rule = RewriteRule(parse_message(lhs_text, rsyms, allow_dec=True),
                            parse_message(rhs_text, rsyms, allow_dec=True))
         if not keys_monotone(rule):
-            raise NonMonotoneRule(f"{lhs_text} -> {rhs_text}")
+            raise ContextError(f"rule {lhs_text} -> {rhs_text} is not keys-monotone: "
+                               "its result adds a guarding key")
         parsed_rules.append(rule)
 
     ctx = make_context(principals=list(dict.fromkeys(principal_names)), intruder=intruder_name,
@@ -318,8 +310,7 @@ def parse_protocol(text: str) -> Protocol:
         role = GeneralizedRole(f"{agent_name}_G{num}", agent, tuple(role_steps))
         if any(r.role_id == role.role_id for r in declared):
             raise ContextError(f"role {agent_name} {num} is declared twice")
-        if not check_role_variables(role):
-            raise UnreceivedVariable(role.role_id)
+        check_role_variables(role)
         declared.append(role)
     longest = _longest_views(declared)
     for role in declared:
@@ -366,8 +357,8 @@ def _knows(p: Protocol, agent: Atom, a: Atom) -> bool:
 
 def extract_generalized_roles(p: Protocol) -> tuple[GeneralizedRole, ...]:
     """The computed per-agent views; deterministic in declaration order.  A
-    view that sends a variable before receiving it is an UnreceivedVariable,
-    as a declared one is."""
+    view that sends a variable before receiving it is a ContextError, as a
+    declared one is."""
     ctx = p.context
     agents = [
         a for a in ctx.principals
@@ -379,41 +370,29 @@ def extract_generalized_roles(p: Protocol) -> tuple[GeneralizedRole, ...]:
     for agent in agents:
         submap: dict[Message, Message] = {}
 
-        def opaque(t: Message) -> Message:
-            if t not in submap:
+        def project(t: Message, receiving: bool) -> Message:
+            """A send repeats what the agent holds; a reception keeps what
+            the agent can recognize or open, and each other part becomes
+            the variable that stands for it wherever it recurs."""
+            if t in submap:
+                return submap[t]
+            if isinstance(t, Concat):
+                return concat(*(project(part, receiving) for part in t.parts))
+            if receiving and (isinstance(t, Atom) and not _knows(p, agent, t) or isinstance(t, Enc)
+                              and not may_read(ctx, agent.name, inverse_key(ctx, t.key))):
                 submap[t] = Atom(next(fresh_vars), Sort.VARIABLE)
-            return submap[t]
-
-        def read(t: Message) -> Message:
-            if t in submap:
                 return submap[t]
-            if isinstance(t, Atom):
-                return t if _knows(p, agent, t) else opaque(t)
-            if isinstance(t, Concat):
-                return concat(*(read(part) for part in t.parts))
             if isinstance(t, Enc):
-                if may_read(ctx, agent.name, inverse_key(ctx, t.key)):
-                    return Enc(read(t.body), t.key)
-                return opaque(t)
-            return t
-
-        def echo(t: Message) -> Message:
-            if t in submap:
-                return submap[t]
-            if isinstance(t, Concat):
-                return concat(*(echo(part) for part in t.parts))
-            if isinstance(t, Enc):
-                return Enc(echo(t.body), t.key)
+                return Enc(project(t.body, receiving), t.key)
             return t
 
         steps: list[RoleStep] = []
         for s in p.steps:
-            if s.sender == agent:
-                msg = _to_role_view(echo(s.message), agent, p.fresh_owners)
-                steps.append(RoleStep(SEND, msg, peer=s.receiver, step_id=s.step_id))
-            elif s.receiver == agent:
-                msg = _to_role_view(read(s.message), agent, p.fresh_owners)
-                steps.append(RoleStep(RECV, msg, peer=s.sender, step_id=s.step_id))
+            if agent in (s.sender, s.receiver):
+                receiving = s.sender != agent
+                msg = _to_role_view(project(s.message, receiving), agent, p.fresh_owners)
+                steps.append(RoleStep(RECV if receiving else SEND, msg, step_id=s.step_id,
+                                      peer=s.sender if receiving else s.receiver))
 
         views: list[tuple[RoleStep, ...]] = []
         for i, st in enumerate(steps):
@@ -424,8 +403,7 @@ def extract_generalized_roles(p: Protocol) -> tuple[GeneralizedRole, ...]:
             views.append(tuple(steps))
         for n, chunk in enumerate(views, 1):
             role = GeneralizedRole(f"{agent.name}_G{n}", agent, chunk)
-            if not check_role_variables(role):
-                raise UnreceivedVariable(role.role_id)
+            check_role_variables(role)
             roles.append(role)
 
     return tuple(roles)
@@ -443,15 +421,15 @@ def roles_for(p: Protocol, mode: Optional[str] = None) -> tuple[GeneralizedRole,
     return p.declared_roles or extract_generalized_roles(p)
 
 
-def check_role_variables(role: GeneralizedRole) -> bool:
-    """Every variable must enter through a receive before any send uses it."""
+def check_role_variables(role: GeneralizedRole) -> None:
+    """Every variable must enter through a receive before any send uses it;
+    a ContextError otherwise."""
     seen: set[Atom] = set()
     for st in role.steps:
-        vs = {a for a in atoms(st.message) if a.sort is Sort.VARIABLE}
+        vs = variables_of(st.message)
         if st.direction is SEND and not vs <= seen:
-            return False
+            raise ContextError(f"role {role.role_id} sends a variable it has not received")
         seen |= vs
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -288,12 +288,16 @@ def substitute(m: Message, sigma: Mapping[Atom, Message]) -> Message:
 #   part := IDENT | "{" msg "}" "_" key
 #   key  := IDENT | "{" IDENT "}"
 #
-# Identifiers match IDENT, so ka-1, Na^i and A_3 are single tokens.  A
-# session tag is written with ^ and split off during resolution.  Protocol
-# statements name principals, keys and variables with the same pattern.
+# A message is read from one token list: each token is an identifier or any
+# other single character that is not a blank (" \t\r\n"), and blanks only
+# separate tokens.  Identifiers match IDENT, so ka-1, Na^i and A_3 are single
+# tokens.  A session tag is written with ^ and split off during resolution.
+# Protocol statements name principals, keys and variables with the same
+# pattern.
 
 IDENT = r"[A-Za-z][A-Za-z0-9_^-]*"
-_IDENT_RE = re.compile(IDENT)
+_TOKEN_RE = re.compile(rf"{IDENT}|[^ \t\r\n]")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 # Deepest nesting of {...} or d(...) the parser accepts; every bundled
 # protocol nests one level, and the bound keeps deeper input from
@@ -305,13 +309,14 @@ class SymbolTable:
     """Declared names available to the message parser.
 
     Maps a base name to its Atom prototype; resolution strips a ^tag suffix
-    and re-attaches it to the prototype.
+    and re-attaches it to the prototype.  key says the name stands in a key
+    position, which only a table that accepts undeclared names tells apart.
     """
 
     def __init__(self, atoms_by_name: Mapping[str, Atom]):
         self._by_name = dict(atoms_by_name)
 
-    def resolve(self, ident: str) -> Atom:
+    def resolve(self, ident: str, key: bool = False) -> Atom:
         if ident in self._by_name:
             return self._by_name[ident]
         if "^" in ident:
@@ -321,102 +326,79 @@ class SymbolTable:
                 return Atom(proto.name, proto.sort, tag)
         raise UndeclaredIdentifier(ident)
 
-    def resolve_key(self, ident: str) -> Atom:
-        # key positions resolve the same way by default; subclasses may
-        # treat unknown names differently there
-        return self.resolve(ident)
+
+# The parsing functions take the text, its unread tokens (last first, so
+# that reading a token pops it), the symbols, whether d(k, m) is allowed and
+# the nesting depth.  They are module-level: nested recursive functions
+# would leave a reference cycle behind on every call.
+
+def _syntax_error(text: str, toks: list[str], expected: str,
+                  after_opener: bool = False) -> MessageSyntaxError:
+    """The error at the first unread token (the end of the text when none
+    is left), or just after the last token read."""
+    spans = [m.span() for m in _TOKEN_RE.finditer(text)]
+    read = len(spans) - len(toks)
+    if after_opener:
+        return MessageSyntaxError(text, spans[read - 1][1], expected)
+    return MessageSyntaxError(text, spans[read][0] if toks else len(text), expected)
 
 
-class _Cursor:
-    def __init__(self, text: str, pos: int = 0):
-        self.text = text
-        self.pos = pos
-        self.depth = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(ch, self.pos):
-            raise MessageSyntaxError(self.text, self.pos, repr(ch))
-        self.pos += len(ch)
-
-    def ident(self) -> str:
-        self.skip_ws()
-        m = _IDENT_RE.match(self.text, self.pos)
-        if not m:
-            raise MessageSyntaxError(self.text, self.pos, "identifier")
-        self.pos = m.end()
-        return m.group(0)
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+def _expect(text: str, toks: list[str], token: str) -> None:
+    if not toks or toks[-1] != token:
+        raise _syntax_error(text, toks, repr(token))
+    toks.pop()
 
 
-def _parse_key(cur: _Cursor, symbols: SymbolTable) -> Atom:
-    if cur.peek() == "{":
-        cur.expect("{")
-        name = cur.ident()
-        cur.expect("}")
-    else:
-        name = cur.ident()
-    return symbols.resolve_key(name)
+def _ident(text: str, toks: list[str]) -> str:
+    if not toks or toks[-1][0] not in _IDENT_START:
+        raise _syntax_error(text, toks, "identifier")
+    return toks.pop()
 
 
-def _parse_nested(cur: _Cursor, symbols: SymbolTable, allow_dec: bool) -> Message:
-    if cur.depth == MAX_NESTING:
-        raise MessageSyntaxError(cur.text, cur.pos, f"at most {MAX_NESTING} nested levels")
-    cur.depth += 1
-    body = _parse_msg(cur, symbols, allow_dec)
-    cur.depth -= 1
-    return body
-
-
-def _parse_part(cur: _Cursor, symbols: SymbolTable, allow_dec: bool) -> Message:
-    if cur.peek() == "{":
-        cur.expect("{")
-        body = _parse_nested(cur, symbols, allow_dec)
-        cur.expect("}")
-        cur.expect("_")
-        return Enc(body, _parse_key(cur, symbols))
-    start = cur.pos
-    name = cur.ident()
-    if allow_dec and name == "d" and cur.peek() == "(":
+def _part(text: str, toks: list[str], symbols: SymbolTable, allow_dec: bool,
+          depth: int) -> Message:
+    if toks and toks[-1] == "{":
+        toks.pop()
+        body = _msg(text, toks, symbols, allow_dec, depth + 1)
+        _expect(text, toks, "}")
+        _expect(text, toks, "_")
+        if toks and toks[-1] == "{":
+            toks.pop()
+            key = _ident(text, toks)
+            _expect(text, toks, "}")
+        else:
+            key = _ident(text, toks)
+        return Enc(body, symbols.resolve(key, key=True))
+    name = _ident(text, toks)
+    if allow_dec and name == "d" and toks and toks[-1] == "(":
         # d(k, m) abbreviates {m}_k: decryption is encryption with the
         # inverse key in this algebra.  Only rule declarations use it.
-        cur.expect("(")
-        key_name = cur.ident()
-        cur.expect(",")
-        body = _parse_nested(cur, symbols, allow_dec)
-        cur.expect(")")
-        return Enc(body, symbols.resolve_key(key_name))
-    try:
-        return symbols.resolve(name)
-    except UndeclaredIdentifier:
-        cur.pos = start
-        raise
+        toks.pop()
+        key = _ident(text, toks)
+        _expect(text, toks, ",")
+        body = _msg(text, toks, symbols, allow_dec, depth + 1)
+        _expect(text, toks, ")")
+        return Enc(body, symbols.resolve(key, key=True))
+    return symbols.resolve(name)
 
 
-def _parse_msg(cur: _Cursor, symbols: SymbolTable, allow_dec: bool) -> Message:
-    parts = [_parse_part(cur, symbols, allow_dec)]
-    while cur.peek() == ".":
-        cur.expect(".")
-        parts.append(_parse_part(cur, symbols, allow_dec))
+def _msg(text: str, toks: list[str], symbols: SymbolTable, allow_dec: bool,
+         depth: int) -> Message:
+    if depth > MAX_NESTING:
+        raise _syntax_error(text, toks, f"at most {MAX_NESTING} nested levels", after_opener=True)
+    parts = [_part(text, toks, symbols, allow_dec, depth)]
+    while toks and toks[-1] == ".":
+        toks.pop()
+        parts.append(_part(text, toks, symbols, allow_dec, depth))
     return concat(*parts)
 
 
 def parse_message(text: str, symbols: SymbolTable, allow_dec: bool = False) -> Message:
-    cur = _Cursor(text)
-    m = _parse_msg(cur, symbols, allow_dec)
-    if not cur.at_end():
-        raise MessageSyntaxError(text, cur.pos, "end of message")
+    toks = _TOKEN_RE.findall(text)
+    toks.reverse()
+    m = _msg(text, toks, symbols, allow_dec, 0)
+    if toks:
+        raise _syntax_error(text, toks, "end of message")
     return m
 
 

@@ -134,14 +134,15 @@ def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
 
 
 def _expand_head(parts: list[Message], b: Bindings) -> list[Message]:
-    if not parts:
-        return parts
-    head = _chase(parts[0], b)
-    if isinstance(head, Concat):
-        return list(head.parts) + parts[1:]
-    if isinstance(head, Empty):
-        return parts[1:]
-    return [head] + parts[1:]
+    while parts:
+        head = _chase(parts[0], b)
+        if isinstance(head, Concat):
+            parts = list(head.parts) + parts[1:]
+        elif isinstance(head, Empty):
+            parts = parts[1:]
+        else:
+            return [head] + parts[1:]
+    return parts
 
 
 def _unify_lists(xs: list[Message], ys: list[Message], b: Bindings) -> Iterator[Bindings]:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import reference_normalize
 from message_helpers import EMPTY_FAMILY, family, random_message
 from secwitness.context import make_context
-from secwitness.errors import NonTermination, UnboundRuleVariable
+from secwitness.errors import ContextError, NonTermination
 from secwitness.rewrite import (
     RewriteRule,
     access,
@@ -187,7 +187,7 @@ def test_normalize_returns_a_term_in_normal_form_itself(simple_ctx, simple_syms)
 def test_rule_rejects_unbound_rhs_metavariable():
     mv = Atom("M", Sort.VARIABLE)
     nv = Atom("N", Sort.VARIABLE)
-    with pytest.raises(UnboundRuleVariable):
+    with pytest.raises(ContextError, match="rhs introduces metavariables"):
         RewriteRule(mv, nv)
 
 

@@ -8,6 +8,7 @@ import random
 from secwitness.context import meet_all
 from secwitness.selection import value_function
 from secwitness.terms import (
+    EMPTY,
     Atom,
     Enc,
     Sort,
@@ -90,6 +91,18 @@ def test_absorption_enumerates_segmentations():
     found = unify_all(concat(v, w), concat(a, b, c))
     images = {(str(s.get(v)), str(s.get(w))) for s in found}
     assert images == {("a", "b.c"), ("a.b", "c")}
+
+
+def test_a_part_after_a_variable_bound_to_the_empty_message_is_chased():
+    # X is bound to ε by the first part, so Y stands first in the third
+    # part's list and must be read as B.C there
+    x, y = Atom("X", Sort.VARIABLE), Atom("Y", Sort.VARIABLE)
+    a, b, c, k = Atom("A"), Atom("B"), Atom("C"), Atom("k")
+    left = concat(Enc(x, k), Enc(y, k), Enc(concat(x, y, a), k))
+    right = concat(Enc(EMPTY, k), Enc(concat(b, c), k), Enc(concat(b, c, a), k))
+    found = unify_all(left, right)
+    assert [dict(s) for s in found] == [{x: EMPTY, y: concat(b, c)}]
+    assert substitute(left, found[0]) == right
 
 
 def test_soundness_of_all_unifiers():

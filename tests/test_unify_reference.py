@@ -100,3 +100,12 @@ def test_the_empty_message_unifies_only_with_itself_or_a_variable():
     assert _listed(unify_all(Enc(EMPTY, _p("kb")), Enc(X, Atom("kb")))) == [[(_p("kb"), Atom("kb")), (X, EMPTY)]]
     for pair in ((EMPTY, EMPTY), (EMPTY, enc), (EMPTY, concat(X, Y)), (X, EMPTY)):
         _assert_same_unifiers(*pair)
+
+
+def test_a_variable_bound_to_the_empty_message_leaves_the_next_part_chased():
+    X, Y = VARIABLES[:2]
+    A, B, NA, KB = _p("A"), _p("B"), _p("Na"), _p("kb")
+    left = concat(Enc(X, KB), Enc(Y, KB), Enc(concat(X, Y, A), KB))
+    right = concat(Enc(EMPTY, KB), Enc(concat(B, NA), KB), Enc(concat(B, NA, A), KB))
+    assert _listed(unify_all(left, right)) == [[(X, EMPTY), (Y, concat(B, NA))]]
+    _assert_same_unifiers(left, right)
