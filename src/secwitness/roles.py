@@ -148,7 +148,16 @@ def _strip_comments(text: str) -> str:
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
-def _names(m: re.Match, group: int) -> list[str]:
+def _in_statement(statement: str, err: AnalyzerError) -> AnalyzerError:
+    """The error, its text prefixed with the statement it came from, such
+    as `step 4`.  Its offset stays where it was: in a declared list it
+    counts from the start of the statement, in a message from the start of
+    that message."""
+    err.args = (f"{statement}: {err}",)
+    return err
+
+
+def _names(m: re.Match, group: int, statement: str) -> list[str]:
     """The identifiers of a comma-separated list in one group of a statement's
     match; empty entries are skipped.  A bad name is reported at its offset
     in the statement."""
@@ -158,7 +167,8 @@ def _names(m: re.Match, group: int) -> list[str]:
         name = entry.strip()
         if name:
             if not re.fullmatch(IDENT, name):
-                raise MessageSyntaxError(m.string, pos + entry.index(name), "identifier")
+                raise _in_statement(statement, MessageSyntaxError(
+                    m.string, pos + entry.index(name), "identifier"))
             names.append(name)
         pos += len(entry) + 1
     return names
@@ -208,7 +218,7 @@ def parse_protocol(text: str) -> Protocol:
         if head == "protocol":
             name = g[0]
         elif head == "principal":
-            principal_names.extend(_names(m, 1))
+            principal_names.extend(_names(m, 1, head))
         elif head == "intruder":
             if intruder_name is not None:
                 raise ContextError(f"second intruder declaration: {stmt}")
@@ -226,9 +236,9 @@ def parse_protocol(text: str) -> Protocol:
                 raise ContextError(f"fresh value {g[0]} is declared with two owners, "
                                    f"{owner} and {g[1]}")
         elif head == "var":
-            var_names.extend(_names(m, 1))
+            var_names.extend(_names(m, 1, head))
         elif head == "level":
-            readers = frozenset(_names(m, 2))
+            readers = frozenset(_names(m, 2, f"level {g[0]}"))
             bound = levels.setdefault(g[0], readers)
             if bound != readers:
                 raise ContextError(f"{g[0]} is declared with two levels, "
@@ -269,8 +279,13 @@ def parse_protocol(text: str) -> Protocol:
     parsed_rules: list[RewriteRule] = []
     for lhs_text, rhs_text in rule_specs:
         rsyms = _RuleSymbols(symbols)
-        rule = RewriteRule(parse_message(lhs_text, rsyms, allow_dec=True),
-                           parse_message(rhs_text, rsyms, allow_dec=True))
+        sides = []
+        for side, side_text in (("left", lhs_text), ("right", rhs_text)):
+            try:
+                sides.append(parse_message(side_text, rsyms, allow_dec=True))
+            except (MessageSyntaxError, UndeclaredIdentifier) as err:
+                raise _in_statement(f"rule {lhs_text} -> {rhs_text}, {side} side", err)
+        rule = RewriteRule(*sides)
         if not keys_monotone(rule):
             raise ContextError(f"rule {lhs_text} -> {rhs_text} is not keys-monotone: "
                                "its result adds a guarding key")
@@ -284,11 +299,16 @@ def parse_protocol(text: str) -> Protocol:
         if steps and sid <= steps[-1].step_id:
             raise MessageSyntaxError(f"step {sid}", 0, "a strictly increasing step id")
         if snd not in named or rcv not in named:
-            raise UndeclaredIdentifier(snd if snd not in named else rcv)
+            missing = UndeclaredIdentifier(snd if snd not in named else rcv)
+            raise _in_statement(f"step {sid}", missing)
         for who in (snd, rcv):
             if who not in principal_names:
                 raise ContextError(f"step {sid}: {who} is not a declared principal")
-        steps.append(Step(sid, named[snd], named[rcv], parse_message(mtext, symbols)))
+        try:
+            msg = parse_message(mtext, symbols)
+        except (MessageSyntaxError, UndeclaredIdentifier) as err:
+            raise _in_statement(f"step {sid}", err)
+        steps.append(Step(sid, named[snd], named[rcv], msg))
 
     declared: list[GeneralizedRole] = []
     for agent_name, num, body in role_specs:
@@ -298,14 +318,20 @@ def parse_protocol(text: str) -> Protocol:
             raise ContextError(f"role {agent_name} {num}: {agent_name} is not a declared principal")
         agent = named[agent_name]
         role_steps: list[RoleStep] = []
+        k = 0
         for item in body.split(","):
             item = item.strip()
             if not item:
                 continue
+            k += 1
             kind, _, mtext = item.partition(" ")
-            if kind not in ("send", "recv"):
-                raise MessageSyntaxError(item, 0, "'send' or 'recv'")
-            msg = _to_role_view(parse_message(mtext.strip(), symbols), agent, fresh_owners)
+            try:
+                if kind not in ("send", "recv"):
+                    raise MessageSyntaxError(item, 0, "'send' or 'recv'")
+                msg = parse_message(mtext.strip(), symbols)
+            except (MessageSyntaxError, UndeclaredIdentifier) as err:
+                raise _in_statement(f"role {agent_name} {num}, message {k}", err)
+            msg = _to_role_view(msg, agent, fresh_owners)
             role_steps.append(RoleStep(SEND if kind == "send" else RECV, msg))
         role = GeneralizedRole(f"{agent_name}_G{num}", agent, tuple(role_steps))
         if any(r.role_id == role.role_id for r in declared):

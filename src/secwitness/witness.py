@@ -26,7 +26,7 @@ from .context import (
     meet,
     meet_all,
 )
-from .derive import ValueFunction, view
+from .derive import ValueFunction, group_members, variable_groups, view
 from .errors import NoProtectivePattern, WellProtectionViolation
 from .rewrite import check_well_protected
 from .roles import (
@@ -108,14 +108,19 @@ def reception_estimate(alpha: Atom, received: Sequence[Message],
                        F: ValueFunction, ctx: VerificationContext) -> SecurityLevel:
     """The reception-side level for a row: for a variable, its own bound
     across the receptions; for a fixed atom, its bound tightened by the
-    bound of every variable those receptions carry."""
+    bound of every variable those receptions carry.  Only the meet of the
+    variables' bounds is used, so a reception's variables are valued once
+    per group of `variable_groups`, through the group's first member."""
     if not received:
         return TOP
     values: list[SecurityLevel] = []
     for m in received:
         values.append(upper_bound(alpha, m, F, ctx))
         if alpha.sort is not Sort.VARIABLE:
-            for var in sorted(variables_of(m), key=Atom.display):
+            variables = variables_of(m)
+            if len(variables) > 1:
+                variables = group_members(variable_groups(m, ctx), variables)
+            for var in sorted(variables, key=Atom.display):
                 values.append(upper_bound(var, m, F, ctx))
     return meet_all(values)
 

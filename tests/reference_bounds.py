@@ -10,15 +10,19 @@ two against each other.
 It keeps its own copies of the pruning (`derive`, `derive_keeping`,
 `derive_all`) and of the unification engine in its plain form, with a case
 for the empty message of its own, so that a change to the engine under test
-is checked against these rather than against itself.
+is checked against these rather than against itself.  It also keeps the
+per-view valuation (`fact_levels`, `reception_estimate`): one kept-variable
+view, and one value-function call, for every variable, where
+`secwitness.derive.fact_levels` and `secwitness.witness.reception_estimate`
+value one member of each group of `secwitness.derive.variable_groups`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from secwitness.context import SecurityLevel, VerificationContext, level_of, meet_all
-from secwitness.derive import ValueFunction
+from secwitness.context import TOP, SecurityLevel, VerificationContext, level_of, meet, meet_all
+from secwitness.derive import Facts, ValueFunction
 from secwitness.errors import NoProtectivePattern
 from secwitness.terms import (
     EMPTY,
@@ -243,3 +247,46 @@ def lower_bound_or_none(alpha: Atom, sent: Message, pool: Sequence[Message],
         return lower_bound(alpha, sent, pool, F, ctx)
     except NoProtectivePattern:
         return None
+
+
+# ---------------------------------------------------------------------------
+# The per-view valuation
+
+
+def fact_levels(F: ValueFunction, alphas: Sequence[Atom], source: Message,
+                facts: Facts, ctx: VerificationContext) -> dict[Atom, SecurityLevel]:
+    """`secwitness.derive.fact_levels` with one kept-variable view per
+    covered variable: the instance under each bindings, pruned once with
+    every variable erased and once per variable with that one kept."""
+    found: dict[Atom, SecurityLevel] = {}
+    for params, covered in facts.items():
+        images = dict(params)
+        inst = substitute(source, images)
+        static_view = derive_all(inst)
+        present = atoms(static_view)
+        for alpha in alphas:
+            probe = alpha if alpha.sort is Sort.VARIABLE else images.get(alpha, alpha)
+            if probe in present:
+                found[alpha] = meet(found.get(alpha, TOP), F(probe, static_view, ctx))
+        for var, inside in covered.items():
+            hit = [alpha for alpha in alphas if alpha in inside]
+            if hit:
+                level = F(var, derive_keeping(inst, var), ctx)
+                for alpha in hit:
+                    found[alpha] = meet(found.get(alpha, TOP), level)
+    return found
+
+
+def reception_estimate(alpha: Atom, received: Sequence[Message],
+                       F: ValueFunction, ctx: VerificationContext) -> SecurityLevel:
+    """`secwitness.witness.reception_estimate` with every variable of a
+    reception valued in its own kept-variable view."""
+    if not received:
+        return TOP
+    values: list[SecurityLevel] = []
+    for m in received:
+        values.append(F(alpha, derive_keeping(m, alpha), ctx))
+        if alpha.sort is not Sort.VARIABLE:
+            for var in sorted(variables_of(m), key=Atom.display):
+                values.append(F(var, derive_keeping(m, var), ctx))
+    return meet_all(values)

@@ -89,11 +89,12 @@ def _run_bad(tmp_path, text, command="analyze"):
     return main(argv)
 
 
-# where each statement's bad name starts, and what the error quotes from there
+# the statement an error names, where its bad name starts, and what the
+# error quotes from there
 _BAD_NAME = {
-    "principal A, B, C D;": (16, "C D"),
-    "level Nb = {A,B, Q R};": (17, "Q R}"),
-    "var X Y;": (4, "X Y"),
+    "principal A, B, C D;": ("principal", 16, "C D"),
+    "level Nb = {A,B, Q R};": ("level Nb", 17, "Q R}"),
+    "var X Y;": ("var", 4, "X Y"),
 }
 
 
@@ -108,8 +109,32 @@ def test_declared_names_must_be_identifiers(tmp_path, capsys, command, declarati
     assert statement in text
     assert _run_bad(tmp_path, text, command) == EXIT_FILE
     captured = capsys.readouterr()
-    offset, found = _BAD_NAME[statement]
-    assert captured.err == f"error: at offset {offset}: expected identifier, found {found!r}\n"
+    named, offset, found = _BAD_NAME[statement]
+    assert captured.err == (f"error: {named}: at offset {offset}: "
+                            f"expected identifier, found {found!r}\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-wp", "roles", "oracle"])
+@pytest.mark.parametrize("statement,error", [
+    ("step 4: A -> B : {A.}_kb;", "step 4: at offset 3: expected identifier, found '}_kb'"),
+    ("step 4: A -> B : {A.Zz}_kb;", "step 4: identifier 'Zz' is not declared"),
+    ("step 4: A -> Zz : {A}_kb;", "step 4: identifier 'Zz' is not declared"),
+    ("role A 3: send {A.Na^i}_kb, recv {Na^i.X.}_ka;",
+     "role A 3, message 2: at offset 8: expected identifier, found '}_ka'"),
+    ("role A 3: send {A.Na^i}_kb, sned {Na^i.X}_ka;",
+     "role A 3, message 2: at offset 0: expected 'send' or 'recv', found 'sned {Na^i.X'"),
+    ("rule {A.}_kb -> X;",
+     "rule {A.}_kb -> X, left side: at offset 3: expected identifier, found '}_kb'"),
+    ("rule {X}_kb -> {X.}_kb;",
+     "rule {X}_kb -> {X.}_kb, right side: at offset 3: expected identifier, found '}_kb'"),
+])
+def test_an_error_in_a_message_names_its_statement(tmp_path, capsys, command, statement, error):
+    # the offset counts from the start of the message, so without the
+    # statement it could not be placed in a file of many similar ones
+    assert _run_bad(tmp_path, bundled("ns") + statement + "\n", command) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
     assert captured.out == ""
 
 

@@ -5,9 +5,10 @@ of a linear flat pair, and the atoms that each pattern variable's images
 cover under each, off a walk over match states instead of listing the
 unifiers.  These tests draw random linear flat pairs and check that map
 against the one `derive.unifier_facts` and a plain loop read off
-`unify_all`, and the level `candidate_values` gives each atom, and the
-value-function calls it makes, against the meet of what `contribution_of`
-gives each unifier of `unify_all`.
+`unify_all`, and the level `candidate_values` gives each atom against the
+meet of what `contribution_of` gives each unifier of `unify_all` and
+against the per-view valuation of `reference_bounds.fact_levels`, whose
+value-function calls include those of both.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def test_facts_and_levels_match_the_unifiers(pair, function):
     F = total(value_function(function))
     alphas = sorted(atoms(pattern.body) | atoms(target.body) | {pattern.key, target.key},
                     key=repr)
-    calls: list[set] = [set(), set()]
+    calls: list[set] = [set(), set(), set()]
 
     def recording(k):
         def G(a, m, ctx):
@@ -141,7 +142,12 @@ def test_facts_and_levels_match_the_unifiers(pair, function):
     got = candidate_values(target, [pattern], NS.context, alphas, recording(0))
     per_unifier = [contribution_of(recording(1), alphas, pattern, sigma, NS.context)
                    for sigma in unify_all(pattern, target)]
-    assert calls[0] == calls[1]
+    # the merged facts and one unifier's facts may value a group of
+    # variables through different members; each makes only calls that the
+    # per-view valuation of the merged facts makes, and gets its levels
+    per_view = reference_bounds.fact_levels(recording(2), alphas, pattern, facts, NS.context)
+    assert calls[0] <= calls[2] and calls[1] <= calls[2]
+    assert got == per_view
     for alpha in alphas:
         want = reference_bounds.candidate_values(target, [pattern], NS.context, alpha, F)
         assert (alpha in got) == bool(want), alpha
