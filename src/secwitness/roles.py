@@ -33,7 +33,7 @@ from .context import (
     make_context,
     may_read,
 )
-from .errors import AnalyzerError, ContextError, MessageSyntaxError, UndeclaredIdentifier
+from .errors import AnalyzerError, ContextError, MessageSyntaxError, NotAKey, UndeclaredIdentifier
 from .rewrite import RewriteRule, keys_monotone
 from .terms import (
     IDENT,
@@ -274,7 +274,7 @@ def parse_protocol(text: str) -> Protocol:
             raise ContextError(f"declared name {n} ends in _<digits>, "
                                "which marks the analyzer's indexed copies")
 
-    symbols = SymbolTable(named)
+    symbols = SymbolTable(named, keys=itertools.chain(*key_decls))
 
     parsed_rules: list[RewriteRule] = []
     for lhs_text, rhs_text in rule_specs:
@@ -306,14 +306,14 @@ def parse_protocol(text: str) -> Protocol:
                 raise ContextError(f"step {sid}: {who} is not a declared principal")
         try:
             msg = parse_message(mtext, symbols)
-        except (MessageSyntaxError, UndeclaredIdentifier) as err:
+        except (MessageSyntaxError, UndeclaredIdentifier, NotAKey) as err:
             raise _in_statement(f"step {sid}", err)
         steps.append(Step(sid, named[snd], named[rcv], msg))
 
     declared: list[GeneralizedRole] = []
     for agent_name, num, body in role_specs:
         if agent_name not in named:
-            raise UndeclaredIdentifier(agent_name)
+            raise _in_statement(f"role {agent_name} {num}", UndeclaredIdentifier(agent_name))
         if agent_name not in principal_names:
             raise ContextError(f"role {agent_name} {num}: {agent_name} is not a declared principal")
         agent = named[agent_name]
@@ -329,7 +329,7 @@ def parse_protocol(text: str) -> Protocol:
                 if kind not in ("send", "recv"):
                     raise MessageSyntaxError(item, 0, "'send' or 'recv'")
                 msg = parse_message(mtext.strip(), symbols)
-            except (MessageSyntaxError, UndeclaredIdentifier) as err:
+            except (MessageSyntaxError, UndeclaredIdentifier, NotAKey) as err:
                 raise _in_statement(f"role {agent_name} {num}, message {k}", err)
             msg = _to_role_view(msg, agent, fresh_owners)
             role_steps.append(RoleStep(SEND if kind == "send" else RECV, msg))

@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     MessageSyntaxError,
+    NotAKey,
     SubstitutedIntoKeyPosition,
     UndeclaredIdentifier,
     VariableInKeyPosition,
@@ -310,21 +311,28 @@ class SymbolTable:
 
     Maps a base name to its Atom prototype; resolution strips a ^tag suffix
     and re-attaches it to the prototype.  key says the name stands in a key
-    position, which only a table that accepts undeclared names tells apart.
+    position: a table given the declared key names rejects any other name
+    that is not a variable there, and a table that accepts undeclared names
+    makes a parameter of one.
     """
 
-    def __init__(self, atoms_by_name: Mapping[str, Atom]):
+    def __init__(self, atoms_by_name: Mapping[str, Atom],
+                 keys: Optional[Iterable[str]] = None):
         self._by_name = dict(atoms_by_name)
+        self._keys = None if keys is None else frozenset(keys)
 
     def resolve(self, ident: str, key: bool = False) -> Atom:
-        if ident in self._by_name:
-            return self._by_name[ident]
-        if "^" in ident:
-            base, tag = ident.split("^", 1)
-            if base in self._by_name:
-                proto = self._by_name[base]
-                return Atom(proto.name, proto.sort, tag)
-        raise UndeclaredIdentifier(ident)
+        a = self._by_name.get(ident)
+        if a is None:
+            base, hat, tag = ident.partition("^")
+            if not hat or base not in self._by_name:
+                raise UndeclaredIdentifier(ident)
+            proto = self._by_name[base]
+            a = Atom(proto.name, proto.sort, tag)
+        if (key and self._keys is not None and a.sort is not Sort.VARIABLE
+                and a.name not in self._keys):
+            raise NotAKey(ident)
+        return a
 
 
 # The parsing functions take the text, its unread tokens (last first, so

@@ -35,32 +35,27 @@ from .terms import (
     atoms,
     concat,
     flatten,
-    map_atoms,
+    substitute,
 )
 
 Bindings = dict[Atom, Message]
 
 
-def _chase(m: Message, b: Bindings) -> Message:
-    while isinstance(m, Atom) and m in b:
-        m = b[m]
-    return m
-
-
-def _resolve(m: Message, b: Bindings) -> Message:
-    return map_atoms(m, lambda a: _resolve(b[a], b) if a in b else None)
-
-
-def _occurs(a: Atom, m: Message, b: Bindings) -> bool:
-    return a in atoms(_resolve(m, b))
-
-
 def _bind(a: Atom, m: Message, b: Bindings) -> Optional[Bindings]:
+    """The closed bindings b after the unbound atom a binds to m, which b
+    already leaves unchanged: each image that holds a is rewritten, and
+    a ↦ m is added last.  b itself when m is a; None when a occurs in m."""
     if m == a:
         return b
-    if _occurs(a, m, b):
+    if not isinstance(m, Atom) and a in atoms(m):
         return None
-    out = dict(b)
+    out = {}
+    for p, image in b.items():
+        if image == a:
+            image = m
+        elif not isinstance(image, Atom) and a in atoms(image):
+            image = substitute(image, {a: m})
+        out[p] = image
     out[a] = m
     return out
 
@@ -71,10 +66,10 @@ def _rank(sort: Sort) -> int:
 
 
 def _unify_atoms(x: Atom, y: Atom) -> Optional[tuple[Atom, Atom]]:
-    """The one binding, (atom, image), that unifies two distinct atoms
-    already chased: the higher sort binds, the left atom on a tie; None
-    when both are constants.  No occurs check is needed, since neither atom
-    is bound and one atom cannot occur in another."""
+    """The one binding, (atom, image), that unifies two distinct unbound
+    atoms: the higher sort binds, the left atom on a tie; None when both
+    are constants.  No occurs check is needed, since one atom cannot occur
+    in another."""
     rx, ry = _rank(x.sort), _rank(y.sort)
     if rx >= ry:
         return None if rx == 0 else (x, y)
@@ -82,25 +77,20 @@ def _unify_atoms(x: Atom, y: Atom) -> Optional[tuple[Atom, Atom]]:
 
 
 def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
-    x = _chase(x, b)
-    y = _chase(y, b)
+    x = b.get(x, x)
+    y = b.get(y, y)
     if isinstance(x, Atom) and isinstance(y, Atom):
         if x == y:
             yield b
             return
         bound = _unify_atoms(x, y)
         if bound is not None:
-            yield {**b, bound[0]: bound[1]}
+            yield _bind(*bound, b)
         return
-    if isinstance(x, Atom):
-        if x.sort is Sort.VARIABLE:
-            out = _bind(x, _resolve(y, b), b)
-            if out is not None:
-                yield out
-        return
-    if isinstance(y, Atom):
-        if y.sort is Sort.VARIABLE:
-            out = _bind(y, _resolve(x, b), b)
+    if isinstance(x, Atom) or isinstance(y, Atom):
+        a, m = (x, y) if isinstance(x, Atom) else (y, x)
+        if a.sort is Sort.VARIABLE:
+            out = _bind(a, substitute(m, b), b)
             if out is not None:
                 yield out
         return
@@ -114,7 +104,7 @@ def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
 
 def _expand_head(parts: list[Message], b: Bindings) -> list[Message]:
     while parts:
-        head = _chase(parts[0], b)
+        head = b.get(parts[0], parts[0])
         if isinstance(head, Concat):
             parts = list(head.parts) + parts[1:]
         elif isinstance(head, Empty):
@@ -133,58 +123,35 @@ def _unify_lists(xs: list[Message], ys: list[Message], b: Bindings) -> Iterator[
         return
 
     x0, y0 = xs[0], ys[0]
-    # one-segment alignment first, then widening absorptions
+    # one-segment alignment first, then widening absorptions; a head is
+    # never a bound atom
     for b1 in _unify(x0, y0, b):
         yield from _unify_lists(xs[1:], ys[1:], b1)
-    if isinstance(x0, Atom) and x0.sort is Sort.VARIABLE and x0 not in b:
+    if isinstance(x0, Atom) and x0.sort is Sort.VARIABLE:
         for k in range(2, len(ys) - len(xs) + 2):
-            out = _bind(x0, _resolve(concat(*ys[:k]), b), b)
+            out = _bind(x0, substitute(concat(*ys[:k]), b), b)
             if out is not None:
                 yield from _unify_lists(xs[1:], ys[k:], out)
-    if isinstance(y0, Atom) and y0.sort is Sort.VARIABLE and y0 not in b:
+    if isinstance(y0, Atom) and y0.sort is Sort.VARIABLE:
         for k in range(2, len(xs) - len(ys) + 2):
-            out = _bind(y0, _resolve(concat(*xs[:k]), b), b)
+            out = _bind(y0, substitute(concat(*xs[:k]), b), b)
             if out is not None:
                 yield from _unify_lists(xs[k:], ys[1:], out)
 
 
-def _close(b: Bindings) -> Substitution:
-    closed: Bindings = {}
-    for a in b:
-        closed[a] = _resolve(a, b)
-    return Substitution(closed)
-
-
 def unify_all(pattern: Message, target: Message) -> list[Substitution]:
     """Every unifier, one per inequivalent segmentation, in a deterministic
-    order; duplicates collapsed."""
-    seen: set[frozenset] = set()
-    out = []
+    order; duplicates collapsed, the first kept."""
+    found: dict[frozenset, Bindings] = {}
     for b in _unify(pattern, target, {}):
-        s = _close(b)
-        key = frozenset(s.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return out
+        found.setdefault(frozenset(b.items()), b)
+    return [Substitution(b) for b in found.values()]
 
 
 # ---------------------------------------------------------------------------
 # Facts of a linear flat pair
 
 State = tuple[int, int, Params]
-
-
-def _body_atoms(m: Enc) -> Optional[tuple[Atom, ...]]:
-    parts = flatten(m.body)
-    if not parts or not all(isinstance(p, Atom) for p in parts):
-        return None
-    return parts
-
-
-def _rebind(pi: Params, x: Atom, to: Atom) -> Params:
-    """The closed bindings after the root parameter x binds to the root `to`."""
-    return frozenset([(p, to if r == x else r) for p, r in pi] + [(x, to)])
 
 
 def _edges(xs: tuple[Atom, ...], ys: tuple[Atom, ...], state: State,
@@ -208,7 +175,7 @@ def _edges(xs: tuple[Atom, ...], ys: tuple[Atom, ...], state: State,
     else:
         bound = _unify_atoms(x, y)
         if bound is not None:
-            out.append(((i + 1, j + 1, _rebind(pi, *bound)), None, ()))
+            out.append(((i + 1, j + 1, frozenset(_bind(*bound, images).items())), None, ()))
     if var is not None:
         for k in range(2, (n - j) - (m - i) + 2):
             out.append(((i + 1, j + k, pi), var, ys[j:j + k]))
@@ -238,8 +205,8 @@ def linear_facts(pattern: Message, target: Message) -> Optional[Facts]:
     """
     if not isinstance(pattern, Enc) or not isinstance(target, Enc):
         return None
-    xs, ys = _body_atoms(pattern), _body_atoms(target)
-    if xs is None or ys is None:
+    xs, ys = flatten(pattern.body), flatten(target.body)
+    if not xs or not ys or not all(isinstance(p, Atom) for p in xs + ys):
         return None
     variables = [a for a in xs + ys if a.sort is Sort.VARIABLE]
     if len(variables) != len(set(variables)):

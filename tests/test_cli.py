@@ -392,6 +392,7 @@ def test_declared_views_of_one_agent_must_be_prefixes(tmp_path, capsys, command)
     ("step 4: A -> kb : {Na}_kb;", "step 4: kb is not a declared principal"),
     ("role Na 1: send {A.Na^i}_kb;", "role Na 1: Na is not a declared principal"),
     ("role A 1: send {A.Na^i}_kb;", "role A 1 is declared twice"),
+    ("role C 1: send {A}_kb;", "role C 1: identifier 'C' is not declared"),
 ])
 @pytest.mark.parametrize("command", ["analyze", "roles"])
 def test_parties_are_declared_principals_and_role_ids_are_unique(tmp_path, capsys, statement, error, command):
@@ -401,13 +402,19 @@ def test_parties_are_declared_principals_and_role_ids_are_unique(tmp_path, capsy
     assert captured.out == ""
 
 
-def test_an_encryption_under_a_non_key_is_rejected(tmp_path, capsys):
-    # both of B's views, so that one stays a prefix of the other
-    text = bundled("ns").replace("send {Y.Nb^i.B}_ka", "send {Y}_A")
-    assert text.count("send {Y}_A") == 2
-    assert _run_bad(tmp_path, text) == EXIT_FILE
+@pytest.mark.parametrize("text, error", [
+    # B's views encrypt under a principal's name; the first one read is named
+    (bundled("ns").replace("send {Y.Nb^i.B}_ka", "send {Y}_A"),
+     "role B 1, message 2: 'A' is not registered as a key"),
+    # under the declared roles, which do not read the step, this exited 0
+    # from roles, 2 from analyze and 1 from oracle
+    (bundled("ns") + "step 4: A -> B : {Na}_B;\n", "step 4: 'B' is not registered as a key"),
+], ids=["role", "step"])
+@pytest.mark.parametrize("command", ["roles", "check-wp", "analyze", "oracle"])
+def test_an_encryption_under_a_non_key_is_rejected(tmp_path, capsys, text, error, command):
+    assert _run_bad(tmp_path, text, command) == EXIT_FILE
     captured = capsys.readouterr()
-    assert captured.err == "error: 'A' is not registered as a key\n"
+    assert captured.err == f"error: {error}\n"
     assert captured.out == ""
 
 

@@ -6,7 +6,8 @@ message included; the reference keeps a case of its own for the empty
 message.  Both must list the same unifiers in the same order, each with its
 bindings in the same order, on random pairs: the empty message, nested
 encryptions, parameter keys, and variables shared across the two sides, so
-that the occurs check and chased bindings are reached.
+that the occurs check and chased bindings are reached.  Each listed
+unifier must also make the two sides equal and be idempotent.
 """
 
 from __future__ import annotations
@@ -69,7 +70,14 @@ def _listed(unifiers) -> list[list]:
 
 def _assert_same_unifiers(pattern: Message, target: Message) -> None:
     for x, y in ((pattern, target), (target, pattern)):
-        assert _listed(unify_all(x, y)) == _listed(reference_bounds.unify_all(x, y)), (x, y)
+        unifiers = unify_all(x, y)
+        assert _listed(unifiers) == _listed(reference_bounds.unify_all(x, y)), (x, y)
+        for sigma in unifiers:
+            # each unifier makes the two sides equal, and its bindings are
+            # closed: no image holds a bound atom, so applying it is idempotent
+            assert substitute(x, sigma) == substitute(y, sigma), (x, y, sigma)
+            for image in sigma.values():
+                assert substitute(image, sigma) == image, (x, y, sigma)
 
 
 @settings(derandomize=True, max_examples=600, deadline=None)
