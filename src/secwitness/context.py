@@ -142,11 +142,12 @@ def level_of(ctx: VerificationContext, a: Atom) -> SecurityLevel:
     """Declared level, or the public default.
 
     An atom is looked up by its name; its index and session tag are not
-    part of its name.  Variables have no declared level; the selection and
-    criterion layers give them their own treatment, and the public default
-    here is what makes every key protective for them.
+    part of its name.  Variables have no declared level, whatever their
+    name, and read bottom; the selection and criterion layers give them
+    their own treatment, and bottom here is what makes every key protective
+    for them.
     """
-    return ctx.levels.get(a.name, BOTTOM)
+    return BOTTOM if a.sort is Sort.VARIABLE else ctx.levels.get(a.name, BOTTOM)
 
 
 def may_read(ctx: VerificationContext, name: str, a: Atom) -> bool:

@@ -384,13 +384,16 @@ def _knows(p: Protocol, agent: Atom, a: Atom) -> bool:
 def extract_generalized_roles(p: Protocol) -> tuple[GeneralizedRole, ...]:
     """The computed per-agent views; deterministic in declaration order.  A
     view that sends a variable before receiving it is a ContextError, as a
-    declared one is."""
+    declared one is.  A stand-in variable takes no name that a step uses or
+    that is declared as a principal, key, fresh value or leveled name."""
     ctx = p.context
     agents = [
         a for a in ctx.principals
         if any(a in (s.sender, s.receiver) for s in p.steps)
     ]
-    fresh_vars = _var_name_stream().__iter__()
+    taken = (ctx.principal_names | set(ctx.keys) | set(ctx.levels) | set(p.fresh_owners)
+             | {a.name for s in p.steps for a in atoms(s.message)})
+    fresh_vars = (n for n in _var_name_stream() if n not in taken)
     roles: list[GeneralizedRole] = []
 
     for agent in agents:

@@ -79,6 +79,9 @@ def _unify_atoms(x: Atom, y: Atom) -> Optional[tuple[Atom, Atom]]:
 def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
     x = b.get(x, x)
     y = b.get(y, y)
+    if isinstance(x, Atom) is not isinstance(y, Atom):
+        # a compound may come to one atom, or none, under the bindings
+        x, y = substitute(x, b), substitute(y, b)
     if isinstance(x, Atom) and isinstance(y, Atom):
         if x == y:
             yield b
@@ -90,7 +93,7 @@ def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
     if isinstance(x, Atom) or isinstance(y, Atom):
         a, m = (x, y) if isinstance(x, Atom) else (y, x)
         if a.sort is Sort.VARIABLE:
-            out = _bind(a, substitute(m, b), b)
+            out = _bind(a, m, b)
             if out is not None:
                 yield out
         return

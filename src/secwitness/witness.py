@@ -26,7 +26,7 @@ from .context import (
     meet,
     meet_all,
 )
-from .derive import ValueFunction, group_members, variable_groups, view
+from .derive import KEPT, ValueFunction, view
 from .errors import NoProtectivePattern, WellProtectionViolation
 from .rewrite import check_well_protected
 from .roles import (
@@ -100,27 +100,24 @@ def lower_bound(alpha: Atom, sent: Message, pool: Sequence[Message],
 def upper_bound(alpha: Atom, m: Union[Message, Iterable[Message]],
                 F: ValueFunction, ctx: VerificationContext) -> SecurityLevel:
     """Who could have authored the atom's occurrences in a reception,
-    with every variable but the atom itself erased."""
-    return meet_all([F(alpha, view(t, {}, alpha), ctx) for t in members(m)])
+    with every variable but the atom itself erased; a variable is asked
+    about as `KEPT`, the name it takes in its view."""
+    probe = KEPT if alpha.sort is Sort.VARIABLE else alpha
+    return meet_all([F(probe, view(t, {}, alpha), ctx) for t in members(m)])
 
 
 def reception_estimate(alpha: Atom, received: Sequence[Message],
                        F: ValueFunction, ctx: VerificationContext) -> SecurityLevel:
     """The reception-side level for a row: for a variable, its own bound
     across the receptions; for a fixed atom, its bound tightened by the
-    bound of every variable those receptions carry.  Only the meet of the
-    variables' bounds is used, so a reception's variables are valued once
-    per group of `variable_groups`, through the group's first member."""
+    bound of every variable those receptions carry."""
     if not received:
         return TOP
     values: list[SecurityLevel] = []
     for m in received:
         values.append(upper_bound(alpha, m, F, ctx))
         if alpha.sort is not Sort.VARIABLE:
-            variables = variables_of(m)
-            if len(variables) > 1:
-                variables = group_members(variable_groups(m, ctx), variables)
-            for var in sorted(variables, key=Atom.display):
+            for var in sorted(variables_of(m), key=Atom.display):
                 values.append(upper_bound(var, m, F, ctx))
     return meet_all(values)
 
@@ -212,7 +209,17 @@ def analyze(protocol: Protocol, function: str = "fmax",
     if not wp.ok:
         worst = wp.violations[0]
         raise WellProtectionViolation(worst[0].display(), print_message(worst[1]))
-    F = value_function(function)
+    # One run has one context, and a level depends only on the atom and the
+    # message it is read in: views that read alike share one valuation,
+    # across patterns, sends and rows.
+    value = value_function(function)
+    levels: dict[tuple[Atom, Message], SecurityLevel] = {}
+
+    def F(alpha: Atom, m: Message, ctx: VerificationContext) -> SecurityLevel:
+        key = (alpha, m)
+        if key not in levels:
+            levels[key] = value(alpha, m, ctx)
+        return levels[key]
 
     rows: list[CriterionRow] = []
     seen: set[tuple[str, int, Atom]] = set()

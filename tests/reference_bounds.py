@@ -12,9 +12,10 @@ It keeps its own copies of the pruning (`derive`, `derive_keeping`,
 for the empty message of its own, so that a change to the engine under test
 is checked against these rather than against itself.  It also keeps the
 per-view valuation (`fact_levels`, `reception_estimate`): one kept-variable
-view, and one value-function call, for every variable, where
-`secwitness.derive.fact_levels` and `secwitness.witness.reception_estimate`
-value one member of each group of `secwitness.derive.variable_groups`.
+view, and one value-function call, for every variable, asked about that
+variable by its own name, where `secwitness.derive.fact_levels` and
+`secwitness.witness.reception_estimate` rename the kept variable to
+`secwitness.derive.KEPT`; `renamed` maps the reference's calls to theirs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from secwitness.context import TOP, SecurityLevel, VerificationContext, level_of, meet, meet_all
-from secwitness.derive import Facts, ValueFunction
+from secwitness.derive import KEPT, Facts, ValueFunction
 from secwitness.errors import NoProtectivePattern
 from secwitness.terms import (
     EMPTY,
@@ -105,6 +106,9 @@ def _unify_atoms(x: Atom, y: Atom) -> Optional[tuple[Atom, Atom]]:
 def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
     x = _chase(x, b)
     y = _chase(y, b)
+    if isinstance(x, Atom) != isinstance(y, Atom):
+        # a compound may come to one atom, or none, under the bindings
+        x, y = _resolve(x, b), _resolve(y, b)
     if isinstance(x, Atom) and isinstance(y, Atom):
         if x == y:
             yield b
@@ -115,13 +119,13 @@ def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
         return
     if isinstance(x, Atom):
         if x.sort is Sort.VARIABLE:
-            out = _bind(x, _resolve(y, b), b)
+            out = _bind(x, y, b)
             if out is not None:
                 yield out
         return
     if isinstance(y, Atom):
         if y.sort is Sort.VARIABLE:
-            out = _bind(y, _resolve(x, b), b)
+            out = _bind(y, x, b)
             if out is not None:
                 yield out
         return
@@ -290,3 +294,11 @@ def reception_estimate(alpha: Atom, received: Sequence[Message],
             for var in sorted(variables_of(m), key=Atom.display):
                 values.append(F(var, derive_keeping(m, var), ctx))
     return meet_all(values)
+
+
+def renamed(calls: Iterable[tuple[Atom, Message]]) -> set[tuple[Atom, Message]]:
+    """Value-function calls of the per-view valuation as the renaming makes
+    them: a call about a variable asks about `KEPT` in the view where that
+    variable is renamed to it."""
+    return {(KEPT, substitute(m, {a: KEPT})) if a.sort is Sort.VARIABLE else (a, m)
+            for a, m in calls}

@@ -189,6 +189,56 @@ def test_renaming_the_variables_renames_the_records(tmp_path, capsys, name, func
     assert outputs[0] and outputs[1] == _rename(outputs[0], {"X": "U", "Y": "W"})
 
 
+# the nonce X is taken, so the computed views name their stand-ins Y, Z and
+# W; spelled Q, it leaves X, Y and Z to them.  A variable's level never
+# follows its name, so the stand-in X does not read the nonce's {A,B}
+COLLIDING = (
+    "protocol COL; principal A, B; intruder I; key ka inv ka-1; key kc inv kc-1;\n"
+    "fresh X by A; fresh N by A; fresh Nb by B;\n"
+    "level X = {A,B}; level N = {A,B,I}; level Nb = {A,B}; level ka-1 = {A}; level kc-1 = {B,I};\n"
+    "step 1: A -> B : {N}_kc; step 2: B -> A : {Nb}_ka; step 3: A -> B : {X}_ka;\n"
+)
+
+
+@pytest.mark.parametrize("function, bound", [("fmax", ["B", "I"]), ("fek", ["B", "I"]), ("fn", [])])
+def test_a_nonce_spelled_like_a_stand_in_reads_as_any_nonce(tmp_path, capsys, function, bound):
+    runs = []
+    for text in (COLLIDING, re.sub(r"\bX\b", "Q", COLLIDING)):
+        f = tmp_path / "col.proto"
+        f.write_text(text, encoding="utf-8")
+        code = main(["analyze", str(f), "--function", function, "--format", "json-lines"])
+        runs.append((code, capsys.readouterr().out))
+    (code, out), (renamed_code, renamed_out) = runs
+    names = {"X": "Q", "Y": "X", "Z": "Y", "W": "Z"}
+    assert code == renamed_code == EXIT_OK
+    assert renamed_out == re.sub(r"\b[XYZW]\b", lambda m: names[m[0]], out)
+    record = json.loads(out.splitlines()[0])
+    assert (record["atom"], record["lowerBound"]) == ("N^i", {"members": bound})
+
+
+def test_stand_ins_skip_the_names_a_protocol_takes(tmp_path, capsys):
+    f = tmp_path / "col.proto"
+    f.write_text(COLLIDING, encoding="utf-8")
+    assert main(["roles", str(f)]) == EXIT_OK
+    out = capsys.readouterr().out
+    for line in ("recv [B]: {Y}_ka", "send [B]: {X^i}_ka", "recv [A]: {Z}_kc", "recv [A]: W"):
+        assert f"  {line}\n" in out
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-wp", "roles"])
+def test_a_stand_in_never_takes_a_declared_variable_a_step_uses(tmp_path, capsys, command):
+    # A's stand-in for Nb would be X, which step 3 sends as the declared X
+    # that A never received
+    text = "".join(line for line in bundled("ns").splitlines(keepends=True)
+                   if not line.startswith("role "))
+    text = text.replace("step 3: A -> B : {Nb}_kb;", "step 3: A -> B : {Nb.X}_kb;")
+    assert "{Nb.X}_kb" in text and "role " not in text
+    assert _run_bad(tmp_path, text, command) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.err == "error: role A_G2 sends a variable it has not received\n"
+    assert captured.out == ""
+
+
 # a second level or fresh statement for a name must repeat the first, and
 # a fresh value's owner and a level's members must be declared principals
 _CONTRADICTIONS = {

@@ -57,8 +57,9 @@ def test_level_of_undeclared_constant_is_public(ctx):
 
 
 def test_level_of_matches_the_name_chain_lookup(ctx):
-    # a level is found by the atom's name alone: sort, session tag and index
-    # never change it, and a name that merely looks indexed is a plain name
+    # a level is found by the atom's name alone: session tag and index never
+    # change it, and a name that merely looks indexed is a plain name; a
+    # variable has no declared level, whatever its name, and reads bottom
     indexed = make_context(principals=["A", "I"], intruder="I",
                            levels={"Na_2": ["A"], "Nb": ["A", "I"], "kb-1": ["A"]},
                            keys=[("kb", "kb-1")])
@@ -67,7 +68,8 @@ def test_level_of_matches_the_name_chain_lookup(ctx):
         for name in names:
             for a in (Atom(name, sort, tag, index) for sort in Sort
                       for tag in (None, "i", "G1") for index in (None, 0, 2, 5)):
-                assert level_of(c, a) == c.levels.get(name, BOTTOM), a
+                want = BOTTOM if a.sort is Sort.VARIABLE else c.levels.get(name, BOTTOM)
+                assert level_of(c, a) == want, a
     assert level_of(indexed, Atom("Na", index=2)) == BOTTOM
     assert level_of(indexed, Atom("Na_2", session_tag="i")) == finite(["A"])
 

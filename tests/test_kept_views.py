@@ -1,17 +1,16 @@
-"""Grouped valuation against the per-view valuation it replaces.
+"""Renamed kept-variable views against the per-view valuation they replace.
 
-`derive.fact_levels` and `witness.reception_estimate` value the variables
-of one group of `derive.variable_groups` through one member's kept-variable
-view: in a flat source with no declared rule, where each variable occurs
-once, the variables that sit in one top-level part and share a level get
-the same level from the selection valuation.  These tests check both
-against `reference_bounds.fact_levels` and
-`reference_bounds.reception_estimate`, which value every variable in its
-own view, on random sources (flat, with several variables per encryption
-and several encryptions, and nested, with bare and repeated variables),
-under `fmax`, `fek` and `fn`, with and without a declared rule.  They also
-pin the two sources where grouping would change a level, a nested one and
-one under a rule: both go through the per-variable path.
+`derive.fact_levels` and `witness.reception_estimate` value each variable
+in its kept-variable view with that variable renamed to `derive.KEPT`, so
+that two variables whose views differ only by their names ask the value
+function one question.  These tests check both against
+`reference_bounds.fact_levels` and `reference_bounds.reception_estimate`,
+which value every variable in its own view under its own name, on random
+sources (flat, with several variables per encryption and several
+encryptions, and nested, with bare and repeated variables), under `fmax`,
+`fek` and `fn`, with and without a declared rule.  They also pin a flat body
+whose variables ask one question, and a nested source and a source under a
+rule whose variables' views stay apart and read different levels.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 
 import reference_bounds
 from secwitness.context import BOTTOM, TOP, finite
-from secwitness.derive import fact_levels, variable_groups, view
+from secwitness.derive import KEPT, fact_levels, view
 from secwitness.errors import AnalyzerError
 from secwitness.protocols import bundled, load_bundled
 from secwitness.roles import parse_protocol
@@ -49,9 +48,8 @@ CONSTANTS = [Atom("A"), Atom("B"), Atom("I"), Atom("Na"), Atom("Nb")]
 # declared keys and their inverses, and one name that is not a key
 KEYS = [Atom("ka"), Atom("kb"), Atom("ka-1"), Atom("kb-1"), Atom("ki"), _p("kb"), _p("ka", 2),
         Atom("k0")]
-# under NS levels X, Y and Z read bottom, a variable spelled Na reads {A,B}
-# and one spelled kb-1 reads {B}, so a key can protect some variables of a
-# body and not others
+# every variable reads bottom, also the ones spelled like the declared Na
+# and kb-1, so those names carry nothing into a variable's level
 VARIABLES = [_v("X"), _v("Y"), _v("Z"), _v("Na"), _v("kb-1")]
 NAMES = PARAMETERS + CONSTANTS
 
@@ -137,11 +135,11 @@ def test_fact_levels_match_the_per_view_valuation(data, source, ctx, function):
     facts = data.draw(facts_of(source))
     alphas = data.draw(st.lists(st.sampled_from(QUERIED), min_size=1, max_size=6, unique=True))
     F = total(value_function(function))
-    grouped: set = set()
+    kept: set = set()
     per_view: set = set()
-    got = fact_levels(recording(F, grouped), alphas, source, facts, ctx)
+    got = fact_levels(recording(F, kept), alphas, source, facts, ctx)
     assert got == reference_bounds.fact_levels(recording(F, per_view), alphas, source, facts, ctx)
-    assert grouped <= per_view
+    assert kept == reference_bounds.renamed(per_view)
 
 
 @settings(max_examples=400, deadline=None)
@@ -171,12 +169,12 @@ def _levels(function, source, ctx):
     return got, calls
 
 
-def test_a_flat_body_is_valued_once():
+def test_a_flat_body_asks_one_question():
     source = parse_message("{A.X.Y}_kb", SYMS)
-    assert variable_groups(source, NS) == {X: (0, BOTTOM), Y: (0, BOTTOM)}
+    assert view(source, {}, X) == view(source, {}, Y)
     got, calls = _levels("fmax", source, NS)
     assert got == {NA: finite(["A", "B"]), NB: finite(["A", "B"])}
-    assert calls == {(X, view(source, {}, X))}
+    assert calls == {(KEPT, view(source, {}, X))}
 
 
 @pytest.mark.parametrize("function, instance, alone", [
@@ -190,25 +188,23 @@ def test_a_nested_source_values_each_variable_in_its_own_view(function, instance
     source = parse_message("{Y.{X.B}_ka-1}_ka", SYMS)
     F = value_function(function)
     assert F(X, source, NS) == instance
-    assert F(X, view(source, {}, X), NS) == BOTTOM
-    assert variable_groups(source, NS) == {Y: Y, X: X}
+    assert F(KEPT, view(source, {}, X), NS) == BOTTOM
     got, calls = _levels(function, source, NS)
     assert got == {NA: BOTTOM, NB: alone}
-    assert {a for a, _ in calls} == {X, Y}
+    assert calls == {(KEPT, view(source, {}, X)), (KEPT, view(source, {}, Y))}
 
 
 @pytest.mark.parametrize("text, function, instance, want", [
     # erasing Y leaves two parts, so the rule no longer fires
     ("{A.X.Y}_kb", "fmax", finite(["B"]), {NA: finite(["A", "B"]), NB: finite(["A", "B"])}),
     ("{A.X.Y}_kb", "fn", TOP, {NA: finite(["A"]), NB: finite(["A"])}),
-    # the rule splits both views, X from the names and Y beside B: one
-    # member's view would give the other's atom the wrong level
+    # the rule splits both views, X from the names and Y beside B: the
+    # two views stay apart and read different levels
     ("{X.A.B.Y}_kb", "fn", TOP, {NA: TOP, NB: finite(["B"])}),
 ])
 def test_a_rule_values_each_variable_in_its_own_view(text, function, instance, want):
     source = parse_message(text, SYMS)
     assert value_function(function)(X, source, SPLITTING) == instance
-    assert variable_groups(source, SPLITTING) == {X: X, Y: Y}
     got, calls = _levels(function, source, SPLITTING)
     assert got == want
-    assert {a for a, _ in calls} == {X, Y}
+    assert calls == {(KEPT, view(source, {}, X)), (KEPT, view(source, {}, Y))}

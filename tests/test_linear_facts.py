@@ -8,7 +8,8 @@ against the one `derive.unifier_facts` and a plain loop read off
 `unify_all`, and the level `candidate_values` gives each atom against the
 meet of what `contribution_of` gives each unifier of `unify_all` and
 against the per-view valuation of `reference_bounds.fact_levels`, whose
-value-function calls include those of both.
+value-function calls, with each kept variable renamed to `derive.KEPT`,
+include those of both.
 """
 
 from __future__ import annotations
@@ -142,11 +143,12 @@ def test_facts_and_levels_match_the_unifiers(pair, function):
     got = candidate_values(target, [pattern], NS.context, alphas, recording(0))
     per_unifier = [contribution_of(recording(1), alphas, pattern, sigma, NS.context)
                    for sigma in unify_all(pattern, target)]
-    # the merged facts and one unifier's facts may value a group of
-    # variables through different members; each makes only calls that the
-    # per-view valuation of the merged facts makes, and gets its levels
+    # the merged facts and one unifier's facts make only calls that the
+    # per-view valuation of the merged facts makes, once its kept variables
+    # are renamed, and get its levels
     per_view = reference_bounds.fact_levels(recording(2), alphas, pattern, facts, NS.context)
-    assert calls[0] <= calls[2] and calls[1] <= calls[2]
+    kept = reference_bounds.renamed(calls[2])
+    assert calls[0] <= kept and calls[1] <= kept
     assert got == per_view
     for alpha in alphas:
         want = reference_bounds.candidate_values(target, [pattern], NS.context, alpha, F)

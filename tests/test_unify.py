@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import reference_bounds
+
 from secwitness.context import meet_all
 from secwitness.selection import value_function
 from secwitness.terms import (
@@ -103,6 +105,19 @@ def test_a_part_after_a_variable_bound_to_the_empty_message_is_chased():
     found = unify_all(left, right)
     assert [dict(s) for s in found] == [{x: EMPTY, y: concat(b, c)}]
     assert substitute(left, found[0]) == right
+
+
+def test_a_parameter_meets_a_compound_that_comes_to_one_atom():
+    # Y is bound to ε by the first part, so X.Y is X alone in the second,
+    # and the parameter A meets a variable there
+    x, y = Atom("X", Sort.VARIABLE), Atom("Y", Sort.VARIABLE)
+    a, k = Atom("A", Sort.PARAMETER), Atom("k")
+    left = concat(Enc(y, k), Enc(a, k))
+    right = concat(Enc(EMPTY, k), Enc(concat(x, y), k))
+    found = unify_all(left, right)
+    assert [dict(s) for s in found] == [{y: EMPTY, x: a}]
+    assert substitute(left, found[0]) == substitute(right, found[0])
+    assert found == reference_bounds.unify_all(left, right)
 
 
 def test_soundness_of_all_unifiers():
