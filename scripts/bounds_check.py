@@ -21,7 +21,6 @@ from secwitness.terms import (
     Atom,
     Enc,
     Sort,
-    Substitution,
     atoms,
     concat,
     substitute,
@@ -70,18 +69,15 @@ def random_pattern(rng: random.Random, data, keys, variables):
             return pat
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--instances", type=int, default=1000,
-                        help="closed (pattern, substitution) draws")
-    parser.add_argument("--seed", type=int, default=2026)
-    args = parser.parse_args()
-
-    rng = random.Random(args.seed)
+def run(instances: int, seed: int) -> tuple[int, int, list[str]]:
+    """Draws the given number of closed instances from the seed and checks
+    every queried data atom of each: (instances, atom checks, one line per
+    violation)."""
+    rng = random.Random(seed)
     variables = [Atom(f"V{i}", Sort.VARIABLE) for i in range(3)]
-    pairs = checks = violations = 0
-    t0 = time.monotonic()
-    while pairs < args.instances:
+    pairs = checks = 0
+    violations: list[str] = []
+    while pairs < instances:
         ctx, data, keys = random_setup(rng)
         pool = [random_pattern(rng, data, keys, variables)
                 for _ in range(rng.randint(1, 6))]
@@ -92,7 +88,7 @@ def main() -> int:
             continue
         source = rng.choice(sources)
         grounds = data + [Atom("m1"), Atom("m2")]
-        sigma = Substitution({v: rng.choice(grounds) for v in variables_of(source)})
+        sigma = {v: rng.choice(grounds) for v in variables_of(source)}
         closed = substitute(source, sigma)
         F = FUNCS[pairs % 3]
         pairs += 1
@@ -103,11 +99,24 @@ def main() -> int:
             low = lower_bound(alpha, source, pool, F, ctx)
             checks += 1
             if not (geq(up, w) and geq(w, low)):
-                violations += 1
-                print(f"violation: alpha={alpha.display()} source={source} "
-                      f"sigma={sigma} upper={up!r} witness={w!r} lower={low!r}")
+                violations.append(f"violation: alpha={alpha.display()} source={source} "
+                                  f"sigma={sigma} upper={up!r} witness={w!r} lower={low!r}")
+    return pairs, checks, violations
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--instances", type=int, default=1000,
+                        help="closed (pattern, substitution) draws")
+    parser.add_argument("--seed", type=int, default=2026)
+    args = parser.parse_args()
+
+    t0 = time.monotonic()
+    pairs, checks, violations = run(args.instances, args.seed)
     elapsed = time.monotonic() - t0
-    print(f"{pairs} instances, {checks} atom checks, {violations} violations, "
+    for line in violations:
+        print(line)
+    print(f"{pairs} instances, {checks} atom checks, {len(violations)} violations, "
           f"{elapsed:.2f} s")
     return 1 if violations else 0
 

@@ -15,7 +15,7 @@ variable's images cover under it; the bound asks no more of them.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .context import TOP, SecurityLevel, VerificationContext, meet
 from .terms import (
@@ -23,7 +23,6 @@ from .terms import (
     Atom,
     Message,
     Sort,
-    Substitution,
     atoms,
     map_atoms,
     variables_of,
@@ -44,11 +43,11 @@ Facts = dict[Params, dict[Atom, set[Atom]]]
 KEPT = Atom("?", Sort.VARIABLE)
 
 
-def unifier_facts(source: Message, sigmas: Iterable[Substitution]) -> Facts:
-    """The facts of listed unifiers of the source, in the form
-    `unify.linear_facts` gives: each distinct set of parameter bindings,
-    mapped to the atoms that each source variable's images cover under
-    those bindings."""
+def unifier_facts(source: Message, sigmas: Iterable[Mapping[Atom, Message]]) -> Facts:
+    """The facts of listed unifiers of the source, each a closed map, in
+    the form `unify.linear_facts` gives: each distinct set of parameter
+    bindings, mapped to the atoms that each source variable's images cover
+    under those bindings."""
     facts: Facts = {}
     variables = variables_of(source)
     for sigma in sigmas:
@@ -91,10 +90,10 @@ def fact_levels(F: ValueFunction, alphas: Sequence[Atom], source: Message,
         for alpha in alphas:
             # A fixed queried atom may have been matched by one of the
             # source's own names; the source then speaks about it under that
-            # name.  A queried variable gets no such transfer: renaming it
-            # tells us nothing about what it carries, only the dynamic view
-            # does.
-            probe = alpha if alpha.sort is Sort.VARIABLE else images.get(alpha, alpha)
+            # name.  A queried variable gets no such transfer: the bindings
+            # hold parameters only and the static view no variable, so only
+            # its dynamic views value it.
+            probe = images.get(alpha, alpha)
             if probe in present:
                 found[alpha] = meet(found.get(alpha, TOP), F(probe, static_view, ctx))
         for var, inside in covered.items():
@@ -107,7 +106,7 @@ def fact_levels(F: ValueFunction, alphas: Sequence[Atom], source: Message,
 
 
 def contribution_of(F: ValueFunction, alphas: Sequence[Atom], source: Message,
-                    sigma: Substitution, ctx: VerificationContext) -> Optional[dict[Atom, SecurityLevel]]:
+                    sigma: Mapping[Atom, Message], ctx: VerificationContext) -> Optional[dict[Atom, SecurityLevel]]:
     """The one-unifier case of `fact_levels`: the candidate's value for each
     queried atom it says something about, or None when it says nothing
     about any of them."""

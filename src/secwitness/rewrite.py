@@ -208,14 +208,14 @@ class WellProtectedReport:
 def check_well_protected(target: Union[Message, Iterable[Message]],
                          ctx: VerificationContext) -> WellProtectedReport:
     """Every occurrence of a non-public atom must sit under at least one key
-    whose level dominates the atom's.  Variables are exempt (their treatment
-    belongs to the criterion layer).  The atoms of each member as written are
-    checked on its normal form; violations come in occurrence order, one per
-    distinct (atom, inverse-key set) of a member."""
+    whose level dominates the atom's.  Variables are exempt: they read
+    bottom (their treatment belongs to the criterion layer).  The atoms of
+    each member as written are checked on its normal form; violations come
+    in occurrence order, one per distinct (atom, inverse-key set) of a
+    member."""
     violations: list[tuple[Atom, Message, frozenset]] = []
     for m in members(target):
-        levels = {a: lvl for a in atoms(m) if a.sort is not Sort.VARIABLE
-                  and not (lvl := level_of(ctx, a)).is_bottom}
+        levels = {a: lvl for a in atoms(m) if not (lvl := level_of(ctx, a)).is_bottom}
         if not levels:
             continue
         seen: set[tuple[Atom, frozenset]] = set()

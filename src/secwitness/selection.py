@@ -31,7 +31,7 @@ from .context import (
 )
 from .errors import WellProtectionViolation
 from .rewrite import normalize
-from .terms import Atom, Message, Sort, atoms, members, occurrences
+from .terms import Atom, Message, atoms, members, occurrences
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def select(inst: SelectionInstance, alpha: Atom,
                         selected.update(a for a in atoms(e.body) if is_identity(ctx, a))
                     break
             else:
-                if alpha.sort is not Sort.VARIABLE and not alpha_level.is_bottom:
+                if not alpha_level.is_bottom:
                     raise WellProtectionViolation(alpha.display(), alpha.display())
                 everything = True
     return None if everything else frozenset(selected - {alpha})

@@ -225,37 +225,6 @@ def variables_of(m: Message) -> frozenset[Atom]:
     return frozenset(a for a in atoms(m) if a.sort is Sort.VARIABLE)
 
 
-class Substitution(Mapping[Atom, Message]):
-    """A finite map from Parameters/Variables to messages.
-
-    Images never contain their own key (occurs check is enforced by the
-    unifier that builds these); applying twice equals applying once because
-    images are fully resolved at construction.
-    """
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: Optional[Mapping[Atom, Message]] = None):
-        items = dict(bindings or {})
-        for a in items:
-            if a.sort is Sort.CONSTANT:
-                raise ValueError(f"cannot bind constant {a!r}")
-        self._bindings = items
-
-    def __getitem__(self, key: Atom) -> Message:
-        return self._bindings[key]
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self._bindings)
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{a!r} -> {print_message(m)}" for a, m in self._bindings.items())
-        return "{" + inner + "}"
-
-
 def map_atoms(m: Message, f: Callable[[Atom], Optional[Message]]) -> Message:
     """Rebuilds the message through the smart constructors, replacing each
     atom occurrence by f(atom); None keeps the occurrence.  A key's image

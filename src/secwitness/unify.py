@@ -31,7 +31,6 @@ from .terms import (
     Enc,
     Message,
     Sort,
-    Substitution,
     atoms,
     concat,
     flatten,
@@ -142,13 +141,14 @@ def _unify_lists(xs: list[Message], ys: list[Message], b: Bindings) -> Iterator[
                 yield from _unify_lists(xs[k:], ys[1:], out)
 
 
-def unify_all(pattern: Message, target: Message) -> list[Substitution]:
+def unify_all(pattern: Message, target: Message) -> list[Bindings]:
     """Every unifier, one per inequivalent segmentation, in a deterministic
-    order; duplicates collapsed, the first kept."""
+    order; duplicates collapsed, the first kept.  Each is the closed dict
+    `_bind` builds: applying it twice equals applying it once."""
     found: dict[frozenset, Bindings] = {}
     for b in _unify(pattern, target, {}):
         found.setdefault(frozenset(b.items()), b)
-    return [Substitution(b) for b in found.values()]
+    return list(found.values())
 
 
 # ---------------------------------------------------------------------------

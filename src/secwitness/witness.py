@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .context import (
     BOTTOM,
@@ -41,7 +41,6 @@ from .terms import (
     Atom,
     Message,
     Sort,
-    Substitution,
     atoms,
     body_atoms_in_order,
     concat,
@@ -122,7 +121,7 @@ def reception_estimate(alpha: Atom, received: Sequence[Message],
     return meet_all(values)
 
 
-def witness_value(alpha: Atom, source: Message, sigma: Substitution,
+def witness_value(alpha: Atom, source: Message, sigma: Mapping[Atom, Message],
                   pool: Sequence[Message], F: ValueFunction,
                   ctx: VerificationContext) -> SecurityLevel:
     """The bound of the atom in a closed instance of a sent message, folded

@@ -33,7 +33,6 @@ from secwitness.terms import (
     Enc,
     Message,
     Sort,
-    Substitution,
     atoms,
     concat,
     flatten,
@@ -176,15 +175,15 @@ def _unify_lists(xs: list[Message], ys: list[Message], b: Bindings) -> Iterator[
                 yield from _unify_lists(xs[k:], ys[1:], out)
 
 
-def _close(b: Bindings) -> Substitution:
-    return Substitution({a: _resolve(a, b) for a in b})
+def _close(b: Bindings) -> Bindings:
+    return {a: _resolve(a, b) for a in b}
 
 
 # ---------------------------------------------------------------------------
 # The per-atom bound
 
 
-def unify_all(pattern: Message, target: Message) -> list[Substitution]:
+def unify_all(pattern: Message, target: Message) -> list[Bindings]:
     seen = []
     for b in _unify(pattern, target, {}):
         s = _close(b)
@@ -194,7 +193,7 @@ def unify_all(pattern: Message, target: Message) -> list[Substitution]:
 
 
 def contribution_of(F: ValueFunction, alpha: Atom, source: Message,
-                    sigma: Substitution, ctx: VerificationContext) -> Optional[SecurityLevel]:
+                    sigma: Bindings, ctx: VerificationContext) -> Optional[SecurityLevel]:
     param_only = {a: m for a, m in sigma.items() if a.sort is Sort.PARAMETER}
     inst = substitute(source, param_only)
     values: list[SecurityLevel] = []

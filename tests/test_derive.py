@@ -9,7 +9,6 @@ from secwitness.selection import value_function
 from secwitness.terms import (
     Atom,
     Sort,
-    Substitution,
     SymbolTable,
     atoms,
     concat,
@@ -102,10 +101,10 @@ def test_value_ignores_variable_bindings(ns, ns_roles, ns_pool):
     alpha = next(iter(variables_of(target)))
     sigma = unify_all(source, target)[0]
     x2 = next(iter(variables_of(source)))
-    resigned = Substitution({
+    resigned = {
         **{a: m for a, m in sigma.items() if a != x2},
         x2: concat(alpha, Atom("C")),
-    })
+    }
     assert (contribution_of(FMAX, [alpha], source, resigned, ns.context)[alpha]
             == contribution_of(FMAX, [alpha], source, sigma, ns.context)[alpha])
 
@@ -133,7 +132,7 @@ def test_overlapping_occurrences_meet(witness_ctx, witness_pool):
     source = witness_pool[0]                           # {alpha.B.X}_kad
     alpha = Atom("alpha")
     x = next(iter(variables_of(source)))
-    sigma = Substitution({x: concat(alpha, Atom("B"))})
+    sigma = {x: concat(alpha, Atom("B"))}
     static_only = FMAX(alpha, derive_all(source), witness_ctx)
     dynamic_only = FMAX(x, source, witness_ctx)
     got = contribution_of(FMAX, [alpha], source, sigma, witness_ctx)[alpha]

@@ -33,7 +33,6 @@ from secwitness.terms import (
     Enc,
     Message,
     Sort,
-    Substitution,
     SymbolTable,
     atoms,
     concat,
@@ -145,33 +144,28 @@ def test_variables_of():
 
 def test_substitute_variable():
     m = parse_message("{X}_kb", SYMS)
-    s = Substitution({X: concat(A, NA)})
+    s = {X: concat(A, NA)}
     assert substitute(m, s) == parse_message("{A.Na}_kb", SYMS)
 
 
 def test_substitute_ground_identity():
     m = parse_message("{A.Na}_kb", SYMS)
-    s = Substitution({X: A})
+    s = {X: A}
     assert substitute(m, s) == m
-    assert substitute(m, Substitution()) == m
+    assert substitute(m, {}) == m
 
 
 def test_substitute_parameters():
     m = Enc(concat(A1, NA1), KB1)
-    s = Substitution({A1: A, NA1: NA, KB1: KB})
+    s = {A1: A, NA1: NA, KB1: KB}
     assert substitute(m, s) == parse_message("{A.Na}_kb", SYMS)
 
 
 def test_substitute_compound_into_key_position():
     m = Enc(A, KB1)
-    s = Substitution({KB1: concat(A, B)})
+    s = {KB1: concat(A, B)}
     with pytest.raises(SubstitutedIntoKeyPosition):
         substitute(m, s)
-
-
-def test_substitution_rejects_constant_binding():
-    with pytest.raises(ValueError):
-        Substitution({NA: A})
 
 
 def test_inverse_key_involution():
@@ -237,14 +231,14 @@ def test_concat_flattening(a, b, c):
 
 @given(messages(), messages(), ground_images, ground_images)
 def test_substitute_homomorphism(a, b, ix, iy):
-    s = Substitution({X: ix, Y: iy})
+    s = {X: ix, Y: iy}
     assert substitute(concat(a, b), s) == concat(substitute(a, s), substitute(b, s))
     assert substitute(Enc(a, KB), s) == Enc(substitute(a, s), KB)
 
 
 @given(messages(), ground_images, ground_images)
 def test_substitute_atoms_law(m, ix, iy):
-    s = Substitution({X: ix, Y: iy})
+    s = {X: ix, Y: iy}
     expected = set()
     for a in atoms(m):
         img = s.get(a)

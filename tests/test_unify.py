@@ -160,8 +160,7 @@ def test_mgu_factoring_small_universe():
         choices = [grounds if x.sort is Sort.VARIABLE else grounds[:2]
                    for x in bindable]
         for images in itertools.product(*choices):
-            from secwitness.terms import Substitution
-            tau = Substitution(dict(zip(bindable, images)))
+            tau = dict(zip(bindable, images))
             if substitute(left, tau) != substitute(right, tau):
                 continue
             checked += 1

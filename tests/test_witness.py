@@ -16,7 +16,6 @@ from secwitness.selection import value_function
 from secwitness.terms import (
     Atom,
     Sort,
-    Substitution,
     atoms,
     parse_message,
     substitute,
@@ -122,7 +121,7 @@ def test_upper_bound_over_a_set_meets(ns, ns_roles):
 
 def test_witness_three_pattern_example(witness_ctx, witness_symbols, witness_pool):
     m1 = parse_message("{alpha.B.C}_kad", witness_symbols)
-    got = witness_value(Atom("alpha"), m1, Substitution(), witness_pool, FMAX, witness_ctx)
+    got = witness_value(Atom("alpha"), m1, {}, witness_pool, FMAX, witness_ctx)
     assert got == finite(["B", "A", "D", "C"])
 
 
@@ -131,7 +130,7 @@ def test_witness_singleton_pool_is_the_derivative(witness_ctx, witness_symbols, 
     pool = witness_pool[:1]
     sigma = unify_all(pool[0], m1)[0]
     want = contribution_of(FMAX, [Atom("alpha")], pool[0], sigma, witness_ctx)[Atom("alpha")]
-    got = witness_value(Atom("alpha"), m1, Substitution(), pool, FMAX, witness_ctx)
+    got = witness_value(Atom("alpha"), m1, {}, pool, FMAX, witness_ctx)
     assert got == want
 
 
@@ -144,7 +143,7 @@ def test_witness_sits_between_the_bounds(ns, ns_roles, ns_pool):
     rng = random.Random(7)
     for ground in ("Na", "Nb", "A", "B"):
         tag = rng.choice(["i", "j", None])
-        sigma = Substitution({y: Atom(ground, Sort.CONSTANT, session_tag=tag)})
+        sigma = {y: Atom(ground, Sort.CONSTANT, session_tag=tag)}
         w = witness_value(nb, sent, sigma, ns_pool, FMAX, ns.context)
         up = upper_bound(nb, substitute(sent, sigma), FMAX, ns.context)
         assert geq(up, w)
@@ -159,7 +158,7 @@ def test_witness_identity_instance_escapes_lower_bound(ns, ns_roles, ns_pool):
     sent = role.steps[1].message
     nb = _named(sent, "Nb")
     y = next(iter(variables_of(sent)))
-    sigma = Substitution({y: Atom("I")})
+    sigma = {y: Atom("I")}
     w = witness_value(nb, sent, sigma, ns_pool, FMAX, ns.context)
     low = lower_bound(nb, sent, ns_pool, FMAX, ns.context)
     up = upper_bound(nb, substitute(sent, sigma), FMAX, ns.context)
