@@ -14,7 +14,7 @@ import argparse
 import random
 import time
 
-from secwitness.context import geq, make_context
+from secwitness.context import geq, make_context, show
 from secwitness.rewrite import check_well_protected
 from secwitness.selection import value_function
 from secwitness.terms import (
@@ -100,7 +100,7 @@ def run(instances: int, seed: int) -> tuple[int, int, list[str]]:
             checks += 1
             if not (geq(up, w) and geq(w, low)):
                 violations.append(f"violation: alpha={alpha.display()} source={source} "
-                                  f"sigma={sigma} upper={up!r} witness={w!r} lower={low!r}")
+                                  f"sigma={sigma} upper={show(up)} witness={show(w)} lower={show(low)}")
     return pairs, checks, violations
 
 

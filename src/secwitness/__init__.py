@@ -10,7 +10,7 @@ does not, the analyzer reports the names it could not justify and makes no
 claim either way.
 """
 
-from .context import BOTTOM, TOP, SecurityLevel, VerificationContext, make_context
+from .context import TOP, SecurityLevel, VerificationContext, make_context
 from .errors import AnalyzerError
 from .roles import Protocol, load_protocol, parse_protocol, roles_for
 from .selection import value_function
@@ -27,7 +27,6 @@ from .witness import (
 __all__ = [
     "AnalysisReport",
     "AnalyzerError",
-    "BOTTOM",
     "CriterionRow",
     "Protocol",
     "SecurityLevel",

@@ -1,10 +1,10 @@
 """Security lattice and verification context.
 
 The lattice is the powerset of principals ordered by reverse inclusion:
-the more principals may read an atom, the lower its level.  Bottom (public,
-readable by everyone) is kept symbolic instead of materializing "all
-principals", because indexed stand-in identities (A_3 and friends) enter the
-universe during analysis and must compare below every finite level.
+the more principals may read an atom, the lower its level.  A level is the
+frozenset of names that may read a value, top the empty set and bottom None
+rather than "all principals", because indexed stand-in identities (A_3 and
+friends) enter the universe during analysis and must compare below every set.
 Levels carry principal NAMES, not atom objects, so an identity reached as a
 parameter and the same identity declared as a constant agree.
 """
@@ -14,72 +14,44 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import ContextError, MismatchedUniverse, NotAKey
+from .errors import ContextError, NotAKey
 from .terms import Atom, Sort
 
 
-@dataclass(frozen=True)
-class SecurityLevel:
-    """members=None encodes bottom (every principal); frozenset() is top."""
-
-    members: Optional[frozenset[str]] = None
-
-    @property
-    def is_bottom(self) -> bool:
-        return self.members is None
-
-    @property
-    def is_top(self) -> bool:
-        return self.members is not None and not self.members
-
-    def __repr__(self) -> str:
-        if self.is_bottom:
-            return "⊥"
-        if self.is_top:
-            return "⊤"
-        return "{" + ",".join(sorted(self.members)) + "}"
+SecurityLevel = Optional[frozenset]
+TOP: SecurityLevel = frozenset()
 
 
-BOTTOM = SecurityLevel(None)
-TOP = SecurityLevel(frozenset())
-
-
-def finite(names: Iterable[str]) -> SecurityLevel:
-    return SecurityLevel(frozenset(names))
-
-
-def _require_level(x) -> None:
-    if not isinstance(x, SecurityLevel):
-        raise MismatchedUniverse(f"not a security level: {x!r}")
+def show(level: SecurityLevel) -> str:
+    """⊥, ⊤, or the sorted names in braces."""
+    if level is None:
+        return "⊥"
+    if not level:
+        return "⊤"
+    return "{" + ",".join(sorted(level)) + "}"
 
 
 def geq(a: SecurityLevel, b: SecurityLevel) -> bool:
     """a dominates b: a's reader set is contained in b's."""
-    _require_level(a)
-    _require_level(b)
-    if b.is_bottom:
+    if b is None:
         return True
-    if a.is_bottom:
+    if a is None:
         return False
-    return a.members <= b.members
+    return a <= b
 
 
 def meet(a: SecurityLevel, b: SecurityLevel) -> SecurityLevel:
-    _require_level(a)
-    _require_level(b)
-    if a.is_bottom or b.is_bottom:
-        return BOTTOM
-    return SecurityLevel(a.members | b.members)
+    if a is None or b is None:
+        return None
+    return a | b
 
 
 def join(a: SecurityLevel, b: SecurityLevel) -> SecurityLevel:
-    _require_level(a)
-    _require_level(b)
-    if a.is_bottom:
+    if a is None:
         return b
-    if b.is_bottom:
+    if b is None:
         return a
-    return SecurityLevel(a.members & b.members)
+    return a & b
 
 
 def meet_all(levels: Iterable[SecurityLevel]) -> SecurityLevel:
@@ -128,7 +100,7 @@ def make_context(
             bound = key_index.setdefault(a, b)
             if bound != b:
                 raise ContextError(f"key {a} is declared with two inverses, {bound} and {b}")
-    lvls = {name: finite(members) for name, members in levels.items()}
+    lvls = {name: frozenset(members) for name, members in levels.items()}
     return VerificationContext(
         principals=atoms,
         intruder=Atom(intruder),
@@ -147,13 +119,13 @@ def level_of(ctx: VerificationContext, a: Atom) -> SecurityLevel:
     their own treatment, and bottom here is what makes every key protective
     for them.
     """
-    return BOTTOM if a.sort is Sort.VARIABLE else ctx.levels.get(a.name, BOTTOM)
+    return None if a.sort is Sort.VARIABLE else ctx.levels.get(a.name)
 
 
 def may_read(ctx: VerificationContext, name: str, a: Atom) -> bool:
     """Whether the named principal is among the atom's readers."""
     lv = level_of(ctx, a)
-    return lv.is_bottom or name in lv.members
+    return lv is None or name in lv
 
 
 def intruder_allowed(ctx: VerificationContext, a: Atom) -> bool:

@@ -34,10 +34,6 @@ class NotAKey(AnalyzerError):
         super().__init__(f"{name!r} is not registered as a key")
 
 
-class MismatchedUniverse(AnalyzerError):
-    """Lattice operation applied to something that is not a security level."""
-
-
 class ContextError(AnalyzerError):
     """Inconsistent input: missing or conflicting declarations, a rule that
     is not keys-monotone or whose right-hand side has an unbound

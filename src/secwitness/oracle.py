@@ -26,6 +26,7 @@ from .context import (
     intruder_knowledge,
     inverse_key,
     level_of,
+    show,
 )
 from .derive import ValueFunction
 from .errors import NotAKey, NoWellProtectedSample, WellProtectionViolation
@@ -352,7 +353,7 @@ def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationC
                     if not geq(on_derived, on_base):
                         found.append(Failure(
                             str(t), a.display(),
-                            f"derived value {on_derived!r} below base value {on_base!r}"))
+                            f"derived value {show(on_derived)} below base value {show(on_base)}"))
         running = [name for name in running if not failures[name]]
     return {name: PropertyReport(not failures[name], trials, tuple(failures[name]), (), truncated[name])
             for name in funcs}

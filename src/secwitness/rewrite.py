@@ -215,7 +215,7 @@ def check_well_protected(target: Union[Message, Iterable[Message]],
     member."""
     violations: list[tuple[Atom, Message, frozenset]] = []
     for m in members(target):
-        levels = {a: lvl for a in atoms(m) if not (lvl := level_of(ctx, a)).is_bottom}
+        levels = {a: lvl for a in atoms(m) if (lvl := level_of(ctx, a)) is not None}
         if not levels:
             continue
         seen: set[tuple[Atom, frozenset]] = set()

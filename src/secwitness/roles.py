@@ -26,12 +26,12 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .context import (
     VerificationContext,
-    finite,
     inverse_key,
     is_identity,
     level_of,
     make_context,
     may_read,
+    show,
 )
 from .errors import AnalyzerError, ContextError, MessageSyntaxError, NotAKey, UndeclaredIdentifier
 from .rewrite import RewriteRule, keys_monotone
@@ -242,7 +242,7 @@ def parse_protocol(text: str) -> Protocol:
             bound = levels.setdefault(g[0], readers)
             if bound != readers:
                 raise ContextError(f"{g[0]} is declared with two levels, "
-                                   f"{finite(bound)!r} and {finite(readers)!r}")
+                                   f"{show(bound)} and {show(readers)}")
         elif head == "rule":
             rule_specs.append(g)
         elif head == "step":
@@ -378,7 +378,7 @@ def _knows(p: Protocol, agent: Atom, a: Atom) -> bool:
         return True
     if a.name in ctx.keys:
         return may_read(ctx, agent.name, a)
-    return level_of(ctx, a).is_bottom
+    return level_of(ctx, a) is None
 
 
 def extract_generalized_roles(p: Protocol) -> tuple[GeneralizedRole, ...]:
@@ -470,8 +470,8 @@ def _owner(a: Atom, ctx: VerificationContext, fresh_owners: Mapping[str, str]) -
         return fresh_owners[a.name]
     if a.name in ctx.keys and not is_identity(ctx, a):
         for k in (a, inverse_key(ctx, a)):
-            readers = level_of(ctx, k).members
-            if readers and len(readers) == 1:
+            readers = level_of(ctx, k)
+            if readers is not None and len(readers) == 1:
                 return next(iter(readers))
     return a.name
 

@@ -7,7 +7,7 @@ that spot is the instance's policy: the broad instance keeps the principal
 names beside the atom plus the inverse key, the key-only instance keeps just
 the inverse key, the neighbor instance keeps just the principal names.  A
 selection is a set of atoms, or None where the queried atom stands alone or
-unprotected, as a level's members are None at bottom.  The valuation maps a
+unprotected, as a level is None at bottom.  The valuation maps a
 selection to a level: None to bottom, the empty set to top, and otherwise
 names stand for themselves, other atoms for their declared level, and
 choices combine by meet.
@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from .context import (
-    BOTTOM,
     SecurityLevel,
     VerificationContext,
-    finite,
     geq,
     inverse_key,
     is_identity,
@@ -77,7 +75,7 @@ def select(inst: SelectionInstance, alpha: Atom,
                         selected.update(a for a in atoms(e.body) if is_identity(ctx, a))
                     break
             else:
-                if not alpha_level.is_bottom:
+                if alpha_level is not None:
                     raise WellProtectionViolation(alpha.display(), alpha.display())
                 everything = True
     return None if everything else frozenset(selected - {alpha})
@@ -87,8 +85,8 @@ def psi(ctx: VerificationContext, selected: Optional[frozenset[Atom]]) -> Securi
     """Valuation: None reads as bottom, the empty set as top; a principal
     name denotes itself, any other atom its declared level."""
     if selected is None:
-        return BOTTOM
-    return meet_all(finite([a.display()]) if is_identity(ctx, a) else level_of(ctx, a)
+        return None
+    return meet_all(frozenset([a.display()]) if is_identity(ctx, a) else level_of(ctx, a)
                     for a in selected)
 
 

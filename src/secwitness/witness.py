@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .context import (
-    BOTTOM,
     TOP,
     SecurityLevel,
     VerificationContext,
@@ -25,6 +24,7 @@ from .context import (
     level_of,
     meet,
     meet_all,
+    show,
 )
 from .derive import KEPT, ValueFunction, view
 from .errors import NoProtectivePattern, WellProtectionViolation
@@ -55,17 +55,17 @@ from .unify import candidate_values
 
 def _guarded(alpha: Atom, ctx: VerificationContext) -> bool:
     """Whether a sent occurrence of the atom needs a protecting pattern."""
-    return alpha.sort is Sort.VARIABLE or not level_of(ctx, alpha).is_bottom
+    return alpha.sort is Sort.VARIABLE or level_of(ctx, alpha) is not None
 
 
 def lower_bounds(sent: Message, alphas: Sequence[Atom], pool: Sequence[Message],
-                 F: ValueFunction, ctx: VerificationContext) -> dict[Atom, Optional[SecurityLevel]]:
+                 F: ValueFunction, ctx: VerificationContext) -> dict[Atom, SecurityLevel]:
     """Who the sent occurrences of each atom could be addressed to, folded
     over every pattern the protecting parts might instantiate.
 
     The atoms share one candidate search per distinct protecting part.  An
     atom that stands bare in the send, with a level to protect, maps to
-    None: no pattern protects it, and later parts are not searched for it.
+    bottom: no pattern protects it, and later parts are not searched for it.
     """
     values: dict[Atom, SecurityLevel] = {}
     bare: set[Atom] = set()
@@ -90,10 +90,9 @@ def lower_bound(alpha: Atom, sent: Message, pool: Sequence[Message],
                 F: ValueFunction, ctx: VerificationContext) -> SecurityLevel:
     """The bound of one atom of a send; raises NoProtectivePattern when the
     atom stands bare in it."""
-    bound = lower_bounds(sent, [alpha], pool, F, ctx)[alpha]
-    if bound is None:
+    if alpha in flatten(sent) and _guarded(alpha, ctx):
         raise NoProtectivePattern(alpha.display(), print_message(sent))
-    return bound
+    return lower_bounds(sent, [alpha], pool, F, ctx)[alpha]
 
 
 def upper_bound(alpha: Atom, m: Union[Message, Iterable[Message]],
@@ -140,7 +139,7 @@ class CriterionRow:
     received: tuple[Message, ...]
     sent: Message
     lower: SecurityLevel
-    atom_level: Optional[SecurityLevel]  # None on a variable row
+    atom_level: SecurityLevel  # bottom on a variable row, which prints ∀
     estimate: SecurityLevel
     fulfilled: bool
     blame: frozenset[str]
@@ -160,23 +159,19 @@ class AnalysisReport:
 
 def _row_for(alpha: Atom, role: GeneralizedRole, position: int,
              sent: Message, received: tuple[Message, ...],
-             lower: Optional[SecurityLevel], F: ValueFunction,
+             lower: SecurityLevel, F: ValueFunction,
              ctx: VerificationContext) -> CriterionRow:
     estimate = reception_estimate(alpha, received, F, ctx)
-    atom_level = None if alpha.sort is Sort.VARIABLE else level_of(ctx, alpha)
-    required = estimate if atom_level is None else meet(atom_level, estimate)
-    if lower is None:  # bare in the send: no protective pattern
-        lower = BOTTOM
-        fulfilled = False
-        blame: frozenset[str] = frozenset({alpha.display()})
+    atom_level = level_of(ctx, alpha)
+    required = estimate if alpha.sort is Sort.VARIABLE else meet(atom_level, estimate)
+    # an atom bare in the send has no protective pattern, whatever its estimate
+    fulfilled = alpha not in flatten(sent) and geq(lower, required)
+    if fulfilled:
+        blame: frozenset[str] = frozenset()
+    elif lower is None:
+        blame = frozenset({alpha.display()})
     else:
-        fulfilled = geq(lower, required)
-        if fulfilled:
-            blame = frozenset()
-        elif lower.is_bottom or required.is_bottom:
-            blame = frozenset({alpha.display()})
-        else:
-            blame = frozenset(lower.members - required.members)
+        blame = lower - required
     step = role.steps[position]
     return CriterionRow(
         atom=alpha,
@@ -268,9 +263,9 @@ def render_table(report: AnalysisReport) -> str:
             r.role_id,
             _received_cell(r),
             print_message(r.sent),
-            repr(r.lower),
-            "∀" if r.atom_level is None else repr(r.atom_level),
-            repr(r.estimate),
+            show(r.lower),
+            "∀" if r.is_variable else show(r.atom_level),
+            show(r.estimate),
             "Fulfilled" if r.fulfilled else "NotFulfilled",
         ))
     widths = [max(len(h), *(len(row[i]) for row in body)) if body else len(h)
@@ -285,12 +280,10 @@ def render_table(report: AnalysisReport) -> str:
     return "\n".join(lines)
 
 
-def _level_json(level: Optional[SecurityLevel]) -> dict:
+def _level_json(level: SecurityLevel) -> dict:
     if level is None:
-        return {"unknown": True}
-    if level.is_bottom:
         return {"bottom": True}
-    return {"members": sorted(level.members)}
+    return {"members": sorted(level)}
 
 
 def row_record(r: CriterionRow) -> dict:
@@ -304,7 +297,7 @@ def row_record(r: CriterionRow) -> dict:
         "received": [print_message(m) for m in r.received],
         "sent": print_message(r.sent),
         "lowerBound": _level_json(r.lower),
-        "atomLevel": _level_json(r.atom_level),
+        "atomLevel": {"unknown": True} if r.is_variable else _level_json(r.atom_level),
         "receptionEstimate": _level_json(r.estimate),
         "verdict": "Fulfilled" if r.fulfilled else "NotFulfilled",
         "blame": sorted(r.blame),

@@ -234,7 +234,7 @@ def lower_bound(alpha: Atom, sent: Message, pool: Sequence[Message],
         if isinstance(part, Atom):
             if part != alpha:
                 continue
-            if alpha.sort is Sort.VARIABLE or not level_of(ctx, alpha).is_bottom:
+            if alpha.sort is Sort.VARIABLE or level_of(ctx, alpha) is not None:
                 raise NoProtectivePattern(alpha.display(), print_message(sent))
             continue
         if alpha not in atoms(part):

@@ -31,6 +31,7 @@ from secwitness.context import (
     intruder_allowed,
     intruder_knowledge,
     inverse_key,
+    show,
 )
 from secwitness.derive import ValueFunction
 from secwitness.errors import NotAKey, WellProtectionViolation
@@ -171,7 +172,7 @@ def check_full_invariance_alone(func: ValueFunction, ctx: VerificationContext,
                 if not geq(on_derived, on_base):
                     failures.append(Failure(
                         str(t), a.display(),
-                        f"derived value {on_derived!r} below base value {on_base!r}"))
+                        f"derived value {show(on_derived)} below base value {show(on_base)}"))
         if failures:
             break
     return PropertyReport(not failures, trials, tuple(failures), (), truncated)

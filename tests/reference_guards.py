@@ -72,7 +72,7 @@ def check_well_protected(target: Union[Message, Iterable[Message]],
             if a.sort is Sort.VARIABLE:
                 continue
             lvl = level_of(ctx, a)
-            if lvl.is_bottom:
+            if lvl is None:
                 continue
             for keyset in access(a, m, ctx):
                 if not any(geq(level_of(ctx, k), lvl) for k in keyset):
@@ -97,7 +97,7 @@ def select(inst: SelectionInstance, alpha: Atom,
         if isinstance(t, Atom):
             if t != alpha:
                 return frozenset()
-            if alpha.sort is not Sort.VARIABLE and not alpha_level.is_bottom:
+            if alpha.sort is not Sort.VARIABLE and alpha_level is not None:
                 raise WellProtectionViolation(alpha.display(), str(t))
             return None
         if isinstance(t, Concat):

@@ -12,12 +12,11 @@ from pathlib import Path
 from message_helpers import family, random_message
 from secwitness.cli import EXIT_OK, main
 from secwitness.context import (
-    BOTTOM,
     TOP,
-    finite,
     is_identity,
     make_context,
     meet,
+    show,
 )
 from secwitness.oracle import (
     check_full_invariance,
@@ -71,8 +70,8 @@ def test_criterion_01_ns_table():
         not report.fulfilled
         and [r.atom.display() for r in rows] == ["Na^i", "X", "Y", "Nb^i"]
         and [(r.role_id, r.step) for r in rows] == [("A_G1", 1), ("A_G2", 3), ("B_G1", 2), ("B_G1", 2)]
-        and [r.lower for r in rows] == [finite("AB"), finite("B"), finite("AB"), finite(["A", "B", "A_3"])]
-        and [r.estimate for r in rows] == [TOP, finite("AB"), finite("AB"), finite("AB")]
+        and [r.lower for r in rows] == [frozenset("AB"), frozenset("B"), frozenset("AB"), frozenset(["A", "B", "A_3"])]
+        and [r.estimate for r in rows] == [TOP, frozenset("AB"), frozenset("AB"), frozenset("AB")]
         and [r.fulfilled for r in rows] == [True, True, True, False]
         and rows[3].blame == frozenset({"A_3"})
         and elapsed < 1.0
@@ -92,8 +91,8 @@ def test_criterion_02_nsl_table(tmp_path):
     ok = (
         report.fulfilled
         and [r.atom.display() for r in rows] == ["Na^i", "X", "Y", "Nb^i"]
-        and [r.lower for r in rows] == [finite("AB"), finite("B"), finite("AB"), finite("AB")]
-        and [r.estimate for r in rows] == [TOP, finite("AB"), finite("AB"), finite("AB")]
+        and [r.lower for r in rows] == [frozenset("AB"), frozenset("B"), frozenset("AB"), frozenset("AB")]
+        and [r.estimate for r in rows] == [TOP, frozenset("AB"), frozenset("AB"), frozenset("AB")]
         and all(r.fulfilled for r in rows)
         and exit_code == EXIT_OK
         and elapsed < 1.0
@@ -147,7 +146,7 @@ def test_criterion_04_selection_and_value_examples():
     flat_syms = _symbols("A", "B", "C", "D", "S", "I", "alpha", "kab", "kab-1")
     flat = parse_message("{A.C.alpha.D}_kab", flat_syms)
     f_got = [F(alpha, flat, flat_ctx) for F in FUNCS]
-    f_want = [finite("ACDBS"), finite("ABS"), finite("ACD")]
+    f_want = [frozenset("ACDBS"), frozenset("ABS"), frozenset("ACD")]
     _verdict(4, s_got == s_want and f_got == f_want, "three selections and three values exact")
 
 
@@ -164,7 +163,7 @@ def test_criterion_05_witness_example():
             for t in ("{alpha.B.X}_kad", "{alpha.Y.C}_kad", "{A.Z}_kbc")]
     m1 = parse_message("{alpha.B.C}_kad", symbols)
     got = witness_value(Atom("alpha"), m1, {}, pool, FUNCS[0], ctx)
-    _verdict(5, got == finite("BADC"), f"witness value {got!r}")
+    _verdict(5, got == frozenset("BADC"), f"witness value {show(got)}")
 
 
 def test_criterion_06_bounds_ordering():
@@ -184,7 +183,7 @@ def test_criterion_07_well_formedness_laws():
         ctx, data, _ = BOUNDS_CHECK["random_setup"](rng)
         s = rng.choice(data)
         F = FUNCS[i % 3]
-        if F(s, s, ctx) != BOTTOM or F(s, [s], ctx) != BOTTOM:
+        if F(s, s, ctx) is not None or F(s, [s], ctx) is not None:
             bad_self += 1
 
     rng = random.Random(8)
@@ -224,7 +223,7 @@ def test_criterion_08_full_invariance():
             for a in atoms(mm):
                 if is_identity(c, a) and a != alpha:
                     names.add(a.display())
-        return finite(names)
+        return frozenset(names)
 
     caught = not check_full_invariance({"leaky": leaky}, ctx, trials=500, depth=4, seed=1)["leaky"].ok
     elapsed = time.monotonic() - t0

@@ -19,7 +19,7 @@ import pytest
 
 import reference_closure
 import secwitness.oracle
-from secwitness.context import finite, is_identity, make_context
+from secwitness.context import is_identity, make_context
 from secwitness.oracle import (
     _deduce,
     check_full_invariance,
@@ -228,7 +228,7 @@ def _leaky(alpha, m, ctx):
         for a in atoms(mm):
             if is_identity(ctx, a) and a != alpha:
                 names.add(a.display())
-    return finite(names)
+    return frozenset(names)
 
 
 FUNCTIONS = [(name, value_function(name)) for name in sorted(INSTANCES)] + [("leaky", _leaky)]

@@ -7,9 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from secwitness.context import (
-    BOTTOM,
     TOP,
-    finite,
     geq,
     intruder_allowed,
     intruder_knowledge,
@@ -20,15 +18,16 @@ from secwitness.context import (
     may_read,
     meet,
     meet_all,
+    show,
 )
-from secwitness.errors import ContextError, MismatchedUniverse
+from secwitness.errors import ContextError
 from secwitness.terms import Atom, Sort
 
 NAMES = ["A", "B", "C", "D", "S"]
 
 levels = st.one_of(
-    st.just(BOTTOM),
-    st.frozensets(st.sampled_from(NAMES), max_size=5).map(finite),
+    st.just(None),
+    st.frozensets(st.sampled_from(NAMES), max_size=5),
 )
 
 
@@ -44,16 +43,16 @@ def ctx():
 
 
 def test_level_of_declared(ctx):
-    assert level_of(ctx, Atom("Na")) == finite(["A", "B"])
+    assert level_of(ctx, Atom("Na")) == frozenset(["A", "B"])
 
 
 def test_level_of_identity_is_public(ctx):
-    assert level_of(ctx, Atom("A")) == BOTTOM
-    assert level_of(ctx, Atom("A", session_tag="i")) == BOTTOM
+    assert level_of(ctx, Atom("A")) is None
+    assert level_of(ctx, Atom("A", session_tag="i")) is None
 
 
 def test_level_of_undeclared_constant_is_public(ctx):
-    assert level_of(ctx, Atom("D")) == BOTTOM
+    assert level_of(ctx, Atom("D")) is None
 
 
 def test_level_of_matches_the_name_chain_lookup(ctx):
@@ -68,31 +67,37 @@ def test_level_of_matches_the_name_chain_lookup(ctx):
         for name in names:
             for a in (Atom(name, sort, tag, index) for sort in Sort
                       for tag in (None, "i", "G1") for index in (None, 0, 2, 5)):
-                want = BOTTOM if a.sort is Sort.VARIABLE else c.levels.get(name, BOTTOM)
+                want = None if a.sort is Sort.VARIABLE else c.levels.get(name)
                 assert level_of(c, a) == want, a
-    assert level_of(indexed, Atom("Na", index=2)) == BOTTOM
-    assert level_of(indexed, Atom("Na_2", session_tag="i")) == finite(["A"])
+    assert level_of(indexed, Atom("Na", index=2)) is None
+    assert level_of(indexed, Atom("Na_2", session_tag="i")) == frozenset(["A"])
 
 
 def test_level_of_strips_index_and_tag(ctx):
-    assert level_of(ctx, Atom("Na", Sort.PARAMETER, index=3)) == finite(["A", "B"])
-    assert level_of(ctx, Atom("Na", session_tag="i")) == finite(["A", "B"])
+    assert level_of(ctx, Atom("Na", Sort.PARAMETER, index=3)) == frozenset(["A", "B"])
+    assert level_of(ctx, Atom("Na", session_tag="i")) == frozenset(["A", "B"])
 
 
 def test_geq_reflexive_example():
-    assert geq(finite(["A", "B"]), finite(["A", "B"]))
+    assert geq(frozenset(["A", "B"]), frozenset(["A", "B"]))
 
 
 def test_meet_is_union():
-    assert meet(finite(["A", "B"]), finite(["A"])) == finite(["A", "B"])
+    assert meet(frozenset(["A", "B"]), frozenset(["A"])) == frozenset(["A", "B"])
 
 
 def test_geq_fails_on_extra_member():
-    assert not geq(finite(["A", "B", "A_3"]), finite(["A", "B"]))
+    assert not geq(frozenset(["A", "B", "A_3"]), frozenset(["A", "B"]))
 
 
 def test_meet_all_empty_is_top():
     assert meet_all([]) == TOP
+
+
+def test_show():
+    assert show(None) == "⊥"
+    assert show(frozenset()) == "⊤" and show(TOP) == "⊤"
+    assert show(frozenset(["B", "A_3", "A"])) == "{A,A_3,B}"
 
 
 def test_intruder_allowed(ctx):
@@ -107,13 +112,6 @@ def test_may_read(ctx):
     assert may_read(ctx, "C", Atom("D"))                           # public by default
     for name in ("Na", "ka-1", "kb-1", "D", "pub"):
         assert may_read(ctx, "I", Atom(name)) == intruder_allowed(ctx, Atom(name))
-
-
-def test_mismatched_operand():
-    with pytest.raises(MismatchedUniverse):
-        geq(finite(["A"]), "not a level")
-    with pytest.raises(MismatchedUniverse):
-        meet(finite(["A"]), None)
 
 
 def test_intruder_must_be_principal():
@@ -166,7 +164,7 @@ def test_intruder_knowledge(ctx):
 @given(levels)
 def test_order_reflexive_and_bounded(a):
     assert geq(a, a)
-    assert geq(a, BOTTOM)
+    assert geq(a, None)
     assert geq(TOP, a)
 
 
@@ -205,4 +203,15 @@ def test_meet_join_laws(a, b):
 @given(levels)
 def test_meet_with_extremes(a):
     assert meet(a, TOP) == a
-    assert meet(a, BOTTOM) == BOTTOM
+    assert meet(a, None) is None
+
+
+@given(levels)
+def test_top_and_bottom_stay_apart(a):
+    # both are falsy, so a level is tested with `is None`, never for truth
+    assert geq(TOP, a)
+    assert geq(a, None)
+    assert meet(a, None) is None
+    assert join(a, None) == a
+    assert (show(a) == "⊥") == (a is None)
+    assert (show(a) == "⊤") == (a == TOP)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_bounds
-from secwitness.context import BOTTOM, TOP, finite
+from secwitness.context import TOP
 from secwitness.derive import KEPT, fact_levels, view
 from secwitness.errors import AnalyzerError
 from secwitness.protocols import bundled, load_bundled
@@ -32,7 +32,7 @@ from secwitness.witness import reception_estimate
 NS = load_bundled("ns").context
 SPLIT = "rule {P.Q.R}_kb -> {P}_kb.{Q.R}_kb;\n"
 SPLITTING = parse_protocol(bundled("ns") + SPLIT).context
-RAISED = finite(["<raised>"])
+RAISED = frozenset(["<raised>"])
 
 
 def _p(name: str, index=None) -> Atom:
@@ -173,14 +173,14 @@ def test_a_flat_body_asks_one_question():
     source = parse_message("{A.X.Y}_kb", SYMS)
     assert view(source, {}, X) == view(source, {}, Y)
     got, calls = _levels("fmax", source, NS)
-    assert got == {NA: finite(["A", "B"]), NB: finite(["A", "B"])}
+    assert got == {NA: frozenset(["A", "B"]), NB: frozenset(["A", "B"])}
     assert calls == {(KEPT, view(source, {}, X))}
 
 
 @pytest.mark.parametrize("function, instance, alone", [
-    ("fmax", finite(["A", "B"]), finite(["A", "B"])),
-    ("fek", finite(["A"]), finite(["A"])),
-    ("fn", finite(["B"]), finite(["B"])),
+    ("fmax", frozenset(["A", "B"]), frozenset(["A", "B"])),
+    ("fek", frozenset(["A"]), frozenset(["A"])),
+    ("fn", frozenset(["B"]), frozenset(["B"])),
 ])
 def test_a_nested_source_values_each_variable_in_its_own_view(function, instance, alone):
     # erasing Y leaves {{X.B}_ka-1}_ka, which cancels and leaves X bare:
@@ -188,19 +188,19 @@ def test_a_nested_source_values_each_variable_in_its_own_view(function, instance
     source = parse_message("{Y.{X.B}_ka-1}_ka", SYMS)
     F = value_function(function)
     assert F(X, source, NS) == instance
-    assert F(KEPT, view(source, {}, X), NS) == BOTTOM
+    assert F(KEPT, view(source, {}, X), NS) is None
     got, calls = _levels(function, source, NS)
-    assert got == {NA: BOTTOM, NB: alone}
+    assert got == {NA: None, NB: alone}
     assert calls == {(KEPT, view(source, {}, X)), (KEPT, view(source, {}, Y))}
 
 
 @pytest.mark.parametrize("text, function, instance, want", [
     # erasing Y leaves two parts, so the rule no longer fires
-    ("{A.X.Y}_kb", "fmax", finite(["B"]), {NA: finite(["A", "B"]), NB: finite(["A", "B"])}),
-    ("{A.X.Y}_kb", "fn", TOP, {NA: finite(["A"]), NB: finite(["A"])}),
+    ("{A.X.Y}_kb", "fmax", frozenset(["B"]), {NA: frozenset(["A", "B"]), NB: frozenset(["A", "B"])}),
+    ("{A.X.Y}_kb", "fn", TOP, {NA: frozenset(["A"]), NB: frozenset(["A"])}),
     # the rule splits both views, X from the names and Y beside B: the
     # two views stay apart and read different levels
-    ("{X.A.B.Y}_kb", "fn", TOP, {NA: TOP, NB: finite(["B"])}),
+    ("{X.A.B.Y}_kb", "fn", TOP, {NA: TOP, NB: frozenset(["B"])}),
 ])
 def test_a_rule_values_each_variable_in_its_own_view(text, function, instance, want):
     source = parse_message(text, SYMS)

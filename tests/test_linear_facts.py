@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_bounds
-from secwitness.context import finite, meet_all
+from secwitness.context import meet_all
 from secwitness.derive import contribution_of, unifier_facts
 from secwitness.errors import AnalyzerError
 from secwitness.protocols import load_bundled
@@ -48,7 +48,7 @@ PARAMETERS = [_p("A"), _p("B"), _p("A", index=1), _p("A", index=3), _p("B", inde
               _p("Na", "i"), _p("Na", index=1), _p("Nb", "i"), _p("Nb", index=5)]
 CONSTANTS = [Atom("I"), Atom("A"), Atom("Na")]
 KEYS = [_p("kb"), _p("kb", index=1), _p("kb", index=3), _p("ka"), Atom("kb"), Atom("ki")]
-RAISED = finite(["<raised>"])
+RAISED = frozenset(["<raised>"])
 
 
 def total(F):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from secwitness.context import finite, intruder_knowledge, is_identity, make_context
+from secwitness.context import intruder_knowledge, is_identity, make_context
 from secwitness.oracle import (
     check_full_invariance,
     check_non_disclosure,
@@ -116,7 +116,7 @@ def test_leaky_selection_is_caught(ns):
             for a in atoms(mm):
                 if is_identity(ctx, a) and a != alpha:
                     names.add(a.display())
-        return finite(names)
+        return frozenset(names)
 
     report = check_full_invariance({"leaky": leaky}, ns.context, trials=500, depth=4, seed=1)["leaky"]
     assert not report.ok

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from secwitness.context import TOP, finite, geq, meet
+from secwitness.context import TOP, geq, meet
 from secwitness.derive import contribution_of
 from secwitness.errors import NoProtectivePattern
 from secwitness.protocols import parse_protocol
@@ -50,19 +50,19 @@ def _named(m, base):
 def test_lower_bound_first_nonce(ns, ns_roles, ns_pool):
     sent = _role(ns_roles, "A_G1").steps[0].message
     got = lower_bound(_named(sent, "Na"), sent, ns_pool, FMAX, ns.context)
-    assert got == finite(["A", "B"])
+    assert got == frozenset(["A", "B"])
 
 
 def test_lower_bound_sent_variable(ns, ns_roles, ns_pool):
     sent = _role(ns_roles, "A_G2").steps[2].message
     x = next(iter(variables_of(sent)))
-    assert lower_bound(x, sent, ns_pool, FMAX, ns.context) == finite(["B"])
+    assert lower_bound(x, sent, ns_pool, FMAX, ns.context) == frozenset(["B"])
 
 
 def test_lower_bound_replied_nonce(ns, ns_roles, ns_pool):
     sent = _role(ns_roles, "B_G1").steps[1].message
     got = lower_bound(_named(sent, "Nb"), sent, ns_pool, FMAX, ns.context)
-    assert got == finite(["A", "B", "A_3"])
+    assert got == frozenset(["A", "B", "A_3"])
 
 
 def test_lower_bound_clear_secret_raises(witness_ctx, witness_symbols, witness_pool):
@@ -84,7 +84,7 @@ def test_lower_bound_clear_variable_raises(witness_ctx, witness_symbols, witness
 def test_upper_bound_variable_reception(ns, ns_roles):
     received = _role(ns_roles, "A_G2").steps[1].message   # {Na^i.X.B}_ka
     x = next(iter(variables_of(received)))
-    assert upper_bound(x, received, FMAX, ns.context) == finite(["A", "B"])
+    assert upper_bound(x, received, FMAX, ns.context) == frozenset(["A", "B"])
 
 
 def test_upper_bound_absent_atom_is_top(ns, ns_roles):
@@ -104,7 +104,7 @@ def test_reception_estimate_tightens_by_received_variables(ns, ns_roles):
     received = [role.steps[0].message]
     nb = _named(role.steps[1].message, "Nb")
     assert upper_bound(nb, received[0], FMAX, ns.context) == TOP
-    assert reception_estimate(nb, received, FMAX, ns.context) == finite(["A", "B"])
+    assert reception_estimate(nb, received, FMAX, ns.context) == frozenset(["A", "B"])
 
 
 def test_upper_bound_over_a_set_meets(ns, ns_roles):
@@ -122,7 +122,7 @@ def test_upper_bound_over_a_set_meets(ns, ns_roles):
 def test_witness_three_pattern_example(witness_ctx, witness_symbols, witness_pool):
     m1 = parse_message("{alpha.B.C}_kad", witness_symbols)
     got = witness_value(Atom("alpha"), m1, {}, witness_pool, FMAX, witness_ctx)
-    assert got == finite(["B", "A", "D", "C"])
+    assert got == frozenset(["B", "A", "D", "C"])
 
 
 def test_witness_singleton_pool_is_the_derivative(witness_ctx, witness_symbols, witness_pool):
@@ -162,7 +162,7 @@ def test_witness_identity_instance_escapes_lower_bound(ns, ns_roles, ns_pool):
     w = witness_value(nb, sent, sigma, ns_pool, FMAX, ns.context)
     low = lower_bound(nb, sent, ns_pool, FMAX, ns.context)
     up = upper_bound(nb, substitute(sent, sigma), FMAX, ns.context)
-    assert w == finite(["A", "B", "I"])
+    assert w == frozenset(["A", "B", "I"])
     assert geq(up, w)
     assert not geq(w, low)
 
@@ -177,13 +177,13 @@ def test_analyze_ns_rows(ns):
     assert [r.role_id for r in report.rows] == ["A_G1", "A_G2", "B_G1", "B_G1"]
     assert [r.step for r in report.rows] == [1, 3, 2, 2]
     assert [r.lower for r in report.rows] == [
-        finite(["A", "B"]), finite(["B"]), finite(["A", "B"]), finite(["A", "B", "A_3"]),
+        frozenset(["A", "B"]), frozenset(["B"]), frozenset(["A", "B"]), frozenset(["A", "B", "A_3"]),
     ]
     assert [r.estimate for r in report.rows] == [
-        TOP, finite(["A", "B"]), finite(["A", "B"]), finite(["A", "B"]),
+        TOP, frozenset(["A", "B"]), frozenset(["A", "B"]), frozenset(["A", "B"]),
     ]
     assert [r.fulfilled for r in report.rows] == [True, True, True, False]
-    assert report.rows[0].atom_level == finite(["A", "B"])
+    assert report.rows[0].atom_level == frozenset(["A", "B"])
     assert report.rows[1].atom_level is None
     assert report.rows[3].blame == frozenset({"A_3"})
 
@@ -194,7 +194,7 @@ def test_analyze_nsl_all_fulfilled(nsl):
     assert len(report.rows) == 4
     assert all(r.fulfilled for r in report.rows)
     nb = next(r for r in report.rows if r.atom.name == "Nb")
-    assert nb.lower == finite(["A", "B"])
+    assert nb.lower == frozenset(["A", "B"])
     assert all(r.blame == frozenset() for r in report.rows)
 
 
@@ -217,8 +217,28 @@ def test_analyze_bare_secret_is_not_fulfilled():
     report = analyze(p)
     assert not report.fulfilled
     (row,) = report.rows
-    assert row.lower.is_bottom
+    assert row.lower is None
     assert row.blame == {row.atom.display()}
+
+
+LEAK2 = ("protocol Leak2; principal A, B; intruder I; fresh Na by B; fresh Nb by A; "
+         "level Na = {B}; level Nb = {A,B}; step 1: B -> A : Na; step 2: A -> B : Nb;")
+
+
+def test_a_bare_atom_fails_even_when_its_estimate_reads_bottom():
+    # A receives Na bare, so its estimate for Nb reads ⊥ and the requirement
+    # meet({A,B}, ⊥) is ⊥, which the ⊥ bound dominates: only the bare send
+    # itself makes the row fail.
+    report = analyze(parse_protocol(LEAK2))
+    rows = {r.role_id: r for r in report.rows}
+    nb, na = rows["A_G1"], rows["B_G1"]
+    assert nb.atom.display() == "Nb^i" and nb.received == (Atom("X", Sort.VARIABLE),)
+    assert (nb.lower, nb.atom_level, nb.estimate) == (None, frozenset({"A", "B"}), None)
+    assert not nb.fulfilled and nb.blame == {"Nb^i"}
+    assert na.atom.display() == "Na^i" and not na.fulfilled and na.blame == {"Na^i"}
+    assert not report.fulfilled
+    table = render_table(report).splitlines()
+    assert table[2].split() == ["Nb^i", "A_G1", "X", "Nb^i", "⊥", "{A,B}", "⊥", "NotFulfilled"]
 
 
 def test_blame_exactly_when_not_fulfilled(ns, nsl):
@@ -271,13 +291,13 @@ names = st.sets(st.sampled_from(["A", "B", "C", "D", "S"]), max_size=5)
 
 @given(low=names, extra=names, required=names)
 def test_widening_the_lower_bound_never_restores_fulfilment(low, extra, required):
-    before = geq(finite(low), finite(required))
-    after = geq(finite(low | extra), finite(required))
+    before = geq(frozenset(low), frozenset(required))
+    after = geq(frozenset(low | extra), frozenset(required))
     if not before:
         assert not after
 
 
 @given(level=names, estimate=names)
 def test_requirement_is_the_meet(level, estimate):
-    req = meet(finite(level), finite(estimate))
-    assert req == finite(level | estimate)
+    req = meet(frozenset(level), frozenset(estimate))
+    assert req == frozenset(level | estimate)
