@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ContextError, NotAKey
-from .terms import Atom, Sort
+from .terms import VARIABLE, Atom
 
 
 SecurityLevel = Optional[frozenset]
@@ -119,7 +119,7 @@ def level_of(ctx: VerificationContext, a: Atom) -> SecurityLevel:
     their own treatment, and bottom here is what makes every key protective
     for them.
     """
-    return None if a.sort is Sort.VARIABLE else ctx.levels.get(a.name)
+    return None if a.sort is VARIABLE else ctx.levels.get(a.name)
 
 
 def may_read(ctx: VerificationContext, name: str, a: Atom) -> bool:
@@ -142,7 +142,7 @@ def inverse_key(ctx: VerificationContext, k: Atom) -> Atom:
 
 def is_identity(ctx: VerificationContext, a: Atom) -> bool:
     """True for principal identities, including indexed copies (A_3)."""
-    return a.sort is not Sort.VARIABLE and a.name in ctx.principal_names
+    return a.sort is not VARIABLE and a.name in ctx.principal_names
 
 
 def intruder_knowledge(ctx: VerificationContext) -> frozenset[Atom]:

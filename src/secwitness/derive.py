@@ -20,6 +20,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 from .context import TOP, SecurityLevel, VerificationContext, meet
 from .terms import (
     EMPTY,
+    PARAMETER,
+    VARIABLE,
     Atom,
     Message,
     Sort,
@@ -52,7 +54,7 @@ def unifier_facts(source: Message, sigmas: Iterable[Mapping[Atom, Message]]) -> 
     variables = variables_of(source)
     for sigma in sigmas:
         covered = facts.setdefault(
-            frozenset((a, m) for a, m in sigma.items() if a.sort is Sort.PARAMETER), {})
+            frozenset((a, m) for a, m in sigma.items() if a.sort is PARAMETER), {})
         for var in variables:
             image = sigma.get(var)
             if image is not None:
@@ -66,7 +68,7 @@ def view(source: Message, images: dict[Atom, Atom], keep: Optional[Atom] = None)
     pass: a parameter's image is a non-variable atom, so the instance has
     the source's variables, and erasing them from the instance is erasing
     them while substituting.  With no bindings it is the pruning alone."""
-    return map_atoms(source, lambda a: images.get(a) if a.sort is not Sort.VARIABLE
+    return map_atoms(source, lambda a: images.get(a) if a.sort is not VARIABLE
                      else KEPT if a == keep else EMPTY)
 
 

@@ -21,12 +21,13 @@ from typing import Iterable, Optional, Union
 from .context import VerificationContext, geq, inverse_key, level_of
 from .errors import ContextError, NonTermination, NotAKey
 from .terms import (
+    CONSTANT,
+    VARIABLE,
     Atom,
     Concat,
     Empty,
     Enc,
     Message,
-    Sort,
     atoms,
     concat,
     flatten,
@@ -58,7 +59,7 @@ class RewriteRule:
 
     def __post_init__(self) -> None:
         def metavars(m: Message) -> frozenset[Atom]:
-            return frozenset(a for a in atoms(m) if a.sort is not Sort.CONSTANT)
+            return frozenset(a for a in atoms(m) if a.sort is not CONSTANT)
 
         if not metavars(self.rhs) <= metavars(self.lhs):
             raise ContextError(f"rule {print_message(self.lhs)}: rhs introduces metavariables")
@@ -71,10 +72,9 @@ def _match(pattern: Message, term: Message,
     name itself, or a role view's indexed copy of it) and binds to it like a
     parameter, so its repeated occurrences must meet the same atom."""
     if isinstance(pattern, Atom):
-        if pattern.sort is not Sort.VARIABLE and not isinstance(term, Atom):
+        if pattern.sort is not VARIABLE and not isinstance(term, Atom):
             return None
-        if pattern.sort is Sort.CONSTANT and (term.sort is Sort.VARIABLE
-                                              or term.name != pattern.name):
+        if pattern.sort is CONSTANT and (term.sort is VARIABLE or term.name != pattern.name):
             return None
         bound = bindings.get(pattern)
         if bound is not None:
@@ -103,7 +103,7 @@ def _match_lists(ps: list[Message], ts: list[Message],
     if not ps:
         return bindings if not ts else None
     head = ps[0]
-    if isinstance(head, Atom) and head.sort is Sort.VARIABLE:
+    if isinstance(head, Atom) and head.sort is VARIABLE:
         bound = bindings.get(head)
         if bound is not None:
             k = len(flatten(bound))

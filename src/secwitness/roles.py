@@ -37,11 +37,12 @@ from .errors import AnalyzerError, ContextError, MessageSyntaxError, NotAKey, Un
 from .rewrite import RewriteRule, keys_monotone
 from .terms import (
     IDENT,
+    PARAMETER,
+    VARIABLE,
     Atom,
     Concat,
     Enc,
     Message,
-    Sort,
     SymbolTable,
     atoms,
     concat,
@@ -140,7 +141,7 @@ class _RuleSymbols(SymbolTable):
             return self._base.resolve(ident)
         except UndeclaredIdentifier:
             if ident not in self._meta:
-                self._meta[ident] = Atom(ident, Sort.PARAMETER if key else Sort.VARIABLE)
+                self._meta[ident] = Atom(ident, PARAMETER if key else VARIABLE)
             return self._meta[ident]
 
 
@@ -179,12 +180,12 @@ def _to_role_view(m: Message, agent: Atom, fresh_owners: Mapping[str, str]) -> M
     values carry the session mark."""
 
     def gen_atom(a: Atom) -> Atom:
-        if a.sort is Sort.VARIABLE:
+        if a.sort is VARIABLE:
             return a
         tag = a.session_tag
         if fresh_owners.get(a.name) == agent.name:
             tag = tag or "i"
-        return Atom(a.name, Sort.PARAMETER, tag, a.index)
+        return Atom(a.name, PARAMETER, tag, a.index)
 
     return map_atoms(m, gen_atom)
 
@@ -268,7 +269,7 @@ def parse_protocol(text: str) -> Protocol:
     for v in dict.fromkeys(var_names):
         if v in named:
             raise ContextError(f"{v} declared both as a name and a variable")
-        named[v] = Atom(v, Sort.VARIABLE)
+        named[v] = Atom(v, VARIABLE)
     for n in named:
         if _INDEXED.search(n):
             raise ContextError(f"declared name {n} ends in _<digits>, "
@@ -409,7 +410,7 @@ def extract_generalized_roles(p: Protocol) -> tuple[GeneralizedRole, ...]:
                 return concat(*(project(part, receiving) for part in t.parts))
             if receiving and (isinstance(t, Atom) and not _knows(p, agent, t) or isinstance(t, Enc)
                               and not may_read(ctx, agent.name, inverse_key(ctx, t.key))):
-                submap[t] = Atom(next(fresh_vars), Sort.VARIABLE)
+                submap[t] = Atom(next(fresh_vars), VARIABLE)
                 return submap[t]
             if isinstance(t, Enc):
                 return Enc(project(t.body, receiving), t.key)
@@ -483,12 +484,12 @@ def pattern_shape(m: Message) -> Message:
     order: dict[Atom, Atom] = {}
 
     def canonical(a: Atom) -> Optional[Atom]:
-        if a.sort is Sort.VARIABLE:
+        if a.sort is VARIABLE:
             if a not in order:
-                order[a] = Atom(f"v{len(order)}", Sort.VARIABLE)
+                order[a] = Atom(f"v{len(order)}", VARIABLE)
             return order[a]
-        if a.sort is Sort.PARAMETER:
-            return Atom(a.name, Sort.PARAMETER)
+        if a.sort is PARAMETER:
+            return Atom(a.name, PARAMETER)
         return None
 
     return map_atoms(m, canonical)
@@ -517,14 +518,14 @@ def generalized_message_space(roles: Sequence[GeneralizedRole],
 
     def renumbered(pat: Enc) -> Message:
         pat_atoms = atoms(pat)
-        owners = {a: _owner(a, ctx, fresh_owners) for a in pat_atoms if a.sort is not Sort.VARIABLE}
+        owners = {a: _owner(a, ctx, fresh_owners) for a in pat_atoms if a.sort is not VARIABLE}
         owner_counts.update(set(owners.values()))
-        var_counts.update({a.name for a in pat_atoms if a.sort is Sort.VARIABLE})
+        var_counts.update({a.name for a in pat_atoms if a.sort is VARIABLE})
 
         def pick(a: Atom) -> Atom:
-            if a.sort is Sort.VARIABLE:
-                return Atom(a.name, Sort.VARIABLE, index=var_counts[a.name])
-            return Atom(a.name, Sort.PARAMETER, index=owner_counts[owners[a]])
+            if a.sort is VARIABLE:
+                return Atom(a.name, VARIABLE, index=var_counts[a.name])
+            return Atom(a.name, PARAMETER, index=owner_counts[owners[a]])
 
         return map_atoms(pat, pick)
 

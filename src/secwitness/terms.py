@@ -28,6 +28,10 @@ class Sort(Enum):
     VARIABLE = "variable"
 
 
+# the members as module constants: a global load costs a fraction of Sort.X
+CONSTANT, PARAMETER, VARIABLE = Sort.CONSTANT, Sort.PARAMETER, Sort.VARIABLE
+
+
 def _by_constructor(node):
     """Pickles and copies a node as a constructor call, so the receiving
     process recomputes the cached hash; string hashes differ between
@@ -82,7 +86,7 @@ class Atom(Message):
                 + (f"^{self.session_tag}" if self.session_tag else ""))
 
     def __repr__(self) -> str:  # keeps pytest diffs readable
-        marker = {Sort.CONSTANT: "", Sort.PARAMETER: "'", Sort.VARIABLE: "?"}[self.sort]
+        marker = {CONSTANT: "", PARAMETER: "'", VARIABLE: "?"}[self.sort]
         return marker + self.display()
 
 
@@ -115,7 +119,7 @@ class Enc(Message):
     _h: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        if self.key.sort is Sort.VARIABLE:
+        if self.key.sort is VARIABLE:
             raise VariableInKeyPosition(self.key.display())
         object.__setattr__(self, "_h", hash((self.body._h, self.key._h)))
 
@@ -222,7 +226,7 @@ def body_atoms_in_order(m: Message) -> list[Atom]:
 
 
 def variables_of(m: Message) -> frozenset[Atom]:
-    return frozenset(a for a in atoms(m) if a.sort is Sort.VARIABLE)
+    return frozenset(a for a in atoms(m) if a.sort is VARIABLE)
 
 
 def map_atoms(m: Message, f: Callable[[Atom], Optional[Message]]) -> Message:
@@ -233,12 +237,19 @@ def map_atoms(m: Message, f: Callable[[Atom], Optional[Message]]) -> Message:
         image = f(m)
         return m if image is None else image
     if isinstance(m, Concat):
-        return concat(*[map_atoms(p, f) for p in m.parts])
+        parts = []
+        for p in m.parts:
+            if isinstance(p, Atom):
+                image = f(p)
+                parts.append(p if image is None else image)
+            else:
+                parts.append(map_atoms(p, f))
+        return concat(*parts)
     if isinstance(m, Enc):
         key = m.key
         image = f(key)
         if image is not None:
-            if not isinstance(image, Atom) or image.sort is Sort.VARIABLE:
+            if not isinstance(image, Atom) or image.sort is VARIABLE:
                 raise SubstitutedIntoKeyPosition(key.display(), print_message(image))
             key = image
         return Enc(map_atoms(m.body, f), key)
@@ -298,7 +309,7 @@ class SymbolTable:
                 raise UndeclaredIdentifier(ident)
             proto = self._by_name[base]
             a = Atom(proto.name, proto.sort, tag)
-        if (key and self._keys is not None and a.sort is not Sort.VARIABLE
+        if (key and self._keys is not None and a.sort is not VARIABLE
                 and a.name not in self._keys):
             raise NotAKey(ident)
         return a

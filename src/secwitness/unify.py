@@ -25,6 +25,8 @@ from typing import Iterator, Optional, Sequence
 from .context import TOP, SecurityLevel, VerificationContext, meet
 from .derive import Facts, Params, ValueFunction, fact_levels, unifier_facts
 from .terms import (
+    PARAMETER,
+    VARIABLE,
     Atom,
     Concat,
     Empty,
@@ -61,7 +63,7 @@ def _bind(a: Atom, m: Message, b: Bindings) -> Optional[Bindings]:
 
 def _rank(sort: Sort) -> int:
     # by identity: a dict keyed by Sort would hash the member on every call
-    return 2 if sort is Sort.VARIABLE else 1 if sort is Sort.PARAMETER else 0
+    return 2 if sort is VARIABLE else 1 if sort is PARAMETER else 0
 
 
 def _unify_atoms(x: Atom, y: Atom) -> Optional[tuple[Atom, Atom]]:
@@ -91,7 +93,7 @@ def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
         return
     if isinstance(x, Atom) or isinstance(y, Atom):
         a, m = (x, y) if isinstance(x, Atom) else (y, x)
-        if a.sort is Sort.VARIABLE:
+        if a.sort is VARIABLE:
             out = _bind(a, m, b)
             if out is not None:
                 yield out
@@ -129,12 +131,12 @@ def _unify_lists(xs: list[Message], ys: list[Message], b: Bindings) -> Iterator[
     # never a bound atom
     for b1 in _unify(x0, y0, b):
         yield from _unify_lists(xs[1:], ys[1:], b1)
-    if isinstance(x0, Atom) and x0.sort is Sort.VARIABLE:
+    if isinstance(x0, Atom) and x0.sort is VARIABLE:
         for k in range(2, len(ys) - len(xs) + 2):
             out = _bind(x0, substitute(concat(*ys[:k]), b), b)
             if out is not None:
                 yield from _unify_lists(xs[1:], ys[k:], out)
-    if isinstance(y0, Atom) and y0.sort is Sort.VARIABLE:
+    if isinstance(y0, Atom) and y0.sort is VARIABLE:
         for k in range(2, len(xs) - len(ys) + 2):
             out = _bind(y0, substitute(concat(*xs[:k]), b), b)
             if out is not None:
@@ -168,9 +170,9 @@ def _edges(xs: tuple[Atom, ...], ys: tuple[Atom, ...], state: State,
     if i == m or j == n:
         return []
     x, y = images.get(xs[i], xs[i]), images.get(ys[j], ys[j])
-    var = x if x.sort is Sort.VARIABLE else None
+    var = x if x.sort is VARIABLE else None
     out = []
-    if var is not None or y.sort is Sort.VARIABLE:
+    if var is not None or y.sort is VARIABLE:
         # a variable binds, the pattern's first when both are variables
         out.append(((i + 1, j + 1, pi), var, ys[j:j + 1]))
     elif x == y:
@@ -182,7 +184,7 @@ def _edges(xs: tuple[Atom, ...], ys: tuple[Atom, ...], state: State,
     if var is not None:
         for k in range(2, (n - j) - (m - i) + 2):
             out.append(((i + 1, j + k, pi), var, ys[j:j + k]))
-    if y.sort is Sort.VARIABLE:
+    if y.sort is VARIABLE:
         for k in range(2, (m - i) - (n - j) + 2):
             out.append(((i + k, j + 1, pi), None, ()))
     return out
@@ -198,20 +200,20 @@ def linear_facts(pattern: Message, target: Message) -> Optional[Facts]:
 
     Such a pair is unified by a walk over states (i, j, bindings), i parts
     of the pattern and j of the target matched: variables are bound once
-    and never read again, and parameters only ever bind to atoms.  The
-    reachable states are collected forwards, each distinct bindings made
-    into a map once; then, by decreasing i + j, each gets the final
-    bindings reachable from it, a state with one edge sharing its
-    successor's, and a pattern variable
-    bound to a run on the way from s to s2 covers that run's atoms under
-    each of those of s2.
+    and never read again, and parameters only ever bind to atoms.  Every
+    edge raises i, so the states are collected forwards row by row, row i
+    complete once the rows before it are done, each distinct bindings made
+    into a map once.  Then, row by row in reverse, each state gets the
+    final bindings reachable from it, a state with one edge sharing its
+    successor's, and a pattern variable bound to a run on the way from s
+    to s2 covers that run's atoms under each of those of s2.
     """
     if not isinstance(pattern, Enc) or not isinstance(target, Enc):
         return None
     xs, ys = flatten(pattern.body), flatten(target.body)
     if not xs or not ys or not all(isinstance(p, Atom) for p in xs + ys):
         return None
-    variables = [a for a in xs + ys if a.sort is Sort.VARIABLE]
+    variables = [a for a in xs + ys if a.sort is VARIABLE]
     if len(variables) != len(set(variables)):
         return None
     if pattern.key == target.key:
@@ -221,36 +223,38 @@ def linear_facts(pattern: Message, target: Message) -> Optional[Facts]:
         if bound is None:
             return {}
         first = (0, 0, frozenset([bound]))
-    edges: dict[State, list] = {}
+    # row i: each state (i, j, bindings) in the order found, to its edges
+    rows: list[dict[State, Optional[list]]] = [{first: None}] + [{} for _ in xs]
     maps: dict[Params, dict[Atom, Atom]] = {}  # each distinct bindings as a map, built once
-    todo = [first]
-    while todo:
-        state = todo.pop()
-        if state not in edges:
+    for row in rows:
+        for state in row:
             images = maps.get(state[2])
             if images is None:
                 images = maps[state[2]] = dict(state[2])
-            edges[state] = out = _edges(xs, ys, state, images)
-            todo.extend(nxt for nxt, _, _ in out)
+            row[state] = out = _edges(xs, ys, state, images)
+            for nxt, _, _ in out:
+                rows[nxt[0]][nxt] = None
+    end = (len(xs), len(ys))
     finals: dict[State, dict[Params, None]] = {}
-    for state in sorted(edges, key=lambda s: s[0] + s[1], reverse=True):
-        out = edges[state]
-        if len(out) == 1:
-            # shared with the one successor; no set is changed once made
-            finals[state] = finals[out[0][0]]
-            continue
-        reached = {state[2]: None} if state[:2] == (len(xs), len(ys)) else {}
-        for nxt, _, _ in out:
-            reached.update(finals[nxt])
-        finals[state] = reached
+    for row in reversed(rows):
+        for state, out in row.items():
+            if len(out) == 1:
+                # shared with the one successor; no set is changed once made
+                finals[state] = finals[out[0][0]]
+                continue
+            reached = {state[2]: None} if state[:2] == end else {}
+            for nxt, _, _ in out:
+                reached.update(finals[nxt])
+            finals[state] = reached
 
     facts: Facts = {pi: {} for pi in finals[first]}
-    for out in edges.values():
-        for nxt, var, run in out:
-            if var is not None:
-                for pi in finals[nxt]:
-                    images = maps[pi]  # every final bindings is some state's
-                    facts[pi].setdefault(var, set()).update([images.get(a, a) for a in run])
+    for row in rows:
+        for out in row.values():
+            for nxt, var, run in out:
+                if var is not None:
+                    for pi in finals[nxt]:
+                        images = maps[pi]  # every final bindings is some state's
+                        facts[pi].setdefault(var, set()).update([images.get(a, a) for a in run])
     return facts
 
 

@@ -38,9 +38,9 @@ from .roles import (
 )
 from .selection import value_function
 from .terms import (
+    VARIABLE,
     Atom,
     Message,
-    Sort,
     atoms,
     body_atoms_in_order,
     concat,
@@ -55,7 +55,7 @@ from .unify import candidate_values
 
 def _guarded(alpha: Atom, ctx: VerificationContext) -> bool:
     """Whether a sent occurrence of the atom needs a protecting pattern."""
-    return alpha.sort is Sort.VARIABLE or level_of(ctx, alpha) is not None
+    return alpha.sort is VARIABLE or level_of(ctx, alpha) is not None
 
 
 def lower_bounds(sent: Message, alphas: Sequence[Atom], pool: Sequence[Message],
@@ -100,7 +100,7 @@ def upper_bound(alpha: Atom, m: Union[Message, Iterable[Message]],
     """Who could have authored the atom's occurrences in a reception,
     with every variable but the atom itself erased; a variable is asked
     about as `KEPT`, the name it takes in its view."""
-    probe = KEPT if alpha.sort is Sort.VARIABLE else alpha
+    probe = KEPT if alpha.sort is VARIABLE else alpha
     return meet_all([F(probe, view(t, {}, alpha), ctx) for t in members(m)])
 
 
@@ -114,7 +114,7 @@ def reception_estimate(alpha: Atom, received: Sequence[Message],
     values: list[SecurityLevel] = []
     for m in received:
         values.append(upper_bound(alpha, m, F, ctx))
-        if alpha.sort is not Sort.VARIABLE:
+        if alpha.sort is not VARIABLE:
             for var in sorted(variables_of(m), key=Atom.display):
                 values.append(upper_bound(var, m, F, ctx))
     return meet_all(values)
@@ -146,7 +146,7 @@ class CriterionRow:
 
     @property
     def is_variable(self) -> bool:
-        return self.atom.sort is Sort.VARIABLE
+        return self.atom.sort is VARIABLE
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def _row_for(alpha: Atom, role: GeneralizedRole, position: int,
              ctx: VerificationContext) -> CriterionRow:
     estimate = reception_estimate(alpha, received, F, ctx)
     atom_level = level_of(ctx, alpha)
-    required = estimate if alpha.sort is Sort.VARIABLE else meet(atom_level, estimate)
+    required = estimate if alpha.sort is VARIABLE else meet(atom_level, estimate)
     # an atom bare in the send has no protective pattern, whatever its estimate
     fulfilled = alpha not in flatten(sent) and geq(lower, required)
     if fulfilled:

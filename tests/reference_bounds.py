@@ -16,6 +16,8 @@ view, and one value-function call, for every variable, asked about that
 variable by its own name, where `secwitness.derive.fact_levels` and
 `secwitness.witness.reception_estimate` rename the kept variable to
 `secwitness.derive.KEPT`; `renamed` maps the reference's calls to theirs.
+And it keeps the fact walk of linear flat pairs in its stack-and-sort form,
+`linear_facts`, for the row walk of `secwitness.unify.linear_facts`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from secwitness.context import TOP, SecurityLevel, VerificationContext, level_of, meet, meet_all
-from secwitness.derive import KEPT, Facts, ValueFunction
+from secwitness.derive import KEPT, Facts, Params, ValueFunction
 from secwitness.errors import NoProtectivePattern
 from secwitness.terms import (
     EMPTY,
@@ -41,6 +43,7 @@ from secwitness.terms import (
     substitute,
     variables_of,
 )
+from secwitness.unify import State, _edges
 
 
 def derive(m: Message, remove: Iterable[Atom]) -> Message:
@@ -177,6 +180,81 @@ def _unify_lists(xs: list[Message], ys: list[Message], b: Bindings) -> Iterator[
 
 def _close(b: Bindings) -> Bindings:
     return {a: _resolve(a, b) for a in b}
+
+
+# ---------------------------------------------------------------------------
+# The fact walk of a linear flat pair, by stack and sort
+#
+# The states are found depth first from a stack, and the final bindings are
+# filled in by decreasing i + j, where `secwitness.unify.linear_facts` goes
+# by rows.  Both take their edges from `_edges`, so they differ only in the
+# order they visit the states.
+
+
+def linear_facts(pattern: Message, target: Message) -> Optional[Facts]:
+    """What the bound needs of the unifiers `unify_all` would list, without
+    listing them: each distinct set of their closed parameter bindings,
+    mapped to the atoms that each pattern variable's images cover under
+    those bindings.  None when the pair is not a linear flat pair: two
+    encryptions whose bodies are atoms only, with no variable twice across
+    the two bodies.
+
+    Such a pair is unified by a walk over states (i, j, bindings), i parts
+    of the pattern and j of the target matched: variables are bound once
+    and never read again, and parameters only ever bind to atoms.  The
+    reachable states are collected forwards, each distinct bindings made
+    into a map once; then, by decreasing i + j, each gets the final
+    bindings reachable from it, a state with one edge sharing its
+    successor's, and a pattern variable
+    bound to a run on the way from s to s2 covers that run's atoms under
+    each of those of s2.
+    """
+    if not isinstance(pattern, Enc) or not isinstance(target, Enc):
+        return None
+    xs, ys = flatten(pattern.body), flatten(target.body)
+    if not xs or not ys or not all(isinstance(p, Atom) for p in xs + ys):
+        return None
+    variables = [a for a in xs + ys if a.sort is Sort.VARIABLE]
+    if len(variables) != len(set(variables)):
+        return None
+    if pattern.key == target.key:
+        first: State = (0, 0, frozenset())
+    else:
+        bound = _unify_atoms(pattern.key, target.key)
+        if bound is None:
+            return {}
+        first = (0, 0, frozenset([bound]))
+    edges: dict[State, list] = {}
+    maps: dict[Params, dict[Atom, Atom]] = {}  # each distinct bindings as a map, built once
+    todo = [first]
+    while todo:
+        state = todo.pop()
+        if state not in edges:
+            images = maps.get(state[2])
+            if images is None:
+                images = maps[state[2]] = dict(state[2])
+            edges[state] = out = _edges(xs, ys, state, images)
+            todo.extend(nxt for nxt, _, _ in out)
+    finals: dict[State, dict[Params, None]] = {}
+    for state in sorted(edges, key=lambda s: s[0] + s[1], reverse=True):
+        out = edges[state]
+        if len(out) == 1:
+            # shared with the one successor; no set is changed once made
+            finals[state] = finals[out[0][0]]
+            continue
+        reached = {state[2]: None} if state[:2] == (len(xs), len(ys)) else {}
+        for nxt, _, _ in out:
+            reached.update(finals[nxt])
+        finals[state] = reached
+
+    facts: Facts = {pi: {} for pi in finals[first]}
+    for out in edges.values():
+        for nxt, var, run in out:
+            if var is not None:
+                for pi in finals[nxt]:
+                    images = maps[pi]  # every final bindings is some state's
+                    facts[pi].setdefault(var, set()).update([images.get(a, a) for a in run])
+    return facts
 
 
 # ---------------------------------------------------------------------------
