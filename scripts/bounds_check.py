@@ -18,9 +18,9 @@ from secwitness.context import geq, make_context, show
 from secwitness.rewrite import check_well_protected
 from secwitness.selection import value_function
 from secwitness.terms import (
+    VARIABLE,
     Atom,
     Enc,
-    Sort,
     atoms,
     concat,
     substitute,
@@ -74,7 +74,7 @@ def run(instances: int, seed: int) -> tuple[int, int, list[str]]:
     every queried data atom of each: (instances, atom checks, one line per
     violation)."""
     rng = random.Random(seed)
-    variables = [Atom(f"V{i}", Sort.VARIABLE) for i in range(3)]
+    variables = [Atom(f"V{i}", VARIABLE) for i in range(3)]
     pairs = checks = 0
     violations: list[str] = []
     while pairs < instances:

@@ -125,7 +125,7 @@ def _cmd_roles(args) -> int:
         print(f"{role.role_id} ({role.agent.display()}):")
         for st in role.steps:
             peer = f" [{st.peer.display()}]" if st.peer is not None else ""
-            print(f"  {st.direction.value}{peer}: {print_message(st.message)}")
+            print(f"  {st.direction}{peer}: {print_message(st.message)}")
     print("pattern space:")
     for pat in pattern_space(protocol, roles):
         print(f"  {print_message(pat)}")

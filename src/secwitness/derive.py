@@ -24,7 +24,6 @@ from .terms import (
     VARIABLE,
     Atom,
     Message,
-    Sort,
     atoms,
     map_atoms,
     variables_of,
@@ -42,7 +41,7 @@ Facts = dict[Params, dict[Atom, set[Atom]]]
 # is a key or a principal name, and rules match variables by structure only.
 # `?` is no identifier, so no input holds KEPT and renaming a kept variable
 # to it changes no level: a variable's level is that of KEPT in its view.
-KEPT = Atom("?", Sort.VARIABLE)
+KEPT = Atom("?", VARIABLE)
 
 
 def unifier_facts(source: Message, sigmas: Iterable[Mapping[Atom, Message]]) -> Facts:

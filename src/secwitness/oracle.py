@@ -241,33 +241,37 @@ def _classify(ctx: VerificationContext) -> tuple[list[Atom], list[Atom], list[At
     return public, secret, enc_keys
 
 
+def _build(rng: random.Random, ctx: VerificationContext, pools: tuple[list[Atom], ...],
+           depth: int, guards: tuple[SecurityLevel, ...]) -> Message:
+    # module level: a nested function that calls itself is a reference
+    # cycle, which every call would leave behind for the collector
+    public, secret, enc_keys = pools
+    roll = rng.random()
+    allowed_secrets = [s for s in secret if any(geq(g, level_of(ctx, s)) for g in guards)]
+    if depth <= 0 or roll < 0.35:
+        if allowed_secrets and rng.random() < 0.5:
+            return rng.choice(allowed_secrets)
+        return rng.choice(public)
+    if roll < 0.7 and enc_keys:
+        k = rng.choice(enc_keys)
+        guards += (level_of(ctx, inverse_key(ctx, k)),)
+        return Enc(_build(rng, ctx, pools, depth - 1, guards), k)
+    parts = [_build(rng, ctx, pools, depth - 1, guards) for _ in range(rng.randint(2, 3))]
+    return concat(*parts)
+
+
 def random_well_protected_set(rng: random.Random, ctx: VerificationContext,
                               max_messages: int = 5, max_depth: int = 3,
                               ) -> list[Message]:
     """Random message sets with every non-public atom under a key strong
     enough for it; checked, not merely constructed."""
-    public, secret, enc_keys = _classify(ctx)
-    if not public:
+    pools = _classify(ctx)
+    if not pools[0]:
         raise NoWellProtectedSample()
-
-    def build(depth: int, guards: tuple[SecurityLevel, ...]) -> Message:
-        roll = rng.random()
-        allowed_secrets = [s for s in secret
-                           if any(geq(g, level_of(ctx, s)) for g in guards)]
-        if depth <= 0 or roll < 0.35:
-            if allowed_secrets and rng.random() < 0.5:
-                return rng.choice(allowed_secrets)
-            return rng.choice(public)
-        if roll < 0.7 and enc_keys:
-            k = rng.choice(enc_keys)
-            return Enc(build(depth - 1, guards + (level_of(ctx, inverse_key(ctx, k)),)), k)
-        parts = [build(depth - 1, guards) for _ in range(rng.randint(2, 3))]
-        return concat(*parts)
-
     for _ in range(64):
         out: list[Message] = []
         for _ in range(rng.randint(1, max_messages)):
-            m = build(rng.randint(1, max_depth), ())
+            m = _build(rng, ctx, pools, rng.randint(1, max_depth), ())
             if m not in out:
                 out.append(m)
         if check_well_protected(out, ctx).ok:

@@ -21,8 +21,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .context import (
     VerificationContext,
@@ -53,13 +52,7 @@ from .terms import (
 )
 
 
-class Direction(Enum):
-    SEND = "send"
-    RECV = "recv"
-
-
-SEND = Direction.SEND
-RECV = Direction.RECV
+SEND, RECV = "send", "recv"
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,7 @@ class Step:
 
 @dataclass(frozen=True)
 class RoleStep:
-    direction: Direction
+    direction: str
     message: Message
     peer: Optional[Atom] = None
     step_id: Optional[int] = None
@@ -87,7 +80,7 @@ class GeneralizedRole:
     steps: tuple[RoleStep, ...]
 
     def received_before(self, index: int) -> tuple[Message, ...]:
-        return tuple(s.message for s in self.steps[:index] if s.direction is RECV)
+        return tuple(s.message for s in self.steps[:index] if s.direction == RECV)
 
 
 @dataclass(frozen=True)
@@ -382,6 +375,25 @@ def _knows(p: Protocol, agent: Atom, a: Atom) -> bool:
     return level_of(ctx, a) is None
 
 
+def _project(t: Message, receiving: bool, p: Protocol, agent: Atom,
+             submap: dict[Message, Message], fresh_vars: Iterator[str]) -> Message:
+    """A send repeats what the agent holds; a reception keeps what the agent
+    can recognize or open, and each other part becomes the variable that
+    stands for it wherever it recurs.  Module level, as a nested function
+    that calls itself is a reference cycle left for the collector."""
+    if t in submap:
+        return submap[t]
+    if isinstance(t, Concat):
+        return concat(*(_project(part, receiving, p, agent, submap, fresh_vars) for part in t.parts))
+    if receiving and (isinstance(t, Atom) and not _knows(p, agent, t) or isinstance(t, Enc)
+                      and not may_read(p.context, agent.name, inverse_key(p.context, t.key))):
+        submap[t] = Atom(next(fresh_vars), VARIABLE)
+        return submap[t]
+    if isinstance(t, Enc):
+        return Enc(_project(t.body, receiving, p, agent, submap, fresh_vars), t.key)
+    return t
+
+
 def extract_generalized_roles(p: Protocol) -> tuple[GeneralizedRole, ...]:
     """The computed per-agent views; deterministic in declaration order.  A
     view that sends a variable before receiving it is a ContextError, as a
@@ -399,37 +411,21 @@ def extract_generalized_roles(p: Protocol) -> tuple[GeneralizedRole, ...]:
 
     for agent in agents:
         submap: dict[Message, Message] = {}
-
-        def project(t: Message, receiving: bool) -> Message:
-            """A send repeats what the agent holds; a reception keeps what
-            the agent can recognize or open, and each other part becomes
-            the variable that stands for it wherever it recurs."""
-            if t in submap:
-                return submap[t]
-            if isinstance(t, Concat):
-                return concat(*(project(part, receiving) for part in t.parts))
-            if receiving and (isinstance(t, Atom) and not _knows(p, agent, t) or isinstance(t, Enc)
-                              and not may_read(ctx, agent.name, inverse_key(ctx, t.key))):
-                submap[t] = Atom(next(fresh_vars), VARIABLE)
-                return submap[t]
-            if isinstance(t, Enc):
-                return Enc(project(t.body, receiving), t.key)
-            return t
-
         steps: list[RoleStep] = []
         for s in p.steps:
             if agent in (s.sender, s.receiver):
                 receiving = s.sender != agent
-                msg = _to_role_view(project(s.message, receiving), agent, p.fresh_owners)
+                msg = _project(s.message, receiving, p, agent, submap, fresh_vars)
+                msg = _to_role_view(msg, agent, p.fresh_owners)
                 steps.append(RoleStep(RECV if receiving else SEND, msg, step_id=s.step_id,
                                       peer=s.sender if receiving else s.receiver))
 
         views: list[tuple[RoleStep, ...]] = []
         for i, st in enumerate(steps):
-            if st.direction is SEND:
+            if st.direction == SEND:
                 views.append(tuple(steps[: i + 1]))
         # the trailing reception matters only for a party that speaks at all
-        if views and steps[-1].direction is RECV:
+        if views and steps[-1].direction == RECV:
             views.append(tuple(steps))
         for n, chunk in enumerate(views, 1):
             role = GeneralizedRole(f"{agent.name}_G{n}", agent, chunk)
@@ -457,7 +453,7 @@ def check_role_variables(role: GeneralizedRole) -> None:
     seen: set[Atom] = set()
     for st in role.steps:
         vs = variables_of(st.message)
-        if st.direction is SEND and not vs <= seen:
+        if st.direction == SEND and not vs <= seen:
             raise ContextError(f"role {role.role_id} sends a variable it has not received")
         seen |= vs
 

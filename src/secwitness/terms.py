@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
@@ -22,14 +21,8 @@ from .errors import (
 )
 
 
-class Sort(Enum):
-    CONSTANT = "constant"
-    PARAMETER = "parameter"
-    VARIABLE = "variable"
-
-
-# the members as module constants: a global load costs a fraction of Sort.X
-CONSTANT, PARAMETER, VARIABLE = Sort.CONSTANT, Sort.PARAMETER, Sort.VARIABLE
+# the three sorts, in binding order: a higher sort binds to a lower one
+CONSTANT, PARAMETER, VARIABLE = 0, 1, 2
 
 
 def _by_constructor(node):
@@ -62,7 +55,7 @@ class Atom(Message):
     name alone."""
 
     name: str
-    sort: Sort = Sort.CONSTANT
+    sort: int = CONSTANT
     session_tag: Optional[str] = None
     index: Optional[int] = None
     _h: int = field(init=False, repr=False, compare=False, hash=False)
@@ -74,7 +67,7 @@ class Atom(Message):
         # object's address before Python 3.12, and sets of atoms would then
         # iterate in a different order in every process, whatever the seed
         tag, index = self.session_tag, self.index
-        object.__setattr__(self, "_h", hash((self.name, self.sort._value_, "" if tag is None else tag,
+        object.__setattr__(self, "_h", hash((self.name, self.sort, "" if tag is None else tag,
                                              -1 if index is None else index)))
 
     def __hash__(self) -> int:
@@ -86,8 +79,7 @@ class Atom(Message):
                 + (f"^{self.session_tag}" if self.session_tag else ""))
 
     def __repr__(self) -> str:  # keeps pytest diffs readable
-        marker = {CONSTANT: "", PARAMETER: "'", VARIABLE: "?"}[self.sort]
-        return marker + self.display()
+        return ("", "'", "?")[self.sort] + self.display()
 
 
 @dataclass(frozen=True, slots=True, repr=False)

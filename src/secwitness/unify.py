@@ -3,12 +3,12 @@
 Parameters stand for single atoms and variables stand for whole submessages;
 inside a concatenation a variable may absorb any run of one or more adjacent
 parts, so a pair of messages can unify in several inequivalent ways and all
-of them are enumerated.  Binding orientation is fixed: variables bind before
-parameters, parameters before constants, and on sort ties the left
-(pattern-side) symbol binds to the right (target-side) one.  That keeps the
-abstract side's names in the unifier whenever a concrete name could have
-been chosen instead, which is what lets a mismatched identity surface in the
-final bound.
+of them are enumerated.  The sorts are the ordered constants CONSTANT <
+PARAMETER < VARIABLE, and binding orientation follows that order: the
+higher sort binds to the lower, and on a tie the left (pattern-side) symbol
+binds to the right (target-side) one.  That keeps the abstract side's names
+in the unifier whenever a concrete name could have been chosen instead,
+which is what lets a mismatched identity surface in the final bound.
 
 The candidate search does not list the unifiers where it can avoid it: for
 a linear flat pair, `linear_facts` reads what the bound needs off the match
@@ -25,14 +25,13 @@ from typing import Iterator, Optional, Sequence
 from .context import TOP, SecurityLevel, VerificationContext, meet
 from .derive import Facts, Params, ValueFunction, fact_levels, unifier_facts
 from .terms import (
-    PARAMETER,
+    CONSTANT,
     VARIABLE,
     Atom,
     Concat,
     Empty,
     Enc,
     Message,
-    Sort,
     atoms,
     concat,
     flatten,
@@ -61,19 +60,14 @@ def _bind(a: Atom, m: Message, b: Bindings) -> Optional[Bindings]:
     return out
 
 
-def _rank(sort: Sort) -> int:
-    # by identity: a dict keyed by Sort would hash the member on every call
-    return 2 if sort is VARIABLE else 1 if sort is PARAMETER else 0
-
-
 def _unify_atoms(x: Atom, y: Atom) -> Optional[tuple[Atom, Atom]]:
     """The one binding, (atom, image), that unifies two distinct unbound
     atoms: the higher sort binds, the left atom on a tie; None when both
     are constants.  No occurs check is needed, since one atom cannot occur
     in another."""
-    rx, ry = _rank(x.sort), _rank(y.sort)
+    rx, ry = x.sort, y.sort
     if rx >= ry:
-        return None if rx == 0 else (x, y)
+        return None if rx is CONSTANT else (x, y)
     return y, x
 
 

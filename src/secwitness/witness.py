@@ -219,7 +219,7 @@ def analyze(protocol: Protocol, function: str = "fmax",
     seen: set[tuple[str, int, Atom]] = set()
     for role in role_list:
         for position, st in enumerate(role.steps):
-            if st.direction is not SEND:
+            if st.direction != SEND:
                 continue
             fresh = [alpha for alpha in _eligible(st.message, ctx)
                      if (role.agent.name, position, alpha) not in seen]

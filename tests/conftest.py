@@ -9,7 +9,7 @@ from hypothesis import settings
 from secwitness.context import make_context
 from secwitness.protocols import load_bundled
 from secwitness.roles import pattern_space, roles_for
-from secwitness.terms import Atom, Sort, SymbolTable, parse_message
+from secwitness.terms import VARIABLE, Atom, SymbolTable, parse_message
 
 # every property test draws the same examples on every run; a test's own
 # @settings start from this profile
@@ -158,8 +158,7 @@ def witness_symbols():
     return table(
         Atom("A"), Atom("B"), Atom("C"), Atom("D"), Atom("I"), Atom("alpha"),
         Atom("kad"), Atom("kad-1"), Atom("kbc"), Atom("kbc-1"),
-        Atom("X", Sort.VARIABLE), Atom("Y", Sort.VARIABLE),
-        Atom("Z", Sort.VARIABLE),
+        Atom("X", VARIABLE), Atom("Y", VARIABLE), Atom("Z", VARIABLE),
     )
 
 

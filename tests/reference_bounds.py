@@ -29,12 +29,13 @@ from secwitness.derive import KEPT, Facts, Params, ValueFunction
 from secwitness.errors import NoProtectivePattern
 from secwitness.terms import (
     EMPTY,
+    PARAMETER,
+    VARIABLE,
     Atom,
     Concat,
     Empty,
     Enc,
     Message,
-    Sort,
     atoms,
     concat,
     flatten,
@@ -48,7 +49,7 @@ from secwitness.unify import State, _edges
 
 def derive(m: Message, remove: Iterable[Atom]) -> Message:
     """Erase the given variables; other sorts are untouched."""
-    gone = {a for a in remove if a.sort is Sort.VARIABLE}
+    gone = {a for a in remove if a.sort is VARIABLE}
     if not gone:
         return m
     return map_atoms(m, lambda a: EMPTY if a in gone else None)
@@ -94,8 +95,8 @@ def _bind(a: Atom, m: Message, b: Bindings) -> Optional[Bindings]:
     return out
 
 
-def _rank(sort: Sort) -> int:
-    return 2 if sort is Sort.VARIABLE else 1 if sort is Sort.PARAMETER else 0
+def _rank(sort: int) -> int:
+    return 2 if sort is VARIABLE else 1 if sort is PARAMETER else 0
 
 
 def _unify_atoms(x: Atom, y: Atom) -> Optional[tuple[Atom, Atom]]:
@@ -120,13 +121,13 @@ def _unify(x: Message, y: Message, b: Bindings) -> Iterator[Bindings]:
             yield {**b, bound[0]: bound[1]}
         return
     if isinstance(x, Atom):
-        if x.sort is Sort.VARIABLE:
+        if x.sort is VARIABLE:
             out = _bind(x, y, b)
             if out is not None:
                 yield out
         return
     if isinstance(y, Atom):
-        if y.sort is Sort.VARIABLE:
+        if y.sort is VARIABLE:
             out = _bind(y, x, b)
             if out is not None:
                 yield out
@@ -166,12 +167,12 @@ def _unify_lists(xs: list[Message], ys: list[Message], b: Bindings) -> Iterator[
     # one-segment alignment first, then widening absorptions
     for b1 in _unify(x0, y0, b):
         yield from _unify_lists(xs[1:], ys[1:], b1)
-    if isinstance(x0, Atom) and x0.sort is Sort.VARIABLE and x0 not in b:
+    if isinstance(x0, Atom) and x0.sort is VARIABLE and x0 not in b:
         for k in range(2, len(ys) - len(xs) + 2):
             out = _bind(x0, _resolve(concat(*ys[:k]), b), b)
             if out is not None:
                 yield from _unify_lists(xs[1:], ys[k:], out)
-    if isinstance(y0, Atom) and y0.sort is Sort.VARIABLE and y0 not in b:
+    if isinstance(y0, Atom) and y0.sort is VARIABLE and y0 not in b:
         for k in range(2, len(xs) - len(ys) + 2):
             out = _bind(y0, _resolve(concat(*xs[:k]), b), b)
             if out is not None:
@@ -214,7 +215,7 @@ def linear_facts(pattern: Message, target: Message) -> Optional[Facts]:
     xs, ys = flatten(pattern.body), flatten(target.body)
     if not xs or not ys or not all(isinstance(p, Atom) for p in xs + ys):
         return None
-    variables = [a for a in xs + ys if a.sort is Sort.VARIABLE]
+    variables = [a for a in xs + ys if a.sort is VARIABLE]
     if len(variables) != len(set(variables)):
         return None
     if pattern.key == target.key:
@@ -272,11 +273,11 @@ def unify_all(pattern: Message, target: Message) -> list[Bindings]:
 
 def contribution_of(F: ValueFunction, alpha: Atom, source: Message,
                     sigma: Bindings, ctx: VerificationContext) -> Optional[SecurityLevel]:
-    param_only = {a: m for a, m in sigma.items() if a.sort is Sort.PARAMETER}
+    param_only = {a: m for a, m in sigma.items() if a.sort is PARAMETER}
     inst = substitute(source, param_only)
     values: list[SecurityLevel] = []
     probe = alpha
-    if alpha.sort is not Sort.VARIABLE:
+    if alpha.sort is not VARIABLE:
         image = sigma.get(alpha)
         if isinstance(image, Atom):
             probe = image
@@ -312,7 +313,7 @@ def lower_bound(alpha: Atom, sent: Message, pool: Sequence[Message],
         if isinstance(part, Atom):
             if part != alpha:
                 continue
-            if alpha.sort is Sort.VARIABLE or level_of(ctx, alpha) is not None:
+            if alpha.sort is VARIABLE or level_of(ctx, alpha) is not None:
                 raise NoProtectivePattern(alpha.display(), print_message(sent))
             continue
         if alpha not in atoms(part):
@@ -346,7 +347,7 @@ def fact_levels(F: ValueFunction, alphas: Sequence[Atom], source: Message,
         static_view = derive_all(inst)
         present = atoms(static_view)
         for alpha in alphas:
-            probe = alpha if alpha.sort is Sort.VARIABLE else images.get(alpha, alpha)
+            probe = alpha if alpha.sort is VARIABLE else images.get(alpha, alpha)
             if probe in present:
                 found[alpha] = meet(found.get(alpha, TOP), F(probe, static_view, ctx))
         for var, inside in covered.items():
@@ -367,7 +368,7 @@ def reception_estimate(alpha: Atom, received: Sequence[Message],
     values: list[SecurityLevel] = []
     for m in received:
         values.append(F(alpha, derive_keeping(m, alpha), ctx))
-        if alpha.sort is not Sort.VARIABLE:
+        if alpha.sort is not VARIABLE:
             for var in sorted(variables_of(m), key=Atom.display):
                 values.append(F(var, derive_keeping(m, var), ctx))
     return meet_all(values)
@@ -377,5 +378,5 @@ def renamed(calls: Iterable[tuple[Atom, Message]]) -> set[tuple[Atom, Message]]:
     """Value-function calls of the per-view valuation as the renaming makes
     them: a call about a variable asks about `KEPT` in the view where that
     variable is renamed to it."""
-    return {(KEPT, substitute(m, {a: KEPT})) if a.sort is Sort.VARIABLE else (a, m)
+    return {(KEPT, substitute(m, {a: KEPT})) if a.sort is VARIABLE else (a, m)
             for a, m in calls}

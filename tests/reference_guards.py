@@ -20,7 +20,7 @@ from secwitness.context import VerificationContext, geq, inverse_key, is_identit
 from secwitness.errors import WellProtectionViolation
 from secwitness.rewrite import KeySetFamily, WellProtectedReport, normalize
 from secwitness.selection import SelectionInstance
-from secwitness.terms import Atom, Concat, Enc, Message, Sort, atoms, members
+from secwitness.terms import VARIABLE, Atom, Concat, Enc, Message, atoms, members
 
 
 def keys_of(alpha: Atom, m: Union[Message, Iterable[Message]]) -> KeySetFamily:
@@ -69,7 +69,7 @@ def check_well_protected(target: Union[Message, Iterable[Message]],
     violations: list[tuple[Atom, Message, frozenset]] = []
     for m in members(target):
         for a in atoms(m):
-            if a.sort is Sort.VARIABLE:
+            if a.sort is VARIABLE:
                 continue
             lvl = level_of(ctx, a)
             if lvl is None:
@@ -97,7 +97,7 @@ def select(inst: SelectionInstance, alpha: Atom,
         if isinstance(t, Atom):
             if t != alpha:
                 return frozenset()
-            if alpha.sort is not Sort.VARIABLE and alpha_level is not None:
+            if alpha.sort is not VARIABLE and alpha_level is not None:
                 raise WellProtectionViolation(alpha.display(), str(t))
             return None
         if isinstance(t, Concat):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from secwitness.terms import Atom, Concat, Empty, Enc, Message, Sort, concat, flatten, substitute
+from secwitness.terms import PARAMETER, VARIABLE, Atom, Concat, Empty, Enc, Message, concat, flatten, substitute
 
 Bindings = dict[Atom, Message]
 
@@ -29,8 +29,8 @@ def first_match(lhs: Message, term: Message) -> Optional[Bindings]:
 
 def _proposals(p: Message, t: Message, b: Bindings) -> Iterator[Bindings]:
     if isinstance(p, Atom):
-        if p.sort is Sort.VARIABLE or (isinstance(t, Atom) and (
-                p.sort is Sort.PARAMETER or (t.sort is not Sort.VARIABLE and t.name == p.name))):
+        if p.sort is VARIABLE or (isinstance(t, Atom) and (
+                p.sort is PARAMETER or (t.sort is not VARIABLE and t.name == p.name))):
             yield b if p in b else {**b, p: t}
     elif isinstance(p, Enc):
         if isinstance(t, Enc):
@@ -49,7 +49,7 @@ def _list_proposals(ps: list[Message], ts: list[Message], b: Bindings) -> Iterat
             yield b
         return
     head = ps[0]
-    if not (isinstance(head, Atom) and head.sort is Sort.VARIABLE):
+    if not (isinstance(head, Atom) and head.sort is VARIABLE):
         runs = [1]
     elif head in b:
         runs = [len(flatten(b[head]))]

@@ -14,15 +14,15 @@ from typing import Mapping, Optional, Sequence
 
 from secwitness.context import VerificationContext
 from secwitness.roles import GeneralizedRole, _owner
-from secwitness.terms import Atom, Concat, Enc, Message, Sort, atoms, map_atoms, subterms
+from secwitness.terms import PARAMETER, VARIABLE, Atom, Concat, Enc, Message, atoms, map_atoms, subterms
 
 
 def _shape(m: Message, var_order: dict[Atom, int]) -> tuple:
     if isinstance(m, Atom):
         a = m
-        if a.sort is Sort.VARIABLE:
+        if a.sort is VARIABLE:
             return ("V", var_order.setdefault(a, len(var_order)))
-        if a.sort is Sort.PARAMETER:
+        if a.sort is PARAMETER:
             return ("P", a.name)
         return ("C", a.name, a.session_tag, a.index)
     if isinstance(m, Concat):
@@ -64,7 +64,7 @@ def generalized_message_space(roles: Sequence[GeneralizedRole],
         pat_atoms = sorted(atoms(pat), key=lambda a: (a.name, a.display()))
         bumped: list[str] = []
         for a in pat_atoms:
-            if a.sort is Sort.VARIABLE:
+            if a.sort is VARIABLE:
                 continue
             o = _owner(a, ctx, fresh_owners)
             if o not in bumped:
@@ -72,16 +72,16 @@ def generalized_message_space(roles: Sequence[GeneralizedRole],
                 owner_counts[o] = owner_counts.get(o, 0) + 1
         vbumped: list[str] = []
         for a in pat_atoms:
-            if a.sort is Sort.VARIABLE and a.name not in vbumped:
+            if a.sort is VARIABLE and a.name not in vbumped:
                 vbumped.append(a.name)
                 var_counts[a.name] = var_counts.get(a.name, 0) + 1
         pick: dict[Atom, Atom] = {}
         for a in pat_atoms:
-            if a.sort is Sort.VARIABLE:
-                pick[a] = Atom(a.name, Sort.VARIABLE, index=var_counts[a.name])
+            if a.sort is VARIABLE:
+                pick[a] = Atom(a.name, VARIABLE, index=var_counts[a.name])
             else:
                 o = _owner(a, ctx, fresh_owners)
-                pick[a] = Atom(a.name, Sort.PARAMETER, index=owner_counts[o])
+                pick[a] = Atom(a.name, PARAMETER, index=owner_counts[o])
         space.append(map_atoms(pat, lambda a: pick[a]))
 
     seen: set[tuple] = set()

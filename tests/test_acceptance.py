@@ -33,10 +33,11 @@ from secwitness.rewrite import (
 from secwitness.roles import extract_generalized_roles, pattern_space, roles_for
 from secwitness.selection import INSTANCES, select, value_function
 from secwitness.terms import (
+    PARAMETER,
+    VARIABLE,
     Atom,
     Enc,
     Message,
-    Sort,
     SymbolTable,
     atoms,
     parse_message,
@@ -158,7 +159,7 @@ def test_criterion_05_witness_example():
     )
     symbols = SymbolTable({**{n: Atom(n) for n in
                               ("A", "B", "C", "D", "I", "alpha", "kad", "kad-1", "kbc", "kbc-1")},
-                           **{n: Atom(n, Sort.VARIABLE) for n in ("X", "Y", "Z")}})
+                           **{n: Atom(n, VARIABLE) for n in ("X", "Y", "Z")}})
     pool = [parse_message(t, symbols)
             for t in ("{alpha.B.X}_kad", "{alpha.Y.C}_kad", "{A.Z}_kbc")]
     m1 = parse_message("{alpha.B.C}_kad", symbols)
@@ -285,8 +286,8 @@ def test_criterion_11_rewriting():
         for _ in range(1000)
     )
 
-    mv = Atom("M", Sort.VARIABLE)
-    k, kinv = Atom("k", Sort.PARAMETER), Atom("k-1", Sort.PARAMETER)
+    mv = Atom("M", VARIABLE)
+    k, kinv = Atom("k", PARAMETER), Atom("k-1", PARAMETER)
     accepts = keys_monotone(RewriteRule(Enc(Enc(mv, kinv), k), mv))
     rejects = not keys_monotone(RewriteRule(mv, Enc(mv, Atom("k"))))
     ok = cancels and idempotent and accepts and rejects

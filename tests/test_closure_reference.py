@@ -31,11 +31,11 @@ from secwitness.protocols import load_bundled
 from secwitness.selection import INSTANCES, value_function
 from message_helpers import random_message
 from secwitness.terms import (
+    PARAMETER,
     Atom,
     Concat,
     Enc,
     Message,
-    Sort,
     SymbolTable,
     atoms,
     concat,
@@ -178,7 +178,7 @@ def test_terms_that_print_alike_keep_the_order_they_were_found(valuation_ctx, va
     # a constant and a parameter of the same name print alike
     body = parse_message("C.alpha", valuation_symbols)
     M = [Enc(body, Atom("kab")), parse_message("kab-1", valuation_symbols),
-         Atom("C", Sort.PARAMETER)]
+         Atom("C", PARAMETER)]
     for depth_budget in (1, 2, 3, 4):
         for round_cap in (3, 40, 1500):
             assert_same_closure(M, valuation_ctx, depth_budget, round_cap, 24)

@@ -21,7 +21,7 @@ from secwitness.context import (
     show,
 )
 from secwitness.errors import ContextError
-from secwitness.terms import Atom, Sort
+from secwitness.terms import CONSTANT, PARAMETER, VARIABLE, Atom
 
 NAMES = ["A", "B", "C", "D", "S"]
 
@@ -65,16 +65,16 @@ def test_level_of_matches_the_name_chain_lookup(ctx):
     names = ["Na", "Na_2", "Nb", "kb-1", "ka-1", "A", "pub", "Q"]
     for c in (ctx, indexed):
         for name in names:
-            for a in (Atom(name, sort, tag, index) for sort in Sort
+            for a in (Atom(name, sort, tag, index) for sort in (CONSTANT, PARAMETER, VARIABLE)
                       for tag in (None, "i", "G1") for index in (None, 0, 2, 5)):
-                want = None if a.sort is Sort.VARIABLE else c.levels.get(name)
+                want = None if a.sort is VARIABLE else c.levels.get(name)
                 assert level_of(c, a) == want, a
     assert level_of(indexed, Atom("Na", index=2)) is None
     assert level_of(indexed, Atom("Na_2", session_tag="i")) == frozenset(["A"])
 
 
 def test_level_of_strips_index_and_tag(ctx):
-    assert level_of(ctx, Atom("Na", Sort.PARAMETER, index=3)) == frozenset(["A", "B"])
+    assert level_of(ctx, Atom("Na", PARAMETER, index=3)) == frozenset(["A", "B"])
     assert level_of(ctx, Atom("Na", session_tag="i")) == frozenset(["A", "B"])
 
 
@@ -108,7 +108,7 @@ def test_intruder_allowed(ctx):
 
 def test_may_read(ctx):
     assert may_read(ctx, "A", Atom("ka-1")) and not may_read(ctx, "B", Atom("ka-1"))
-    assert may_read(ctx, "B", Atom("Na", Sort.PARAMETER, "i", 3))  # index and tag ignored
+    assert may_read(ctx, "B", Atom("Na", PARAMETER, "i", 3))  # index and tag ignored
     assert may_read(ctx, "C", Atom("D"))                           # public by default
     for name in ("Na", "ka-1", "kb-1", "D", "pub"):
         assert may_read(ctx, "I", Atom(name)) == intruder_allowed(ctx, Atom(name))
@@ -141,15 +141,15 @@ def test_a_repeated_key_pair_is_read_once():
 
 def test_inverse_key_preserves_index(ctx):
     from secwitness.context import inverse_key
-    assert inverse_key(ctx, Atom("kb", Sort.PARAMETER, index=1)) == Atom("kb-1", Sort.PARAMETER, index=1)
+    assert inverse_key(ctx, Atom("kb", PARAMETER, index=1)) == Atom("kb-1", PARAMETER, index=1)
 
 
 def test_is_identity(ctx):
     assert is_identity(ctx, Atom("A"))
-    assert is_identity(ctx, Atom("A", Sort.PARAMETER, "i", 3))    # index and tag ignored
+    assert is_identity(ctx, Atom("A", PARAMETER, "i", 3))    # index and tag ignored
     assert not is_identity(ctx, Atom("A_3"))                     # a plain name
     assert not is_identity(ctx, Atom("Na"))
-    assert not is_identity(ctx, Atom("A", Sort.VARIABLE))
+    assert not is_identity(ctx, Atom("A", VARIABLE))
 
 
 def test_intruder_knowledge(ctx):

@@ -6,8 +6,8 @@ from reference_bounds import derive, derive_all, derive_keeping
 from secwitness.derive import contribution_of
 from secwitness.selection import value_function
 from secwitness.terms import (
+    VARIABLE,
     Atom,
-    Sort,
     SymbolTable,
     atoms,
     concat,
@@ -18,8 +18,8 @@ from secwitness.unify import unify_all
 
 FMAX = value_function("fmax")
 
-X = Atom("X", Sort.VARIABLE)
-Y = Atom("Y", Sort.VARIABLE)
+X = Atom("X", VARIABLE)
+Y = Atom("Y", VARIABLE)
 SYMS = SymbolTable({**{n: Atom(n) for n in ("A", "B", "Na", "ka", "kb")}, "X": X, "Y": Y})
 
 

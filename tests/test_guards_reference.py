@@ -25,12 +25,12 @@ from secwitness.context import make_context
 from secwitness.errors import AnalyzerError
 from secwitness.rewrite import RewriteRule, access, check_well_protected, keys_of
 from secwitness.selection import INSTANCES, select
-from secwitness.terms import Atom, Enc, Sort, body_atoms_in_order, concat, subterms
+from secwitness.terms import VARIABLE, Atom, Enc, body_atoms_in_order, concat, subterms
 
 KEYS = [Atom("ka"), Atom("ka-1"), Atom("kb"), Atom("kab"), Atom("kc")]
 NON_KEY = Atom("kzz")
 POOL = [Atom("A"), Atom("B"), Atom("alpha"), Atom("beta"), Atom("ka-1"),
-        Atom("X", Sort.VARIABLE)]
+        Atom("X", VARIABLE)]
 
 
 def _context(*rules: RewriteRule):
@@ -46,7 +46,7 @@ def _context(*rules: RewriteRule):
 
 # the second context's rule opens kc and leaves beta beside the body, so a
 # normal form can hold a secret that the member as written does not
-_M = Atom("M", Sort.VARIABLE)
+_M = Atom("M", VARIABLE)
 CONTEXTS = [
     _context(),
     _context(RewriteRule(Enc(_M, Atom("kc")), concat(_M, Atom("beta")))),

@@ -26,7 +26,7 @@ from secwitness.errors import AnalyzerError
 from secwitness.protocols import bundled, load_bundled
 from secwitness.roles import parse_protocol
 from secwitness.selection import INSTANCES, value_function
-from secwitness.terms import Atom, Enc, Sort, SymbolTable, atoms, concat, parse_message
+from secwitness.terms import PARAMETER, VARIABLE, Atom, Enc, SymbolTable, atoms, concat, parse_message
 from secwitness.witness import reception_estimate
 
 NS = load_bundled("ns").context
@@ -36,11 +36,11 @@ RAISED = frozenset(["<raised>"])
 
 
 def _p(name: str, index=None) -> Atom:
-    return Atom(name, Sort.PARAMETER, None, index)
+    return Atom(name, PARAMETER, None, index)
 
 
 def _v(name: str) -> Atom:
-    return Atom(name, Sort.VARIABLE)
+    return Atom(name, VARIABLE)
 
 
 PARAMETERS = [_p("A"), _p("B"), _p("A", 3), _p("Na"), _p("Nb", 1), _p("kb"), _p("ka", 2)]
@@ -115,8 +115,8 @@ QUERIED = CONSTANTS + PARAMETERS[:4] + VARIABLES[:2]
 def facts_of(draw, source):
     """One to three parameter bindings of the source, each to a non-variable
     atom, with the queried atoms each variable's images cover under them."""
-    params = sorted((a for a in atoms(source) if a.sort is Sort.PARAMETER), key=repr)
-    variables = sorted((a for a in atoms(source) if a.sort is Sort.VARIABLE), key=repr)
+    params = sorted((a for a in atoms(source) if a.sort is PARAMETER), key=repr)
+    variables = sorted((a for a in atoms(source) if a.sort is VARIABLE), key=repr)
     facts = {}
     for _ in range(draw(st.integers(1, 3))):
         images = frozenset((a, draw(st.sampled_from(NAMES))) for a in params

@@ -24,9 +24,10 @@ from secwitness.errors import AnalyzerError
 from secwitness.protocols import load_bundled
 from secwitness.selection import INSTANCES, value_function
 from secwitness.terms import (
+    PARAMETER,
+    VARIABLE,
     Atom,
     Enc,
-    Sort,
     atoms,
     concat,
     flatten,
@@ -39,7 +40,7 @@ NS = load_bundled("ns")
 
 
 def _p(name: str, tag=None, index=None) -> Atom:
-    return Atom(name, Sort.PARAMETER, tag, index)
+    return Atom(name, PARAMETER, tag, index)
 
 
 # names of the NS pattern space and role views, a few constants among them;
@@ -67,7 +68,7 @@ def facts_of_unifiers(pattern, target):
     union of each (bindings, pattern variable)'s image atoms."""
     facts = {}
     for sigma in unify_all(pattern, target):
-        params = frozenset((a, m) for a, m in sigma.items() if a.sort is Sort.PARAMETER)
+        params = frozenset((a, m) for a, m in sigma.items() if a.sort is PARAMETER)
         covered = facts.setdefault(params, {})
         for var in variables_of(pattern):
             image = sigma.get(var)
@@ -87,7 +88,7 @@ def _atom(draw, kinds: list[str], variable: Atom) -> Atom:
 def sides(draw, prefix: str):
     """An encryption whose body is atoms only, with variables of its own."""
     kinds = ["parameter", "parameter", "constant", "key", "variable", "variable"]
-    body = [_atom(draw, kinds, Atom(f"{prefix}{i}", Sort.VARIABLE))
+    body = [_atom(draw, kinds, Atom(f"{prefix}{i}", VARIABLE))
             for i in range(draw(st.integers(1, 7)))]
     return Enc(concat(*body), draw(st.sampled_from(KEYS)))
 
@@ -100,7 +101,7 @@ def near_instances(draw, pattern):
     atom is kept or swapped for another."""
     body: list[Atom] = []
     for a in flatten(pattern.body):
-        if a.sort is Sort.VARIABLE:
+        if a.sort is VARIABLE:
             body += [_atom(draw, ["parameter", "constant", "key"], a)
                      for _ in range(draw(st.integers(1, 3)))]
         else:
@@ -108,7 +109,7 @@ def near_instances(draw, pattern):
     out: list[Atom] = []
     while body:
         k = draw(st.integers(0, min(3, len(body))))
-        out.append(Atom(f"W{len(out)}", Sort.VARIABLE) if k else body[0])
+        out.append(Atom(f"W{len(out)}", VARIABLE) if k else body[0])
         body = body[max(k, 1):]
     key = pattern.key if draw(st.booleans()) else draw(st.sampled_from(KEYS))
     return Enc(concat(*out), key)
@@ -159,7 +160,7 @@ def test_facts_and_levels_match_the_unifiers(pair, function):
 
 
 def test_shapes_other_than_linear_flat_pairs_fall_back():
-    x, y = Atom("X", Sort.VARIABLE), Atom("Y", Sort.VARIABLE)
+    x, y = Atom("X", VARIABLE), Atom("Y", VARIABLE)
     a, k = _p("A"), _p("kb")
     linear = Enc(concat(x, a), k)
     assert linear_facts(linear, Enc(concat(a, y), k)) is not None
@@ -174,7 +175,7 @@ def test_a_variable_absorbs_only_where_the_lengths_leave_room():
     # pattern variable at the head takes at most (4 - 3) + 1 = 2 target parts
     # and the target variable is not at the head, so no unifier is listed;
     # the fact search follows the same ranges
-    x, w = Atom("X", Sort.VARIABLE), Atom("W", Sort.VARIABLE)
+    x, w = Atom("X", VARIABLE), Atom("W", VARIABLE)
     a, b, c, d, e = (Atom(n) for n in "abcde")
     k = Atom("k")
     pattern = Enc(concat(x, a, b), k)
@@ -190,7 +191,7 @@ def test_a_state_with_one_edge_shares_the_final_bindings_of_its_successor():
     # c to c, and the state after it reaches two final bindings, P -> R
     # (X takes Q) and P -> S (X takes Q.R); the start state shares that
     # state's set of them, and both sets of facts come out whole
-    x, y = Atom("X", Sort.VARIABLE), Atom("Y", Sort.VARIABLE)
+    x, y = Atom("X", VARIABLE), Atom("Y", VARIABLE)
     p, q, r, s, t = (_p(n) for n in "PQRST")
     c, k = Atom("c"), Atom("k")
     pattern = Enc(concat(c, x, p, y), k)
@@ -207,7 +208,7 @@ def test_a_variable_covers_the_atoms_of_all_its_runs():
     # {X.Y}_k and {a.b.c}_k unify under X -> a, Y -> b.c and X -> a.b,
     # Y -> c; both have the same (empty) bindings, so each variable has one
     # fact, the union of the runs it absorbs
-    x, y = Atom("X", Sort.VARIABLE), Atom("Y", Sort.VARIABLE)
+    x, y = Atom("X", VARIABLE), Atom("Y", VARIABLE)
     a, b, c = (Atom(n) for n in "abc")
     k = Atom("k")
     pattern = Enc(concat(x, y), k)

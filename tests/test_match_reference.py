@@ -24,22 +24,22 @@ from hypothesis import strategies as st
 
 from reference_match import first_match
 from secwitness.rewrite import _match
-from secwitness.terms import Atom, Concat, Enc, Message, Sort, atoms, concat, map_atoms, substitute
+from secwitness.terms import PARAMETER, VARIABLE, Atom, Concat, Enc, Message, atoms, concat, map_atoms, substitute
 
-X, Y, Z = (Atom(n, Sort.VARIABLE) for n in "XYZ")
-P, K = Atom("P", Sort.PARAMETER), Atom("K", Sort.PARAMETER)
+X, Y, Z = (Atom(n, VARIABLE) for n in "XYZ")
+P, K = Atom("P", PARAMETER), Atom("K", PARAMETER)
 A, NA, KB = Atom("A"), Atom("Na"), Atom("kb")
 a, b, c, ka = Atom("a"), Atom("b"), Atom("c"), Atom("ka")
 
 # what each left-side atom may stand for in a term
 COPIES = {
     A: [A, Atom("A", index=3), Atom("A", session_tag="i")],
-    NA: [NA, Atom("Na", index=2), Atom("Na", Sort.PARAMETER, "i")],
+    NA: [NA, Atom("Na", index=2), Atom("Na", PARAMETER, "i")],
     KB: [KB, Atom("kb", index=1)],
-    P: [a, b, NA, Atom("V", Sort.VARIABLE)],
+    P: [a, b, NA, Atom("V", VARIABLE)],
     K: [ka, KB, Atom("kb", index=1)],
 }
-GROUND = [a, b, c, NA, Atom("Na", Sort.VARIABLE), Atom("Na", index=2), Enc(a, KB)]
+GROUND = [a, b, c, NA, Atom("Na", VARIABLE), Atom("Na", index=2), Enc(a, KB)]
 
 atom_part = st.sampled_from([X, Y, Z, P, A, NA])
 # a run of variable metavariables is where a list has more than one split
@@ -63,7 +63,7 @@ def instances(draw, lhs: Message) -> Message:
     """An instance of the left side, or one that misses it."""
     images = {}
     for v in _atoms(lhs):
-        if v.sort is Sort.VARIABLE:
+        if v.sort is VARIABLE:
             images[v] = concat(*draw(st.lists(st.sampled_from(GROUND), min_size=1, max_size=3)))
         else:
             images[v] = draw(st.sampled_from(COPIES[v]))
@@ -81,7 +81,7 @@ def instances(draw, lhs: Message) -> Message:
 def _splits_inside(m: Message) -> bool:
     """Whether some encryption's body holds two variable metavariables."""
     if isinstance(m, Enc):
-        names = {v for v in _atoms(m.body) if v.sort is Sort.VARIABLE}
+        names = {v for v in _atoms(m.body) if v.sort is VARIABLE}
         return len(names) > 1 or _splits_inside(m.body)
     return isinstance(m, Concat) and any(map(_splits_inside, m.parts))
 
@@ -100,7 +100,7 @@ KEYED = concat(Enc(concat(X, P), K), K)
 @example((KEYED, concat(Enc(concat(a, b), KB), ka)))
 @example((concat(X, Enc(concat(NA, Y), KB), Y),
           concat(a, b, Enc(concat(Atom("Na", index=2), c, a), Atom("kb", index=1)), c, a)))
-@example((concat(NA, X), concat(Atom("Na", Sort.VARIABLE), a)))
+@example((concat(NA, X), concat(Atom("Na", VARIABLE), a)))
 def test_first_match_is_the_reference_first_match(pair):
     lhs, term = pair
     assert _match(lhs, term, {}) == first_match(lhs, term)

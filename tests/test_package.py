@@ -173,20 +173,3 @@ def test_every_import_is_read():
         unread += [f"{path.relative_to(root)}: {name}"
                    for name in _imported_names(tree) if name not in used]
     assert not unread, "imports that nothing reads: " + ", ".join(unread)
-
-
-def test_no_function_body_looks_up_a_sort_member():
-    # terms.CONSTANT, PARAMETER and VARIABLE are the members as module
-    # constants: a global load costs a fraction of `Sort.VARIABLE`, an
-    # attribute lookup on the enum, and sorts are tested on hot paths.
-    # Module-level uses, such as a field's default, run once and stay.
-    root = Path(__file__).parents[1]
-    found = []
-    for path in sorted((root / "src" / "secwitness").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        bodies = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.Lambda))]
-        found += [f"{path.relative_to(root)}:{node.lineno}: {ast.unparse(node)}"
-                  for body in bodies for node in ast.walk(body)
-                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                  and isinstance(node.value, ast.Name) and node.value.id == "Sort"]
-    assert not found, "Sort members looked up in function bodies: " + ", ".join(sorted(set(found)))

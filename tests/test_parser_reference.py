@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 import reference_parser
 from secwitness.errors import MessageSyntaxError
 from secwitness.roles import _RuleSymbols
-from secwitness.terms import MAX_NESTING, Atom, Sort, SymbolTable, parse_message
+from secwitness.terms import MAX_NESTING, VARIABLE, Atom, SymbolTable, parse_message
 
 SYMS = SymbolTable({a.name: a for a in (
     Atom("A"), Atom("B"), Atom("Na"), Atom("ka"), Atom("ka-1"), Atom("kb"),
-    Atom("X", Sort.VARIABLE))})
+    Atom("X", VARIABLE))})
 
 IDENTS = ["A", "Na^i", "ka-1", "kb", "d", "X", "Zq"]
 PUNCTUATION = list("{}_.(),")

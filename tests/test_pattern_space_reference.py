@@ -23,7 +23,7 @@ from secwitness.roles import (
     pattern_shape,
     roles_for,
 )
-from secwitness.terms import Atom, Enc, Sort, concat, map_atoms
+from secwitness.terms import CONSTANT, PARAMETER, VARIABLE, Atom, Enc, concat, map_atoms
 from test_shared_search import chain_text
 
 SUBJECTS = ["ns", "nsl"] + [f"chain{n}" for n in range(2, 9)]
@@ -59,8 +59,8 @@ def test_space_of_random_role_lists_matches_the_reference(name, data):
 
 ATOMS = [Atom(n, sort, tag, index)
          for n, index in (("A", None), ("A", 1), ("A", 2), ("Na", None), ("v0", None), ("v1", 3))
-         for sort in Sort for tag in (None, "i")]
-KEYS = [a for a in ATOMS if a.sort is not Sort.VARIABLE]
+         for sort in (CONSTANT, PARAMETER, VARIABLE) for tag in (None, "i")]
+KEYS = [a for a in ATOMS if a.sort is not VARIABLE]
 MESSAGES = st.recursive(
     st.sampled_from(ATOMS),
     lambda inner: st.one_of(
@@ -78,10 +78,10 @@ def message_pairs(draw):
         return m, draw(MESSAGES)
     rename = {}
     for a in ATOMS:
-        if a.sort is Sort.PARAMETER:
-            rename[a] = Atom(a.name, Sort.PARAMETER, index=draw(st.integers(1, 3)))
-        elif a.sort is Sort.VARIABLE:
-            rename[a] = draw(st.sampled_from([b for b in ATOMS if b.sort is Sort.VARIABLE]))
+        if a.sort is PARAMETER:
+            rename[a] = Atom(a.name, PARAMETER, index=draw(st.integers(1, 3)))
+        elif a.sort is VARIABLE:
+            rename[a] = draw(st.sampled_from([b for b in ATOMS if b.sort is VARIABLE]))
     return m, map_atoms(m, rename.get)
 
 

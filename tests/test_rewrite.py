@@ -20,7 +20,7 @@ from secwitness.rewrite import (
     keys_of,
     normalize,
 )
-from secwitness.terms import Atom, Enc, Sort, concat, parse_message
+from secwitness.terms import PARAMETER, VARIABLE, Atom, Enc, concat, parse_message
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def test_normalize_cancels_copies_with_one_index(simple_ctx):
     alpha = Atom("alpha")
 
     def key(name, index):
-        return Atom(name, Sort.PARAMETER, index=index)
+        return Atom(name, PARAMETER, index=index)
 
     assert normalize(Enc(Enc(alpha, key("ka-1", 2)), key("ka", 2)), simple_ctx) == alpha
     kept = Enc(Enc(alpha, key("ka-1", 1)), key("ka", 2))
@@ -80,8 +80,8 @@ def test_normalize_cancels_copies_with_one_index(simple_ctx):
 
 def test_a_rule_names_no_inverse_pair_by_spelling():
     # q and q-1 are two unrelated metavariables: the rule strips any two keys
-    mv = Atom("M", Sort.VARIABLE)
-    q, qinv = Atom("q", Sort.PARAMETER), Atom("q-1", Sort.PARAMETER)
+    mv = Atom("M", VARIABLE)
+    q, qinv = Atom("q", PARAMETER), Atom("q-1", PARAMETER)
     ctx = make_context(
         ["A", "B", "I"], "I", {"alpha": ["A", "B"], "ka-1": ["A"], "kb-1": ["B"]},
         [("ka", "ka-1"), ("kb", "kb-1")], rewrite_rules=(RewriteRule(Enc(Enc(mv, qinv), q), mv),))
@@ -95,7 +95,7 @@ def test_normalize_unrelated_keys_stay(simple_ctx, simple_syms):
 
 
 def test_non_termination(simple_ctx):
-    mv = Atom("M", Sort.VARIABLE)
+    mv = Atom("M", VARIABLE)
     grow = RewriteRule(mv, concat(mv, mv))
     ctx = make_context(
         ["A", "B", "I"], "I", {"alpha": ["A", "B"], "ka-1": ["A"]},
@@ -108,21 +108,21 @@ def test_a_rule_constant_matches_the_copies_of_its_name():
     # a declared name in a rule binds to the non-variable atom of that name
     # it meets; a repeated one must meet the same atom, and the right-hand
     # side gets that atom back
-    mv, alpha = Atom("M", Sort.VARIABLE), Atom("alpha")
+    mv, alpha = Atom("M", VARIABLE), Atom("alpha")
     ka, kab = Atom("ka"), Atom("kab")
     split = RewriteRule(Enc(concat(mv, kab), ka), concat(Enc(mv, ka), kab))
     opened = RewriteRule(concat(Enc(mv, kab), kab), mv)
     ctx = make_context(
         ["A", "B", "I"], "I", {"alpha": ["A", "B"], "ka-1": ["A"], "kab": ["A", "B"]},
         [("ka", "ka-1"), ("kab", "kab")], rewrite_rules=(split, opened))
-    ka1 = Atom("ka", Sort.PARAMETER, index=1)
-    kab2, kab3 = (Atom("kab", Sort.PARAMETER, index=i) for i in (2, 3))
+    ka1 = Atom("ka", PARAMETER, index=1)
+    kab2, kab3 = (Atom("kab", PARAMETER, index=i) for i in (2, 3))
     assert normalize(Enc(concat(alpha, kab2), ka1), ctx) == concat(Enc(alpha, ka1), kab2)
     assert normalize(Enc(concat(alpha, kab), ka), ctx) == concat(Enc(alpha, ka), kab)
     assert normalize(concat(Enc(alpha, kab2), kab2), ctx) == alpha
     assert normalize(concat(Enc(alpha, kab2), kab3), ctx) == concat(Enc(alpha, kab2), kab3)
     # a variable is not a copy of a declared name
-    x = Atom("kab", Sort.VARIABLE)
+    x = Atom("kab", VARIABLE)
     assert normalize(Enc(concat(alpha, x), ka), ctx) == Enc(concat(alpha, x), ka)
 
 
@@ -139,14 +139,14 @@ def test_normalize_idempotent_on_random_terms(simple_ctx):
 # Inverse-key pairs, an indexed copy of kc, and one keys-monotone rule
 # that moves a kc-ciphertext at the head of a pair to its end: a pair of
 # kc-ciphertexts only, and nothing else, rotates until the step budget ends
-_KC, _X, _Y = Atom("kc"), Atom("X", Sort.VARIABLE), Atom("Y", Sort.VARIABLE)
+_KC, _X, _Y = Atom("kc"), Atom("X", VARIABLE), Atom("Y", VARIABLE)
 _ROTATE = RewriteRule(concat(Enc(_X, _KC), _Y), concat(_Y, Enc(_X, _KC)))
 _ROTATE_CTX = make_context(
     ["A", "B", "I"], "I", {"alpha": ["A", "B"], "ka-1": ["A"], "kb-1": ["B"], "kc-1": ["A"]},
     [("ka", "ka-1"), ("kb", "kb-1"), ("kc", "kc-1")], rewrite_rules=(_ROTATE,))
 _ROTATE_POOL = [Atom("A"), Atom("B"), Atom("alpha"), _X]
 _ROTATE_KEYS = [Atom(n) for n in ("ka", "ka-1", "kb", "kb-1", "kc", "kc-1")] + [
-    Atom("kc", Sort.PARAMETER, index=1), Atom("kc-1", Sort.PARAMETER, index=1)]
+    Atom("kc", PARAMETER, index=1), Atom("kc-1", PARAMETER, index=1)]
 
 
 def _normal_form_or_none(normalise, m):
@@ -185,23 +185,23 @@ def test_normalize_returns_a_term_in_normal_form_itself(simple_ctx, simple_syms)
 
 
 def test_rule_rejects_unbound_rhs_metavariable():
-    mv = Atom("M", Sort.VARIABLE)
-    nv = Atom("N", Sort.VARIABLE)
+    mv = Atom("M", VARIABLE)
+    nv = Atom("N", VARIABLE)
     with pytest.raises(ContextError, match="rhs introduces metavariables"):
         RewriteRule(mv, nv)
 
 
 def test_validator_accepts_default_rules():
     # the built-in cancellation, written as a rule
-    mv = Atom("M", Sort.VARIABLE)
-    k, kinv = Atom("k", Sort.PARAMETER), Atom("k-1", Sort.PARAMETER)
+    mv = Atom("M", VARIABLE)
+    k, kinv = Atom("k", PARAMETER), Atom("k-1", PARAMETER)
     assert keys_monotone(RewriteRule(Enc(Enc(mv, kinv), k), mv))
 
 
 def test_validator_keeps_metavariables_apart_from_declared_names():
     # a declared name spelled like a metavariable is still another atom:
     # the rule moves kb from X onto the declared name
-    xv, kb = Atom("X", Sort.VARIABLE), Atom("kb")
+    xv, kb = Atom("X", VARIABLE), Atom("kb")
     for name in ("probe-0", "X"):
         declared = Atom(name)
         moved = RewriteRule(concat(Enc(xv, kb), declared), concat(xv, Enc(declared, kb)))
@@ -209,15 +209,15 @@ def test_validator_keeps_metavariables_apart_from_declared_names():
 
 
 def test_validator_rejects_key_adding_rule():
-    mv = Atom("M", Sort.VARIABLE)
+    mv = Atom("M", VARIABLE)
     wrap = RewriteRule(mv, Enc(mv, Atom("k")))
     assert not keys_monotone(wrap)
 
 
 def test_validator_flags_split_rule_for_selection_review():
     # splitting one encryption into two keeps every guard set: monotone
-    av, bv = Atom("a", Sort.VARIABLE), Atom("b", Sort.VARIABLE)
-    kp = Atom("k", Sort.PARAMETER)
+    av, bv = Atom("a", VARIABLE), Atom("b", VARIABLE)
+    kp = Atom("k", PARAMETER)
     split = RewriteRule(
         Enc(concat(av, bv), kp),
         concat(Enc(av, kp), Enc(bv, kp)))

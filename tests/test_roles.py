@@ -17,7 +17,7 @@ from secwitness.roles import (
     pattern_space,
     roles_for,
 )
-from secwitness.terms import Sort, atoms, variables_of
+from secwitness.terms import PARAMETER, atoms, variables_of
 
 NS_TEXT = bundled("ns")
 
@@ -154,9 +154,9 @@ def test_role_views_parameterize_names(ns):
     a1 = extract_generalized_roles(ns)[0]
     m = a1.steps[0].message
     by_name = {a.name: a for a in atoms(m)}
-    assert by_name["A"].sort is Sort.PARAMETER
-    assert by_name["Na"].sort is Sort.PARAMETER and by_name["Na"].session_tag == "i"
-    assert by_name["kb"].sort is Sort.PARAMETER
+    assert by_name["A"].sort is PARAMETER
+    assert by_name["Na"].sort is PARAMETER and by_name["Na"].session_tag == "i"
+    assert by_name["kb"].sort is PARAMETER
 
 
 def test_received_before(ns):
@@ -176,8 +176,8 @@ def test_prefix_family_shape(ns):
     roles = extract_generalized_roles(ns)
     for agent in ("A", "B"):
         mine = [r for r in roles if r.agent.name == agent]
-        sends = max(sum(s.direction is SEND for s in r.steps) for r in mine)
-        trailing = sum(1 for r in mine if r.steps[-1].direction is RECV)
+        sends = max(sum(s.direction == SEND for s in r.steps) for r in mine)
+        trailing = sum(1 for r in mine if r.steps[-1].direction == RECV)
         assert len(mine) == sends + trailing
 
 

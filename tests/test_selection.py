@@ -20,7 +20,7 @@ from secwitness.selection import (
     select,
     value_function,
 )
-from secwitness.terms import Atom, Enc, Sort, atoms, concat, parse_message
+from secwitness.terms import VARIABLE, Atom, Enc, atoms, concat, parse_message
 
 ALPHA = Atom("alpha")
 
@@ -93,7 +93,7 @@ def test_unprotected_secret_occurrence(selection_ctx, selection_symbols):
 
 
 def test_variables_not_selectable_as_neighbors(selection_ctx):
-    x = Atom("X", Sort.VARIABLE)
+    x = Atom("X", VARIABLE)
     m = Enc(concat(ALPHA, x), Atom("kac"))
     assert select(BROAD, ALPHA, m, selection_ctx) == {Atom("kac-1")}
     assert select(NEIGHBORS, ALPHA, m, selection_ctx) == frozenset()
@@ -102,7 +102,7 @@ def test_variables_not_selectable_as_neighbors(selection_ctx):
 def test_variable_alpha_any_key_protects():
     ctx = make_context(["A", "B", "I"], "I", {"kb-1": ["B"]},
                        [("kb", "kb-1")])
-    x = Atom("X", Sort.VARIABLE)
+    x = Atom("X", VARIABLE)
     assert value_function("fmax")(x, Enc(x, Atom("kb")), ctx) == frozenset(["B"])
 
 

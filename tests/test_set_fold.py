@@ -13,7 +13,7 @@ from secwitness.context import make_context, meet
 from secwitness.errors import WellProtectionViolation
 from secwitness.rewrite import access, keys_of
 from secwitness.selection import BROAD, KEY_ONLY, NEIGHBORS, interpret, psi, select, value_function
-from secwitness.terms import Atom, Sort
+from secwitness.terms import VARIABLE, Atom
 from secwitness.witness import upper_bound
 
 CTX = make_context(
@@ -21,7 +21,7 @@ CTX = make_context(
     {"alpha": ["A", "B"], "ka-1": ["A"], "kab": ["A", "B"]},
     [("ka", "ka-1"), ("kab", "kab")],
 )
-POOL = [Atom("A"), Atom("B"), Atom("alpha"), Atom("X", Sort.VARIABLE)]
+POOL = [Atom("A"), Atom("B"), Atom("alpha"), Atom("X", VARIABLE)]
 KEYS = [Atom("ka"), Atom("ka-1"), Atom("kab")]
 
 

@@ -135,7 +135,7 @@ def subject(name: str):
     protocol = parse_protocol(subject_text(name))
     roles = roles_for(protocol)
     pool = pattern_space(protocol, roles)
-    sends = list(dict.fromkeys(s.message for r in roles for s in r.steps if s.direction is SEND))
+    sends = list(dict.fromkeys(s.message for r in roles for s in r.steps if s.direction == SEND))
     return protocol, pool, sends
 
 

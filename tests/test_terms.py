@@ -25,14 +25,16 @@ from secwitness.errors import (
 )
 from secwitness.roles import parse_protocol
 from secwitness.terms import (
+    CONSTANT,
     EMPTY,
     MAX_NESTING,
+    PARAMETER,
+    VARIABLE,
     Atom,
     Concat,
     Empty,
     Enc,
     Message,
-    Sort,
     SymbolTable,
     atoms,
     concat,
@@ -51,11 +53,11 @@ NA = Atom("Na")
 NB = Atom("Nb")
 KA = Atom("ka")
 KB = Atom("kb")
-X = Atom("X", Sort.VARIABLE)
-Y = Atom("Y", Sort.VARIABLE)
-A1 = Atom("A", Sort.PARAMETER, index=1)
-NA1 = Atom("Na", Sort.PARAMETER, index=1)
-KB1 = Atom("kb", Sort.PARAMETER, index=1)
+X = Atom("X", VARIABLE)
+Y = Atom("Y", VARIABLE)
+A1 = Atom("A", PARAMETER, index=1)
+NA1 = Atom("Na", PARAMETER, index=1)
+KB1 = Atom("kb", PARAMETER, index=1)
 
 SYMS = SymbolTable({a.name: a for a in (A, B, NA, NB, KA, KB, X, Y)})
 
@@ -121,8 +123,8 @@ def test_an_atom_is_a_message():
     assert isinstance(A, Message)
     assert parse_message("A", SYMS) == A
     assert flatten(parse_message("A.{X}_kb", SYMS))[0] == A
-    assert str(Atom("Na", Sort.PARAMETER, "i")) == "Na^i"
-    assert repr(Atom("Na", Sort.PARAMETER, "i")) == "'Na^i"
+    assert str(Atom("Na", PARAMETER, "i")) == "Na^i"
+    assert repr(Atom("Na", PARAMETER, "i")) == "'Na^i"
     assert repr(X) == "?X" and str(X) == "X"
 
 
@@ -268,7 +270,7 @@ def _reference_atoms(m):
     return frozenset(out)
 
 
-NA_I = Atom("Na", Sort.CONSTANT, "i")
+NA_I = Atom("Na", CONSTANT, "i")
 RANDOM_POOL = [A, B, NA, NA_I, NB, X, Y, A1, NA1]
 RANDOM_KEYS = [KA, KB, KB1, Atom("kab")]
 RANDOM_SYMS = SymbolTable({a.display(): a for a in RANDOM_POOL + RANDOM_KEYS if a.session_tag is None})
@@ -319,7 +321,7 @@ def test_pickle_across_processes_recomputes_the_hash():
     load = ("import pickle, sys\n"
             "from secwitness.terms import *\n"
             "A, NA, KA, KB = Atom('A'), Atom('Na'), Atom('ka'), Atom('kb')\n"
-            "X, A1 = Atom('X', Sort.VARIABLE), Atom('A', Sort.PARAMETER, index=1)\n"
+            "X, A1 = Atom('X', VARIABLE), Atom('A', PARAMETER, index=1)\n"
             "syms = SymbolTable({a.display(): a for a in (A, NA, KA, KB, X, A1)})\n"
             "m = parse_message(%r, syms)\n" % text)
     dump = load + "sys.stdout.buffer.write(pickle.dumps([m, m.parts[0].key, m.parts[-1], EMPTY]))\n"
@@ -338,11 +340,11 @@ def test_pickle_across_processes_recomputes_the_hash():
 def test_a_set_of_atoms_iterates_in_the_same_order_under_one_seed():
     # the hash of an untagged or unindexed atom must not follow an address,
     # which differs between processes
-    show = ("from secwitness.terms import Atom, Sort\n"
+    show = ("from secwitness.terms import PARAMETER, Atom\n"
             "names = ['A', 'B', 'Na', 'Nc', 'Nb', 'ka', 'kb', 'X']\n"
             "print(list(frozenset(Atom(n) for n in names)),"
-            " list(frozenset(Atom(n, Sort.PARAMETER, 'i') for n in names)),"
-            " list(frozenset(Atom(n, Sort.PARAMETER, index=2) for n in names)))\n")
+            " list(frozenset(Atom(n, PARAMETER, 'i') for n in names)),"
+            " list(frozenset(Atom(n, PARAMETER, index=2) for n in names)))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED="0")
     first, second = (subprocess.run([sys.executable, "-c", show], capture_output=True,
                                     check=True, env=env).stdout for _ in range(2))

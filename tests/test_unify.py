@@ -10,10 +10,12 @@ import reference_bounds
 from secwitness.context import meet_all
 from secwitness.selection import value_function
 from secwitness.terms import (
+    CONSTANT,
     EMPTY,
+    PARAMETER,
+    VARIABLE,
     Atom,
     Enc,
-    Sort,
     atoms,
     concat,
     substitute,
@@ -44,9 +46,9 @@ def test_initial_pattern_binding(ns, ns_roles, ns_pool):
     source = _pattern(ns_pool, "{A_1.Na_1}_kb_1")
     target = _send(ns_roles, "A_G1", 0)               # {A.Na^i}_kb
     sigma = unify_all(source, target)[0]
-    assert sigma.get(Atom("A", Sort.PARAMETER, index=1)) == Atom("A", Sort.PARAMETER)
-    assert sigma.get(Atom("Na", Sort.PARAMETER, index=1)) == Atom("Na", Sort.PARAMETER, session_tag="i")
-    assert sigma.get(Atom("kb", Sort.PARAMETER, index=1)) == Atom("kb", Sort.PARAMETER)
+    assert sigma.get(Atom("A", PARAMETER, index=1)) == Atom("A", PARAMETER)
+    assert sigma.get(Atom("Na", PARAMETER, index=1)) == Atom("Na", PARAMETER, session_tag="i")
+    assert sigma.get(Atom("kb", PARAMETER, index=1)) == Atom("kb", PARAMETER)
     assert substitute(source, sigma) == substitute(target, sigma)
 
 
@@ -62,9 +64,9 @@ def test_variable_absorbs_segments(ns, ns_roles, ns_pool):
     sigma = unify_all(source, target)[0]
     x2 = next(iter(variables_of(source)))
     image = sigma.get(x2)
-    assert image == concat(Atom("Y", Sort.VARIABLE),
-                           Atom("Nb", Sort.PARAMETER, session_tag="i"),
-                           Atom("B", Sort.PARAMETER))
+    assert image == concat(Atom("Y", VARIABLE),
+                           Atom("Nb", PARAMETER, session_tag="i"),
+                           Atom("B", PARAMETER))
     assert substitute(source, sigma) == substitute(target, sigma)
 
 
@@ -75,20 +77,32 @@ def test_constant_keys_clash(ns):
     assert unify_all(m1, m2) == []
 
 
+def test_two_atoms_bind_the_higher_sort_and_the_left_on_a_tie():
+    # the sorts are ordered constants, and binding orientation follows them
+    for left, right in itertools.product((CONSTANT, PARAMETER, VARIABLE), repeat=2):
+        x, y = Atom("x", left), Atom("y", right)
+        found = unify_all(x, y)
+        assert found == reference_bounds.unify_all(x, y), (left, right)
+        if left == right == CONSTANT:
+            assert found == []
+        else:
+            assert found == [{x: y} if left >= right else {y: x}], (left, right)
+
+
 def test_occurs_check():
-    x = Atom("X", Sort.VARIABLE)
+    x = Atom("X", VARIABLE)
     assert unify_all(x, Enc(x, Atom("k"))) == []
     assert unify_all(x, concat(x, Atom("A"))) == []
 
 
 def test_parameters_take_single_segments():
-    p, q = Atom("P", Sort.PARAMETER), Atom("Q", Sort.PARAMETER)
+    p, q = Atom("P", PARAMETER), Atom("Q", PARAMETER)
     a, b, c = (Atom(n) for n in "abc")
     assert unify_all(concat(p, q), concat(a, b, c)) == []
 
 
 def test_absorption_enumerates_segmentations():
-    v, w = Atom("V", Sort.VARIABLE), Atom("W", Sort.VARIABLE)
+    v, w = Atom("V", VARIABLE), Atom("W", VARIABLE)
     a, b, c = (Atom(n) for n in "abc")
     found = unify_all(concat(v, w), concat(a, b, c))
     images = {(str(s.get(v)), str(s.get(w))) for s in found}
@@ -98,7 +112,7 @@ def test_absorption_enumerates_segmentations():
 def test_a_part_after_a_variable_bound_to_the_empty_message_is_chased():
     # X is bound to ε by the first part, so Y stands first in the third
     # part's list and must be read as B.C there
-    x, y = Atom("X", Sort.VARIABLE), Atom("Y", Sort.VARIABLE)
+    x, y = Atom("X", VARIABLE), Atom("Y", VARIABLE)
     a, b, c, k = Atom("A"), Atom("B"), Atom("C"), Atom("k")
     left = concat(Enc(x, k), Enc(y, k), Enc(concat(x, y, a), k))
     right = concat(Enc(EMPTY, k), Enc(concat(b, c), k), Enc(concat(b, c, a), k))
@@ -110,8 +124,8 @@ def test_a_part_after_a_variable_bound_to_the_empty_message_is_chased():
 def test_a_parameter_meets_a_compound_that_comes_to_one_atom():
     # Y is bound to ε by the first part, so X.Y is X alone in the second,
     # and the parameter A meets a variable there
-    x, y = Atom("X", Sort.VARIABLE), Atom("Y", Sort.VARIABLE)
-    a, k = Atom("A", Sort.PARAMETER), Atom("k")
+    x, y = Atom("X", VARIABLE), Atom("Y", VARIABLE)
+    a, k = Atom("A", PARAMETER), Atom("k")
     left = concat(Enc(y, k), Enc(a, k))
     right = concat(Enc(EMPTY, k), Enc(concat(x, y), k))
     found = unify_all(left, right)
@@ -121,8 +135,8 @@ def test_a_parameter_meets_a_compound_that_comes_to_one_atom():
 
 
 def test_soundness_of_all_unifiers():
-    v = Atom("V", Sort.VARIABLE)
-    p = Atom("P", Sort.PARAMETER)
+    v = Atom("V", VARIABLE)
+    p = Atom("P", PARAMETER)
     a, b = Atom("a"), Atom("b")
     left = Enc(concat(v, p), Atom("k"))
     right = Enc(concat(a, b, a), Atom("k"))
@@ -136,8 +150,8 @@ def test_mgu_factoring_small_universe():
     rng = random.Random(3)
     ca, cb = Atom("a"), Atom("b")
     grounds = [ca, cb, concat(ca, cb)]
-    v1, v2 = Atom("V1", Sort.VARIABLE), Atom("V2", Sort.VARIABLE)
-    p1, p2 = Atom("P1", Sort.PARAMETER), Atom("P2", Sort.PARAMETER)
+    v1, v2 = Atom("V1", VARIABLE), Atom("V2", VARIABLE)
+    p1, p2 = Atom("P1", PARAMETER), Atom("P2", PARAMETER)
 
     def random_side(vars_, depth=2):
         roll = rng.random()
@@ -156,8 +170,8 @@ def test_mgu_factoring_small_universe():
             continue
         sigma = found[0]
         bindable = [x for x in (atoms(left) | atoms(right))
-                    if x.sort is not Sort.CONSTANT]
-        choices = [grounds if x.sort is Sort.VARIABLE else grounds[:2]
+                    if x.sort is not CONSTANT]
+        choices = [grounds if x.sort is VARIABLE else grounds[:2]
                    for x in bindable]
         for images in itertools.product(*choices):
             tau = dict(zip(bindable, images))

@@ -16,17 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_bounds
-from secwitness.terms import EMPTY, Atom, Enc, Message, Sort, concat, substitute, variables_of
+from secwitness.terms import EMPTY, PARAMETER, VARIABLE, Atom, Enc, Message, concat, substitute, variables_of
 from secwitness.unify import unify_all
 
 
 def _p(name: str, index=None) -> Atom:
-    return Atom(name, Sort.PARAMETER, index=index)
+    return Atom(name, PARAMETER, index=index)
 
 
 PARAMETERS = [_p("A"), _p("B"), _p("A", 1), _p("Na"), _p("kb")]
 CONSTANTS = [Atom("I"), Atom("A"), Atom("kb")]
-VARIABLES = [Atom(n, Sort.VARIABLE) for n in ("X", "Y", "Z")]
+VARIABLES = [Atom(n, VARIABLE) for n in ("X", "Y", "Z")]
 KEYS = [_p("kb"), _p("kb", 1), _p("ka"), Atom("kb")]
 
 # both sides draw on the same three variables, so a variable is often

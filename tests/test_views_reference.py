@@ -23,19 +23,19 @@ from hypothesis import strategies as st
 from reference_bounds import derive_all, derive_keeping
 from secwitness.derive import KEPT, unifier_facts, view
 from secwitness.selection import INSTANCES, value_function
-from secwitness.terms import Atom, Enc, Message, Sort, concat, flatten, substitute, variables_of
+from secwitness.terms import PARAMETER, VARIABLE, Atom, Enc, Message, concat, flatten, substitute, variables_of
 from secwitness.unify import linear_facts, unify_all
 from test_kept_views import NS, SPLITTING, total
 from test_shared_search import subject
 
 
 def _p(name: str, tag=None, index=None) -> Atom:
-    return Atom(name, Sort.PARAMETER, tag, index)
+    return Atom(name, PARAMETER, tag, index)
 
 
 PARAMETERS = [_p("A"), _p("B"), _p("A", index=3), _p("Na", "i"), _p("Nb", index=1), _p("kb")]
 CONSTANTS = [Atom("I"), Atom("A"), Atom("Na"), Atom("kb")]
-VARIABLES = [Atom(n, Sort.VARIABLE) for n in ("X", "Y", "Z")]
+VARIABLES = [Atom(n, VARIABLE) for n in ("X", "Y", "Z")]
 KEYS = [_p("kb"), _p("ka", index=1), Atom("kb"), Atom("ki")]
 
 # three variables among up to twelve leaves: most sources repeat one
@@ -82,7 +82,7 @@ def test_every_fact_map_of_the_subjects_matches_substitute_then_erase(name):
                 facts = unifier_facts(pattern, unify_all(pattern, target))
             for params, covered in facts.items():
                 for param, image in params:
-                    assert isinstance(image, Atom) and image.sort is not Sort.VARIABLE, (param, image)
+                    assert isinstance(image, Atom) and image.sort is not VARIABLE, (param, image)
                 assert set(covered) <= variables_of(pattern)
                 _assert_views_match(pattern, dict(params))
                 seen += 1

@@ -14,8 +14,9 @@ from secwitness.errors import NoProtectivePattern
 from secwitness.protocols import parse_protocol
 from secwitness.selection import value_function
 from secwitness.terms import (
+    CONSTANT,
+    VARIABLE,
     Atom,
-    Sort,
     atoms,
     parse_message,
     substitute,
@@ -73,7 +74,7 @@ def test_lower_bound_clear_secret_raises(witness_ctx, witness_symbols, witness_p
 
 def test_lower_bound_clear_variable_raises(witness_ctx, witness_symbols, witness_pool):
     m = parse_message("X.{A.Z}_kbc", witness_symbols)
-    x = Atom("X", Sort.VARIABLE)
+    x = Atom("X", VARIABLE)
     with pytest.raises(NoProtectivePattern):
         lower_bound(x, m, witness_pool, FMAX, witness_ctx)
 
@@ -143,7 +144,7 @@ def test_witness_sits_between_the_bounds(ns, ns_roles, ns_pool):
     rng = random.Random(7)
     for ground in ("Na", "Nb", "A", "B"):
         tag = rng.choice(["i", "j", None])
-        sigma = {y: Atom(ground, Sort.CONSTANT, session_tag=tag)}
+        sigma = {y: Atom(ground, CONSTANT, session_tag=tag)}
         w = witness_value(nb, sent, sigma, ns_pool, FMAX, ns.context)
         up = upper_bound(nb, substitute(sent, sigma), FMAX, ns.context)
         assert geq(up, w)
@@ -232,7 +233,7 @@ def test_a_bare_atom_fails_even_when_its_estimate_reads_bottom():
     report = analyze(parse_protocol(LEAK2))
     rows = {r.role_id: r for r in report.rows}
     nb, na = rows["A_G1"], rows["B_G1"]
-    assert nb.atom.display() == "Nb^i" and nb.received == (Atom("X", Sort.VARIABLE),)
+    assert nb.atom.display() == "Nb^i" and nb.received == (Atom("X", VARIABLE),)
     assert (nb.lower, nb.atom_level, nb.estimate) == (None, frozenset({"A", "B"}), None)
     assert not nb.fulfilled and nb.blame == {"Nb^i"}
     assert na.atom.display() == "Na^i" and not na.fulfilled and na.blame == {"Na^i"}
