@@ -5,10 +5,13 @@
 Each function walks the message tree itself.  `check_well_protected` runs
 `access`, and so a fresh normal form, once per atom of a member, iterating
 the member's atoms as a frozenset, so its violations come in set order,
-which changes from one process to the next.  `select` tests `alpha in atoms(...)`,
-which counts an atom in a key position as an occurrence; on query atoms that
-never occur as keys it agrees with the walk it was replaced by.  The tests
-compare the two on random messages.
+which changes from one process to the next.  `select` walks once per
+function and keeps what that function's two flags name: the principal
+names, the inverse key, or both.  It tests `alpha in atoms(...)`, which
+counts an atom in a key position as an occurrence; on query atoms that
+never occur as keys, its `fek`, `fn` and `fmax` selections are the key
+side, the names side and the union of the sides of the one walk that
+replaced it.  The tests compare the two on random messages.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from message_helpers import EMPTY_FAMILY, family
 from secwitness.context import VerificationContext, geq, inverse_key, is_identity, level_of
 from secwitness.errors import WellProtectionViolation
 from secwitness.rewrite import KeySetFamily, WellProtectedReport, normalize
-from secwitness.selection import SelectionInstance
 from secwitness.terms import VARIABLE, Atom, Concat, Enc, Message, atoms, members
 
 
@@ -80,11 +82,17 @@ def check_well_protected(target: Union[Message, Iterable[Message]],
     return WellProtectedReport(not violations, tuple(violations))
 
 
-def select(inst: SelectionInstance, alpha: Atom,
+# function name -> what its selection keeps at the protective encryption:
+# (the principal names in its body, its inverse key)
+KEEPS = {"fmax": (True, True), "fek": (False, True), "fn": (True, False)}
+
+
+def select(function: str, alpha: Atom,
            m: Union[Message, Iterable[Message]],
            ctx: VerificationContext) -> Optional[frozenset[Atom]]:
-    """Selection for one occurrence-carrying message or a set (union, in
-    which None, everything, absorbs)."""
+    """One function's selection for one occurrence-carrying message or a
+    set (union, in which None, everything, absorbs)."""
+    keep_names, keep_key = KEEPS[function]
     alpha_level = level_of(ctx, alpha)
 
     def protective(key: Atom) -> bool:
@@ -113,9 +121,9 @@ def select(inst: SelectionInstance, alpha: Atom,
             if protective(t.key):
                 inv = inverse_key(ctx, t.key)
                 chosen = set()
-                if inst.names:
+                if keep_names:
                     chosen |= {a for a in atoms(t.body) if is_identity(ctx, a)}
-                if inst.key:
+                if keep_key:
                     chosen.add(inv)
                 return frozenset(chosen - {alpha})
             return walk(t.body)

@@ -28,7 +28,7 @@ from secwitness.oracle import (
     random_well_protected_set,
 )
 from secwitness.protocols import load_bundled
-from secwitness.selection import INSTANCES, value_function
+from secwitness.selection import SIDES, value_function
 from message_helpers import random_message
 from secwitness.terms import (
     PARAMETER,
@@ -231,7 +231,7 @@ def _leaky(alpha, m, ctx):
     return frozenset(names)
 
 
-FUNCTIONS = [(name, value_function(name)) for name in sorted(INSTANCES)] + [("leaky", _leaky)]
+FUNCTIONS = [(name, value_function(name)) for name in sorted(SIDES)] + [("leaky", _leaky)]
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -250,7 +250,7 @@ def test_full_invariance_reports_match_the_reference(protocol, name, func, refer
 
 
 def _bounds(leaky_first: bool) -> dict:
-    bounds = {name: value_function(name) for name in sorted(INSTANCES)}
+    bounds = {name: value_function(name) for name in sorted(SIDES)}
     return {"leaky": _leaky, **bounds} if leaky_first else {**bounds, "leaky": _leaky}
 
 
@@ -273,7 +273,7 @@ def test_shared_stream_reports_match_each_bound_alone(protocol, leaky_first):
             assert list(shared) == list(funcs)
             assert shared == _alone(funcs, ctx, **kw)
             assert not shared["leaky"].ok
-            assert all(shared[name].ok for name in INSTANCES)
+            assert all(shared[name].ok for name in SIDES)
 
 
 def test_shared_stream_counts_truncation_per_bound(monkeypatch):
@@ -300,7 +300,7 @@ def test_shared_stream_counts_truncation_per_bound(monkeypatch):
         alone |= _alone({name: func}, ctx, **kw)
     assert shared == alone
     assert shared["leaky"].truncated_trials == 1
-    assert all(shared[name].truncated_trials == 10 for name in INSTANCES)
+    assert all(shared[name].truncated_trials == 10 for name in SIDES)
 
 
 def test_non_disclosure_reports_match_the_reference(ns, nsl, valuation_ctx, valuation_symbols,

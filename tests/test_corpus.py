@@ -46,9 +46,11 @@ COMMANDS = {
 CASES = {f"corpus-{path.stem}-{command}": (path.stem, argv)
          for path in sorted(CORPUS.glob("*.proto")) for command, argv in COMMANDS.items()}
 
-# Under fn a lone variable selects no name beside it, and the empty
-# selection reads top; so the row of the forwarded variable, `{X}_kb` in
-# NSPK and `{X}_ki` in the relay, reads top on both sides and passes.
+# Under fn a lone variable selects no name beside it: on the forwarded
+# variable's row, `{X}_kb` in NSPK and `{X}_ki` in the relay, the names side
+# is empty and reads top while the key side reads the key's holders, `{I}`
+# on `{X}_ki`.  fn reads the names side alone, so the row reads top on both
+# sides and passes; fek and fmax read the key side and fail it.
 PASSES_A_LEAK = {("nspk", "fn"), ("relay", "fn")}
 
 

@@ -25,7 +25,7 @@ from secwitness.derive import KEPT, fact_levels, view
 from secwitness.errors import AnalyzerError
 from secwitness.protocols import bundled, load_bundled
 from secwitness.roles import parse_protocol
-from secwitness.selection import INSTANCES, value_function
+from secwitness.selection import SIDES, value_function
 from secwitness.terms import PARAMETER, VARIABLE, Atom, Enc, SymbolTable, atoms, concat, parse_message
 from secwitness.witness import reception_estimate
 
@@ -107,7 +107,7 @@ nested_sources = st.recursive(
 
 sources = st.one_of(flat_sources(), flat_sources(), nested_sources)
 contexts = st.sampled_from([NS, NS, SPLITTING])
-functions = st.sampled_from(sorted(INSTANCES))
+functions = st.sampled_from(sorted(SIDES))
 QUERIED = CONSTANTS + PARAMETERS[:4] + VARIABLES[:2]
 
 

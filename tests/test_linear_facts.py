@@ -22,7 +22,7 @@ from secwitness.context import meet_all
 from secwitness.derive import contribution_of, unifier_facts
 from secwitness.errors import AnalyzerError
 from secwitness.protocols import load_bundled
-from secwitness.selection import INSTANCES, value_function
+from secwitness.selection import SIDES, value_function
 from secwitness.terms import (
     PARAMETER,
     VARIABLE,
@@ -123,7 +123,7 @@ def pairs(draw):
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(pairs(), st.sampled_from(sorted(INSTANCES)))
+@given(pairs(), st.sampled_from(sorted(SIDES)))
 def test_facts_and_levels_match_the_unifiers(pair, function):
     pattern, target = pair
     facts = linear_facts(pattern, target)

@@ -1,4 +1,4 @@
-"""Protective-key selection instances and their level interpretation."""
+"""Protective-key selection, its two sides and their level interpretation."""
 
 from __future__ import annotations
 
@@ -10,16 +10,7 @@ from secwitness.context import TOP, make_context, meet
 from secwitness.errors import NotAKey, WellProtectionViolation
 from secwitness.oracle import random_well_protected_set
 from secwitness.rewrite import normalize
-from secwitness.selection import (
-    BROAD,
-    INSTANCES,
-    KEY_ONLY,
-    NEIGHBORS,
-    interpret,
-    psi,
-    select,
-    value_function,
-)
+from secwitness.selection import SIDES, interpret, psi, select, value_function
 from secwitness.terms import VARIABLE, Atom, Enc, atoms, concat, parse_message
 
 ALPHA = Atom("alpha")
@@ -27,36 +18,38 @@ ALPHA = Atom("alpha")
 
 def test_nested_example_broad(selection_ctx, selection_symbols):
     m = parse_message("{{{alpha.E}_kab.F}_kac.D}_kad", selection_symbols)
-    got = select(BROAD, ALPHA, m, selection_ctx)
-    assert got == {Atom("E"), Atom("F"), Atom("kac-1")}
+    keys, names = select(ALPHA, m, selection_ctx)
+    assert keys | names == {Atom("E"), Atom("F"), Atom("kac-1")}
 
 
 def test_nested_example_key_only(selection_ctx, selection_symbols):
     m = parse_message("{{{alpha.E}_kab.F}_kac.D}_kad", selection_symbols)
-    assert select(KEY_ONLY, ALPHA, m, selection_ctx) == {Atom("kac-1")}
+    keys, _ = select(ALPHA, m, selection_ctx)
+    assert keys == {Atom("kac-1")}
 
 
 def test_nested_example_neighbors(selection_ctx, selection_symbols):
     m = parse_message("{{{alpha.E}_kab.F}_kac.D}_kad", selection_symbols)
-    assert select(NEIGHBORS, ALPHA, m, selection_ctx) == {Atom("E"), Atom("F")}
+    _, names = select(ALPHA, m, selection_ctx)
+    assert names == {Atom("E"), Atom("F")}
 
 
 def test_absent_atom_selects_nothing(selection_ctx, selection_symbols):
     m = parse_message("{A.B}_kac", selection_symbols)
-    assert select(BROAD, ALPHA, m, selection_ctx) == frozenset()
-    assert interpret(BROAD, ALPHA, m, selection_ctx) == TOP
+    assert select(ALPHA, m, selection_ctx) == (frozenset(), frozenset())
+    assert interpret("fmax", ALPHA, m, selection_ctx) == TOP
 
 
 def test_root_occurrence_selects_everything(selection_ctx):
-    assert select(BROAD, ALPHA, ALPHA, selection_ctx) is None
-    assert psi(selection_ctx, None) is None
+    assert select(ALPHA, ALPHA, selection_ctx) is None
+    assert interpret("fmax", ALPHA, ALPHA, selection_ctx) is None
 
 
 def test_selection_normalizes_first(selection_ctx, selection_symbols):
     m = parse_message("{{{alpha.E}_kab.F}_kac.D}_kad", selection_symbols)
     wrapped = parse_message("{{{{{alpha.E}_kab.F}_kac.D}_kad}_kab}_kab-1",
                             selection_symbols)
-    assert select(BROAD, ALPHA, wrapped, selection_ctx) == select(BROAD, ALPHA, m, selection_ctx)
+    assert select(ALPHA, wrapped, selection_ctx) == select(ALPHA, m, selection_ctx)
 
 
 def test_psi_mixes_identities_and_key_levels(valuation_ctx):
@@ -82,21 +75,22 @@ def test_value_on_empty_set_is_top(valuation_ctx):
 def test_unregistered_protective_key(selection_ctx):
     m = Enc(ALPHA, Atom("kzz"))
     with pytest.raises(NotAKey):
-        select(BROAD, ALPHA, m, selection_ctx)
+        select(ALPHA, m, selection_ctx)
 
 
 def test_unprotected_secret_occurrence(selection_ctx, selection_symbols):
     # alpha bare beside a ciphertext: no key guards it
     m = parse_message("alpha.{A}_kac", selection_symbols)
     with pytest.raises(WellProtectionViolation):
-        select(BROAD, ALPHA, m, selection_ctx)
+        select(ALPHA, m, selection_ctx)
 
 
 def test_variables_not_selectable_as_neighbors(selection_ctx):
     x = Atom("X", VARIABLE)
     m = Enc(concat(ALPHA, x), Atom("kac"))
-    assert select(BROAD, ALPHA, m, selection_ctx) == {Atom("kac-1")}
-    assert select(NEIGHBORS, ALPHA, m, selection_ctx) == frozenset()
+    keys, names = select(ALPHA, m, selection_ctx)
+    assert keys | names == {Atom("kac-1")}
+    assert names == frozenset()
 
 
 def test_variable_alpha_any_key_protects():
@@ -111,15 +105,15 @@ def test_key_positions_are_not_occurrences():
     ctx = make_context(["A", "B", "I"], "I", {"ka-1": ["A"], "kb-1": ["B"]},
                        [("ka", "ka-1"), ("kb", "kb-1")])
     nested_key = Enc(concat(Enc(Atom("A"), ka), Atom("B")), kb)
-    assert select(BROAD, ka, nested_key, ctx) == frozenset()
-    assert interpret(BROAD, ka, nested_key, ctx) == TOP
+    assert select(ka, nested_key, ctx) == (frozenset(), frozenset())
+    assert interpret("fmax", ka, nested_key, ctx) == TOP
     # the outer encryption is under a non-key, but ka is not below it
     under_non_key = Enc(Enc(Atom("A"), ka), Atom("kzz"))
-    assert select(BROAD, ka, under_non_key, ctx) == frozenset()
+    assert select(ka, under_non_key, ctx) == (frozenset(), frozenset())
 
 
 def test_instance_lookup():
-    assert INSTANCES == {"fmax": BROAD, "fek": KEY_ONLY, "fn": NEIGHBORS}
+    assert SIDES == {"fmax": (0, 1), "fek": (0,), "fn": (1,)}
     with pytest.raises(KeyError, match="unknown selection instance 'fzz'"):
         value_function("fzz")
 
@@ -163,9 +157,10 @@ def test_candidate_members_stay_inside_message(access_ctx):
     inverses = {Atom("kab-1"), Atom("kac-1"), Atom("kef-1")}
     for _ in range(60):
         for m in random_well_protected_set(rng, access_ctx, max_messages=2):
-            r = select(BROAD, ALPHA, m, access_ctx)
-            if r is None or ALPHA not in atoms(m):
+            selected = select(ALPHA, m, access_ctx)
+            if selected is None or ALPHA not in atoms(m):
                 continue
+            r = selected[0] | selected[1]
             assert ALPHA not in r
             assert r <= (atoms(m) | inverses)
 
@@ -175,5 +170,4 @@ def test_selection_agrees_after_normalization(access_ctx):
     for _ in range(60):
         for m in random_well_protected_set(rng, access_ctx, max_messages=2):
             n = normalize(m, access_ctx)
-            for inst in (BROAD, KEY_ONLY, NEIGHBORS):
-                assert select(inst, ALPHA, m, access_ctx) == select(inst, ALPHA, n, access_ctx)
+            assert select(ALPHA, m, access_ctx) == select(ALPHA, n, access_ctx)

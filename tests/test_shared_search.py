@@ -26,11 +26,11 @@ import secwitness.unify
 import secwitness.witness
 from secwitness.protocols import bundled
 from secwitness.roles import SEND, parse_protocol, pattern_space, roles_for
-from secwitness.selection import INSTANCES, value_function
+from secwitness.selection import SIDES, value_function
 from secwitness.terms import Atom, atoms, concat, flatten
 from secwitness.witness import _eligible, _guarded, analyze, lower_bounds, render_table
 
-FUNCTIONS = sorted(INSTANCES)
+FUNCTIONS = sorted(SIDES)
 
 
 def chain_text(n: int) -> str:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from reference_bounds import derive_all, derive_keeping
 from secwitness.derive import KEPT, unifier_facts, view
-from secwitness.selection import INSTANCES, value_function
+from secwitness.selection import SIDES, value_function
 from secwitness.terms import PARAMETER, VARIABLE, Atom, Enc, Message, concat, flatten, substitute, variables_of
 from secwitness.unify import linear_facts, unify_all
 from test_kept_views import NS, SPLITTING, total
@@ -62,7 +62,7 @@ def test_random_sources_match_substitute_then_erase(source, images):
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(sources, bindings, st.sampled_from([NS, SPLITTING]), st.sampled_from(sorted(INSTANCES)))
+@given(sources, bindings, st.sampled_from([NS, SPLITTING]), st.sampled_from(sorted(SIDES)))
 def test_a_kept_variable_reads_as_kept_does(source, images, ctx, function):
     F = total(value_function(function))
     inst = substitute(source, images)
