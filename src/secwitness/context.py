@@ -11,8 +11,7 @@ parameter and the same identity declared as a constant agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ContextError, NotAKey
 from .terms import VARIABLE, Atom
@@ -61,25 +60,13 @@ def meet_all(levels: Iterable[SecurityLevel]) -> SecurityLevel:
     return out
 
 
-@dataclass(frozen=True)
-class VerificationContext:
+class VerificationContext(NamedTuple):
     principals: tuple[Atom, ...]
     intruder: Atom
     levels: Mapping[str, SecurityLevel]
     keys: Mapping[str, str]  # each key name to its inverse's, both ways round
-    rewrite_rules: tuple = ()
-    principal_names: frozenset[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        names = frozenset(p.name for p in self.principals)
-        object.__setattr__(self, "principal_names", names)
-        if self.intruder.name not in names:
-            raise ContextError("intruder must be one of the principals")
-        for name, inverse in self.keys.items():
-            if name not in self.levels and inverse not in self.levels:
-                raise ContextError(
-                    f"key pair {name}/{inverse} has no declared level on either side"
-                )
+    rewrite_rules: tuple
+    principal_names: frozenset[str]
 
 
 def make_context(
@@ -89,10 +76,11 @@ def make_context(
     keys: Sequence[tuple[str, str]] = (),
     rewrite_rules: tuple = (),
 ) -> VerificationContext:
-    """Convenience builder used by tests and the protocol loader; keys are
-    (name, inverse) pairs, a symmetric key being its own inverse.  A name
-    paired with two different partners is a ContextError; a repeated pair
-    is read once."""
+    """The only builder of a context, used by tests and the protocol loader;
+    keys are (name, inverse) pairs, a symmetric key being its own inverse.
+    A name paired with two different partners, an intruder that is not a
+    principal and a key pair with no declared level on either side are each
+    a ContextError; a repeated pair is read once."""
     atoms = tuple(Atom(p) for p in principals)
     key_index: dict[str, str] = {}
     for name, inverse in keys:
@@ -101,13 +89,13 @@ def make_context(
             if bound != b:
                 raise ContextError(f"key {a} is declared with two inverses, {bound} and {b}")
     lvls = {name: frozenset(members) for name, members in levels.items()}
-    return VerificationContext(
-        principals=atoms,
-        intruder=Atom(intruder),
-        levels=lvls,
-        keys=key_index,
-        rewrite_rules=rewrite_rules,
-    )
+    names = frozenset(principals)
+    if intruder not in names:
+        raise ContextError("intruder must be one of the principals")
+    for name, inverse in key_index.items():
+        if name not in lvls and inverse not in lvls:
+            raise ContextError(f"key pair {name}/{inverse} has no declared level on either side")
+    return VerificationContext(atoms, Atom(intruder), lvls, key_index, rewrite_rules, names)
 
 
 def level_of(ctx: VerificationContext, a: Atom) -> SecurityLevel:

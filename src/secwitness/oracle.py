@@ -15,8 +15,7 @@ set, and a well-protected set never puts a non-public atom in the clear.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .context import (
     SecurityLevel,
@@ -44,8 +43,16 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class DeductionResult:
+# Sizes no caller sets: the most atoms a closure term may hold, the most
+# messages and the deepest nesting of a random well-protected set, and the
+# most derived terms an invariance trial samples from a closure.
+ATOM_CAP = 24
+MAX_MESSAGES = 5
+MAX_DEPTH = 3
+SAMPLE_TERMS = 40
+
+
+class DeductionResult(NamedTuple):
     terms: frozenset[Message]
     truncated: bool
     # the terms by size (atoms, plus one for a pair or a ciphertext), then
@@ -54,17 +61,15 @@ class DeductionResult:
 
 
 def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
-                   depth_budget: int = 5, atom_cap: int = 24,
-                   round_cap: int = 1500) -> DeductionResult:
+                   depth_budget: int = 5, round_cap: int = 1500) -> DeductionResult:
     """Depth-tagged closure: a full take-apart pass to a fixpoint, one
     recombination round over what that produced, then take-apart again."""
-    known, sample_order, truncated = _deduce(M, ctx, depth_budget, atom_cap, round_cap)
+    known, sample_order, truncated = _deduce(M, ctx, depth_budget, round_cap)
     return DeductionResult(frozenset(known), truncated, sample_order)
 
 
 def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
-            atom_cap: int, round_cap: int,
-            ) -> tuple[dict[Message, int], tuple[Message, ...], bool]:
+            round_cap: int) -> tuple[dict[Message, int], tuple[Message, ...], bool]:
     """The closure's depth table in the order terms were found, its sample
     order and whether a cap cut it short.
 
@@ -111,7 +116,7 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
                 return False
             if n < 0:
                 n = len(atoms(t))
-            if n > atom_cap:
+            if n > ATOM_CAP:
                 truncated = True
                 return False
             text[t] = txt or print_message(t)
@@ -260,9 +265,7 @@ def _build(rng: random.Random, ctx: VerificationContext, pools: tuple[list[Atom]
     return concat(*parts)
 
 
-def random_well_protected_set(rng: random.Random, ctx: VerificationContext,
-                              max_messages: int = 5, max_depth: int = 3,
-                              ) -> list[Message]:
+def random_well_protected_set(rng: random.Random, ctx: VerificationContext) -> list[Message]:
     """Random message sets with every non-public atom under a key strong
     enough for it; checked, not merely constructed."""
     pools = _classify(ctx)
@@ -270,8 +273,8 @@ def random_well_protected_set(rng: random.Random, ctx: VerificationContext,
         raise NoWellProtectedSample()
     for _ in range(64):
         out: list[Message] = []
-        for _ in range(rng.randint(1, max_messages)):
-            m = _build(rng, ctx, pools, rng.randint(1, max_depth), ())
+        for _ in range(rng.randint(1, MAX_MESSAGES)):
+            m = _build(rng, ctx, pools, rng.randint(1, MAX_DEPTH), ())
             if m not in out:
                 out.append(m)
         if check_well_protected(out, ctx).ok:
@@ -283,15 +286,13 @@ def random_well_protected_set(rng: random.Random, ctx: VerificationContext,
 # Property checks
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     derived: str
     atom: str
     detail: str
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     ok: bool
     trials: int
     failures: tuple[Failure, ...] = ()
@@ -300,9 +301,7 @@ class PropertyReport:
 
 
 def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationContext,
-                          trials: int = 500, depth: int = 4,
-                          seed: int = 0, max_messages: int = 5,
-                          sample_terms: int = 40,
+                          trials: int = 500, depth: int = 4, seed: int = 0,
                           ) -> dict[str, PropertyReport]:
     """Randomized search, for each bound, for a derivable message on which
     the bound reads lower than on the originating set.  Derived terms are
@@ -321,11 +320,11 @@ def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationC
     for _ in range(trials):
         if not running:
             break
-        M = random_well_protected_set(rng, ctx, max_messages=max_messages)
+        M = random_well_protected_set(rng, ctx)
         closure = deduce_closure(M, ctx, depth_budget=depth, round_cap=400)
         terms = closure.sample_order
-        if len(terms) > sample_terms:
-            terms = rng.sample(terms, sample_terms)
+        if len(terms) > SAMPLE_TERMS:
+            terms = rng.sample(terms, SAMPLE_TERMS)
         # each sampled term with its secret atoms, in printed order; the
         # sort is stable, so sorting after the filter keeps ties in place
         secrets = []

@@ -14,12 +14,11 @@ the steps; a metavariable's name carries no meaning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import is_not
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .context import VerificationContext, geq, inverse_key, level_of
-from .errors import ContextError, NonTermination, NotAKey
+from .errors import NonTermination, NotAKey
 from .terms import (
     CONSTANT,
     VARIABLE,
@@ -33,7 +32,6 @@ from .terms import (
     flatten,
     members,
     occurrences,
-    print_message,
     substitute,
 )
 
@@ -43,8 +41,7 @@ KeySetFamily = frozenset  # of frozenset[Atom]
 NORMALIZE_BUDGET = 10_000
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     """lhs -> rhs over rule metavariables and declared names.
 
     Variable-sorted atoms match whole submessages, Parameter-sorted atoms
@@ -56,13 +53,6 @@ class RewriteRule:
 
     lhs: Message
     rhs: Message
-
-    def __post_init__(self) -> None:
-        def metavars(m: Message) -> frozenset[Atom]:
-            return frozenset(a for a in atoms(m) if a.sort is not CONSTANT)
-
-        if not metavars(self.rhs) <= metavars(self.lhs):
-            raise ContextError(f"rule {print_message(self.lhs)}: rhs introduces metavariables")
 
 
 def _match(pattern: Message, term: Message,
@@ -199,8 +189,7 @@ def access(alpha: Atom, m: Union[Message, Iterable[Message]],
                      for a, around in occurrences(normalize(t, ctx)) if a == alpha)
 
 
-@dataclass(frozen=True)
-class WellProtectedReport:
+class WellProtectedReport(NamedTuple):
     ok: bool
     violations: tuple[tuple[Atom, Message, frozenset], ...]  # atom, message, offending key set
 

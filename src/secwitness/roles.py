@@ -20,8 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .context import (
     VerificationContext,
@@ -35,6 +34,7 @@ from .context import (
 from .errors import AnalyzerError, ContextError, MessageSyntaxError, NotAKey, UndeclaredIdentifier
 from .rewrite import RewriteRule, keys_monotone
 from .terms import (
+    CONSTANT,
     IDENT,
     PARAMETER,
     VARIABLE,
@@ -47,6 +47,7 @@ from .terms import (
     concat,
     map_atoms,
     parse_message,
+    print_message,
     subterms,
     variables_of,
 )
@@ -55,8 +56,7 @@ from .terms import (
 SEND, RECV = "send", "recv"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One numbered line of the protocol narration."""
 
     step_id: int
@@ -65,16 +65,14 @@ class Step:
     message: Message
 
 
-@dataclass(frozen=True)
-class RoleStep:
+class RoleStep(NamedTuple):
     direction: str
     message: Message
     peer: Optional[Atom] = None
     step_id: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class GeneralizedRole:
+class GeneralizedRole(NamedTuple):
     role_id: str
     agent: Atom
     steps: tuple[RoleStep, ...]
@@ -83,8 +81,7 @@ class GeneralizedRole:
         return tuple(s.message for s in self.steps[:index] if s.direction == RECV)
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(NamedTuple):
     name: str
     context: VerificationContext
     steps: tuple[Step, ...]
@@ -279,6 +276,9 @@ def parse_protocol(text: str) -> Protocol:
                 sides.append(parse_message(side_text, rsyms, allow_dec=True))
             except (MessageSyntaxError, UndeclaredIdentifier) as err:
                 raise _in_statement(f"rule {lhs_text} -> {rhs_text}, {side} side", err)
+        lhs_vars, rhs_vars = ({a for a in atoms(m) if a.sort is not CONSTANT} for m in sides)
+        if not rhs_vars <= lhs_vars:
+            raise ContextError(f"rule {print_message(sides[0])}: rhs introduces metavariables")
         rule = RewriteRule(*sides)
         if not keys_monotone(rule):
             raise ContextError(f"rule {lhs_text} -> {rhs_text} is not keys-monotone: "

@@ -13,8 +13,7 @@ justify are reported; a failure means no decision, not a proven leak.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .context import (
     TOP,
@@ -130,8 +129,7 @@ def witness_value(alpha: Atom, source: Message, sigma: Mapping[Atom, Message],
     return lower_bounds(protected, [alpha], pool, F, ctx)[alpha]
 
 
-@dataclass(frozen=True)
-class CriterionRow:
+class CriterionRow(NamedTuple):
     atom: Atom
     role_id: str
     agent: str
@@ -149,8 +147,7 @@ class CriterionRow:
         return self.atom.sort is VARIABLE
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     protocol: str
     function: str
     rows: tuple[CriterionRow, ...]

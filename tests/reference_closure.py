@@ -128,30 +128,29 @@ def deduce_closure_with_depths(M: Iterable[Message], ctx: VerificationContext,
 
 
 def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
-                   depth_budget: int = 5, atom_cap: int = 24,
-                   round_cap: int = 1500) -> DeductionResult:
-    known, truncated = deduce_closure_with_depths(M, ctx, depth_budget, atom_cap, round_cap)
+                   depth_budget: int = 5, round_cap: int = 1500) -> DeductionResult:
+    known, truncated = deduce_closure_with_depths(M, ctx, depth_budget, round_cap=round_cap)
     terms = frozenset(known)
     return DeductionResult(terms, truncated, tuple(sample_order(terms)))
 
 
 def check_full_invariance_alone(func: ValueFunction, ctx: VerificationContext,
-                                trials: int = 500, depth: int = 4,
-                                seed: int = 0, max_messages: int = 5,
-                                sample_terms: int = 40,
+                                trials: int = 500, depth: int = 4, seed: int = 0,
                                 rng: Optional[random.Random] = None) -> PropertyReport:
     """Randomized search for a derivable message on which the bound reads
     lower than on the originating set, on trials drawn for this bound
-    alone."""
+    alone.  It samples as many derived terms as the oracle module's
+    SAMPLE_TERMS says."""
     rng = rng or random.Random(seed)
     failures: list[Failure] = []
     truncated = 0
     for _ in range(trials):
-        M = random_well_protected_set(rng, ctx, max_messages=max_messages)
+        M = random_well_protected_set(rng, ctx)
         closure = secwitness.oracle.deduce_closure(M, ctx, depth_budget=depth, round_cap=400)
         if closure.truncated:
             truncated += 1
         terms = closure.sample_order
+        sample_terms = secwitness.oracle.SAMPLE_TERMS
         if len(terms) > sample_terms:
             terms = rng.sample(terms, sample_terms)
         base_cache: dict[Atom, SecurityLevel] = {}

@@ -177,7 +177,7 @@ def test_criterion_06_bounds_ordering():
                     f"{len(violations)} violations, {elapsed:.1f} s")
 
 
-def test_criterion_07_well_formedness_laws():
+def test_criterion_07_well_formedness_laws(monkeypatch):
     bad_self = bad_union = bad_absent = 0
 
     rng = random.Random(7)
@@ -188,21 +188,24 @@ def test_criterion_07_well_formedness_laws():
         if F(s, s, ctx) is not None or F(s, [s], ctx) is not None:
             bad_self += 1
 
+    # smaller random sets than the oracle draws by default
+    monkeypatch.setattr("secwitness.oracle.MAX_MESSAGES", 3)
     rng = random.Random(8)
     for i in range(500):
         ctx, data, _ = BOUNDS_CHECK["random_setup"](rng)
-        m1 = random_well_protected_set(rng, ctx, max_messages=3)
-        m2 = random_well_protected_set(rng, ctx, max_messages=3)
+        m1 = random_well_protected_set(rng, ctx)
+        m2 = random_well_protected_set(rng, ctx)
         alpha = rng.choice(data)
         F = FUNCS[i % 3]
         if F(alpha, m1 + m2, ctx) != meet(F(alpha, m1, ctx), F(alpha, m2, ctx)):
             bad_union += 1
 
+    monkeypatch.setattr("secwitness.oracle.MAX_MESSAGES", 4)
     rng = random.Random(9)
     for i in range(500):
         ctx, data, _ = BOUNDS_CHECK["random_setup"](rng)
         alpha = rng.choice(data)
-        M = [m for m in random_well_protected_set(rng, ctx, max_messages=4)
+        M = [m for m in random_well_protected_set(rng, ctx)
              if alpha not in atoms(m)]
         F = FUNCS[i % 3]
         if F(alpha, M, ctx) != TOP:

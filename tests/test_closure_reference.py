@@ -11,7 +11,6 @@ trials, report what each would on a stream of its own.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -49,12 +48,14 @@ CAPS = [(round_cap, atom_cap) for round_cap in (3, 400, 1500) for atom_cap in (6
 def assert_same_closure(M, ctx, depth_budget, round_cap, atom_cap) -> None:
     ref_known, ref_truncated = reference_closure.deduce_closure_with_depths(
         M, ctx, depth_budget=depth_budget, atom_cap=atom_cap, round_cap=round_cap)
-    known, order, truncated = _deduce(M, ctx, depth_budget, atom_cap, round_cap)
+    # the closure reads its atom cap from the module, which no caller sets
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(secwitness.oracle, "ATOM_CAP", atom_cap)
+        known, order, truncated = _deduce(M, ctx, depth_budget, round_cap)
+        result = deduce_closure(M, ctx, depth_budget=depth_budget, round_cap=round_cap)
     assert list(known.items()) == list(ref_known.items())
     assert truncated == ref_truncated
     assert list(order) == reference_closure.sample_order(ref_known)
-    result = deduce_closure(M, ctx, depth_budget=depth_budget, atom_cap=atom_cap,
-                            round_cap=round_cap)
     assert result.terms == frozenset(ref_known)
     assert result.truncated == ref_truncated
     assert result.sample_order == order
@@ -202,7 +203,7 @@ def test_depths_that_fall_are_split_and_opened_again():
     symbols = SymbolTable({n: Atom(n) for n in names})
     M = [parse_message(m, symbols)
          for m in ("k1-1.A", "{k2-1}_k1", "{k4-1.x1}_k2", "{k4-1.x1}_k3.B", "{y}_k4")]
-    known, _, _ = _deduce(M, ctx, 6, 24, 3)
+    known, _, _ = _deduce(M, ctx, 6, 3)
     assert known[Atom("k4-1")] == 3
     assert known[Atom("y")] == 4
     for depth_budget in range(3, 8):
@@ -236,14 +237,24 @@ FUNCTIONS = [(name, value_function(name)) for name in sorted(SIDES)] + [("leaky"
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("name,func", FUNCTIONS, ids=[f for f, _ in FUNCTIONS])
-def test_full_invariance_reports_match_the_reference(protocol, name, func, reference_oracle):
+def test_full_invariance_reports_match_the_reference(protocol, name, func, reference_oracle,
+                                                     monkeypatch):
     ctx = load_bundled(protocol).context
-    runs = [dict(trials=30, depth=4, seed=0), dict(trials=15, depth=3, seed=7, sample_terms=10)]
+    # each run with the number of derived terms a trial samples
+    runs = [(dict(trials=30, depth=4, seed=0), 40), (dict(trials=15, depth=3, seed=7), 10)]
     if name == "leaky":
-        runs = [dict(trials=500, depth=4, seed=1)]
-    new = [check_full_invariance({name: func}, ctx, **kw)[name] for kw in runs]
+        runs = [(dict(trials=500, depth=4, seed=1), 40)]
+
+    def reports():
+        out = []
+        for kw, sample_terms in runs:
+            monkeypatch.setattr(secwitness.oracle, "SAMPLE_TERMS", sample_terms)
+            out.append(check_full_invariance({name: func}, ctx, **kw)[name])
+        return out
+
+    new = reports()
     reference_oracle()
-    old = [check_full_invariance({name: func}, ctx, **kw)[name] for kw in runs]
+    old = reports()
     assert new == old
     if name == "leaky" and protocol == "ns":
         assert new[0].failures
@@ -261,14 +272,15 @@ def _alone(funcs, ctx, **kw) -> dict:
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("leaky_first", [True, False], ids=["leaky-first", "leaky-last"])
-def test_shared_stream_reports_match_each_bound_alone(protocol, leaky_first):
+def test_shared_stream_reports_match_each_bound_alone(protocol, leaky_first, monkeypatch):
     # the leaky bound fails within the first three trials and drops out,
     # while fek, fmax and fn read every trial
     ctx = load_bundled(protocol).context
     funcs = _bounds(leaky_first)
     for seed in (0, 7):
         for sample_terms in (40, 10):
-            kw = dict(trials=20, depth=4, seed=seed, sample_terms=sample_terms)
+            monkeypatch.setattr(secwitness.oracle, "SAMPLE_TERMS", sample_terms)
+            kw = dict(trials=20, depth=4, seed=seed)
             shared = check_full_invariance(funcs, ctx, **kw)
             assert list(shared) == list(funcs)
             assert shared == _alone(funcs, ctx, **kw)
@@ -285,7 +297,7 @@ def test_shared_stream_counts_truncation_per_bound(monkeypatch):
         def deduce(*args, **kwargs):
             result = deduce_closure(*args, **kwargs)
             odd = next(closures) % 2 == 1
-            return dataclasses.replace(result, truncated=result.truncated or odd)
+            return result._replace(truncated=result.truncated or odd)
 
         monkeypatch.setattr(secwitness.oracle, "deduce_closure", deduce)
 

@@ -60,10 +60,21 @@ def _self_stores(method: ast.FunctionDef):
                 yield t.attr, node
 
 
+def _slot_names(item: ast.stmt) -> list[str]:
+    """The entries of a class body's `__slots__ = (...)`; none for any other
+    statement."""
+    if (isinstance(item, ast.Assign) and len(item.targets) == 1
+            and isinstance(item.targets[0], ast.Name) and item.targets[0].id == "__slots__"
+            and isinstance(item.value, (ast.Tuple, ast.List))):
+        return [e.value for e in item.value.elts if isinstance(e, ast.Constant)]
+    return []
+
+
 def _public_definitions(tree: ast.Module):
     """(qualified name, bare name, defining node, whether it is a field) for
     every public top-level name, every public method of a public class,
-    every public field of a public dataclass and every public attribute
+    every public field of a public record (a `NamedTuple` class body or a
+    dataclass), every public `__slots__` entry and every public attribute
     that a method of a public class stores on `self`."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -79,14 +90,15 @@ def _public_definitions(tree: ast.Module):
                 yield name, name, node, False
         if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
             continue
-        dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        record = (any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+                  or any(ast.unparse(b).endswith("NamedTuple") for b in node.bases))
         for item in node.body:
             if isinstance(item, ast.FunctionDef):
                 members = [(item.name, item, False)] + [(a, store, True) for a, store in _self_stores(item)]
-            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and dataclass:
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and record:
                 members = [(item.target.id, item, True)]
             else:
-                continue
+                members = [(name, item, True) for name in _slot_names(item)]
             for name, defining, is_field in members:
                 if not name.startswith("_"):
                     yield f"{node.name}.{name}", name, defining, is_field

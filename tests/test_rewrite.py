@@ -12,6 +12,7 @@ import reference_normalize
 from message_helpers import EMPTY_FAMILY, family, random_message
 from secwitness.context import make_context
 from secwitness.errors import ContextError, NonTermination
+from secwitness.protocols import bundled
 from secwitness.rewrite import (
     RewriteRule,
     access,
@@ -20,6 +21,7 @@ from secwitness.rewrite import (
     keys_of,
     normalize,
 )
+from secwitness.roles import parse_protocol
 from secwitness.terms import PARAMETER, VARIABLE, Atom, Enc, concat, parse_message
 
 
@@ -185,10 +187,10 @@ def test_normalize_returns_a_term_in_normal_form_itself(simple_ctx, simple_syms)
 
 
 def test_rule_rejects_unbound_rhs_metavariable():
-    mv = Atom("M", VARIABLE)
-    nv = Atom("N", VARIABLE)
-    with pytest.raises(ContextError, match="rhs introduces metavariables"):
-        RewriteRule(mv, nv)
+    # M and N are undeclared, so the rule reads both as metavariables, and
+    # its left side never binds N
+    with pytest.raises(ContextError, match="^rule M: rhs introduces metavariables$"):
+        parse_protocol(bundled("ns") + "rule M -> N;\n")
 
 
 def test_validator_accepts_default_rules():

@@ -122,8 +122,11 @@ def test_instance_lookup():
 
 
 def _sets(ctx, seed, n):
+    # sets of at most three messages, smaller than the oracle draws by default
     rng = random.Random(seed)
-    return [random_well_protected_set(rng, ctx, max_messages=3) for _ in range(n)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("secwitness.oracle.MAX_MESSAGES", 3)
+        return [random_well_protected_set(rng, ctx) for _ in range(n)]
 
 
 @pytest.mark.parametrize("fname", ["fmax", "fek", "fn"])
@@ -152,11 +155,12 @@ def test_absent_atom_is_top(access_ctx, fname):
             assert F(ghost, m, access_ctx) == TOP
 
 
-def test_candidate_members_stay_inside_message(access_ctx):
+def test_candidate_members_stay_inside_message(access_ctx, monkeypatch):
+    monkeypatch.setattr("secwitness.oracle.MAX_MESSAGES", 2)
     rng = random.Random(11)
     inverses = {Atom("kab-1"), Atom("kac-1"), Atom("kef-1")}
     for _ in range(60):
-        for m in random_well_protected_set(rng, access_ctx, max_messages=2):
+        for m in random_well_protected_set(rng, access_ctx):
             selected = select(ALPHA, m, access_ctx)
             if selected is None or ALPHA not in atoms(m):
                 continue
@@ -165,9 +169,10 @@ def test_candidate_members_stay_inside_message(access_ctx):
             assert r <= (atoms(m) | inverses)
 
 
-def test_selection_agrees_after_normalization(access_ctx):
+def test_selection_agrees_after_normalization(access_ctx, monkeypatch):
+    monkeypatch.setattr("secwitness.oracle.MAX_MESSAGES", 2)
     rng = random.Random(17)
     for _ in range(60):
-        for m in random_well_protected_set(rng, access_ctx, max_messages=2):
+        for m in random_well_protected_set(rng, access_ctx):
             n = normalize(m, access_ctx)
             assert select(ALPHA, m, access_ctx) == select(ALPHA, n, access_ctx)

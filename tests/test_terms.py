@@ -8,7 +8,6 @@ import pickle
 import random
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -363,11 +362,12 @@ def node_ids(node):
 def test_fields_cannot_be_assigned(node):
     before = hash(node)
     for name in (FIRST_FIELD[type(node)], "_h"):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(node, name, None)
-    # an unknown name is refused too: the frozen __setattr__ of a slotted
-    # dataclass raises TypeError for it on CPython 3.10-3.13
-    with pytest.raises((FrozenInstanceError, TypeError)):
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    # an unknown name is refused too
+    with pytest.raises(AttributeError):
         node.extra = None
     assert not hasattr(node, "extra")
     assert hash(node) == before
