@@ -13,7 +13,7 @@ import argparse
 
 from secwitness.oracle import check_full_invariance, check_non_disclosure
 from secwitness.protocols import load_bundled
-from secwitness.selection import value_function
+from secwitness.selection import value_functions
 
 
 def main() -> int:
@@ -28,7 +28,7 @@ def main() -> int:
         protocol = load_bundled(name)
         print(f"== {protocol.name}")
         reports = check_full_invariance(
-            {fname: value_function(fname) for fname in ("fmax", "fek", "fn")},
+            value_functions(("fmax", "fek", "fn")),
             protocol.context, trials=args.trials, depth=args.depth, seed=args.seed)
         for fname, rep in reports.items():
             print(f"  full-invariance[{fname}]: {'ok' if rep.ok else 'FAILED'} "

@@ -25,7 +25,7 @@ from .errors import AnalyzerError
 from .oracle import check_full_invariance, check_non_disclosure
 from .rewrite import check_well_protected
 from .roles import Protocol, load_protocol, pattern_space, roles_for
-from .selection import SIDES, value_function
+from .selection import SIDES, value_functions
 from .terms import print_message
 from .witness import analyze, render_table, to_json_lines
 
@@ -136,7 +136,7 @@ def _cmd_oracle(args) -> int:
     protocol = _load(args.file)
     ctx = protocol.context
     failed = False
-    reports = check_full_invariance({name: value_function(name) for name in sorted(SIDES)},
+    reports = check_full_invariance(value_functions(sorted(SIDES)),
                                     ctx, trials=args.trials, depth=args.depth, seed=args.seed)
     for name, rep in reports.items():
         status = "ok" if rep.ok else "FAILED"

@@ -311,7 +311,10 @@ def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationC
     its sample are made once and read by every bound that has not failed
     yet.  A bound drops out after the trial it failed in.  The stream does
     not depend on the bounds, so each report is the one a run of that bound
-    alone would give.  Reports come in the mapping's order."""
+    alone would give.  Reports come in the mapping's order.  Each (term,
+    atom) question is asked of every running bound in turn, and then each
+    bound that answered reads its base value, so bounds that share a
+    selection (`selection.value_functions`) make it once per question."""
     rng = random.Random(seed)
     failures: dict[str, list[Failure]] = {name: [] for name in funcs}
     truncated = dict.fromkeys(funcs, 0)
@@ -338,23 +341,30 @@ def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationC
                     secret.append(a)
             secret.sort(key=Atom.display)
             secrets.append((t, secret))
+        base_cache: dict[str, dict[Atom, SecurityLevel]] = {name: {} for name in running}
         for name in running:
-            func, found = funcs[name], failures[name]
             truncated[name] += closure.truncated
-            base_cache: dict[Atom, SecurityLevel] = {}
-            for t, secret in secrets:
-                for a in secret:
+        for t, secret in secrets:
+            for a in secret:
+                answered = []
+                for name in running:
                     try:
-                        on_derived = func(a, t, ctx)
-                        if a not in base_cache:
-                            base_cache[a] = func(a, M, ctx)
-                        on_base = base_cache[a]
+                        answered.append((name, funcs[name](a, t, ctx)))
                     except WellProtectionViolation as err:
-                        found.append(Failure(
+                        failures[name].append(Failure(
+                            str(t), a.display(), f"protection violated on derived term: {err}"))
+                for name, on_derived in answered:
+                    base = base_cache[name]
+                    try:
+                        if a not in base:
+                            base[a] = funcs[name](a, M, ctx)
+                        on_base = base[a]
+                    except WellProtectionViolation as err:
+                        failures[name].append(Failure(
                             str(t), a.display(), f"protection violated on derived term: {err}"))
                         continue
                     if not geq(on_derived, on_base):
-                        found.append(Failure(
+                        failures[name].append(Failure(
                             str(t), a.display(),
                             f"derived value {show(on_derived)} below base value {show(on_base)}"))
         running = [name for name in running if not failures[name]]

@@ -8,14 +8,17 @@ encryption's body; the queried atom itself is on neither side.  A selection
 is the pair of sides, or None where the queried atom stands alone or
 unprotected, as a level is None at bottom.  The valuation maps a side to a
 level: the empty set to top, and otherwise names stand for themselves,
-other atoms for their declared level, and choices combine by meet.  `fek`
-values the key side, `fn` the names side and `fmax` both, so that
-F_fmax(α, M) = F_fek(α, M) ⊓ F_fn(α, M).
+other atoms for their declared level, and choices combine by meet.
+`interpret` values each side of one selection once; `fek` reads the key
+side, `fn` the names side and `fmax` meets the two, so that
+F_fmax(α, M) = F_fek(α, M) ⊓ F_fn(α, M).  The bounds that
+`value_functions` builds for one run share the last question and its side
+levels, so bounds asked the same question in turn select it once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .context import (
     SecurityLevel,
@@ -24,8 +27,10 @@ from .context import (
     inverse_key,
     is_identity,
     level_of,
+    meet,
     meet_all,
 )
+from .derive import ValueFunction
 from .errors import WellProtectionViolation
 from .rewrite import normalize
 from .terms import Atom, Message, atoms, members, occurrences
@@ -72,23 +77,43 @@ def psi(ctx: VerificationContext, selected: frozenset[Atom]) -> SecurityLevel:
                     for a in selected)
 
 
-def interpret(function: str, alpha: Atom,
-              m: Union[Message, Iterable[Message]],
-              ctx: VerificationContext) -> SecurityLevel:
-    """The named bound: bottom where nothing protects alpha, else the meet of
-    the valuations of the sides the function reads."""
+def interpret(alpha: Atom, m: Union[Message, Iterable[Message]],
+              ctx: VerificationContext) -> tuple[SecurityLevel, SecurityLevel]:
+    """The levels of the key side and of the names side, each valued once:
+    both bottom where nothing protects alpha."""
     selected = select(alpha, m, ctx)
     if selected is None:
-        return None
-    return meet_all(psi(ctx, selected[side]) for side in SIDES[function])
+        return None, None
+    return psi(ctx, selected[0]), psi(ctx, selected[1])
 
 
-def value_function(name: str) -> Callable[[Atom, Union[Message, Iterable[Message]], VerificationContext], SecurityLevel]:
-    """A named bound as a plain callable (atom, messages, ctx) -> level."""
-    if name not in SIDES:
-        raise KeyError(f"unknown selection instance {name!r}; choose from {sorted(SIDES)}")
+def value_functions(names: Iterable[str]) -> dict[str, ValueFunction]:
+    """The named bounds of one run, each a plain callable (atom, messages,
+    ctx) -> level.  They share one slot that holds the last question and
+    its two side levels, so that the bounds asked the same question in
+    turn select it once: `fek` and `fn` read their side and `fmax` meets
+    the two.  A set of messages is held as the tuple of its members, so a
+    list changed between two questions is selected again."""
+    slot: list = [None, None]  # the last question (atom, message, ctx), its side levels
 
-    def F(alpha: Atom, m: Union[Message, Iterable[Message]], ctx: VerificationContext) -> SecurityLevel:
-        return interpret(name, alpha, m, ctx)
+    def levels(alpha: Atom, m: Union[Message, Iterable[Message]],
+               ctx: VerificationContext) -> tuple[SecurityLevel, SecurityLevel]:
+        question = (alpha, m if isinstance(m, Message) else tuple(m), ctx)
+        if slot[0] != question:
+            slot[:] = question, interpret(*question)
+        return slot[1]
 
-    return F
+    def bound(name: str) -> ValueFunction:
+        if name not in SIDES:
+            raise KeyError(f"unknown selection instance {name!r}; choose from {sorted(SIDES)}")
+        if len(SIDES[name]) == 2:
+            return lambda alpha, m, ctx: meet(*levels(alpha, m, ctx))
+        side, = SIDES[name]
+        return lambda alpha, m, ctx: levels(alpha, m, ctx)[side]
+
+    return {name: bound(name) for name in names}
+
+
+def value_function(name: str) -> ValueFunction:
+    """One named bound, built as the only bound of its run."""
+    return value_functions([name])[name]

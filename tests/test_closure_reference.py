@@ -18,7 +18,8 @@ import pytest
 
 import reference_closure
 import secwitness.oracle
-from secwitness.context import is_identity, make_context
+from secwitness.context import TOP, is_identity, make_context
+from secwitness.errors import WellProtectionViolation
 from secwitness.oracle import (
     _deduce,
     check_full_invariance,
@@ -27,7 +28,7 @@ from secwitness.oracle import (
     random_well_protected_set,
 )
 from secwitness.protocols import load_bundled
-from secwitness.selection import SIDES, value_function
+from secwitness.selection import SIDES, value_function, value_functions
 from message_helpers import random_message
 from secwitness.terms import (
     PARAMETER,
@@ -286,6 +287,45 @@ def test_shared_stream_reports_match_each_bound_alone(protocol, leaky_first, mon
             assert shared == _alone(funcs, ctx, **kw)
             assert not shared["leaky"].ok
             assert all(shared[name].ok for name in SIDES)
+
+
+def _raises_on_derived(alpha, m, ctx):
+    """fek, with a violation on every derived term of more than three atoms."""
+    if isinstance(m, Message) and len(atoms(m)) > 3:
+        raise WellProtectionViolation(alpha.display(), str(m))
+    return value_function("fek")(alpha, m, ctx)
+
+
+def _raises_on_base(alpha, m, ctx):
+    """Top on a derived term, a violation on the base set."""
+    if isinstance(m, Message):
+        return TOP
+    raise WellProtectionViolation(alpha.display(), "the base set")
+
+
+# the three named bounds with bounds of their own before, between or after
+# them, which fail in the first trials and drop out
+ORDERS = {
+    "custom-first": ["leaky", "raises-on-derived", "raises-on-base", "fek", "fmax", "fn"],
+    "interleaved": ["fek", "leaky", "fmax", "raises-on-derived", "fn", "raises-on-base"],
+    "custom-last": ["fek", "fmax", "fn", "leaky", "raises-on-derived", "raises-on-base"],
+}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("order", ORDERS.values(), ids=list(ORDERS))
+def test_shared_bounds_report_as_each_bound_alone(protocol, order):
+    ctx = load_bundled(protocol).context
+    for seed in range(5):
+        every = {**value_functions(sorted(SIDES)), "leaky": _leaky,
+                 "raises-on-derived": _raises_on_derived, "raises-on-base": _raises_on_base}
+        funcs = {name: every[name] for name in order}
+        kw = dict(trials=10, depth=4, seed=seed)
+        reports = check_full_invariance(funcs, ctx, **kw)
+        assert list(reports) == order
+        assert reports == _alone(funcs, ctx, **kw)
+        assert all(reports[name].ok for name in SIDES)
+        assert not reports["raises-on-derived"].ok and not reports["raises-on-base"].ok
 
 
 def test_shared_stream_counts_truncation_per_bound(monkeypatch):

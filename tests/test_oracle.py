@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import secwitness.selection
 from secwitness.context import intruder_knowledge, is_identity, make_context
 from secwitness.oracle import (
     check_full_invariance,
@@ -11,8 +12,9 @@ from secwitness.oracle import (
     deduce_closure,
     random_well_protected_set,
 )
+from secwitness.protocols import load_bundled
 from secwitness.rewrite import check_well_protected
-from secwitness.selection import value_function
+from secwitness.selection import SIDES, value_function, value_functions
 from secwitness.terms import Atom, Enc, Message, atoms, parse_message
 
 FMAX = value_function("fmax")
@@ -149,3 +151,24 @@ def test_random_sets_vary_and_reseed(ns):
     c = [random_well_protected_set(random.Random(s), ns.context) for s in range(8)]
     assert a == b
     assert len({tuple(str(m) for m in M) for M in c}) > 1
+
+
+def test_the_bounds_of_a_run_select_each_question_once(monkeypatch):
+    # asked bound by bound, every question is selected once per bound:
+    # 369 selections for the three bounds on this run
+    calls = []
+    select = secwitness.selection.select
+
+    def counting(alpha, m, ctx):
+        calls.append((alpha, m if isinstance(m, Message) else tuple(m)))
+        return select(alpha, m, ctx)
+
+    monkeypatch.setattr(secwitness.selection, "select", counting)
+    ctx = load_bundled("ns").context
+    kw = dict(trials=10, depth=4, seed=0)
+    check_full_invariance({"fek": value_function("fek")}, ctx, **kw)
+    alone = calls[:]
+    calls.clear()
+    check_full_invariance(value_functions(sorted(SIDES)), ctx, **kw)
+    assert calls == alone
+    assert len(calls) == 123

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -10,8 +11,8 @@ from secwitness.context import TOP, make_context, meet
 from secwitness.errors import NotAKey, WellProtectionViolation
 from secwitness.oracle import random_well_protected_set
 from secwitness.rewrite import normalize
-from secwitness.selection import SIDES, interpret, psi, select, value_function
-from secwitness.terms import VARIABLE, Atom, Enc, atoms, concat, parse_message
+from secwitness.selection import SIDES, interpret, psi, select, value_function, value_functions
+from secwitness.terms import VARIABLE, Atom, Enc, Message, atoms, concat, members, parse_message
 
 ALPHA = Atom("alpha")
 
@@ -37,12 +38,12 @@ def test_nested_example_neighbors(selection_ctx, selection_symbols):
 def test_absent_atom_selects_nothing(selection_ctx, selection_symbols):
     m = parse_message("{A.B}_kac", selection_symbols)
     assert select(ALPHA, m, selection_ctx) == (frozenset(), frozenset())
-    assert interpret("fmax", ALPHA, m, selection_ctx) == TOP
+    assert interpret(ALPHA, m, selection_ctx) == (TOP, TOP)
 
 
 def test_root_occurrence_selects_everything(selection_ctx):
     assert select(ALPHA, ALPHA, selection_ctx) is None
-    assert interpret("fmax", ALPHA, ALPHA, selection_ctx) is None
+    assert interpret(ALPHA, ALPHA, selection_ctx) == (None, None)
 
 
 def test_selection_normalizes_first(selection_ctx, selection_symbols):
@@ -106,7 +107,7 @@ def test_key_positions_are_not_occurrences():
                        [("ka", "ka-1"), ("kb", "kb-1")])
     nested_key = Enc(concat(Enc(Atom("A"), ka), Atom("B")), kb)
     assert select(ka, nested_key, ctx) == (frozenset(), frozenset())
-    assert interpret("fmax", ka, nested_key, ctx) == TOP
+    assert interpret(ka, nested_key, ctx) == (TOP, TOP)
     # the outer encryption is under a non-key, but ka is not below it
     under_non_key = Enc(Enc(Atom("A"), ka), Atom("kzz"))
     assert select(ka, under_non_key, ctx) == (frozenset(), frozenset())
@@ -176,3 +177,75 @@ def test_selection_agrees_after_normalization(access_ctx, monkeypatch):
         for m in random_well_protected_set(rng, access_ctx):
             n = normalize(m, access_ctx)
             assert select(ALPHA, m, access_ctx) == select(ALPHA, n, access_ctx)
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except WellProtectionViolation as err:
+        return str(err)
+
+
+def test_shared_bounds_answer_as_bounds_built_alone(ns, nsl):
+    # NS and NSL hold equal contexts that are not the same object; in `weak`
+    # each inverse key has a second reader, so a key side reads otherwise
+    # and no nonce is protected
+    ns, nsl = ns.context, nsl.context
+    weak = make_context(["A", "B", "I"], "I",
+                        {"Na": ["A", "B"], "Nb": ["A", "B"], "ka-1": ["A", "I"],
+                         "kb-1": ["B", "I"], "ki-1": ["I", "A"]},
+                        [("ka", "ka-1"), ("kb", "kb-1"), ("ki", "ki-1")])
+    rng = random.Random(3)
+    messages = [m for ctx in (ns, nsl) for _ in range(8) for m in random_well_protected_set(rng, ctx)]
+    copies = [copy.deepcopy(m) for m in messages]
+    assert copies == messages and not any(c is m for c, m in zip(copies, messages))
+    lists = [[], rng.sample(messages, 2), rng.sample(messages, 3)]
+    shared = value_functions(sorted(SIDES))
+    alpha, m, ctx = Atom("A"), messages[0], ns
+    for _ in range(3000):
+        # each step changes one part of the last question, or none
+        roll = rng.random()
+        if roll < 0.2:
+            alpha = rng.choice(sorted({a for t in members(m) for a in atoms(t)} | {Atom("Na")},
+                                      key=Atom.display))
+        elif roll < 0.4:
+            m = rng.choice([rng.choice(messages), rng.choice(lists)])
+        elif roll < 0.5 and isinstance(m, Message):
+            # an equal message that is not the same object
+            i = messages.index(m)
+            m = copies[i] if m is messages[i] else messages[i]
+        elif roll < 0.7:
+            ctx = rng.choice([ns, nsl, weak])
+        elif roll < 0.85:
+            # change a list, perhaps the one the last question was about
+            changed = rng.choice(lists)
+            if changed and rng.random() < 0.5:
+                changed.pop(rng.randrange(len(changed)))
+            else:
+                changed.append(rng.choice(messages + copies))
+        name = rng.choice(sorted(SIDES))
+        alone = m if isinstance(m, Message) else list(m)
+        assert (_outcome(lambda: shared[name](alpha, m, ctx))
+                == _outcome(lambda: value_function(name)(alpha, alone, ctx)))
+
+
+def test_a_changed_list_is_selected_again(ns):
+    ctx = ns.context
+    na, kb = Atom("Na"), Atom("kb")
+    shared = value_functions(sorted(SIDES))
+    M = [Enc(na, kb)]
+    assert shared["fek"](na, M, ctx) == frozenset(["B"])
+    M.append(na)
+    assert shared["fek"](na, M, ctx) is None
+    assert shared["fmax"](na, M, ctx) is None
+    M.pop()
+    assert shared["fmax"](na, M, ctx) == frozenset(["B"])
+
+
+def test_an_equal_question_in_another_context_is_selected_again(ns):
+    weak = make_context(["A", "B", "I"], "I", {"kb-1": ["B", "I"]}, [("kb", "kb-1")])
+    a, m = Atom("A"), Enc(Atom("A"), Atom("kb"))
+    shared = value_functions(sorted(SIDES))
+    assert shared["fek"](a, m, ns.context) == frozenset(["B"])
+    assert shared["fmax"](a, m, weak) == frozenset(["B", "I"])
+    assert shared["fn"](a, m, ns.context) == TOP

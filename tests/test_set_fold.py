@@ -43,6 +43,11 @@ def _read(function, selected):
     return None if selected is None else frozenset().union(*(selected[i] for i in SIDES[function]))
 
 
+def _meet_sides(x, y):
+    """Side levels combine side by side, by meet."""
+    return meet(x[0], y[0]), meet(x[1], y[1])
+
+
 def _folds(f, combine, m1, m2):
     """f on the pair equals f on each member combined, or both raise."""
     assert _outcome(lambda: f([m1, m2])) == _outcome(lambda: combine(f(m1), f(m2)))
@@ -59,9 +64,10 @@ def test_set_arguments_fold_over_members(function, rng):
         _folds(lambda m: keys_of(a, m), operator.or_, m1, m2)
         _folds(lambda m: access(a, m, CTX), operator.or_, m1, m2)
         _folds(lambda m: upper_bound(a, m, F, CTX), meet, m1, m2)
-        _folds(lambda m: interpret(function, a, m, CTX), meet, m1, m2)
+        _folds(lambda m: interpret(a, m, CTX), _meet_sides, m1, m2)
+        _folds(lambda m: F(a, m, CTX), meet, m1, m2)
         selected = _outcome(lambda: _read(function, select(a, [m1, m2], CTX)))
-        assert (_outcome(lambda: interpret(function, a, [m1, m2], CTX))
+        assert (_outcome(lambda: F(a, [m1, m2], CTX))
                 == (selected if selected in (None, WellProtectionViolation) else psi(CTX, selected)))
 
 
