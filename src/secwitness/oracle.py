@@ -68,20 +68,35 @@ def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
     return DeductionResult(frozenset(known), truncated, sample_order)
 
 
+def _pair(parts: tuple[Message, ...]) -> Concat:
+    """The pair of two closure terms from their top-level parts, with its
+    hash computed once.  Concat's flatness check is left out: each half is
+    `flatten` of a term that is not the empty message, so its parts are
+    non-empty and none is a pair, and the two halves give at least two."""
+    pair = object.__new__(Concat)
+    object.__setattr__(pair, "parts", parts)
+    object.__setattr__(pair, "_h", hash(parts))
+    return pair
+
+
 def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
             round_cap: int) -> tuple[dict[Message, int], tuple[Message, ...], bool]:
     """The closure's depth table in the order terms were found, its sample
     order and whether a cap cut it short.
 
-    Each take-apart pass visits terms by (depth, text), ties in the order
-    they were found, but only those whose visit can still change something:
-    a pair is split again only when its depth fell since it was last split,
-    and a ciphertext is opened again only when that would give its body a
-    smaller depth.  A repeated split or opening would add nothing, so the
-    passes add the same terms at the same depths, in the same order, as
-    visiting every term on every pass.  A term is walked for its atom count
-    and printed once, when it is first found; recombined terms take both
-    from their halves.
+    Each term gets an id, its place in the order found.  Its depth, text
+    and size are kept in lists by id, and the passes queue and sort ids,
+    so a term is hashed once each time a step finds it, and once more for
+    the depth table returned.  Each take-apart pass visits terms by
+    (depth, text), ties in the order they were found, but only those whose
+    visit can still change something: a pair is split again only when its
+    depth fell since it was last split, and a ciphertext is opened again
+    only when that would give its body a smaller depth.  A repeated split
+    or opening would add nothing, so the passes add the same terms at the
+    same depths, in the same order, as visiting every term on every pass.
+    A term is walked for its atom count and printed once, when it is first
+    found; recombined terms take both from their halves, and a recombined
+    pair is built once, from its halves' top-level parts (`_pair`).
 
     A term that the recombination round makes or lowers counts as taken
     apart at its depth.  A recombined pair a.b has depth d = max(da, db) + 1
@@ -95,11 +110,14 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
     lowers no depth, so the second pass visits only the pairs the first
     left pending, the ciphertexts there before recombination and the terms
     it finds or lowers itself."""
-    known: dict[Message, int] = {}     # term -> depth, in the order found
-    text: dict[Message, str] = {}      # term -> printed form
-    size: dict[Message, int] = {}      # term -> atoms, plus one for a pair or a ciphertext
-    pending: set[Concat] = set()       # pairs not split at their current depth
-    opened: dict[Enc, int] = {}        # ciphertext -> body depth it was last opened for
+    index: dict[Message, int] = {}     # term -> id, in the order found
+    terms: list[Message] = []          # id -> term
+    depth: list[int] = []              # id -> depth
+    text: list[str] = []               # id -> printed form
+    size: list[int] = []               # id -> atoms, plus one for a pair or a ciphertext
+    ciphers: list[int] = []            # ids of the ciphertexts
+    pending: set[int] = set()          # ids of pairs not split at their current depth
+    opened: dict[int, int] = {}        # ciphertext id -> body depth it was last opened for
     inverses: dict[Atom, Optional[Atom]] = {}     # key -> its inverse, None if not a key
     truncated = False
 
@@ -110,27 +128,41 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
         pass comes to it, unless recombination made t: then both count as
         done at d."""
         nonlocal truncated
-        old = known.get(t)
-        if old is None:
-            if d > depth_budget:
-                return False
+        # no known term is deeper than the budget or holds more atoms than
+        # the cap, so both checks can come before the lookup, which gives
+        # a new term its id with the one hash of t it takes; a term that its
+        # walk finds over the cap leaves again, so index holds known terms only
+        if d > depth_budget:
+            return False
+        if n > ATOM_CAP:
+            truncated = True
+            return False
+        i = index.setdefault(t, len(terms))
+        new = i == len(terms)
+        if new:
             if n < 0:
                 n = len(atoms(t))
-            if n > ATOM_CAP:
-                truncated = True
-                return False
-            text[t] = txt or print_message(t)
-            size[t] = n + (type(t) is Concat or type(t) is Enc)
-        elif d >= old:
+                if n > ATOM_CAP:
+                    del index[t]
+                    truncated = True
+                    return False
+            terms.append(t)
+            depth.append(d)
+            text.append(txt or print_message(t))
+            size.append(n + (type(t) is Concat or type(t) is Enc))
+            if type(t) is Enc:
+                ciphers.append(i)
+        elif d >= depth[i]:
             return False
-        known[t] = d
+        else:
+            depth[i] = d
         if not recombined:
             if type(t) is Concat:
-                pending.add(t)
+                pending.add(i)
         elif type(t) is Enc:
-            di = known[inverses[t.key]]
-            opened[t] = (d if d > di else di) + 1
-        return old is None
+            di = depth[index[inverses[t.key]]]
+            opened[i] = (d if d > di else di) + 1
+        return new
 
     def inverse_of(k: Atom) -> Optional[Atom]:
         if k not in inverses:
@@ -149,26 +181,28 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
         changed = True
         while changed:
             changed = False
-            batch = [t for t in known if t in pending or type(t) is Enc]
+            batch = sorted(pending.union(ciphers))
             batch.sort(key=text.__getitem__)
-            batch.sort(key=known.__getitem__)
+            batch.sort(key=depth.__getitem__)
             pending.clear()
-            for t, d in [(t, known[t]) for t in batch]:
+            for i, d in [(i, depth[i]) for i in batch]:
+                t = terms[i]
                 if type(t) is Concat:
                     for p in t.parts:
                         changed |= add(p, d + 1)
                     continue
                 inv = inverse_of(t.key)
-                di = None if inv is None else known.get(inv)
-                if di is None:
+                j = None if inv is None else index.get(inv)
+                if j is None:
                     continue
+                di = depth[j]
                 e = (d if d > di else di) + 1
-                if opened.get(t) != e:
-                    opened[t] = e
+                if opened.get(i) != e:
+                    opened[i] = e
                     changed |= add(t.body, e)
 
-    def by_size() -> list[Message]:
-        order = list(known)
+    def by_size() -> list[int]:
+        order = list(range(len(terms)))
         order.sort(key=text.__getitem__)
         order.sort(key=size.__getitem__)
         return order
@@ -188,14 +222,17 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
         return out
 
     # (term, depth, top-level parts or None for the empty message, atom mask, text)
-    snapshot = [(t, known[t], None if type(t) is Empty else flatten(t), mask(t), text[t])
-                for t in order]
+    snapshot = []
+    for i in order:
+        t = terms[i]
+        snapshot.append((t, depth[i], None if type(t) is Empty else flatten(t), mask(t), text[i]))
     enc_keys = []
-    for t in order:
+    for i in order:
+        t = terms[i]
         if type(t) is Atom and t.name in ctx.keys:
             inv = inverse_of(t)
-            if inv is not None and inv in known:
-                enc_keys.append((t, bits[t], "}_" + t.display()))
+            if inv is not None and inv in index:
+                enc_keys.append((t, i, bits[t], "}_" + t.display()))
     fresh = 0
     for a, da, pa, ma, ta in snapshot:
         if fresh > round_cap:
@@ -208,20 +245,20 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
             if pa is None or pb is None:
                 continue
             d = (da if da > db else db) + 1
-            if d <= depth_budget and add(Concat(pa + pb), d, (ma | mb).bit_count(),
+            if d <= depth_budget and add(_pair(pa + pb), d, (ma | mb).bit_count(),
                                          ta + "." + tb, True):
                 fresh += 1
         if pa is None:
             continue
-        for k, kb, suffix in enc_keys:
-            dk = known[k]
+        for k, ki, kb, suffix in enc_keys:
+            dk = depth[ki]
             d = (da if da > dk else dk) + 1
             if d <= depth_budget and add(Enc(a, k), d, (ma | kb).bit_count(),
                                          "{" + ta + suffix, True):
                 fresh += 1
 
     decompose()
-    return known, tuple(by_size()), truncated
+    return dict(zip(terms, depth)), tuple(map(terms.__getitem__, by_size())), truncated
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Pinned command-line output of `oracle` (`--trials 10 --depth 4 --seed 0`)
 on the bundled NS and NSL handshakes, on `sym`, a subject whose keys are
-all symmetric, and on `ns-secret-a`, NS with A's own name hidden from the
-intruder, compared byte for byte with the files in tests/golden/.
+all symmetric, on `ns-secret-a`, NS with A's own name hidden from the
+intruder, and on `chain6`, the six-party chain, whose closures the caps cut
+short in two of the ten trials, compared byte for byte with the files in
+tests/golden/.
 
 Each case pins stdout (in tests/golden/oracle-<protocol>.stdout) and the
 exit code and stderr (in tests/golden/oracle-cases.json).  The files were
 written by the pass-by-pass attacker closure that tests/reference_closure.py
 keeps, the `sym` subject's by the closure that still stored a mode on every
-ciphertext, and the `ns-secret-a` subject's by the sampler that stopped
-drawing hidden principals in the clear; a change that is meant to alter the output rewrites them with
+ciphertext, the `ns-secret-a` subject's by the sampler that stopped
+drawing hidden principals in the clear, and the `chain6` subject's by the
+closure that kept its tables by term, before it numbered its terms.  A
+change that is meant to alter the output rewrites them with
 
     PYTHONPATH=src python tests/test_oracle_golden.py --write
 """
@@ -29,7 +33,7 @@ from test_shared_search import subject_text
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES_FILE = GOLDEN / "oracle-cases.json"
-PROTOCOLS = ("ns", "nsl", "sym", "ns-secret-a")
+PROTOCOLS = ("ns", "nsl", "sym", "ns-secret-a", "chain6")
 FLAGS = ["--trials", "10", "--depth", "4", "--seed", "0"]
 
 
