@@ -68,17 +68,6 @@ def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
     return DeductionResult(frozenset(known), truncated, sample_order)
 
 
-def _pair(parts: tuple[Message, ...]) -> Concat:
-    """The pair of two closure terms from their top-level parts, with its
-    hash computed once.  Concat's flatness check is left out: each half is
-    `flatten` of a term that is not the empty message, so its parts are
-    non-empty and none is a pair, and the two halves give at least two."""
-    pair = object.__new__(Concat)
-    object.__setattr__(pair, "parts", parts)
-    object.__setattr__(pair, "_h", hash(parts))
-    return pair
-
-
 def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
             round_cap: int) -> tuple[dict[Message, int], tuple[Message, ...], bool]:
     """The closure's depth table in the order terms were found, its sample
@@ -96,7 +85,9 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
     same depths, in the same order, as visiting every term on every pass.
     A term is walked for its atom count and printed once, when it is first
     found; recombined terms take both from their halves, and a recombined
-    pair is built once, from its halves' top-level parts (`_pair`).
+    pair is built once, from its halves' top-level parts, without the
+    flatness check (`Concat._of_flat`): each half is `flatten` of a term
+    that is not the empty message.
 
     A term that the recombination round makes or lowers counts as taken
     apart at its depth.  A recombined pair a.b has depth d = max(da, db) + 1
@@ -245,7 +236,7 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
             if pa is None or pb is None:
                 continue
             d = (da if da > db else db) + 1
-            if d <= depth_budget and add(_pair(pa + pb), d, (ma | mb).bit_count(),
+            if d <= depth_budget and add(Concat._of_flat(pa + pb), d, (ma | mb).bit_count(),
                                          ta + "." + tb, True):
                 fresh += 1
         if pa is None:

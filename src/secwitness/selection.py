@@ -13,13 +13,12 @@ other atoms for their declared level, and choices combine by meet.
 side, `fn` the names side and `fmax` meets the two, so that
 F_fmax(α, M) = F_fek(α, M) ⊓ F_fn(α, M).  The bounds that
 `value_functions` builds for one run share the last question and its side
-levels, so bounds asked the same question in turn select it once; the lone
-bound of `value_function` selects each question it is asked.
+levels, so bounds asked the same question in turn select it once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .context import (
     SecurityLevel,
@@ -88,24 +87,13 @@ def interpret(alpha: Atom, m: Union[Message, Iterable[Message]],
     return psi(ctx, selected[0]), psi(ctx, selected[1])
 
 
-def _bound(name: str, levels: Callable[..., tuple[SecurityLevel, SecurityLevel]]) -> ValueFunction:
-    """The bound `name` as a reading of `levels`, which gives both side
-    levels of a question: `fek` and `fn` read their side, `fmax` meets the
-    two."""
-    if name not in SIDES:
-        raise KeyError(f"unknown selection instance {name!r}; choose from {sorted(SIDES)}")
-    if len(SIDES[name]) == 2:
-        return lambda alpha, m, ctx: meet(*levels(alpha, m, ctx))
-    side, = SIDES[name]
-    return lambda alpha, m, ctx: levels(alpha, m, ctx)[side]
-
-
 def value_functions(names: Iterable[str]) -> dict[str, ValueFunction]:
     """The named bounds of one run, each a plain callable (atom, messages,
     ctx) -> level.  They share one slot that holds the last question and
     its two side levels, so that the bounds asked the same question in
-    turn select it once.  A set of messages is held as the tuple of its
-    members, so a list changed between two questions is selected again."""
+    turn select it once: `fek` and `fn` read their side and `fmax` meets
+    the two.  A set of messages is held as the tuple of its members, so a
+    list changed between two questions is selected again."""
     slot: list = [None, None]  # the last question (atom, message, ctx), its side levels
 
     def levels(alpha: Atom, m: Union[Message, Iterable[Message]],
@@ -115,12 +103,17 @@ def value_functions(names: Iterable[str]) -> dict[str, ValueFunction]:
             slot[:] = question, interpret(*question)
         return slot[1]
 
-    return {name: _bound(name, levels) for name in names}
+    def bound(name: str) -> ValueFunction:
+        if name not in SIDES:
+            raise KeyError(f"unknown selection instance {name!r}; choose from {sorted(SIDES)}")
+        if len(SIDES[name]) == 2:
+            return lambda alpha, m, ctx: meet(*levels(alpha, m, ctx))
+        side, = SIDES[name]
+        return lambda alpha, m, ctx: levels(alpha, m, ctx)[side]
+
+    return {name: bound(name) for name in names}
 
 
 def value_function(name: str) -> ValueFunction:
-    """One named bound, built as the only bound of its run: with no other
-    bound to share a question with, it selects each question it is asked,
-    and keeps no slot."""
-    # through the module's name, so that a wrapper put there is called
-    return _bound(name, lambda alpha, m, ctx: interpret(alpha, m, ctx))
+    """One named bound, built as the only bound of its run."""
+    return value_functions([name])[name]
