@@ -53,40 +53,38 @@ SAMPLE_TERMS = 40
 
 
 class DeductionResult(NamedTuple):
-    terms: frozenset[Message]
-    truncated: bool
     # the terms by size (atoms, plus one for a pair or a ciphertext), then
     # by printed text, ties in the order the closure found them
-    sample_order: tuple[Message, ...]
+    terms: tuple[Message, ...]
+    truncated: bool
 
 
 def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
                    depth_budget: int = 5, round_cap: int = 1500) -> DeductionResult:
     """Depth-tagged closure: a full take-apart pass to a fixpoint, one
     recombination round over what that produced, then take-apart again."""
-    known, sample_order, truncated = _deduce(M, ctx, depth_budget, round_cap)
-    return DeductionResult(frozenset(known), truncated, sample_order)
+    _, _, order, truncated = _deduce(M, ctx, depth_budget, round_cap)
+    return DeductionResult(order, truncated)
 
 
 def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
-            round_cap: int) -> tuple[dict[Message, int], tuple[Message, ...], bool]:
-    """The closure's depth table in the order terms were found, its sample
-    order and whether a cap cut it short.
+            round_cap: int) -> tuple[list[Message], list[int], tuple[Message, ...], bool]:
+    """The closure's terms and their depths, in lists by id; the terms in
+    sample order; and whether a cap cut it short.
 
-    Each term gets an id, its place in the order found.  Its depth, text
-    and size are kept in lists by id, and the passes queue and sort ids,
-    so a term is hashed once each time a step finds it, and once more for
-    the depth table returned.  Each take-apart pass visits terms by
-    (depth, text), ties in the order they were found, but only those whose
-    visit can still change something: a pair is split again only when its
-    depth fell since it was last split, and a ciphertext is opened again
-    only when that would give its body a smaller depth.  A repeated split
-    or opening would add nothing, so the passes add the same terms at the
-    same depths, in the same order, as visiting every term on every pass.
-    A term is walked for its atom count and printed once, when it is first
-    found; recombined terms take both from their halves, and a recombined
-    pair is built once, from its halves' top-level parts, without the
-    flatness check (`Concat._of_flat`): each half is `flatten` of a term
+    Each term gets an id, its place in the order found.  Its depth, text and
+    size are kept in lists by id, and the passes queue and sort ids, so a
+    term is hashed once each time a step finds it.  Each take-apart pass
+    visits terms by (depth, text), ties in the order they were found, but
+    only those whose visit can still change something: a pair is split again
+    only when its depth fell since it was last split, and a ciphertext is
+    opened again only when that would give its body a smaller depth.  A
+    repeated split or opening would add nothing, so the passes add the same
+    terms at the same depths, in the same order, as visiting every term on
+    every pass.  A term is walked for its atom count and printed once, when
+    it is first found; recombined terms take both from their halves, and a
+    recombined pair is built once, from its halves' top-level parts, without
+    the flatness check (`Concat._of_flat`): each half is `flatten` of a term
     that is not the empty message.
 
     A term that the recombination round makes or lowers counts as taken
@@ -249,7 +247,7 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
                 fresh += 1
 
     decompose()
-    return dict(zip(terms, depth)), tuple(map(terms.__getitem__, by_size())), truncated
+    return terms, depth, tuple(map(terms.__getitem__, by_size())), truncated
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +351,7 @@ def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationC
             break
         M = random_well_protected_set(rng, ctx)
         closure = deduce_closure(M, ctx, depth_budget=depth, round_cap=400)
-        terms = closure.sample_order
+        terms = closure.terms
         if len(terms) > SAMPLE_TERMS:
             terms = rng.sample(terms, SAMPLE_TERMS)
         # each sampled term with its secret atoms, in printed order; the

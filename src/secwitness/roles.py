@@ -128,7 +128,7 @@ class _RuleSymbols(SymbolTable):
 
     def resolve(self, ident: str, key: bool = False) -> Atom:
         try:
-            return self._base.resolve(ident)
+            return self._base.resolve(ident, key)
         except UndeclaredIdentifier:
             if ident not in self._meta:
                 self._meta[ident] = Atom(ident, PARAMETER if key else VARIABLE)
@@ -274,7 +274,7 @@ def parse_protocol(text: str) -> Protocol:
         for side, side_text in (("left", lhs_text), ("right", rhs_text)):
             try:
                 sides.append(parse_message(side_text, rsyms, allow_dec=True))
-            except (MessageSyntaxError, UndeclaredIdentifier) as err:
+            except (MessageSyntaxError, UndeclaredIdentifier, NotAKey) as err:
                 raise _in_statement(f"rule {lhs_text} -> {rhs_text}, {side} side", err)
         lhs_vars, rhs_vars = ({a for a in atoms(m) if a.sort is not CONSTANT} for m in sides)
         if not rhs_vars <= lhs_vars:

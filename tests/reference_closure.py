@@ -9,7 +9,8 @@ recombination round sorts by a size that walks each term once more.
 insertion order and truncation flag while walking, printing and splitting
 each term at most once per depth; the tests check the two against each
 other.  `sample_order` is the order `check_full_invariance` used to sort a
-closure in before it sampled from it.
+closure's term set in before it sampled from it; `deduce_closure` here
+hands back its terms in that order, as the one in `secwitness.oracle` does.
 
 `check_full_invariance_alone` is the invariance search for one bound on a
 stream of trials of its own, as `check_full_invariance` ran before the
@@ -130,8 +131,7 @@ def deduce_closure_with_depths(M: Iterable[Message], ctx: VerificationContext,
 def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
                    depth_budget: int = 5, round_cap: int = 1500) -> DeductionResult:
     known, truncated = deduce_closure_with_depths(M, ctx, depth_budget, round_cap=round_cap)
-    terms = frozenset(known)
-    return DeductionResult(terms, truncated, tuple(sample_order(terms)))
+    return DeductionResult(tuple(sample_order(known)), truncated)
 
 
 def check_full_invariance_alone(func: ValueFunction, ctx: VerificationContext,
@@ -149,7 +149,7 @@ def check_full_invariance_alone(func: ValueFunction, ctx: VerificationContext,
         closure = secwitness.oracle.deduce_closure(M, ctx, depth_budget=depth, round_cap=400)
         if closure.truncated:
             truncated += 1
-        terms = closure.sample_order
+        terms = closure.terms
         sample_terms = secwitness.oracle.SAMPLE_TERMS
         if len(terms) > sample_terms:
             terms = rng.sample(terms, sample_terms)

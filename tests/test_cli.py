@@ -128,6 +128,7 @@ def test_declared_names_must_be_identifiers(tmp_path, capsys, command, declarati
      "rule {A.}_kb -> X, left side: at offset 3: expected identifier, found '}_kb'"),
     ("rule {X}_kb -> {X.}_kb;",
      "rule {X}_kb -> {X.}_kb, right side: at offset 3: expected identifier, found '}_kb'"),
+    ("rule {X}_A -> X;", "rule {X}_A -> X, left side: 'A' is not registered as a key"),
 ])
 def test_an_error_in_a_message_names_its_statement(tmp_path, capsys, command, statement, error):
     # the offset counts from the start of the message, so without the

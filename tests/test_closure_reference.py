@@ -54,14 +54,13 @@ def assert_same_closure(M, ctx, depth_budget, round_cap, atom_cap) -> None:
     # the closure reads its atom cap from the module, which no caller sets
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(secwitness.oracle, "ATOM_CAP", atom_cap)
-        known, order, truncated = _deduce(M, ctx, depth_budget, round_cap)
+        terms, depth, order, truncated = _deduce(M, ctx, depth_budget, round_cap)
         result = deduce_closure(M, ctx, depth_budget=depth_budget, round_cap=round_cap)
-    assert list(known.items()) == list(ref_known.items())
+    assert list(zip(terms, depth)) == list(ref_known.items())
     assert truncated == ref_truncated
     assert list(order) == reference_closure.sample_order(ref_known)
-    assert result.terms == frozenset(ref_known)
+    assert result.terms == order
     assert result.truncated == ref_truncated
-    assert result.sample_order == order
 
 
 # chain6 truncates at the oracle's own caps, where NS and NSL never do
@@ -188,7 +187,7 @@ def test_terms_that_print_alike_keep_the_order_they_were_found(valuation_ctx, va
         for round_cap in (3, 40, 1500):
             assert_same_closure(M, valuation_ctx, depth_budget, round_cap, 24)
     closure = deduce_closure(M, valuation_ctx, depth_budget=3)
-    texts = [str(t) for t in closure.sample_order]
+    texts = [str(t) for t in closure.terms]
     assert len(set(texts)) < len(texts)
 
 
@@ -207,7 +206,8 @@ def test_depths_that_fall_are_split_and_opened_again():
     symbols = SymbolTable({n: Atom(n) for n in names})
     M = [parse_message(m, symbols)
          for m in ("k1-1.A", "{k2-1}_k1", "{k4-1.x1}_k2", "{k4-1.x1}_k3.B", "{y}_k4")]
-    known, _, _ = _deduce(M, ctx, 6, 3)
+    terms, depth, _, _ = _deduce(M, ctx, 6, 3)
+    known = dict(zip(terms, depth))
     assert known[Atom("k4-1")] == 3
     assert known[Atom("y")] == 4
     for depth_budget in range(3, 8):
