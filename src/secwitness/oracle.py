@@ -1,11 +1,12 @@
 """An independent attacker model used to sanity-check the bounds.
 
-The closure of a message set is what an eavesdropper could compute from it:
-split concatenations, strip encryptions whose inverse key is in reach, and
-recombine what it has by pairing and by encrypting under keys it fully
-controls (both halves of the pair derivable).  The closure is depth-bounded
-and size-capped; caps mark the result truncated rather than pretending
-completeness.
+The closure of a message set is what an eavesdropper could take apart from
+it: split concatenations and strip encryptions whose inverse key is in
+reach, to a fixpoint.  The closure is depth-bounded and size-capped; caps
+mark the result truncated rather than pretending completeness.  What the
+intruder could build from it, pairs of its terms and their encryptions
+under the keys it fully controls, is not enumerated: an invariance trial
+draws a few such terms at random.
 
 Against that model two statements are tested by randomized search: a bound
 evaluated on anything derivable never reads below the bound on the original
@@ -38,14 +39,13 @@ from .terms import (
     Message,
     atoms,
     concat,
-    flatten,
     print_message,
 )
 
 
 # Sizes no caller sets: the most atoms a closure term may hold, the most
 # messages and the deepest nesting of a random well-protected set, and the
-# most derived terms an invariance trial samples from a closure.
+# most derived terms an invariance trial draws.
 ATOM_CAP = 24
 MAX_MESSAGES = 5
 MAX_DEPTH = 3
@@ -53,52 +53,45 @@ SAMPLE_TERMS = 40
 
 
 class DeductionResult(NamedTuple):
-    # the terms by size (atoms, plus one for a pair or a ciphertext), then
-    # by printed text, ties in the order the closure found them
+    """A take-apart closure.  `terms` are its terms by size (atoms, plus one
+    for a pair or a ciphertext), then by printed text, ties in the order
+    the closure found them; so the empty message, the one term of size 0,
+    comes first when it is there.  `depths` holds each term's depth, the
+    fewest take-apart steps that reach it, where opening a ciphertext is
+    one step past the deeper of it and its inverse key.  `keys` are the
+    places in `terms` of the keys the intruder controls, those whose
+    inverse is in `terms` too, in the same order.  `truncated` says that a
+    term over `ATOM_CAP` was left out."""
     terms: tuple[Message, ...]
+    depths: tuple[int, ...]
+    keys: tuple[int, ...]
     truncated: bool
 
 
 def deduce_closure(M: Iterable[Message], ctx: VerificationContext,
-                   depth_budget: int = 5, round_cap: int = 1500) -> DeductionResult:
-    """Depth-tagged closure: a full take-apart pass to a fixpoint, one
-    recombination round over what that produced, then take-apart again."""
-    _, _, order, truncated = _deduce(M, ctx, depth_budget, round_cap)
-    return DeductionResult(order, truncated)
+                   depth_budget: int = 5) -> DeductionResult:
+    """What the intruder takes apart from M and its own knowledge within
+    `depth_budget` steps: pairs split and ciphertexts opened under a known
+    inverse key, to a fixpoint.  Nothing is recombined."""
+    return _deduce(M, ctx, depth_budget)[2]
 
 
-def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
-            round_cap: int) -> tuple[list[Message], list[int], tuple[Message, ...], bool]:
-    """The closure's terms and their depths, in lists by id; the terms in
-    sample order; and whether a cap cut it short.
+def _deduce(M: Iterable[Message], ctx: VerificationContext,
+            depth_budget: int) -> tuple[list[Message], list[int], DeductionResult]:
+    """The closure's terms and their depths, in lists by id, and the
+    closure as `deduce_closure` returns it.
 
     Each term gets an id, its place in the order found.  Its depth, text and
     size are kept in lists by id, and the passes queue and sort ids, so a
-    term is hashed once each time a step finds it.  Each take-apart pass
-    visits terms by (depth, text), ties in the order they were found, but
-    only those whose visit can still change something: a pair is split again
-    only when its depth fell since it was last split, and a ciphertext is
-    opened again only when that would give its body a smaller depth.  A
-    repeated split or opening would add nothing, so the passes add the same
-    terms at the same depths, in the same order, as visiting every term on
-    every pass.  A term is walked for its atom count and printed once, when
-    it is first found; recombined terms take both from their halves, and a
-    recombined pair is built once, from its halves' top-level parts, without
-    the flatness check (`Concat._of_flat`): each half is `flatten` of a term
-    that is not the empty message.
-
-    A term that the recombination round makes or lowers counts as taken
-    apart at its depth.  A recombined pair a.b has depth d = max(da, db) + 1
-    and its parts are the top-level parts of a and of b.  Each of them is
-    known at depth da + 1 or db + 1 at most, so below d + 1, once a and b
-    are split at their depths; a half that the first pass left pending has
-    a smaller depth than the pair, so the second pass splits it before it
-    comes to the pair.  A recombined ciphertext {a}_k has depth
-    d = max(da, dk) + 1, and opening it gives a depth of d + 1 or more to a,
-    which is known at da.  Splitting or opening either adds no term and
-    lowers no depth, so the second pass visits only the pairs the first
-    left pending, the ciphertexts there before recombination and the terms
-    it finds or lowers itself."""
+    term is hashed once each time a step finds it.  Each pass visits terms
+    by (depth, text), ties in the order they were found, but only those
+    whose visit can still change something: a pair is split again only when
+    its depth fell since it was last split, and a ciphertext is opened again
+    only when that would give its body a smaller depth.  A repeated split or
+    opening would add nothing, so the passes add the same terms at the same
+    depths, in the same order, as visiting every term on every pass.  A
+    term is walked for its atom count and printed once, when it is first
+    found."""
     index: dict[Message, int] = {}     # term -> id, in the order found
     terms: list[Message] = []          # id -> term
     depth: list[int] = []              # id -> depth
@@ -110,34 +103,26 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
     inverses: dict[Atom, Optional[Atom]] = {}     # key -> its inverse, None if not a key
     truncated = False
 
-    def add(t: Message, d: int, n: int = -1, txt: str = "", recombined: bool = False) -> bool:
-        """Records t at depth d and says whether t is new.  A caller that
-        knows t's atom count n and its text passes them.  A pair is queued
-        to be split at its new depth, and a ciphertext is opened when a
-        pass comes to it, unless recombination made t: then both count as
-        done at d."""
+    def add(t: Message, d: int) -> bool:
+        """Records t at depth d, queues a pair to be split at its new
+        depth, and says whether t is new."""
         nonlocal truncated
-        # no known term is deeper than the budget or holds more atoms than
-        # the cap, so both checks can come before the lookup, which gives
-        # a new term its id with the one hash of t it takes; a term that its
-        # walk finds over the cap leaves again, so index holds known terms only
+        # a term that its walk finds over the cap leaves again, so index
+        # holds known terms only, and a new term gets its id with the one
+        # hash of t the lookup takes
         if d > depth_budget:
-            return False
-        if n > ATOM_CAP:
-            truncated = True
             return False
         i = index.setdefault(t, len(terms))
         new = i == len(terms)
         if new:
-            if n < 0:
-                n = len(atoms(t))
-                if n > ATOM_CAP:
-                    del index[t]
-                    truncated = True
-                    return False
+            n = len(atoms(t))
+            if n > ATOM_CAP:
+                del index[t]
+                truncated = True
+                return False
             terms.append(t)
             depth.append(d)
-            text.append(txt or print_message(t))
+            text.append(print_message(t))
             size.append(n + (type(t) is Concat or type(t) is Enc))
             if type(t) is Enc:
                 ciphers.append(i)
@@ -145,109 +130,120 @@ def _deduce(M: Iterable[Message], ctx: VerificationContext, depth_budget: int,
             return False
         else:
             depth[i] = d
-        if not recombined:
-            if type(t) is Concat:
-                pending.add(i)
-        elif type(t) is Enc:
-            di = depth[index[inverses[t.key]]]
-            opened[i] = (d if d > di else di) + 1
+        if type(t) is Concat:
+            pending.add(i)
         return new
 
     def inverse_of(k: Atom) -> Optional[Atom]:
-        if k not in inverses:
+        inv = inverses.get(k, False)
+        if inv is False:
             try:
-                inverses[k] = inverse_key(ctx, k)
+                inv = inverse_key(ctx, k)
             except NotAKey:
-                inverses[k] = None
-        return inverses[k]
+                inv = None
+            inverses[k] = inv
+        return inv
 
     for m in M:
         add(normalize(m, ctx), 0)
     for a in intruder_knowledge(ctx):
         add(a, 0)
 
-    def decompose() -> None:
-        changed = True
-        while changed:
-            changed = False
-            batch = sorted(pending.union(ciphers))
-            batch.sort(key=text.__getitem__)
-            batch.sort(key=depth.__getitem__)
-            pending.clear()
-            for i, d in [(i, depth[i]) for i in batch]:
-                t = terms[i]
-                if type(t) is Concat:
-                    for p in t.parts:
-                        changed |= add(p, d + 1)
-                    continue
-                inv = inverse_of(t.key)
-                j = None if inv is None else index.get(inv)
-                if j is None:
-                    continue
-                di = depth[j]
-                e = (d if d > di else di) + 1
-                if opened.get(i) != e:
-                    opened[i] = e
-                    changed |= add(t.body, e)
+    changed = True
+    while changed:
+        changed = False
+        batch = sorted(pending.union(ciphers))
+        batch.sort(key=text.__getitem__)
+        batch.sort(key=depth.__getitem__)
+        pending.clear()
+        for i, d in [(i, depth[i]) for i in batch]:
+            t = terms[i]
+            if type(t) is Concat:
+                for p in t.parts:
+                    changed |= add(p, d + 1)
+                continue
+            inv = inverse_of(t.key)
+            j = None if inv is None else index.get(inv)
+            if j is None:
+                continue
+            di = depth[j]
+            e = (d if d > di else di) + 1
+            if opened.get(i) != e:
+                opened[i] = e
+                changed |= add(t.body, e)
 
-    def by_size() -> list[int]:
-        order = list(range(len(terms)))
-        order.sort(key=text.__getitem__)
-        order.sort(key=size.__getitem__)
-        return order
-
-    decompose()
-
-    order = by_size()
-    bits: dict[Atom, int] = {}
-
-    def mask(t: Message) -> int:
-        out = 0
-        for a in atoms(t):
-            b = bits.get(a)
-            if b is None:
-                b = bits[a] = 1 << len(bits)
-            out |= b
-        return out
-
-    # (term, depth, top-level parts or None for the empty message, atom mask, text)
-    snapshot = []
-    for i in order:
-        t = terms[i]
-        snapshot.append((t, depth[i], None if type(t) is Empty else flatten(t), mask(t), text[i]))
-    enc_keys = []
-    for i in order:
+    order = list(range(len(terms)))
+    order.sort(key=text.__getitem__)
+    order.sort(key=size.__getitem__)
+    keys = []
+    for place, i in enumerate(order):
         t = terms[i]
         if type(t) is Atom and t.name in ctx.keys:
             inv = inverse_of(t)
             if inv is not None and inv in index:
-                enc_keys.append((t, i, bits[t], "}_" + t.display()))
-    fresh = 0
-    for a, da, pa, ma, ta in snapshot:
-        if fresh > round_cap:
-            truncated = True
-            break
-        for b, db, pb, mb, tb in snapshot:
-            if fresh > round_cap:
-                truncated = True
-                break
-            if pa is None or pb is None:
-                continue
-            d = (da if da > db else db) + 1
-            if d <= depth_budget and add(Concat._of_flat(pa + pb), d, (ma | mb).bit_count(),
-                                         ta + "." + tb, True):
-                fresh += 1
-        if pa is None:
-            continue
-        for k, ki, kb, suffix in enc_keys:
-            dk = depth[ki]
-            d = (da if da > dk else dk) + 1
-            if d <= depth_budget and add(Enc(a, k), d, (ma | kb).bit_count(),
-                                         "{" + ta + suffix, True):
-                fresh += 1
+                keys.append(place)
+    closure = DeductionResult(tuple(map(terms.__getitem__, order)),
+                              tuple(map(depth.__getitem__, order)), tuple(keys), truncated)
+    return terms, depth, closure
 
-    decompose()
-    return terms, depth, tuple(map(terms.__getitem__, by_size())), truncated
+
+def _draw(closure: DeductionResult, depth_budget: int,
+          rng: random.Random) -> tuple[list[Message], bool]:
+    """Up to `SAMPLE_TERMS` distinct terms derivable from a closure, drawn
+    at random, and whether a term over `ATOM_CAP` was passed over.
+
+    With n terms in the closure, p of them not the empty message, and k
+    keys the intruder controls, the draw reads an index space of
+    n + p·p + p·k terms: the closure's terms, in their order; then each
+    ordered pair a.b of two non-empty terms; then each non-empty term a
+    encrypted under each controlled key, {a}_k, left as built, not
+    normalised.  A pair or a ciphertext has depth max(d₁, d₂) + 1 from its
+    two halves' depths.  Indices are drawn uniformly without replacement,
+    by a Fisher–Yates shuffle done as far as it is read.  An index whose
+    term is deeper than `depth_budget` is passed over; so is one whose term
+    holds more than `ATOM_CAP` atoms, and that marks the draw truncated.  A
+    term equal to one drawn already counts once.  The draw stops at
+    `SAMPLE_TERMS` terms or when the space runs out.  So every order of the
+    space is equally likely, and the draw is the first `SAMPLE_TERMS`
+    distinct terms within both caps in that order; a space with fewer is
+    drawn whole."""
+    terms, depths, keys = closure.terms, closure.depths, closure.keys
+    n = len(terms)
+    # the empty message, of size 0, is first in sample order when it is there
+    first = 1 if n and type(terms[0]) is Empty else 0
+    p = n - first
+    pairs = n + p * p
+    space = pairs + p * len(keys)
+    swapped: dict[int, int] = {}    # place -> the index the shuffle moved there
+    drawn: list[Message] = []
+    seen: set[Message] = set()
+    truncated = False
+    for place in range(space):
+        j = rng.randrange(place, space)
+        x = swapped.get(j, j)
+        swapped[j] = swapped.get(place, place)
+        if x < n:
+            t = terms[x]
+        else:
+            if x < pairs:
+                a, b = divmod(x - n, p)
+                b += first
+            else:
+                a, b = divmod(x - pairs, len(keys))
+                b = keys[b]
+            a += first
+            if max(depths[a], depths[b]) + 1 > depth_budget:
+                continue
+            t = concat(terms[a], terms[b]) if x < pairs else Enc(terms[a], terms[b])
+            if len(atoms(t)) > ATOM_CAP:
+                truncated = True
+                continue
+        if t not in seen:
+            seen.add(t)
+            drawn.append(t)
+            if len(drawn) == SAMPLE_TERMS:
+                break
+    return drawn, truncated
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +326,14 @@ def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationC
                           trials: int = 500, depth: int = 4, seed: int = 0,
                           ) -> dict[str, PropertyReport]:
     """Randomized search, for each bound, for a derivable message on which
-    the bound reads lower than on the originating set.  Derived terms are
-    sampled when the closure is large; the sampling is seeded and reported.
+    the bound reads lower than on the originating set.  Each trial takes a
+    random well-protected set apart (`deduce_closure`) and reads the terms
+    `_draw` draws from the closure and what it builds, seeded by the run's
+    seed; a trial whose closure or draw passed over a term for `ATOM_CAP`
+    counts as truncated.
 
     The bounds share one stream of trials: each random set, its closure and
-    its sample are made once and read by every bound that has not failed
+    its draw are made once and read by every bound that has not failed
     yet.  A bound drops out after the trial it failed in.  The stream does
     not depend on the bounds, so each report is the one a run of that bound
     alone would give.  Reports come in the mapping's order.  Each (term,
@@ -350,11 +349,9 @@ def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationC
         if not running:
             break
         M = random_well_protected_set(rng, ctx)
-        closure = deduce_closure(M, ctx, depth_budget=depth, round_cap=400)
-        terms = closure.terms
-        if len(terms) > SAMPLE_TERMS:
-            terms = rng.sample(terms, SAMPLE_TERMS)
-        # each sampled term with its secret atoms, in printed order; the
+        closure = deduce_closure(M, ctx, depth_budget=depth)
+        terms, cut = _draw(closure, depth, rng)
+        # each drawn term with its secret atoms, in printed order; the
         # sort is stable, so sorting after the filter keeps ties in place
         secrets = []
         for t in terms:
@@ -369,7 +366,7 @@ def check_full_invariance(funcs: Mapping[str, ValueFunction], ctx: VerificationC
             secrets.append((t, secret))
         base_cache: dict[str, dict[Atom, SecurityLevel]] = {name: {} for name in running}
         for name in running:
-            truncated[name] += closure.truncated
+            truncated[name] += closure.truncated or cut
         for t, secret in secrets:
             for a in secret:
                 answered = []

@@ -117,17 +117,6 @@ class Concat(Message):
         # here kept the collector's count climbing and raised the peak heap
         _init(self, "_h", hash(parts))
 
-    @classmethod
-    def _of_flat(cls, parts: tuple[Message, ...]) -> Concat:
-        """The pair of `parts` without the check of `__init__`, for parts
-        joined from the `flatten` of two messages that are not the empty
-        message: each gives non-empty parts, none of them a pair, and the
-        two give at least two."""
-        pair = object.__new__(cls)
-        _init(pair, "parts", parts)
-        _init(pair, "_h", hash(parts))
-        return pair
-
     def _args(self) -> tuple:
         return (self.parts,)
 

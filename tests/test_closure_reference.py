@@ -1,12 +1,15 @@
-"""The attacker closure against the pass-by-pass reference.
+"""The attacker closure and its draw against the pass-by-pass reference.
 
 `oracle.deduce_closure` splits and opens a term again only when that can
 change something, and walks and prints each term once.  These tests check
 that it finds the same terms at the same depths, in the same order, with
-the same truncation flag and sample order as `reference_closure`, the
-closure it replaced, on well-protected sets and on sets that are not, and
-that the property checks built on it report the same.  They also check that the bounds, reading one shared stream of
-trials, report what each would on a stream of its own.
+the same truncation flag, sample order and controlled keys as
+`reference_closure`, on well-protected sets and on sets that are not, and
+that the property checks built on it report the same.  They check that
+`oracle._draw` draws what the reference draws from its whole index space,
+and only terms of the closure the oracle once enumerated.  They also check
+that the bounds, reading one shared stream of trials, report what each
+would on a stream of its own.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from secwitness.context import TOP, is_identity, make_context
 from secwitness.errors import WellProtectionViolation
 from secwitness.oracle import (
     _deduce,
+    _draw,
     check_full_invariance,
     check_non_disclosure,
     deduce_closure,
@@ -34,8 +38,8 @@ from message_helpers import random_message
 from test_shared_search import subject_text
 from secwitness.terms import (
     PARAMETER,
+    EMPTY,
     Atom,
-    Concat,
     Enc,
     Message,
     SymbolTable,
@@ -45,22 +49,22 @@ from secwitness.terms import (
 )
 
 PROTOCOLS = ("ns", "nsl")
-CAPS = [(round_cap, atom_cap) for round_cap in (3, 400, 1500) for atom_cap in (6, 24)]
+ATOM_CAPS = (6, 24)
 
 
-def assert_same_closure(M, ctx, depth_budget, round_cap, atom_cap) -> None:
-    ref_known, ref_truncated = reference_closure.deduce_closure_with_depths(
-        M, ctx, depth_budget=depth_budget, atom_cap=atom_cap, round_cap=round_cap)
+def assert_same_closure(M, ctx, depth_budget, atom_cap) -> None:
+    ref_known, ref_truncated = reference_closure.take_apart(
+        M, ctx, depth_budget=depth_budget, atom_cap=atom_cap)
     # the closure reads its atom cap from the module, which no caller sets
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(secwitness.oracle, "ATOM_CAP", atom_cap)
-        terms, depth, order, truncated = _deduce(M, ctx, depth_budget, round_cap)
-        result = deduce_closure(M, ctx, depth_budget=depth_budget, round_cap=round_cap)
+        terms, depth, closure = _deduce(M, ctx, depth_budget)
+        result = deduce_closure(M, ctx, depth_budget=depth_budget)
+        reference = reference_closure.deduce_closure(M, ctx, depth_budget=depth_budget)
     assert list(zip(terms, depth)) == list(ref_known.items())
-    assert truncated == ref_truncated
-    assert list(order) == reference_closure.sample_order(ref_known)
-    assert result.terms == order
-    assert result.truncated == ref_truncated
+    assert closure.truncated == ref_truncated
+    assert list(closure.terms) == reference_closure.sample_order(ref_known)
+    assert closure == result == reference
 
 
 # chain6 truncates at the oracle's own caps, where NS and NSL never do
@@ -69,15 +73,15 @@ def assert_same_closure(M, ctx, depth_budget, round_cap, atom_cap) -> None:
 def test_seeded_sets_match_the_reference(protocol, depth_budget):
     ctx = parse_protocol(subject_text(protocol)).context
     rng = random.Random(depth_budget)
-    for round_cap, atom_cap in CAPS:
-        for _ in range(5):
+    for atom_cap in ATOM_CAPS:
+        for _ in range(15):
             M = random_well_protected_set(rng, ctx)
-            assert_same_closure(M, ctx, depth_budget, round_cap, atom_cap)
+            assert_same_closure(M, ctx, depth_budget, atom_cap)
 
 
 # Keys in the clear and secrets outside any encryption: the closure opens
 # ciphertexts under both keys of a pair and finds pairs deep inside them
-# that recombination makes again at a smaller depth.  The intruder holds
+# that a drawn pair makes again at a smaller depth.  The intruder holds
 # kp-1.
 _WIDE_KEYS = [("ka", "ka-1"), ("kb", "kb-1"), ("kab", "kab"), ("kp", "kp-1")]
 _WIDE_CTX = make_context(
@@ -107,7 +111,7 @@ def _nested(rng: random.Random) -> Message:
 def _buried_pair(rng: random.Random) -> list[Message]:
     """Two atoms given in the clear, and their pair only inside one or two
     layers of encryption: taking apart finds the pair at depth 2 or more,
-    and recombining the atoms makes it at depth 1."""
+    and pairing the atoms makes it at depth 1."""
     x, y = rng.sample(_WIDE_POOL, 2)
     buried = concat(x, y)
     for _ in range(rng.randint(1, 2)):
@@ -150,24 +154,11 @@ def _wide_sets(seed: int, count: int) -> list[list[Message]]:
     return out
 
 
-def _recombination_lowers_a_pair(M, ctx, depth_budget, round_cap, atom_cap) -> bool:
-    # round_cap -1 stops the recombination round before its first term
-    full, _ = reference_closure.deduce_closure_with_depths(
-        M, ctx, depth_budget=depth_budget, atom_cap=atom_cap, round_cap=round_cap)
-    apart, _ = reference_closure.deduce_closure_with_depths(
-        M, ctx, depth_budget=depth_budget, atom_cap=atom_cap, round_cap=-1)
-    return any(type(t) is Concat and full[t] < d for t, d in apart.items())
-
-
 @pytest.mark.parametrize("depth_budget", [2, 3, 4, 5])
 def test_sets_that_are_not_well_protected_match_the_reference(depth_budget):
-    lowered = 0
-    for round_cap, atom_cap in CAPS:
-        for M in _wide_sets(100 * depth_budget + round_cap + atom_cap, 10):
-            assert_same_closure(M, _WIDE_CTX, depth_budget, round_cap, atom_cap)
-            lowered += _recombination_lowers_a_pair(M, _WIDE_CTX, depth_budget, round_cap,
-                                                    atom_cap)
-    assert lowered
+    for atom_cap in ATOM_CAPS:
+        for M in _wide_sets(100 * depth_budget + atom_cap, 30):
+            assert_same_closure(M, _WIDE_CTX, depth_budget, atom_cap)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -175,7 +166,7 @@ def test_honest_sessions_match_the_reference(protocol):
     p = load_bundled(protocol)
     M = [s.message for s in p.steps]
     for depth_budget in range(6):
-        assert_same_closure(M, p.context, depth_budget, 1500, 24)
+        assert_same_closure(M, p.context, depth_budget, 24)
 
 
 def test_terms_that_print_alike_keep_the_order_they_were_found(valuation_ctx, valuation_symbols):
@@ -184,8 +175,7 @@ def test_terms_that_print_alike_keep_the_order_they_were_found(valuation_ctx, va
     M = [Enc(body, Atom("kab")), parse_message("kab-1", valuation_symbols),
          Atom("C", PARAMETER)]
     for depth_budget in (1, 2, 3, 4):
-        for round_cap in (3, 40, 1500):
-            assert_same_closure(M, valuation_ctx, depth_budget, round_cap, 24)
+        assert_same_closure(M, valuation_ctx, depth_budget, 24)
     closure = deduce_closure(M, valuation_ctx, depth_budget=3)
     texts = [str(t) for t in closure.terms]
     assert len(set(texts)) < len(texts)
@@ -206,22 +196,127 @@ def test_depths_that_fall_are_split_and_opened_again():
     symbols = SymbolTable({n: Atom(n) for n in names})
     M = [parse_message(m, symbols)
          for m in ("k1-1.A", "{k2-1}_k1", "{k4-1.x1}_k2", "{k4-1.x1}_k3.B", "{y}_k4")]
-    terms, depth, _, _ = _deduce(M, ctx, 6, 3)
+    terms, depth, _ = _deduce(M, ctx, 6)
     known = dict(zip(terms, depth))
     assert known[Atom("k4-1")] == 3
     assert known[Atom("y")] == 4
     for depth_budget in range(3, 8):
-        assert_same_closure(M, ctx, depth_budget, 3, 24)
-        assert_same_closure(M, ctx, depth_budget, 1500, 24)
+        assert_same_closure(M, ctx, depth_budget, 24)
+
+
+class _CountingRandom(random.Random):
+    """Records the end of every range it draws from."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.stops = []
+
+    def randrange(self, start, stop=None, step=1):
+        self.stops.append(stop)
+        return super().randrange(start, stop, step)
+
+
+def _assert_same_draw(closure, depth_budget, seed):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    drawn, cut = _draw(closure, depth_budget, rng)
+    ref_drawn, ref_cut = reference_closure.draw_with_kinds(closure, depth_budget, ref_rng)
+    assert drawn == [t for t, _ in ref_drawn]
+    assert cut == ref_cut
+    assert rng.getstate() == ref_rng.getstate()
+    return ref_drawn
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_the_golden_runs_draw_each_kind_from_the_enumerated_closure(protocol, monkeypatch):
+    # the run of tests/golden/oracle-<protocol>.stdout, each trial's draw
+    # against the reference's and inside the closure the oracle once
+    # enumerated at the same depth budget
+    sets, draws = [], []
+
+    def deduce(M, ctx, depth_budget):
+        sets.append(M)
+        return deduce_closure(M, ctx, depth_budget)
+
+    def draw(closure, depth_budget, rng):
+        ref_rng = random.Random()
+        ref_rng.setstate(rng.getstate())
+        out = _draw(closure, depth_budget, rng)
+        ref_drawn, ref_cut = reference_closure.draw_with_kinds(closure, depth_budget, ref_rng)
+        assert out == ([t for t, _ in ref_drawn], ref_cut)
+        assert rng.getstate() == ref_rng.getstate()
+        draws.append(ref_drawn)
+        return out
+
+    monkeypatch.setattr(secwitness.oracle, "deduce_closure", deduce)
+    monkeypatch.setattr(secwitness.oracle, "_draw", draw)
+    ctx = load_bundled(protocol).context
+    reports = check_full_invariance(value_functions(sorted(SIDES)), ctx,
+                                    trials=10, depth=4, seed=0)
+    assert all(r.ok and r.truncated_trials == 0 for r in reports.values())
+    assert len(sets) == len(draws) == 10
+    kinds = set()
+    for M, drawn in zip(sets, draws):
+        assert len(drawn) == secwitness.oracle.SAMPLE_TERMS
+        known = reference_closure.recombined_closure(M, ctx, depth_budget=4)
+        assert all(t in known for t, _ in drawn)
+        kinds |= {kind for _, kind in drawn}
+    assert kinds == {"apart", "pair", "cipher"}
+
+
+def _small_sets():
+    """NS and NSL sets, sets that are not well protected, and sets with the
+    empty message, each with a context."""
+    cases = []
+    for protocol in PROTOCOLS:
+        ctx = load_bundled(protocol).context
+        rng = random.Random(5)
+        cases += [(random_well_protected_set(rng, ctx), ctx) for _ in range(4)]
+    cases += [(M, _WIDE_CTX) for M in _wide_sets(3, 4)]
+    ns = load_bundled("ns").context
+    cases += [([EMPTY], ns), ([EMPTY, Enc(Atom("Na"), Atom("ki")), Atom("ki-1")], ns)]
+    return cases
+
+
+@pytest.mark.parametrize("depth_budget", [0, 1, 2, 3])
+def test_a_space_drawn_whole_gives_each_eligible_term_once(depth_budget, monkeypatch):
+    # every term within the caps that a pair or a ciphertext of closure
+    # terms makes is in the enumerated closure, and every enumerated term
+    # is a closure term, a pair or a ciphertext: the two sets agree.  With
+    # SAMPLE_TERMS at their number the draw stops at the last of them, and
+    # with one more it stops when the space runs out
+    for seed, (M, ctx) in enumerate(_small_sets()):
+        known = reference_closure.recombined_closure(M, ctx, depth_budget=depth_budget)
+        closure = deduce_closure(M, ctx, depth_budget)
+        monkeypatch.setattr(secwitness.oracle, "SAMPLE_TERMS", len(known) + seed % 2)
+        drawn = [t for t, _ in _assert_same_draw(closure, depth_budget, seed)]
+        assert len(drawn) == len(set(drawn)) == len(known)
+        assert set(drawn) == set(known)
+
+
+def test_the_empty_message_is_never_paired_or_encrypted(monkeypatch):
+    # four closure terms besides the empty message, two of them the keys
+    # of a pair: a space of 5 + 4·4 + 4·2 indices, every one of them read
+    monkeypatch.setattr(secwitness.oracle, "SAMPLE_TERMS", 100)
+    ctx = make_context(["A", "I"], "I", {"k-1": ["A"]}, [("k", "k-1")])
+    M = [EMPTY, Atom("k-1")]
+    closure = deduce_closure(M, ctx, depth_budget=3)
+    assert closure.terms == (EMPTY, Atom("A"), Atom("I"), Atom("k"), Atom("k-1"))
+    assert closure.keys == (3, 4)
+    rng = _CountingRandom(0)
+    drawn, _ = _draw(closure, 3, rng)
+    assert rng.stops == [29] * 29
+    assert EMPTY in drawn
+    assert not any(type(t) is Enc and t.body == EMPTY for t in drawn)
+    assert set(drawn) == set(reference_closure.recombined_closure(M, ctx, depth_budget=3))
 
 
 @pytest.fixture()
 def reference_oracle(monkeypatch):
-    """Runs the property checks on the reference closure, sampling in the
-    order the reference sorted a closure's term set into."""
+    """Runs the property checks on the reference closure and draw."""
 
     def use_reference():
         monkeypatch.setattr(secwitness.oracle, "deduce_closure", reference_closure.deduce_closure)
+        monkeypatch.setattr(secwitness.oracle, "_draw", reference_closure.draw)
 
     return use_reference
 
@@ -244,7 +339,7 @@ FUNCTIONS = [(name, value_function(name)) for name in sorted(SIDES)] + [("leaky"
 def test_full_invariance_reports_match_the_reference(protocol, name, func, reference_oracle,
                                                      monkeypatch):
     ctx = load_bundled(protocol).context
-    # each run with the number of derived terms a trial samples
+    # each run with the number of derived terms a trial draws
     runs = [(dict(trials=30, depth=4, seed=0), 40), (dict(trials=15, depth=3, seed=7), 10)]
     if name == "leaky":
         runs = [(dict(trials=500, depth=4, seed=1), 40)]

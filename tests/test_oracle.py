@@ -6,7 +6,9 @@ import random
 
 import secwitness.selection
 from secwitness.context import intruder_knowledge, is_identity, make_context
+import secwitness.oracle
 from secwitness.oracle import (
+    _draw,
     check_full_invariance,
     check_non_disclosure,
     deduce_closure,
@@ -71,10 +73,40 @@ def test_closure_monotone_in_the_set(valuation_ctx, valuation_symbols):
     assert set(small.terms) <= set(large.terms)
 
 
-def test_truncation_is_flagged(valuation_ctx, valuation_symbols):
+def test_truncation_is_flagged(valuation_ctx, valuation_symbols, monkeypatch):
+    # the message holds seven atoms: at a cap of six it is left out, at
+    # seven it is kept, and the draw passes over its pairs and ciphertexts
     M = [parse_message("A.B.C.D.S.{C.alpha}_kab", valuation_symbols)]
-    capped = deduce_closure(M, valuation_ctx, round_cap=3)
+    monkeypatch.setattr(secwitness.oracle, "ATOM_CAP", 6)
+    capped = deduce_closure(M, valuation_ctx)
     assert capped.truncated
+    assert M[0] not in capped.terms
+    monkeypatch.setattr(secwitness.oracle, "ATOM_CAP", 7)
+    monkeypatch.setattr(secwitness.oracle, "SAMPLE_TERMS", 10**6)
+    kept = deduce_closure(M, valuation_ctx, depth_budget=2)
+    assert not kept.truncated and M[0] in kept.terms
+    drawn, cut = _draw(kept, 2, random.Random(0))
+    assert cut
+    assert all(len(atoms(t)) <= 7 for t in drawn)
+    assert M[0] in drawn
+
+
+def test_a_trial_whose_draw_is_cut_counts_as_truncated(monkeypatch):
+    # no closure of this run holds a term of more than four atoms, but
+    # pairs of their terms do
+    closures = []
+
+    def deduce(*args, **kwargs):
+        closures.append(deduce_closure(*args, **kwargs))
+        return closures[-1]
+
+    monkeypatch.setattr(secwitness.oracle, "ATOM_CAP", 4)
+    monkeypatch.setattr(secwitness.oracle, "deduce_closure", deduce)
+    ctx = load_bundled("ns").context
+    report = check_full_invariance({"fmax": FMAX}, ctx, trials=10, depth=4, seed=0)["fmax"]
+    assert len(closures) == 10 and not any(c.truncated for c in closures)
+    assert report.ok
+    assert 0 < report.truncated_trials < 10
 
 
 def test_random_sets_come_out_well_protected(ns):
@@ -155,7 +187,7 @@ def test_random_sets_vary_and_reseed(ns):
 
 def test_the_bounds_of_a_run_select_each_question_once(monkeypatch):
     # asked bound by bound, every question is selected once per bound:
-    # 369 selections for the three bounds on this run
+    # 165 selections for the three bounds on this run
     calls = []
     select = secwitness.selection.select
 
@@ -171,4 +203,4 @@ def test_the_bounds_of_a_run_select_each_question_once(monkeypatch):
     calls.clear()
     check_full_invariance(value_functions(sorted(SIDES)), ctx, **kw)
     assert calls == alone
-    assert len(calls) == 123
+    assert len(calls) == 55

@@ -1,9 +1,8 @@
 """Pinned command-line output of `oracle` (`--trials 10 --depth 4 --seed 0`)
 on the bundled NS and NSL handshakes, on `sym`, a subject whose keys are
 all symmetric, on `ns-secret-a`, NS with A's own name hidden from the
-intruder, and on `chain6`, the six-party chain, whose closures the caps cut
-short in two of the ten trials, compared byte for byte with the files in
-tests/golden/.
+intruder, and on `chain6`, the six-party chain, the largest closures of
+the five, compared byte for byte with the files in tests/golden/.
 
 Each case pins stdout (in tests/golden/oracle-<protocol>.stdout) and the
 exit code and stderr (in tests/golden/oracle-cases.json).  The files were
@@ -11,7 +10,9 @@ written by the pass-by-pass attacker closure that tests/reference_closure.py
 keeps, the `sym` subject's by the closure that still stored a mode on every
 ciphertext, the `ns-secret-a` subject's by the sampler that stopped
 drawing hidden principals in the clear, and the `chain6` subject's by the
-closure that kept its tables by term, before it numbered its terms.  A
+oracle that draws its pairs and ciphertexts instead of enumerating them:
+the enumerated round's cap cut two of its ten trials short, and no trial
+of the draw passes over a term for the atom cap.  A
 change that is meant to alter the output rewrites them with
 
     PYTHONPATH=src python tests/test_oracle_golden.py --write
